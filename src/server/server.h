@@ -71,7 +71,6 @@ struct ServerOptions {
 ///            "gamma":?, "delta":?, "order":"auto|bfs|shell|best_first",
 ///            "backend":"auto|direct|cached|parallel|grid|cell_sorted",
 ///            "batch_explore":"auto|on|off",
-///            "merge_strategy":"auto|sequential|central|tree|radix",
 ///            "max_explored":?, "timeout_ms":?, "wait":bool,
 ///            "progress":{"interval_ms":N} | true}
 ///           -> {"ok":true,"id":"s-1","state":...}; with "wait":true the
@@ -92,7 +91,9 @@ struct ServerOptions {
 ///           Streaming implies "wait" semantics; "wait":false alongside
 ///           "progress" is rejected. Cache-served submissions (admission
 ///           hits, followers, negative hits) run nothing and stream
-///           nothing: their reply is the whole exchange.
+///           nothing: their reply is the whole exchange. Fields SUBMIT
+///           does not read are ignored, so clients may keep sending
+///           retired ones.
 ///   STATUS  {"cmd":"STATUS","id":"s-1"} -> state, live progress counters
 ///           and, once terminal, the run report (mode, termination,
 ///           satisfied, answers as runnable SQL, timings).

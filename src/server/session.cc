@@ -597,6 +597,12 @@ void SessionManager::Shutdown() {
   if (governor_ != nullptr) governor_->NotifyQueued(this);
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return running_ == 0 && queue_.empty(); });
+  // Nothing runs any more, so no frame can be emitted. Drop the progress
+  // sinks: the server's sink holds the tenant, which owns this manager and
+  // its sessions, and that cycle would keep all of them alive forever.
+  for (const auto& [id, session] : sessions_) {
+    session->ctx_.ArmProgressSink(nullptr, 0.0);
+  }
 }
 
 ServerCounters SessionManager::counters() const {
@@ -783,11 +789,6 @@ void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
         counters_.cell_queries += result.cell_queries;
         counters_.eval_queries += result.exec_stats.queries;
         counters_.tuples_scanned += result.exec_stats.tuples_scanned;
-        counters_.merge_layers_central += result.exec_stats.merge_layers_central;
-        counters_.merge_layers_tree += result.exec_stats.merge_layers_tree;
-        counters_.merge_layers_radix += result.exec_stats.merge_layers_radix;
-        counters_.merge_layers_sequential +=
-            result.exec_stats.merge_layers_sequential;
         counters_.prepare_micros +=
             static_cast<uint64_t>(result.exec_stats.prepare_ms * 1000.0);
         counters_.delta_rows += result.exec_stats.delta_rows;

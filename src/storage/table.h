@@ -2,6 +2,7 @@
 #define ACQUIRE_STORAGE_TABLE_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -58,7 +59,8 @@ class Table {
   /// Full row materialization (mostly for tests and examples).
   std::vector<Value> GetRow(size_t row) const;
 
-  /// Cached per-column stats; recomputed after mutation.
+  /// Cached per-column stats; recomputed after mutation. Safe to call from
+  /// concurrent readers (planners share catalog tables).
   const ColumnStats& Stats(size_t col) const;
 
   /// Pretty-prints up to `limit` rows.
@@ -69,6 +71,8 @@ class Table {
   Schema schema_;
   std::vector<Column> columns_;
   size_t num_rows_ = 0;
+  // Guards the lazy refill in Stats(); mutators run without readers.
+  mutable std::mutex stats_mu_;
   mutable std::vector<ColumnStats> stats_;
   mutable bool stats_dirty_ = true;
 };

@@ -18,6 +18,7 @@
 #include "server/server.h"
 #include "sql/binder.h"
 #include "sql/printer.h"
+#include "test_util.h"
 #include "workload/users_gen.h"
 
 namespace acquire {
@@ -877,6 +878,36 @@ TEST(ServerTest, MultipleRequestsOnOneConnection) {
   EXPECT_TRUE(stats->GetBool("ok", false));
   client.Close();
   server.Stop();
+}
+
+// SUBMIT once took a "merge_strategy" field. The Eq. 17 merge is always
+// sequential now, and the field is ignored like any other the server does
+// not read, so older clients keep working: valid or not, it changes no
+// byte of the reply.
+TEST(ServerTest, SubmitIgnoresRetiredMergeStrategyField) {
+  AcqServer server(SharedCatalog());
+  auto submit = [&](const char* merge_strategy) {
+    JsonValue request = JsonValue::Object();
+    request.Set("cmd", JsonValue::Str("SUBMIT"));
+    request.Set("sql", JsonValue::Str(
+                           "SELECT * FROM users CONSTRAINT COUNT(*) >= 900 "
+                           "WHERE age <= 30 AND income >= 60000"));
+    request.Set("wait", JsonValue::Bool(true));
+    if (merge_strategy != nullptr) {
+      request.Set("merge_strategy", JsonValue::Str(merge_strategy));
+    }
+    return MustParse(server.HandleRequestLine(request.Dump()));
+  };
+  const JsonValue plain = submit(nullptr);
+  ASSERT_TRUE(plain.GetBool("ok", false)) << plain.Dump();
+  ASSERT_EQ(plain.GetString("state"), "done") << plain.Dump();
+  for (const char* strategy : {"radix", "bogus"}) {
+    const JsonValue reply = submit(strategy);
+    EXPECT_TRUE(reply.GetBool("ok", false)) << strategy << ": " << reply.Dump();
+    EXPECT_EQ(test_util::StripIdAndTiming(reply).Dump(),
+              test_util::StripIdAndTiming(plain).Dump())
+        << strategy;
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "gtest/gtest.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "test_util.h"
 #include "workload/users_gen.h"
 
 namespace acquire {
@@ -42,28 +43,7 @@ JsonValue MustParse(const std::string& line) {
   return parsed.ok() ? *parsed : JsonValue::Null();
 }
 
-/// Recursively drops the fields that legitimately differ between two runs
-/// of the same task: the session id and wall-clock timings. Everything
-/// else — mode, termination, aggregates, errors, rendered SQL, counters —
-/// must match to the byte.
-JsonValue Stripped(const JsonValue& value) {
-  if (value.is_object()) {
-    JsonValue out = JsonValue::Object();
-    for (const auto& [key, member] : value.Members()) {
-      if (key == "id" || key == "elapsed_ms" || key == "wall_ms") continue;
-      out.Set(key, Stripped(member));
-    }
-    return out;
-  }
-  if (value.is_array()) {
-    JsonValue out = JsonValue::Array();
-    for (const JsonValue& element : value.AsArray()) {
-      out.Append(Stripped(element));
-    }
-    return out;
-  }
-  return value;
-}
+using test_util::StripIdAndTiming;
 
 struct StreamedRun {
   std::vector<JsonValue> frames;
@@ -163,7 +143,7 @@ TEST(StreamingTest, DifferentialBatteryBitExactFinalReports) {
       ASSERT_EQ(baseline.reply.GetString("state"), "done")
           << baseline.reply.Dump();
       EXPECT_TRUE(baseline.frames.empty());
-      const std::string want = Stripped(baseline.reply).Dump();
+      const std::string want = StripIdAndTiming(baseline.reply).Dump();
 
       for (double interval_ms : {0.0, 5.0}) {
         SCOPED_TRACE(StringFormat("interval_ms=%g", interval_ms));
@@ -171,7 +151,7 @@ TEST(StreamingTest, DifferentialBatteryBitExactFinalReports) {
             RunStreamed(server, SubmitRequest(sql, order, batch, interval_ms, true));
         ASSERT_TRUE(streamed.reply.GetBool("ok", false))
             << streamed.reply.Dump();
-        EXPECT_EQ(Stripped(streamed.reply).Dump(), want);
+        EXPECT_EQ(StripIdAndTiming(streamed.reply).Dump(), want);
         if (interval_ms == 0.0) {
           EXPECT_FALSE(streamed.frames.empty());
         }
@@ -348,7 +328,7 @@ TEST(StreamingTest, CacheHitStreamsNoFramesAndStaysBitIdentical) {
   ASSERT_TRUE(second.reply.GetBool("ok", false)) << second.reply.Dump();
   EXPECT_TRUE(second.frames.empty())
       << "cache hit ran nothing, so nothing may stream";
-  EXPECT_EQ(Stripped(second.reply).Dump(), Stripped(first.reply).Dump());
+  EXPECT_EQ(StripIdAndTiming(second.reply).Dump(), StripIdAndTiming(first.reply).Dump());
 }
 
 // A run stopped by the client must never seed the result cache: its

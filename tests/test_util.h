@@ -1,13 +1,15 @@
 #ifndef ACQUIRE_TESTS_TEST_UTIL_H_
 #define ACQUIRE_TESTS_TEST_UTIL_H_
 
-// Shared helpers for core-algorithm tests: small synthetic tasks with
-// controllable dimensionality, aggregate and constraint.
+// Shared helpers for tests: small synthetic tasks with controllable
+// dimensionality, aggregate and constraint, and a comparator for server
+// replies.
 
 #include <memory>
 
 #include "common/random.h"
 #include "exec/planner.h"
+#include "server/json.h"
 #include "storage/catalog.h"
 
 namespace acquire {
@@ -65,6 +67,29 @@ inline std::unique_ptr<SyntheticTask> MakeSyntheticTask(
   if (!task.ok()) return nullptr;
   out->task = std::move(task).value();
   return out;
+}
+
+/// Recursively drops the fields that legitimately differ between two runs
+/// of the same task: the session id and wall-clock timings. Everything
+/// else — mode, termination, aggregates, errors, rendered SQL, counters —
+/// must match to the byte.
+inline JsonValue StripIdAndTiming(const JsonValue& value) {
+  if (value.is_object()) {
+    JsonValue out = JsonValue::Object();
+    for (const auto& [key, member] : value.Members()) {
+      if (key == "id" || key == "elapsed_ms" || key == "wall_ms") continue;
+      out.Set(key, StripIdAndTiming(member));
+    }
+    return out;
+  }
+  if (value.is_array()) {
+    JsonValue out = JsonValue::Array();
+    for (const JsonValue& element : value.AsArray()) {
+      out.Append(StripIdAndTiming(element));
+    }
+    return out;
+  }
+  return value;
 }
 
 }  // namespace test_util
