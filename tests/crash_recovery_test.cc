@@ -34,6 +34,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -320,6 +321,11 @@ struct CrashSite {
   int expected_extra_lo;  // recovered - acked lower bound
   int expected_extra_hi;  // recovered - acked upper bound
 };
+
+// Print the spec, not gtest's default byte dump: that dump shows the
+// `spec` pointer, which ASLR moves on every run, and ctest's discovered
+// test names embed the printed parameter.
+void PrintTo(const CrashSite& site, std::ostream* os) { *os << site.spec; }
 
 // pre_write dies before any byte of the record is written and mid_write
 // dies between the frame header and the payload (a torn tail): in both
