@@ -26,7 +26,7 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/acquire.h"
-#include "index/grid_index.h"
+#include "index/cell_sorted.h"
 #include "workload/tpch_gen.h"
 #include "workload/workload.h"
 
@@ -92,7 +92,7 @@ inline MethodMetrics RunAcquireMethod(const AcqTask& task,
   MethodMetrics m;
   Stopwatch sw;
   RefinedSpace space(&task, options.gamma, options.norm);
-  GridIndexEvaluationLayer layer(&task, space.step());
+  CellSortedEvaluationLayer layer(&task, space.step());
   Status prep = layer.Prepare();  // index build is charged to ACQUIRE
   if (!prep.ok()) return m;
   auto result = RunAcquire(task, &layer, options);

@@ -1,9 +1,7 @@
-// Evaluation-backend shootout: Direct / Cached / Parallel / GridIndex /
-// CellSorted over TPC-H-shaped lineitem data, across table sizes and
-// dimensionalities, on the three workloads ACQUIRE actually issues
-// (cell queries, aligned boxes, off-grid repartition probes). Also
-// measures what the persistent pool buys over spawning threads per box
-// query (the predecessor design) on repeated small boxes.
+// Evaluation-backend shootout: Direct / Cached / CellSorted over
+// TPC-H-shaped lineitem data, across table sizes and dimensionalities, on
+// the three workloads ACQUIRE actually issues (cell queries, aligned
+// boxes, off-grid repartition probes).
 //
 // Emits one line of JSON on stdout (committed as BENCH_eval_backend.json);
 // human-readable progress goes to stderr. ACQ_BENCH_FULL=1 raises the top
@@ -11,55 +9,14 @@
 
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "exec/eval_kernel.h"
-#include "exec/parallel_evaluation.h"
 #include "index/backend_factory.h"
 
 namespace acquire {
 namespace bench {
 namespace {
-
-constexpr size_t kSpawnThreads = 4;
-
-/// The design CellSorted/Parallel replaced: a cached matrix whose every
-/// box query spawns fresh threads, pays their start-up cost, and joins
-/// them. Kept bench-local as the pool-vs-spawn baseline.
-class SpawnScanLayer {
- public:
-  explicit SpawnScanLayer(const AcqTask* task) : task_(task) {}
-
-  Status Prepare() { return BuildNeededMatrix(*task_, nullptr, &matrix_); }
-
-  AggregateOps::State EvaluateBox(const std::vector<PScoreRange>& box) {
-    const AggregateOps& ops = *task_->agg.ops;
-    const size_t n = matrix_.rows;
-    const size_t chunk = (n + kSpawnThreads - 1) / kSpawnThreads;
-    std::vector<AggregateOps::State> partials(kSpawnThreads, ops.Init());
-    std::vector<std::thread> workers;
-    for (size_t c = 0; c < kSpawnThreads; ++c) {
-      workers.emplace_back([&, c] {
-        const size_t begin = c * chunk;
-        const size_t end = std::min(n, begin + chunk);
-        if (begin >= end) return;
-        std::vector<uint8_t> scratch(end - begin);
-        partials[c] =
-            ScanBoxRange(ops, matrix_, box, begin, end, scratch.data());
-      });
-    }
-    for (auto& t : workers) t.join();
-    AggregateOps::State state = ops.Init();
-    for (const auto& p : partials) ops.Merge(&state, p);
-    return state;
-  }
-
- private:
-  const AcqTask* task_;
-  NeededMatrix matrix_;
-};
 
 std::vector<std::vector<PScoreRange>> MakeWorkload(const std::string& kind,
                                                    size_t d, double step,
@@ -104,10 +61,10 @@ double TimePerQueryMs(EvaluationLayer* layer,
 }
 
 size_t RepsFor(EvalBackend backend, const std::string& workload, size_t n) {
-  const bool indexed =
-      backend == EvalBackend::kGridIndex || backend == EvalBackend::kCellSorted;
   if (backend == EvalBackend::kDirect) return 4;  // scans + recomputes
-  if (indexed && workload != "unaligned_box") return n >= 500000 ? 500 : 200;
+  if (backend == EvalBackend::kCellSorted && workload != "unaligned_box") {
+    return n >= 500000 ? 500 : 200;
+  }
   return n >= 500000 ? 12 : 40;  // matrix-scan cost per query
 }
 
@@ -126,8 +83,7 @@ int Main() {
   const std::vector<std::string> workloads = {"aligned_cell", "aligned_box",
                                               "unaligned_box"};
   const std::vector<EvalBackend> backends = {
-      EvalBackend::kDirect, EvalBackend::kCached, EvalBackend::kParallel,
-      EvalBackend::kGridIndex, EvalBackend::kCellSorted};
+      EvalBackend::kDirect, EvalBackend::kCached, EvalBackend::kCellSorted};
 
   std::string json = "{\"bench\":\"eval_backend\",\"configs\":[";
   bool first_config = true;
@@ -184,36 +140,14 @@ int Main() {
     }
   }
 
-  // Pool vs per-call spawn on repeated small boxes: the scan is cheap, so
-  // thread start-up dominates the spawning design.
-  const size_t small_n = 50000;
-  Catalog small_catalog = MakeLineitemCatalog(small_n);
-  RatioTask small_ratio = MakeLineitemTask(small_catalog, 2, 0.5);
-  auto small_boxes = MakeWorkload("unaligned_box", 2, 5.0, 300, 99);
-  SpawnScanLayer spawn(&small_ratio.task);
-  ACQ_CHECK(spawn.Prepare().ok());
-  ParallelEvaluationLayer pooled(&small_ratio.task, kSpawnThreads);
-  ACQ_CHECK(pooled.Prepare().ok());
-  Stopwatch spawn_sw;
-  for (const auto& box : small_boxes) spawn.EvaluateBox(box);
-  const double spawn_ms = spawn_sw.ElapsedMillis() / small_boxes.size();
-  Stopwatch pool_sw;
-  for (const auto& box : small_boxes) {
-    ACQ_CHECK(pooled.EvaluateBox(box).ok());
-  }
-  const double pool_ms = pool_sw.ElapsedMillis() / small_boxes.size();
-
   const double cell_speedup =
       sorted_cell_ms > 0.0 ? cached_cell_ms / sorted_cell_ms : 0.0;
   const double box_speedup =
       sorted_box_ms > 0.0 ? cached_box_ms / sorted_box_ms : 0.0;
   json += StringFormat(
-      "],\"pool_vs_spawn\":{\"n\":%zu,\"d\":2,\"spawn_ms\":%.6f,"
-      "\"pool_ms\":%.6f,\"speedup_pool_vs_spawn\":%.2f},"
-      "\"speedup_cellsorted_vs_cached_cell\":%.2f,"
+      "],\"speedup_cellsorted_vs_cached_cell\":%.2f,"
       "\"speedup_cellsorted_vs_cached_box\":%.2f,"
       "\"speedup_cellsorted_vs_cached\":%.2f}",
-      small_n, spawn_ms, pool_ms, pool_ms > 0.0 ? spawn_ms / pool_ms : 0.0,
       cell_speedup, box_speedup, std::min(cell_speedup, box_speedup));
   printf("%s\n", json.c_str());
   return 0;

@@ -140,8 +140,8 @@ struct AcquireResult {
 /// The evaluation layer is modular (Section 3): pass a
 /// DirectEvaluationLayer to model per-query DBMS execution, a
 /// CachedEvaluationLayer for the materialized-distances variant, or a
-/// GridIndexEvaluationLayer (Section 7.4) for O(1) cell queries. The layer
-/// must wrap the same task.
+/// CellSortedEvaluationLayer (Section 7.4's grid index) for O(log cells)
+/// cell queries. The layer must wrap the same task.
 Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
                                  const AcquireOptions& options = {});
 

@@ -15,14 +15,13 @@ enum class EvalBackend {
   kAuto,
   kDirect,     // scan + recompute per call ("Postgres mode")
   kCached,     // materialized needed matrix, serial scan per call
-  kParallel,   // materialized matrix, pool-chunked scan per call
-  kGridIndex,  // Section 7.4 hash-grid of per-cell aggregate states
-  kCellSorted, // CSR cell layout: binary search + contiguous fold
+  kCellSorted, // Section 7.4 grid index in CSR form: binary search + fold
 };
 
 const char* EvalBackendToString(EvalBackend backend);
 
-/// Parses the names EvalBackendToString emits (case-insensitive);
+/// Parses the names EvalBackendToString emits (case-insensitive), plus the
+/// retired names "gridindex" (-> kCellSorted) and "parallel" (-> kCached);
 /// InvalidArgument otherwise.
 Result<EvalBackend> EvalBackendFromString(const std::string& name);
 

@@ -11,6 +11,22 @@ namespace {
 // Below this the chunking/merge overhead beats the win of a second thread.
 constexpr size_t kMinRowsPerChunk = 4096;
 
+/// Evaluates one box query over rows [begin, end) of the matrix (serial;
+/// scratch must hold at least end - begin bytes).
+AggregateOps::State ScanBoxRange(const AggregateOps& ops,
+                                 const NeededMatrix& matrix,
+                                 const std::vector<PScoreRange>& box,
+                                 size_t begin, size_t end, uint8_t* scratch) {
+  const size_t count = end - begin;
+  std::fill(scratch, scratch + count, uint8_t{1});
+  for (size_t i = 0; i < matrix.dims; ++i) {
+    RefineSelection(matrix.dim(i) + begin, count, box[i], scratch);
+  }
+  AggregateOps::State state = ops.Init();
+  FoldSelected(ops, matrix.agg_values.data() + begin, scratch, count, &state);
+  return state;
+}
+
 }  // namespace
 
 Status BuildNeededMatrix(const AcqTask& task, ThreadPool* pool,
@@ -53,20 +69,6 @@ Status BuildNeededMatrixRows(const AcqTask& task, size_t begin, size_t end,
     fill(0, 0, n);
   }
   return Status::OK();
-}
-
-AggregateOps::State ScanBoxRange(const AggregateOps& ops,
-                                 const NeededMatrix& matrix,
-                                 const std::vector<PScoreRange>& box,
-                                 size_t begin, size_t end, uint8_t* scratch) {
-  const size_t count = end - begin;
-  std::fill(scratch, scratch + count, uint8_t{1});
-  for (size_t i = 0; i < matrix.dims; ++i) {
-    RefineSelection(matrix.dim(i) + begin, count, box[i], scratch);
-  }
-  AggregateOps::State state = ops.Init();
-  FoldSelected(ops, matrix.agg_values.data() + begin, scratch, count, &state);
-  return state;
 }
 
 Result<AggregateOps::State> ScanBoxOverMatrix(

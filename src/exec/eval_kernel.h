@@ -56,13 +56,6 @@ inline void FoldRange(const AggregateOps& ops, const double* values,
   for (size_t k = 0; k < count; ++k) ops.Add(state, values[k]);
 }
 
-/// Evaluates one box query over rows [begin, end) of the matrix (serial;
-/// scratch must hold at least end - begin bytes).
-AggregateOps::State ScanBoxRange(const AggregateOps& ops,
-                                 const NeededMatrix& matrix,
-                                 const std::vector<PScoreRange>& box,
-                                 size_t begin, size_t end, uint8_t* scratch);
-
 /// Evaluates one box query over the whole matrix. With a pool (and enough
 /// rows to amortize it) the scan is chunked across the pool and the
 /// per-chunk partial states are merged in chunk order — deterministic

@@ -78,14 +78,10 @@ struct NeededMatrix {
 ///    needed-PScore matrix once in Prepare(); calls still scan all tuples
 ///    but skip predicate-function evaluation. Models a DBMS with a
 ///    specialized access path.
-///  * ParallelEvaluationLayer (exec/parallel_evaluation.h) — the cached
-///    scan chunked across a persistent thread pool.
-///  * GridIndexEvaluationLayer (index/grid_index.h) — Section 7.4's bitmap
-///    grid index: cell-aligned boxes are answered in O(1).
-///  * CellSortedEvaluationLayer (index/cell_sorted.h) — rows counting-sorted
-///    into grid cells in a CSR layout: a cell query is one binary search
-///    plus a contiguous fold, an aligned box merges per-cell states in
-///    sorted key order.
+///  * CellSortedEvaluationLayer (index/cell_sorted.h) — Section 7.4's grid
+///    index in CSR form: rows counting-sorted into grid cells, so a cell
+///    query is one binary search plus a precomputed per-cell state, and an
+///    aligned box merges per-cell states in sorted key order.
 class EvaluationLayer {
  public:
   struct ExecStats {
@@ -105,9 +101,9 @@ class EvaluationLayer {
     /// Index build cost, filled by the layer itself: wall time spent inside
     /// Prepare() (0 for layers with a no-op Prepare), rows currently staged
     /// in the incremental-maintenance delta buffer, and how many times the
-    /// staged deltas were absorbed into the main layout (index/cell_sorted,
-    /// index/grid_index). Survives ResetStats — Prepare happens before the
-    /// driver resets the per-run query counters.
+    /// staged deltas were absorbed into the main layout (index/cell_sorted).
+    /// Survives ResetStats — Prepare happens before the driver resets the
+    /// per-run query counters.
     double prepare_ms = 0.0;
     uint64_t delta_rows = 0;
     uint64_t delta_merges = 0;

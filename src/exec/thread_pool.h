@@ -13,10 +13,9 @@
 namespace acquire {
 
 /// Persistent worker pool for the evaluation layers. Threads are spawned
-/// once and reused across every ParallelFor submission, replacing the
-/// spawn-per-EvaluateBox pattern the parallel layer started with: a box
-/// query on a prepared layer is microseconds of work, so thread creation
-/// used to dominate it.
+/// once and reused across every ParallelFor submission: a box query on a
+/// prepared layer is microseconds of work, so per-query thread creation
+/// would dominate it.
 ///
 /// Determinism contract: chunk boundaries depend only on (n, min_chunk,
 /// num_threads), never on scheduling, so a caller that keeps per-chunk

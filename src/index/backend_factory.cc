@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "exec/parallel_evaluation.h"
 #include "index/cell_sorted.h"
-#include "index/grid_index.h"
 
 namespace acquire {
 
@@ -29,17 +27,10 @@ Result<std::unique_ptr<EvaluationLayer>> MakeEvaluationLayer(
     case EvalBackend::kCached:
       return std::unique_ptr<EvaluationLayer>(
           new CachedEvaluationLayer(task));
-    case EvalBackend::kParallel:
-      return std::unique_ptr<EvaluationLayer>(
-          new ParallelEvaluationLayer(task, options.threads));
-    case EvalBackend::kGridIndex:
-      return std::unique_ptr<EvaluationLayer>(
-          new GridIndexEvaluationLayer(task, ResolveStep(*task, options)));
     case EvalBackend::kAuto:
     case EvalBackend::kCellSorted:
       return std::unique_ptr<EvaluationLayer>(new CellSortedEvaluationLayer(
-          task, ResolveStep(*task, options), /*pool=*/nullptr,
-          options.prepare_mode));
+          task, ResolveStep(*task, options)));
   }
   return Status::InvalidArgument("unknown evaluation backend");
 }

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "common/failpoint.h"
-#include "common/string_util.h"
 #include "exec/eval_kernel.h"
 
 namespace acquire {
@@ -343,32 +342,6 @@ bool BuildParallel(const NeededMatrix& raw, double step,
 }
 
 }  // namespace
-
-const char* PrepareModeName(PrepareMode mode) {
-  switch (mode) {
-    case PrepareMode::kAuto:
-      return "auto";
-    case PrepareMode::kSequential:
-      return "sequential";
-    case PrepareMode::kParallel:
-      return "parallel";
-  }
-  return "unknown";
-}
-
-bool ParsePrepareMode(const std::string& name, PrepareMode* out) {
-  const std::string lower = ToLower(name);
-  if (lower == "auto") {
-    *out = PrepareMode::kAuto;
-  } else if (lower == "sequential" || lower == "seq") {
-    *out = PrepareMode::kSequential;
-  } else if (lower == "parallel" || lower == "par") {
-    *out = PrepareMode::kParallel;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
                              const AggregateOps& ops, ThreadPool* pool,

@@ -2,7 +2,6 @@
 #define ACQUIRE_INDEX_PARALLEL_PREPARE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -27,10 +26,6 @@ enum class PrepareMode {
   /// single-core CI can still exercise the parallel code path).
   kParallel,
 };
-
-const char* PrepareModeName(PrepareMode mode);
-/// Parses "auto|sequential|parallel" (case-insensitive).
-bool ParsePrepareMode(const std::string& name, PrepareMode* out);
 
 /// The cell-sorted CSR layout (see index/cell_sorted.h for field semantics):
 /// the build result is separated from the layer so the sequential and

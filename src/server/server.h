@@ -69,7 +69,7 @@ struct ServerOptions {
 ///
 ///   SUBMIT  {"cmd":"SUBMIT","sql":"...ACQ SQL...",
 ///            "gamma":?, "delta":?, "order":"auto|bfs|shell|best_first",
-///            "backend":"auto|direct|cached|parallel|grid|cell_sorted",
+///            "backend":"auto|direct|cached|cellsorted",
 ///            "batch_explore":"auto|on|off",
 ///            "max_explored":?, "timeout_ms":?, "wait":bool,
 ///            "progress":{"interval_ms":N} | true}

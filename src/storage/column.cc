@@ -85,7 +85,11 @@ ColumnStats Column::ComputeStats() const {
 }
 
 void Column::Reserve(size_t n) {
-  std::visit([n](auto& v) { v.reserve(n); }, data_);
+  std::visit(
+      [n](auto& v) {
+        if (n > v.capacity()) v.reserve(std::max(n, 2 * v.capacity()));
+      },
+      data_);
 }
 
 }  // namespace acquire

@@ -61,6 +61,10 @@ class Column {
   /// O(n) scan; cached by Table.
   ColumnStats ComputeStats() const;
 
+  /// Makes room for `n` values. The first reservation is exact; growing an
+  /// existing buffer at least doubles it, so a run of small appends (one
+  /// APPEND batch each) reallocates O(log n) times instead of copying the
+  /// whole column on every batch.
   void Reserve(size_t n);
 
  private:

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/acquire.h"
-#include "index/grid_index.h"
+#include "index/cell_sorted.h"
 #include "workload/tpch_gen.h"
 #include "workload/workload.h"
 
@@ -66,7 +66,7 @@ TEST_F(AcquireSmokeTest, AllEvaluationLayersAgree) {
   DirectEvaluationLayer direct(&task);
   CachedEvaluationLayer cached(&task);
   RefinedSpace space(&task, opts.gamma, opts.norm);
-  GridIndexEvaluationLayer indexed(&task, space.step());
+  CellSortedEvaluationLayer indexed(&task, space.step());
 
   auto r1 = RunAcquire(task, &direct, opts);
   auto r2 = RunAcquire(task, &cached, opts);

@@ -22,8 +22,6 @@ using test_util::SyntheticOptions;
 enum class LayerKind {
   kDirect,
   kCached,
-  kParallel,
-  kGridIndex,
   kCellSorted,
 };
 
@@ -33,10 +31,6 @@ const char* LayerName(LayerKind kind) {
       return "Direct";
     case LayerKind::kCached:
       return "Cached";
-    case LayerKind::kParallel:
-      return "Parallel";
-    case LayerKind::kGridIndex:
-      return "GridIndex";
     case LayerKind::kCellSorted:
       return "CellSorted";
   }
@@ -50,10 +44,6 @@ std::unique_ptr<EvaluationLayer> MakeLayer(LayerKind kind, const AcqTask* task,
       return std::make_unique<DirectEvaluationLayer>(task);
     case LayerKind::kCached:
       return std::make_unique<CachedEvaluationLayer>(task);
-    case LayerKind::kParallel:
-      return std::make_unique<ParallelEvaluationLayer>(task, 4);
-    case LayerKind::kGridIndex:
-      return std::make_unique<GridIndexEvaluationLayer>(task, step);
     case LayerKind::kCellSorted:
       return std::make_unique<CellSortedEvaluationLayer>(task, step);
   }
@@ -139,8 +129,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          SearchOrder::kShell,
                                          SearchOrder::kBestFirst),
                        ::testing::Values(LayerKind::kDirect, LayerKind::kCached,
-                                         LayerKind::kParallel,
-                                         LayerKind::kGridIndex,
                                          LayerKind::kCellSorted)),
     [](const auto& info) {
       return std::string(OrderName(std::get<0>(info.param))) + "_" +

@@ -1,6 +1,7 @@
 // Structural tests for the cell-sorted CSR backend: layout invariants,
-// the three query paths (cell probe, aligned box walk, off-grid scan),
-// unreachable-row exclusion, and the backend factory that constructs it.
+// the three query paths (cell probe, aligned box walk, off-grid scan), the
+// native batched cell path, unreachable-row exclusion, and the backend
+// factory that constructs it.
 
 #include <gtest/gtest.h>
 
@@ -60,6 +61,8 @@ TEST(CellSortedTest, AlignedBoxVisitsOnlyCandidateCells) {
   // most the populated cells, never the rows.
   std::vector<PScoreRange> box = {PScoreRange{-1.0, 4 * step},
                                   PScoreRange{-1.0, 4 * step}};
+  GridCoord coord;
+  EXPECT_FALSE(layer.IsCellAligned(box, &coord));  // spans four levels
   layer.ResetStats();
   auto got = layer.EvaluateBox(box);
   ASSERT_TRUE(got.ok());
@@ -73,26 +76,99 @@ TEST(CellSortedTest, AlignedBoxVisitsOnlyCandidateCells) {
 }
 
 TEST(CellSortedTest, OffGridBoxFallsBackToExactScan) {
+  // 30k rows split the fallback scan into several pool chunks — at least
+  // two even on a one-worker pool, which counts the calling thread as a
+  // runner — so the chunk-order merge of partial SUMs is checked too.
   SyntheticOptions options;
-  options.d = 2;
-  options.rows = 10000;
+  options.d = 3;
+  options.rows = 30000;
   options.agg = AggregateKind::kSum;
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   CellSortedEvaluationLayer layer(&fixture->task, 5.0);
   ASSERT_TRUE(layer.Prepare().ok());
-
-  std::vector<PScoreRange> box = {PScoreRange{-1.0, 7.3},
-                                  PScoreRange{2.1, 13.9}};
-  GridCoord coord;
-  EXPECT_FALSE(layer.IsCellAligned(box, &coord));
-  auto got = layer.EvaluateBox(box);
   DirectEvaluationLayer reference(&fixture->task);
-  auto expected = reference.EvaluateBox(box);
-  ASSERT_TRUE(got.ok() && expected.ok());
   const AggregateOps& ops = *fixture->task.agg.ops;
-  EXPECT_NEAR(ops.Final(*got), ops.Final(*expected),
-              1e-9 * std::max(1.0, std::fabs(ops.Final(*expected))));
+
+  Rng rng(5);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<PScoreRange> box(3);
+    for (auto& r : box) {
+      const double hi = rng.NextDouble(0.0, 80.0);  // almost surely off-grid
+      r = PScoreRange{rng.NextBool(0.5) ? -1.0 : hi / 3.0, hi};
+    }
+    GridCoord coord;
+    EXPECT_FALSE(layer.IsCellAligned(box, &coord));
+    auto got = layer.EvaluateBox(box);
+    auto expected = reference.EvaluateBox(box);
+    ASSERT_TRUE(got.ok() && expected.ok());
+    EXPECT_NEAR(ops.Final(*got), ops.Final(*expected),
+                1e-9 * std::max(1.0, std::fabs(ops.Final(*expected))))
+        << "trial " << trial;
+  }
+}
+
+TEST(CellSortedTest, EvaluateCellsLargeBatchMatchesPerCellBoxes) {
+  SyntheticOptions options;
+  options.d = 2;
+  options.rows = 20000;
+  options.agg = AggregateKind::kSum;
+  auto fixture = MakeSyntheticTask(options);
+  ASSERT_NE(fixture, nullptr);
+  const double step = 5.0;
+  CellSortedEvaluationLayer layer(&fixture->task, step);
+  ASSERT_TRUE(layer.Prepare().ok());
+
+  // ~10k requests in an unsorted arrival order: long runs of duplicate
+  // coordinates that straddle the pool's sweep chunks once sorted, plus
+  // far-out cells that no row populates.
+  std::vector<GridCoord> coords;
+  coords.reserve(10000);
+  for (int32_t i = 0; i < 10000; ++i) {
+    if (i % 1000 == 0) {
+      coords.push_back({100 + i / 1000, 90});
+    } else {
+      coords.push_back({i % 15, (i / 3) % 15});
+    }
+  }
+  layer.ResetStats();
+  auto batch = layer.EvaluateCells(coords.data(), coords.size(), step);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), coords.size());
+  // One query and one key lookup per requested cell: no box
+  // decomposition, no row scan.
+  EXPECT_EQ(layer.stats().queries, coords.size());
+  EXPECT_EQ(layer.stats().tuples_scanned, coords.size());
+
+  CellSortedEvaluationLayer reference(&fixture->task, step);
+  for (size_t i = 0; i < coords.size(); ++i) {
+    std::vector<PScoreRange> cell = {CellRangeForLevel(coords[i][0], step),
+                                     CellRangeForLevel(coords[i][1], step)};
+    auto expected = reference.EvaluateBox(cell);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_EQ((*batch)[i], *expected)
+        << "request " << i << " cell " << coords[i][0] << "," << coords[i][1];
+  }
+}
+
+TEST(CellSortedTest, EvaluateCellsRejectsWrongDimensionality) {
+  SyntheticOptions options;
+  options.d = 2;
+  auto fixture = MakeSyntheticTask(options);
+  ASSERT_NE(fixture, nullptr);
+  CellSortedEvaluationLayer layer(&fixture->task, 5.0);
+  std::vector<GridCoord> coords = {{1, 2, 3}};  // task has d = 2
+  EXPECT_FALSE(layer.EvaluateCells(coords.data(), coords.size(), 5.0).ok());
+}
+
+TEST(CellSortedTest, EvaluateCellsEmptyBatch) {
+  SyntheticOptions options;
+  auto fixture = MakeSyntheticTask(options);
+  ASSERT_NE(fixture, nullptr);
+  CellSortedEvaluationLayer layer(&fixture->task, 5.0);
+  auto batch = layer.EvaluateCells(nullptr, 0, 5.0);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_TRUE(batch->empty());
 }
 
 TEST(CellSortedTest, ExcludesUnreachableRows) {
@@ -129,10 +205,8 @@ TEST(BackendFactoryTest, ResolvesEveryBackend) {
   SyntheticOptions options;
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
-  for (EvalBackend backend :
-       {EvalBackend::kAuto, EvalBackend::kDirect, EvalBackend::kCached,
-        EvalBackend::kParallel, EvalBackend::kGridIndex,
-        EvalBackend::kCellSorted}) {
+  for (EvalBackend backend : {EvalBackend::kAuto, EvalBackend::kDirect,
+                              EvalBackend::kCached, EvalBackend::kCellSorted}) {
     auto layer = MakeEvaluationLayer(&fixture->task, backend);
     ASSERT_TRUE(layer.ok()) << EvalBackendToString(backend);
     ASSERT_NE(layer->get(), nullptr);
@@ -145,10 +219,8 @@ TEST(BackendFactoryTest, ResolvesEveryBackend) {
 }
 
 TEST(BackendFactoryTest, NameRoundTrip) {
-  for (EvalBackend backend :
-       {EvalBackend::kAuto, EvalBackend::kDirect, EvalBackend::kCached,
-        EvalBackend::kParallel, EvalBackend::kGridIndex,
-        EvalBackend::kCellSorted}) {
+  for (EvalBackend backend : {EvalBackend::kAuto, EvalBackend::kDirect,
+                              EvalBackend::kCached, EvalBackend::kCellSorted}) {
     auto parsed = EvalBackendFromString(EvalBackendToString(backend));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, backend);
@@ -172,8 +244,7 @@ TEST(BackendFactoryTest, ProcessAcqRunsOnTaskSelectedBackend) {
   auto reference = ProcessAcq(fixture->task, acq);
   ASSERT_TRUE(reference.ok());
   for (EvalBackend backend :
-       {EvalBackend::kDirect, EvalBackend::kCached, EvalBackend::kParallel,
-        EvalBackend::kGridIndex, EvalBackend::kCellSorted}) {
+       {EvalBackend::kDirect, EvalBackend::kCached, EvalBackend::kCellSorted}) {
     fixture->task.eval_backend = backend;
     auto outcome = ProcessAcq(fixture->task, acq);
     ASSERT_TRUE(outcome.ok()) << EvalBackendToString(backend);
@@ -185,6 +256,12 @@ TEST(BackendFactoryTest, ProcessAcqRunsOnTaskSelectedBackend) {
                      reference->result.best.qscore)
         << EvalBackendToString(backend);
   }
+}
+
+TEST(GridCoordHashTest, DistinctCoordsDistinctHashesMostly) {
+  GridCoordHash hash;
+  EXPECT_NE(hash({0, 1}), hash({1, 0}));
+  EXPECT_EQ(hash({2, 3}), hash({2, 3}));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Incremental delta maintenance of the index backends: rows appended to
+// Incremental delta maintenance of the cell-sorted index: rows appended to
 // the relation after Prepare() must be answered bit-identically to a full
 // rebuild over the grown relation — on every query shape (cell probe,
 // aligned box, off-grid scan, batched cells) and whether the rows are
@@ -240,82 +240,6 @@ TEST(DeltaMaintenanceTest, CellSortedDeltaMergeFailpointRebuildIsIdentical) {
   ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
 }
 
-TEST(DeltaMaintenanceTest, GridIndexStagedDeltasMatchFullRebuild) {
-  for (AggregateKind agg : {AggregateKind::kCount, AggregateKind::kSum,
-                            AggregateKind::kAvg, AggregateKind::kMin}) {
-    SyntheticOptions options;
-    options.d = 2;
-    options.rows = 8000;
-    options.agg = agg;
-    auto fixture = MakeSyntheticTask(options);
-    ASSERT_NE(fixture, nullptr);
-    const double step = 5.0;
-
-    GridIndexEvaluationLayer layer(&fixture->task, step);
-    ASSERT_TRUE(layer.Prepare().ok());
-    ASSERT_TRUE(AppendToFixture(fixture.get(), 500, 11).ok());
-
-    std::vector<PScoreRange> probe = {CellRangeForLevel(2, step),
-                                      CellRangeForLevel(3, step)};
-    ASSERT_TRUE(layer.EvaluateBox(probe).ok());
-    EXPECT_EQ(layer.consumed_rows(), options.rows + 500);
-    EXPECT_GT(layer.staged_delta_rows(), 0u);
-
-    GridIndexEvaluationLayer rebuilt(&fixture->task, step);
-    ASSERT_TRUE(rebuilt.Prepare().ok());
-    ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
-  }
-}
-
-TEST(DeltaMaintenanceTest, GridIndexMergeMatchesFullRebuild) {
-  SyntheticOptions options;
-  options.d = 2;
-  options.rows = 8000;
-  options.agg = AggregateKind::kSum;
-  auto fixture = MakeSyntheticTask(options);
-  ASSERT_NE(fixture, nullptr);
-  const double step = 5.0;
-
-  GridIndexEvaluationLayer layer(&fixture->task, step);
-  ASSERT_TRUE(layer.Prepare().ok());
-  ASSERT_TRUE(AppendToFixture(fixture.get(), 600, 12).ok());
-  ASSERT_TRUE(layer.MergeDeltas().ok());
-  EXPECT_EQ(layer.staged_delta_rows(), 0u);
-  EXPECT_EQ(layer.consumed_rows(), options.rows + 600);
-  EXPECT_TRUE(layer.SupportsConcurrentEvaluate());
-
-  GridIndexEvaluationLayer rebuilt(&fixture->task, step);
-  ASSERT_TRUE(rebuilt.Prepare().ok());
-  ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
-}
-
-TEST(DeltaMaintenanceTest, GridIndexDeltaMergeFailpointRebuildIsIdentical) {
-  if (!FailpointRegistry::compiled_in()) {
-    GTEST_SKIP() << "failpoints compiled out";
-  }
-  SyntheticOptions options;
-  options.d = 2;
-  options.rows = 6000;
-  options.agg = AggregateKind::kMax;
-  auto fixture = MakeSyntheticTask(options);
-  ASSERT_NE(fixture, nullptr);
-  const double step = 5.0;
-  GridIndexEvaluationLayer layer(&fixture->task, step);
-  ASSERT_TRUE(layer.Prepare().ok());
-  ASSERT_TRUE(AppendToFixture(fixture.get(), 300, 13).ok());
-
-  auto& registry = FailpointRegistry::Global();
-  ASSERT_TRUE(registry.Configure("index.delta_merge", "p:1").ok());
-  Status merged = layer.MergeDeltas();
-  registry.DisarmAll();
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(layer.staged_delta_rows(), 0u);
-
-  GridIndexEvaluationLayer rebuilt(&fixture->task, step);
-  ASSERT_TRUE(rebuilt.Prepare().ok());
-  ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
-}
-
 TEST(DeltaMaintenanceTest, AppendKeepsAmortizedCostLow) {
   // Acceptance shape: appending k rows below the threshold must not run a
   // rebuild — prepare_ms accrues only the staging cost, and delta_merges
@@ -377,6 +301,31 @@ TEST(DeltaMaintenanceTest, TableAppendRowsIsAtomicOnBadRow) {
       fixture->catalog.AppendRows("nope", MakeAppendRows(1, 5)).ok());
   ASSERT_TRUE(fixture->catalog.AppendRows("data", {}).ok());
   EXPECT_EQ(fixture->catalog.generation(), generation + 1);  // no-op: no bump
+}
+
+TEST(DeltaMaintenanceTest, TableAppendRowsGrowsColumnsGeometrically) {
+  // The fixture reserves exactly its 10k rows, so the first append must
+  // reallocate; doubling then leaves room for the other 99 one-row appends
+  // instead of copying the whole column on every batch.
+  SyntheticOptions options;
+  options.rows = 10000;
+  auto fixture = MakeSyntheticTask(options);
+  ASSERT_NE(fixture, nullptr);
+  auto table = fixture->catalog.GetTable("data");
+  ASSERT_TRUE(table.ok());
+  const Column& column = (*table)->column(0);
+  const double* buffer = column.double_data().data();
+  size_t moves = 0;
+  for (uint64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(
+        fixture->catalog.AppendRows("data", MakeAppendRows(1, 100 + i)).ok());
+    if (column.double_data().data() != buffer) {
+      ++moves;
+      buffer = column.double_data().data();
+    }
+  }
+  EXPECT_EQ((*table)->num_rows(), options.rows + 100);
+  EXPECT_LE(moves, 1u);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 // Tests for the library extensions: custom monotone refinement metrics
-// (Section 2.3's user-defined metric hook), the parallel evaluation layer,
-// and catalog persistence.
+// (Section 2.3's user-defined metric hook) and catalog persistence.
 
 #include <gtest/gtest.h>
 #include <cmath>
@@ -9,7 +8,6 @@
 
 #include "core/acquire.h"
 #include "expr/custom_metric_dim.h"
-#include "exec/parallel_evaluation.h"
 #include "storage/persistence.h"
 #include "test_util.h"
 #include "workload/tpch_gen.h"
@@ -80,56 +78,6 @@ TEST(CustomMetricDimTest, AcquireRunsOnCustomMetric) {
   // pscores are on the custom scale for dim 0; dim 1 should carry most of
   // the refinement.
   EXPECT_GE(q.pscores[1], q.pscores[0] / 5.0 - 1e-9);
-}
-
-TEST(ParallelLayerTest, MatchesDirectLayerExactly) {
-  SyntheticOptions options;
-  options.d = 3;
-  options.rows = 30000;
-  options.agg = AggregateKind::kSum;
-  options.target = 10.0;
-  auto fixture = MakeSyntheticTask(options);
-  ASSERT_NE(fixture, nullptr);
-  DirectEvaluationLayer direct(&fixture->task);
-  ParallelEvaluationLayer parallel(&fixture->task, 4);
-  ASSERT_TRUE(parallel.Prepare().ok());
-  EXPECT_EQ(parallel.threads(), 4u);
-  Rng rng(5);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> pscores(3);
-    for (auto& p : pscores) p = rng.NextDouble(0.0, 80.0);
-    double a = direct.EvaluateQueryValue(pscores).value();
-    double b = parallel.EvaluateQueryValue(pscores).value();
-    EXPECT_NEAR(a, b, 1e-6 * std::max(1.0, std::fabs(a)));
-  }
-}
-
-TEST(ParallelLayerTest, SmallInputsFallBackToSingleThread) {
-  SyntheticOptions options;
-  options.d = 1;
-  options.rows = 100;  // under the per-worker chunk threshold
-  auto fixture = MakeSyntheticTask(options);
-  ASSERT_NE(fixture, nullptr);
-  ParallelEvaluationLayer layer(&fixture->task, 8);
-  auto v = layer.EvaluateQueryValue({10.0});
-  ASSERT_TRUE(v.ok());
-  DirectEvaluationLayer direct(&fixture->task);
-  EXPECT_DOUBLE_EQ(*v, direct.EvaluateQueryValue({10.0}).value());
-}
-
-TEST(ParallelLayerTest, DriverRunsOnParallelLayer) {
-  SyntheticOptions options;
-  options.d = 2;
-  options.rows = 20000;
-  auto fixture = MakeSyntheticTask(options);
-  ASSERT_NE(fixture, nullptr);
-  DirectEvaluationLayer probe(&fixture->task);
-  fixture->task.constraint.target =
-      probe.EvaluateQueryValue({0.0, 0.0}).value() * 2.0;
-  ParallelEvaluationLayer layer(&fixture->task, 0);  // hardware threads
-  auto result = RunAcquire(fixture->task, &layer, {});
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->satisfied);
 }
 
 class PersistenceTest : public ::testing::Test {

@@ -193,34 +193,5 @@ TEST(ParallelPrepareTest, LayerAnswersIdenticallyUnderEitherMode) {
   }
 }
 
-TEST(ParallelPrepareTest, ParsePrepareModeRoundTrips) {
-  for (PrepareMode mode : {PrepareMode::kAuto, PrepareMode::kSequential,
-                           PrepareMode::kParallel}) {
-    PrepareMode parsed;
-    ASSERT_TRUE(ParsePrepareMode(PrepareModeName(mode), &parsed));
-    EXPECT_EQ(parsed, mode);
-  }
-  PrepareMode parsed;
-  EXPECT_TRUE(ParsePrepareMode("PARALLEL", &parsed));
-  EXPECT_EQ(parsed, PrepareMode::kParallel);
-  EXPECT_FALSE(ParsePrepareMode("turbo", &parsed));
-}
-
-TEST(ParallelPrepareTest, BackendOptionsThreadPrepareModeThrough) {
-  SyntheticOptions options;
-  options.rows = 40000;
-  auto fixture = MakeSyntheticTask(options);
-  ASSERT_NE(fixture, nullptr);
-  BackendOptions backend;
-  backend.prepare_mode = PrepareMode::kParallel;
-  auto layer =
-      MakeEvaluationLayer(&fixture->task, EvalBackend::kCellSorted, backend);
-  ASSERT_TRUE(layer.ok());
-  auto* cell_sorted = dynamic_cast<CellSortedEvaluationLayer*>(layer->get());
-  ASSERT_NE(cell_sorted, nullptr);
-  ASSERT_TRUE(cell_sorted->Prepare().ok());
-  EXPECT_TRUE(cell_sorted->build_info().parallel);
-}
-
 }  // namespace
 }  // namespace acquire

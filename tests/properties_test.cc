@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "core/acquire.h"
-#include "index/grid_index.h"
+#include "index/cell_sorted.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -59,7 +59,7 @@ TEST_P(AcquireSweepTest, GuaranteesHoldAcrossConfigurations) {
   CachedEvaluationLayer cached(&fixture->task);
   DirectEvaluationLayer direct(&fixture->task);
   RefinedSpace space(&fixture->task, acq.gamma, acq.norm);
-  GridIndexEvaluationLayer indexed(&fixture->task, space.step());
+  CellSortedEvaluationLayer indexed(&fixture->task, space.step());
   CachedEvaluationLayer naive_layer(&fixture->task);
   AcquireOptions naive = acq;
   naive.use_incremental = false;

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -907,6 +908,36 @@ TEST(ServerTest, SubmitIgnoresRetiredMergeStrategyField) {
     EXPECT_EQ(test_util::StripIdAndTiming(reply).Dump(),
               test_util::StripIdAndTiming(plain).Dump())
         << strategy;
+  }
+}
+
+TEST(ServerTest, SubmitRetiredBackendNamesAnswerLikeTheirSuccessors) {
+  // "gridindex" and "parallel" named deleted backends. They still parse,
+  // to the layers that replaced them, so a SUBMIT naming one must
+  // fingerprint, run and reply exactly like its successor.
+  AcqServer server(SharedCatalog());
+  auto submit = [&](const char* backend) {
+    JsonValue request = JsonValue::Object();
+    request.Set("cmd", JsonValue::Str("SUBMIT"));
+    request.Set("sql", JsonValue::Str(
+                           "SELECT * FROM users CONSTRAINT SUM(income) >= 3e8 "
+                           "WHERE age <= 30 AND income <= 40000"));
+    request.Set("backend", JsonValue::Str(backend));
+    request.Set("wait", JsonValue::Bool(true));
+    return MustParse(server.HandleRequestLine(request.Dump()));
+  };
+  for (const auto& [retired, successor] :
+       {std::pair{"gridindex", "cellsorted"}, std::pair{"parallel", "cached"}}) {
+    const JsonValue expected = submit(successor);
+    ASSERT_TRUE(expected.GetBool("ok", false)) << expected.Dump();
+    ASSERT_EQ(expected.GetString("state"), "done") << expected.Dump();
+    const JsonValue* report = expected.Get("report");
+    ASSERT_NE(report, nullptr) << expected.Dump();
+    EXPECT_EQ(report->GetString("mode"), "expanded") << expected.Dump();
+    const JsonValue reply = submit(retired);
+    EXPECT_EQ(test_util::StripIdAndTiming(reply).Dump(),
+              test_util::StripIdAndTiming(expected).Dump())
+        << retired;
   }
 }
 
