@@ -1,6 +1,7 @@
 #include "core/fingerprint.h"
 
 #include "common/string_util.h"
+#include "core/processor.h"
 #include "exec/aggregate.h"
 #include "exec/backend.h"
 #include "expr/expr.h"
@@ -181,6 +182,31 @@ Result<TaskFingerprint> FingerprintTask(const Catalog& catalog,
   fp.hi = Mix(Fnv1a(key, 1469598103934665603ULL));
   fp.lo = Mix(Fnv1a(key, 0x6c62272e07bb0142ULL) ^ (key.size() * 0x9e3779b97f4a7c15ULL));
   return fp;
+}
+
+Result<LayoutKey> ComputeLayoutKey(const AcqTask& task,
+                                   const AcquireOptions& options) {
+  if (task.agg.kind == AggregateKind::kUda) {
+    return Status::NotImplemented(
+        "layout key: UDA aggregates have no canonical form");
+  }
+  LayoutKey key;
+  key.relation = task.relation.get();
+  key.step = GridStepFor(task, options);
+  key.form = "acq-layout-v1";
+  for (const RefinementDimPtr& dim : task.dims) {
+    std::optional<std::string> form = dim->CanonicalForm();
+    if (!form.has_value()) {
+      return Status::NotImplemented(
+          "layout key: dimension '" + dim->label() +
+          "' has no canonical form");
+    }
+    key.form += "|" + *form;
+  }
+  key.form += StringFormat("|agg{%s;col=%s}|step=%s",
+                           AggregateKindToString(task.agg.kind),
+                           task.agg.column.c_str(), Num(key.step).c_str());
+  return key;
 }
 
 }  // namespace acquire

@@ -70,6 +70,39 @@ Result<TaskFingerprint> FingerprintTask(const Catalog& catalog,
                                         const QuerySpec& spec,
                                         const AcquireOptions& options);
 
+/// Identity of a prepared cell-sorted layout: "would a layer built for one
+/// task answer every cell of another bit for bit?" Equal keys let a server
+/// hand one task's prepared layer to the next run (Rebind) instead of
+/// rebuilding it. The key covers exactly what decides where each row lands
+/// and what each cell folds:
+///
+///   - the relation object itself (rows appended to it since the layer's
+///     last use are staged by delta maintenance, so row counts stay out),
+///   - each dimension's RefinementDim::CanonicalForm, in order,
+///   - the aggregate kind and column, and
+///   - the grid step gamma / d.
+///
+/// The target, delta, norm, weights and search order never enter: they
+/// steer the search over the layout, not the layout.
+struct LayoutKey {
+  const Table* relation = nullptr;
+  /// Grid step the layout is cut at (GridStepFor); also spelled in `form`.
+  double step = 0.0;
+  /// Exact serialization of the dimensions, aggregate and step.
+  std::string form;
+
+  bool operator==(const LayoutKey& other) const {
+    return relation == other.relation && form == other.form;
+  }
+  bool operator!=(const LayoutKey& other) const { return !(*this == other); }
+};
+
+/// Fails with kNotImplemented when the layout has no canonical form: a
+/// dimension without one (RefinementDim::CanonicalForm) or a UDA aggregate.
+/// Callers treat failure as "not reusable" and build a layer of their own.
+Result<LayoutKey> ComputeLayoutKey(const AcqTask& task,
+                                   const AcquireOptions& options);
+
 }  // namespace acquire
 
 #endif  // ACQUIRE_CORE_FINGERPRINT_H_

@@ -14,12 +14,27 @@ namespace {
 BackendOptions BackendOptionsFor(const AcqTask& task,
                                  const AcquireOptions& options) {
   BackendOptions backend_options;
-  backend_options.grid_step =
-      options.gamma / static_cast<double>(std::max<size_t>(task.d(), 1));
+  backend_options.grid_step = GridStepFor(task, options);
   return backend_options;
 }
 
+// Adds `layer`'s index-build tallies to `stats`: the layer that answered
+// the origin query did index work (a build, or on a reused layer staging and
+// merging appended rows) even when the search ran on another layer or not
+// at all.
+void AddBuildStats(const EvaluationLayer& layer,
+                   EvaluationLayer::ExecStats* stats) {
+  const EvaluationLayer::ExecStats built = layer.stats();
+  stats->prepare_ms += built.prepare_ms;
+  stats->delta_rows += built.delta_rows;
+  stats->delta_merges += built.delta_merges;
+}
+
 }  // namespace
+
+double GridStepFor(const AcqTask& task, const AcquireOptions& options) {
+  return options.gamma / static_cast<double>(std::max<size_t>(task.d(), 1));
+}
 
 const char* AcqModeToString(AcqMode mode) {
   switch (mode) {
@@ -63,6 +78,7 @@ Result<AcqOutcome> ProcessAcq(const AcqTask& task, EvaluationLayer* layer,
     outcome.result.queries = {q};
     outcome.result.best = std::move(q);
     outcome.result.queries_explored = 1;
+    AddBuildStats(*layer, &outcome.result.exec_stats);
     return outcome;
   }
 
@@ -83,6 +99,7 @@ Result<AcqOutcome> ProcessAcq(const AcqTask& task, EvaluationLayer* layer,
         outcome.result,
         RunAcquireContract(*outcome.contraction_task,
                            contraction_layer.get(), options));
+    AddBuildStats(*layer, &outcome.result.exec_stats);
     return outcome;
   }
 

@@ -29,12 +29,20 @@ struct AcqOutcome {
   std::shared_ptr<AcqTask> contraction_task;
 };
 
+/// The refined-space grid step a run of `task` under `options` cuts cells
+/// at (gamma / d); cell-sorted layers are built at this step so the
+/// cell-aligned fast paths fire.
+double GridStepFor(const AcqTask& task, const AcquireOptions& options);
+
 /// The system front door (Figure 2): estimate the original query's
 /// aggregate value; if it already meets the constraint within
 /// options.delta, return it; if it undershoots, run ACQUIRE expansion on
 /// `layer`; if it overshoots an equality target, build the contraction
 /// task (Section 7.2) and search contractions instead (over an internally
 /// constructed cached layer, since `layer` wraps the expansion task).
+/// The result's build tallies (ExecStats prepare_ms, delta_rows,
+/// delta_merges) include `layer`'s in every mode, since it answered the
+/// origin query.
 Result<AcqOutcome> ProcessAcq(const AcqTask& task, EvaluationLayer* layer,
                               const AcquireOptions& options = {});
 

@@ -98,12 +98,14 @@ class EvaluationLayer {
     double explore_ms = 0.0;
     double merge_ms = 0.0;
 
-    /// Index build cost, filled by the layer itself: wall time spent inside
-    /// Prepare() (0 for layers with a no-op Prepare), rows currently staged
-    /// in the incremental-maintenance delta buffer, and how many times the
-    /// staged deltas were absorbed into the main layout (index/cell_sorted).
-    /// Survives ResetStats — Prepare happens before the driver resets the
-    /// per-run query counters.
+    /// Index build cost, filled by the layer itself: wall time spent
+    /// building, staging and merging the index (0 for layers with a no-op
+    /// Prepare), appended rows staged into the incremental-maintenance delta
+    /// buffer, and how many times the staged deltas were absorbed into the
+    /// main layout (index/cell_sorted). All three count work done since the
+    /// layer was built or last Rebind()-ed, so a reused layer reports only
+    /// its current run's work. Survives ResetStats — Prepare happens before
+    /// RunAcquire resets the per-run query counters.
     double prepare_ms = 0.0;
     uint64_t delta_rows = 0;
     uint64_t delta_merges = 0;
@@ -178,6 +180,22 @@ class EvaluationLayer {
   void ResetStats() {
     stats_.queries.store(0, std::memory_order_relaxed);
     stats_.tuples_scanned.store(0, std::memory_order_relaxed);
+  }
+
+  /// Re-points this layer at `task` for another run (prepared-layer reuse,
+  /// DESIGN.md §6). `task` must lay its rows out exactly as the current task
+  /// does — same relation object, dimensions with identical NeededPScore
+  /// constants, aggregate and grid step (an equal LayoutKey,
+  /// core/fingerprint.h) — and must outlive the layer's use. Zeroes every
+  /// counter ExecStats reports, build tallies included, so the new run sees
+  /// only its own work. The memory budget stays as attached; callers detach
+  /// the finished run's budget with set_memory_budget(nullptr).
+  void Rebind(const AcqTask* task) {
+    task_ = task;
+    ResetStats();
+    prepare_ms_ = 0.0;
+    delta_rows_ = 0;
+    delta_merges_ = 0;
   }
 
  protected:

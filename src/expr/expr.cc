@@ -246,15 +246,27 @@ std::string Expr::ToString() const {
     case Kind::kCompare:
       return children_[0]->ToString() + " " + CompareOpToString(compare_op_) +
              " " + children_[1]->ToString();
-    case Kind::kArith:
-      return "(" + children_[0]->ToString() + " " +
-             ArithOpToString(arith_op_) + " " + children_[1]->ToString() + ")";
+    // The parenthesized forms append instead of "(" + std::string: GCC 12
+    // flags that form with a false -Wrestrict at -O3 (GCC bug 105329).
+    case Kind::kArith: {
+      std::string out = "(";
+      out += children_[0]->ToString();
+      out += " ";
+      out += ArithOpToString(arith_op_);
+      out += " ";
+      out += children_[1]->ToString();
+      out += ")";
+      return out;
+    }
     case Kind::kAnd:
     case Kind::kOr: {
       std::vector<std::string> parts;
       parts.reserve(children_.size());
       for (const ExprPtr& child : children_) parts.push_back(child->ToString());
-      return "(" + Join(parts, kind_ == Kind::kAnd ? " AND " : " OR ") + ")";
+      std::string out = "(";
+      out += Join(parts, kind_ == Kind::kAnd ? " AND " : " OR ");
+      out += ")";
+      return out;
     }
     case Kind::kNot:
       return "NOT (" + children_[0]->ToString() + ")";

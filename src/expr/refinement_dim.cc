@@ -79,6 +79,16 @@ std::string NumericDim::label() const {
   return StringFormat("%s %s %g", column_.c_str(), op, bound_);
 }
 
+std::optional<std::string> NumericDim::CanonicalForm() const {
+  // %.17g round-trips every double, so one ulp apart is a different form.
+  // width_ derives from the bound and the domain, so it needs no field.
+  return StringFormat("num{%s;col=%d;upper=%d;strict=%d;bound=%.17g;"
+                      "domain=%.17g,%.17g;cap=%.17g}",
+                      column_.c_str(), col_index_, is_upper_ ? 1 : 0,
+                      strict_ ? 1 : 0, bound_, domain_lo_, domain_hi_,
+                      user_cap_);
+}
+
 JoinDim::JoinDim(std::string left_column, std::string right_column,
                  double band_cap)
     : left_column_(std::move(left_column)),

@@ -3,6 +3,7 @@
 
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/result.h"
@@ -53,6 +54,16 @@ class RefinementDim {
   /// The original predicate's display form, e.g. "s_acctbal < 2000".
   virtual std::string label() const = 0;
 
+  /// Exact spelling of every constant NeededPScore and MaxPScore read, such
+  /// that two dimensions with equal forms bound to the same relation give
+  /// every row bit-identical needed PScores. Keys prepared-layer reuse
+  /// (LayoutKey, core/fingerprint.h); weights are left out, since they never
+  /// change which cell a row lands in. Default: no canonical form, which
+  /// makes every task using the dimension build its own layer.
+  virtual std::optional<std::string> CanonicalForm() const {
+    return std::nullopt;
+  }
+
   /// Weight for LWp weighted-norm preferences (Section 7.1).
   double weight() const { return weight_; }
   void set_weight(double w) { weight_ = w; }
@@ -80,6 +91,7 @@ class NumericDim final : public RefinementDim {
   double MaxPScore() const override;
   std::string DescribeAt(double pscore) const override;
   std::string label() const override;
+  std::optional<std::string> CanonicalForm() const override;
 
   /// The refined bound value at `pscore` (used by the SQL printer and by
   /// the baselines, which search in bound space).

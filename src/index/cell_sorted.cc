@@ -61,7 +61,9 @@ size_t CellSortedEvaluationLayer::delta_merge_threshold() const {
 Status CellSortedEvaluationLayer::StageNewRows() {
   const size_t relation_rows = task_->relation->num_rows();
   if (relation_rows <= consumed_rows_) return Status::OK();
+  Stopwatch stage_sw;
   const size_t d = task_->d();
+  const size_t staged_before = delta_agg_.size();
   // The appended rows' needed values are bit-identical to the rows a full
   // rebuild would compute (BuildNeededMatrixRows re-runs PrecomputeNeeded,
   // so value-memoizing dimensions see the new rows too).
@@ -94,19 +96,25 @@ Status CellSortedEvaluationLayer::StageNewRows() {
   }
   consumed_rows_ = relation_rows;
 
-  // Rebuild the sorted CSR view over the whole buffer. Stable sort: rows of
-  // one cell stay in append order, which is what makes the per-cell fold
-  // continuation identical to a rebuild.
+  // Extend the sorted order: stable-sort only the new rows, then merge them
+  // after the already-sorted ones. Both steps are stable, and inplace_merge
+  // puts the earlier range first among equal keys, so rows of one cell stay
+  // in append order — the same permutation a stable sort of the whole buffer
+  // gives, which is what makes the per-cell fold continuation identical to a
+  // rebuild.
   const size_t k = delta_agg_.size();
+  auto key_less = [&](uint32_t a, uint32_t b) {
+    const int32_t* ka = delta_coords_.data() + a * d;
+    const int32_t* kb = delta_coords_.data() + b * d;
+    return std::lexicographical_compare(ka, ka + d, kb, kb + d);
+  };
   delta_order_.resize(k);
-  std::iota(delta_order_.begin(), delta_order_.end(), 0u);
-  std::stable_sort(delta_order_.begin(), delta_order_.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     const int32_t* ka = delta_coords_.data() + a * d;
-                     const int32_t* kb = delta_coords_.data() + b * d;
-                     return std::lexicographical_compare(ka, ka + d, kb,
-                                                         kb + d);
-                   });
+  const auto fresh_begin = delta_order_.begin() + staged_before;
+  std::iota(fresh_begin, delta_order_.end(),
+            static_cast<uint32_t>(staged_before));
+  std::stable_sort(fresh_begin, delta_order_.end(), key_less);
+  std::inplace_merge(delta_order_.begin(), fresh_begin, delta_order_.end(),
+                     key_less);
   delta_cell_keys_.clear();
   delta_cell_offsets_.assign(1, 0);
   const int32_t* prev = nullptr;
@@ -119,9 +127,10 @@ Status CellSortedEvaluationLayer::StageNewRows() {
     prev = key;
   }
   delta_cell_offsets_.push_back(static_cast<uint32_t>(k));
-  delta_rows_ = k;
+  delta_rows_ += appended;
   ChargeBudget(appended * ((d + 1) * sizeof(double) + d * sizeof(int32_t) +
                            sizeof(uint32_t)));
+  prepare_ms_ += stage_sw.ElapsedMillis();
   return Status::OK();
 }
 
@@ -146,7 +155,6 @@ void CellSortedEvaluationLayer::ClearDeltaBuffer() {
   delta_order_.clear();
   delta_cell_keys_.clear();
   delta_cell_offsets_.clear();
-  delta_rows_ = 0;
 }
 
 Status CellSortedEvaluationLayer::AbsorbStagedDeltas() {

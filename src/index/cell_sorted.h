@@ -144,7 +144,8 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
   void FoldDeltaCell(const int32_t* key, AggregateOps::State* state) const;
 
   /// Moves relation rows [consumed_rows_, num_rows()) into the staged delta
-  /// buffer and rebuilds its sorted CSR view.
+  /// buffer, merges them into its sorted order (O(k) plus a sort of only the
+  /// new rows) and rebuilds its CSR view.
   Status StageNewRows();
   /// StageNewRows + threshold-triggered absorb; serial-entry only.
   Status SyncDeltas();
@@ -167,7 +168,7 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
   std::vector<AggregateOps::State> cell_states_;
 
   // Staged appended rows in append order (row-major; unreachable rows are
-  // dropped at staging time) plus a sorted CSR view over them, rebuilt on
+  // dropped at staging time) plus a sorted CSR view over them, extended on
   // every sync (k stays small — at most the merge threshold).
   std::vector<int32_t> delta_coords_;  // k * d, row-major
   std::vector<double> delta_needed_;   // k * d, row-major

@@ -744,6 +744,11 @@ JsonValue AcqServer::HandleStats(const JsonValue& request) {
                               1000.0));
   set("delta_rows", counters.delta_rows);
   set("delta_merges", counters.delta_merges);
+  // Prepared-layer reuse per executed run, so a fallback to per-run index
+  // builds is never silent.
+  set("layer_hits", counters.layer_hits);
+  set("layer_misses", counters.layer_misses);
+  set("layer_bypassed", counters.layer_bypassed);
   set("appends", counters.appends);
   set("append_rows", counters.append_rows);
   set("catalog_generation", manager.catalog().generation());
@@ -1101,6 +1106,13 @@ JsonValue AcqServer::HandleTenants() {
     entry.Set("progress_frames",
               JsonValue::Number(
                   static_cast<double>(counters.progress_frames)));
+    entry.Set("layer_hits",
+              JsonValue::Number(static_cast<double>(counters.layer_hits)));
+    entry.Set("layer_misses",
+              JsonValue::Number(static_cast<double>(counters.layer_misses)));
+    entry.Set("layer_bypassed",
+              JsonValue::Number(
+                  static_cast<double>(counters.layer_bypassed)));
     const ResultCacheStats cache = manager.cache().stats();
     entry.Set("cache_entries",
               JsonValue::Number(static_cast<double>(cache.entries)));

@@ -7,6 +7,7 @@
 #include "common/failpoint.h"
 #include "common/string_util.h"
 #include "exec/thread_pool.h"
+#include "index/backend_factory.h"
 #include "server/tenant.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
@@ -671,6 +672,73 @@ void SessionManager::Launch(SessionPtr session) {
   });
 }
 
+bool SessionManager::ReusableLayout(const AcqTask& task,
+                                    const AcquireOptions& options,
+                                    LayoutKey* key) const {
+  // A joined or filtered relation is materialized per plan, so only the
+  // catalog's own table can match a kept layer. Cached and Direct never
+  // stage appended rows. A warm run charges no prepare footprint, so with a
+  // memory limit set its budget verdict could differ from a cold run's.
+  if (task.table_names.size() != 1 || options.memory_budget_bytes > 0 ||
+      (task.eval_backend != EvalBackend::kAuto &&
+       task.eval_backend != EvalBackend::kCellSorted)) {
+    return false;
+  }
+  Result<TablePtr> live = catalog_->GetTable(task.table_names.front());
+  if (!live.ok() || live->get() != task.relation.get()) return false;
+  Result<LayoutKey> computed = ComputeLayoutKey(task, options);
+  if (!computed.ok()) return false;
+  *key = std::move(*computed);
+  return true;
+}
+
+Result<AcqOutcome> SessionManager::ProcessReusingLayer(
+    const std::shared_ptr<AcqTask>& task, const AcquireOptions& options) {
+  LayoutKey key;
+  if (!ReusableLayout(*task, options, &key)) {
+    {
+      std::lock_guard<std::mutex> clock(counters_mu_);
+      ++counters_.layer_bypassed;
+    }
+    return ProcessAcq(*task, options);
+  }
+  IdleLayer idle;
+  {
+    std::lock_guard<std::mutex> lock(layer_mu_);
+    idle = std::exchange(idle_layer_, IdleLayer{});
+  }
+  const bool hit = idle.layer != nullptr && idle.key == key;
+  std::unique_ptr<EvaluationLayer> layer;
+  if (hit) {
+    layer = std::move(idle.layer);
+    layer->Rebind(task.get());
+  } else {
+    // Drop the stale layout before building, so the tenant never holds two.
+    idle = IdleLayer{};
+    BackendOptions backend_options;
+    backend_options.grid_step = key.step;
+    ACQ_ASSIGN_OR_RETURN(
+        layer,
+        MakeEvaluationLayer(task.get(), task->eval_backend, backend_options));
+  }
+  {
+    std::lock_guard<std::mutex> clock(counters_mu_);
+    ++(hit ? counters_.layer_hits : counters_.layer_misses);
+  }
+  Result<AcqOutcome> ran = ProcessAcq(*task, layer.get(), options);
+  // The budget lives in this run's RunContext; the next run's origin query
+  // must not charge its staging to it.
+  layer->set_memory_budget(nullptr);
+  if (ran.ok()) {
+    // The most recently finished run's layer wins the idle slot; one a
+    // concurrent run returned first is dropped after the unlock.
+    IdleLayer back{std::move(key), task, std::move(layer)};
+    std::lock_guard<std::mutex> lock(layer_mu_);
+    std::swap(idle_layer_, back);
+  }
+  return ran;
+}
+
 void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
   const Clock::time_point start = session->submitted_at_;
 
@@ -745,7 +813,7 @@ void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
       if (session->backend_ != EvalBackend::kAuto) {
         task->eval_backend = session->backend_;
       }
-      Result<AcqOutcome> ran = ProcessAcq(*task, session->options_);
+      Result<AcqOutcome> ran = ProcessReusingLayer(task, session->options_);
       if (!ran.ok()) {
         error = ran.status();
       } else {

@@ -144,10 +144,21 @@ struct ServerCounters {
   uint64_t cache_negative_served = 0;
   /// Index-build work folded across finished runs (ExecStats::prepare_ms in
   /// microseconds) plus delta-maintenance activity (rows staged into index
-  /// delta buffers and buffer-into-base merges). STATS-only.
+  /// delta buffers and buffer-into-base merges), each counting only work
+  /// done during the run — a reused layer's earlier build is not re-counted.
+  /// STATS-only.
   uint64_t prepare_micros = 0;
   uint64_t delta_rows = 0;
   uint64_t delta_merges = 0;
+  /// Prepared-layer reuse (DESIGN.md §6), one tally per executed run: the
+  /// run found the tenant's idle layer under its layout key (hit); it could
+  /// reuse one but built its own — no idle layer, a different layout, or the
+  /// idle one checked out by a concurrent run (miss); or reuse does not
+  /// apply to it — a joined or filtered relation, a backend other than
+  /// CellSorted, a layout without canonical form, a memory limit (bypassed).
+  uint64_t layer_hits = 0;
+  uint64_t layer_misses = 0;
+  uint64_t layer_bypassed = 0;
   /// Live ingestion through SessionManager::AppendRows: successful APPEND
   /// batches and the rows they landed.
   uint64_t appends = 0;
@@ -386,6 +397,21 @@ class SessionManager {
                   SessionPtr* next, std::vector<SessionPtr>* serve,
                   std::vector<SessionPtr>* cancel);
 
+  /// Requires data_mu_ (shared). True, with the layout key, when a run of
+  /// `task` may use a kept prepared layer: its relation is the catalog's
+  /// live table, its backend is CellSorted, its layout has a canonical form
+  /// and no memory limit is set.
+  bool ReusableLayout(const AcqTask& task, const AcquireOptions& options,
+                      LayoutKey* key) const;
+  /// Requires data_mu_ (shared). ProcessAcq for `task`, on the idle
+  /// prepared layer when its key matches (a hit skips Prepare; rows appended
+  /// since its last use are staged by delta maintenance), else on a fresh
+  /// layer — built after the stale idle one is dropped — that a successful
+  /// run hands back as the new idle layer. Runs that fail ReusableLayout
+  /// call ProcessAcq exactly as before. Tallies the layer_* counters.
+  Result<AcqOutcome> ProcessReusingLayer(const std::shared_ptr<AcqTask>& task,
+                                         const AcquireOptions& options);
+
   const Catalog* catalog_;
   /// Non-null only via the mutable-catalog constructor; aliases catalog_.
   Catalog* mutable_catalog_ = nullptr;
@@ -415,6 +441,19 @@ class SessionManager {
 
   mutable std::mutex counters_mu_;
   ServerCounters counters_;
+
+  /// The tenant's one idle prepared layer (DESIGN.md §6), with the key it
+  /// was laid out under and the task it is bound to — held so the idle layer
+  /// never points at a freed task and its relation's address cannot be
+  /// recycled under the key. A run takes it out exclusively; `layer` is null
+  /// while none is idle. A leaf lock: nothing else is acquired under it.
+  struct IdleLayer {
+    LayoutKey key;
+    std::shared_ptr<const AcqTask> task;
+    std::unique_ptr<EvaluationLayer> layer;
+  };
+  std::mutex layer_mu_;
+  IdleLayer idle_layer_;  // under layer_mu_
 };
 
 }  // namespace acquire

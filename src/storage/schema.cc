@@ -49,7 +49,12 @@ std::string Schema::ToString() const {
   for (const Field& f : fields_) {
     parts.push_back(f.QualifiedName() + ":" + DataTypeToString(f.type));
   }
-  return "(" + Join(parts, ", ") + ")";
+  // Appends instead of "(" + std::string: GCC 12 flags that form with a
+  // false -Wrestrict at -O3 (GCC bug 105329).
+  std::string out = "(";
+  out += Join(parts, ", ");
+  out += ")";
+  return out;
 }
 
 }  // namespace acquire

@@ -240,6 +240,42 @@ TEST(DeltaMaintenanceTest, CellSortedDeltaMergeFailpointRebuildIsIdentical) {
   ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
 }
 
+// Each sync sorts only its new rows and merges them after the staged ones;
+// across many small batches, rows of one cell must stay in append order
+// (SUM folds are order-sensitive) and every answer must match a rebuild.
+TEST(DeltaMaintenanceTest, CellSortedManySmallStagingsMatchFullRebuild) {
+  SyntheticOptions options;
+  options.d = 2;
+  options.rows = 6000;
+  options.agg = AggregateKind::kSum;
+  auto fixture = MakeSyntheticTask(options);
+  ASSERT_NE(fixture, nullptr);
+  // A coarse grid puts rows of many batches into each cell, where a wrong
+  // tie order would change the SUM folds.
+  const double step = 25.0;
+  CellSortedEvaluationLayer layer(&fixture->task, step);
+  ASSERT_TRUE(layer.Prepare().ok());
+
+  std::vector<PScoreRange> probe = {CellRangeForLevel(2, step),
+                                    CellRangeForLevel(3, step)};
+  size_t appended = 0;
+  for (int round = 0; round < 80; ++round) {
+    const size_t batch = 1 + round % 9;
+    ASSERT_TRUE(AppendToFixture(fixture.get(), batch, 500 + round).ok());
+    appended += batch;
+    ASSERT_TRUE(layer.EvaluateBox(probe).ok());
+  }
+  EXPECT_EQ(layer.consumed_rows(), options.rows + appended);
+  EXPECT_EQ(layer.stats().delta_merges, 0u);
+  // delta_rows counts every reachable row staged, batch after batch.
+  EXPECT_EQ(layer.stats().delta_rows, layer.staged_delta_rows());
+  EXPECT_GT(layer.staged_delta_rows(), 0u);
+
+  CellSortedEvaluationLayer rebuilt(&fixture->task, step);
+  ASSERT_TRUE(rebuilt.Prepare().ok());
+  ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
+}
+
 TEST(DeltaMaintenanceTest, AppendKeepsAmortizedCostLow) {
   // Acceptance shape: appending k rows below the threshold must not run a
   // rebuild — prepare_ms accrues only the staging cost, and delta_merges
