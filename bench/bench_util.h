@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -26,12 +27,24 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/acquire.h"
+#include "exec/thread_pool.h"
 #include "index/cell_sorted.h"
 #include "workload/tpch_gen.h"
 #include "workload/workload.h"
 
 namespace acquire {
 namespace bench {
+
+/// The `"host"` JSON object a bench line carries so figures stay
+/// comparable across runs: hardware threads, the build type and compiler
+/// the bench was compiled with, and the shared pool's width.
+inline std::string HostJson() {
+  return StringFormat(
+      "{\"nproc\":%u,\"build_type\":\"%s\",\"compiler\":\"%s\","
+      "\"pool_threads\":%zu}",
+      std::thread::hardware_concurrency(), ACQ_BENCH_BUILD_TYPE,
+      ACQ_BENCH_COMPILER, ThreadPool::Shared().num_threads());
+}
 
 inline size_t EnvRows(size_t dflt) {
   if (const char* full = std::getenv("ACQ_BENCH_FULL");

@@ -6,9 +6,11 @@
 // so both modes produce bit-identical results — asserted here on every
 // config before timing is reported.
 //
-// Emits one line of JSON on stdout (committed as BENCH_explore_batch.json);
-// human-readable progress goes to stderr. ACQ_BENCH_ROWS=<n> shrinks the
-// top table size for a quick pass; the default is the paper-scale 10^6.
+// Emits one line of JSON on stdout (committed as BENCH_explore_batch.json),
+// with a "host" object (nproc, build type, compiler, pool width) so lines
+// from different builds can be told apart; human-readable progress goes to
+// stderr. ACQ_BENCH_ROWS=<n> shrinks the top table size for a quick pass;
+// the default is the paper-scale 10^6.
 
 #include <algorithm>
 #include <cstdio>
@@ -157,7 +159,8 @@ int Main() {
           speedup);
     }
   }
-  json += StringFormat("],\"speedup_top_rows_d3\":%.2f}", headline_speedup);
+  json += StringFormat("],\"speedup_top_rows_d3\":%.2f,\"host\":%s}",
+                       headline_speedup, HostJson().c_str());
 
   table.Print();
   printf("%s\n", json.c_str());

@@ -202,9 +202,10 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   };
 
   // The per-coordinate body shared by the sequential and batched drivers:
-  // record the aggregate of `coord`, repartition on an overshoot, apply the
-  // stall/max_explored stopping rules. False stops the search.
-  auto investigate = [&](const GridCoord& coord, double score,
+  // record the aggregate of the coordinate whose d levels start at `key`,
+  // repartition on an overshoot, apply the stall/max_explored stopping
+  // rules. False stops the search.
+  auto investigate = [&](const int32_t* key, double score,
                          double aggregate) -> Result<bool> {
     ++result.queries_explored;
     if (ctx != nullptr) {
@@ -216,7 +217,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
 
     if (err < best_error) {
       best_error = err;
-      best_coord = coord;
+      best_coord.assign(key, key + task.d());
       best_aggregate = aggregate;
       best_is_offgrid = false;
       stall = 0;
@@ -225,7 +226,8 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
     }
 
     if (err <= options.delta) {
-      result.queries.push_back(MakeGridAnswer(space, coord, aggregate, err));
+      result.queries.push_back(MakeGridAnswer(
+          space, GridCoord(key, key + task.d()), aggregate, err));
       if (stop_score == kInf) {
         stop_score =
             options.collect_within_gamma ? score + gamma_bonus : score;
@@ -233,9 +235,10 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
     } else if (options.repartition_iters > 0 &&
                OvershootsBeyondDelta(task.constraint, aggregate,
                                      options.delta)) {
-      ACQ_ASSIGN_OR_RETURN(
-          std::optional<RefinedQuery> repartitioned,
-          RepartitionCell(space, layer, coord, error_fn, options));
+      ACQ_ASSIGN_OR_RETURN(std::optional<RefinedQuery> repartitioned,
+                           RepartitionCell(space, layer,
+                                           GridCoord(key, key + task.d()),
+                                           error_fn, options));
       if (repartitioned.has_value()) {
         if (repartitioned->error < best_error) {
           best_error = repartitioned->error;
@@ -309,8 +312,9 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
     const GridCoord origin(task.d(), 0);
     ACQ_ASSIGN_OR_RETURN(AggregateOps::State state,
                          layer->EvaluateBox(space.QueryBox(origin)));
-    ACQ_ASSIGN_OR_RETURN(const bool keep_unused,
-                         investigate(origin, 0.0, task.agg.ops->Final(state)));
+    ACQ_ASSIGN_OR_RETURN(
+        const bool keep_unused,
+        investigate(origin.data(), 0.0, task.agg.ops->Final(state)));
     (void)keep_unused;
     result.termination = ctx->Interruption();
   } else if (!batched) {
@@ -347,7 +351,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
         aggregate = task.agg.ops->Final(state);
       }
       ACQ_ASSIGN_OR_RETURN(const bool keep,
-                           investigate(coord, score, aggregate));
+                           investigate(coord.data(), score, aggregate));
       explore_ms += t_explore.ElapsedMillis();
       if (ctx != nullptr) {
         ctx->cell_queries.store(explorer.cell_queries(),
@@ -363,6 +367,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
     // previous-layer window.
     batch.set_shell_drain_hint(effective_order == SearchOrder::kShell);
     std::vector<AggregateOps::State> layer_states;  // non-incremental mode
+    GridCoord coord;                                 // non-incremental mode
     bool running = true;
     while (running && !interrupted() && batch.NextLayer()) {
       const double score = batch.layer_score();
@@ -378,9 +383,10 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
       } else {
         Stopwatch t_batch;
         std::vector<std::vector<PScoreRange>> boxes;
-        boxes.reserve(batch.layer().size());
-        for (const GridCoord& c : batch.layer()) {
-          boxes.push_back(space.QueryBox(c));
+        boxes.reserve(batch.layer_size());
+        for (size_t q = 0; q < batch.layer_size(); ++q) {
+          coord.assign(batch.layer_key(q), batch.layer_key(q) + task.d());
+          boxes.push_back(space.QueryBox(coord));
         }
         ACQ_ASSIGN_OR_RETURN(layer_states, layer->EvaluateBoxes(boxes));
         explore_ms += t_batch.ElapsedMillis();
@@ -389,17 +395,17 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
       // Algorithm 3 per coordinate, in generation order: the Eq. 17 merges
       // stay sequential (DESIGN.md §5).
       Stopwatch t_merge;
-      for (size_t q = 0; q < batch.layer().size(); ++q) {
-        const GridCoord& coord = batch.layer()[q];
+      for (size_t q = 0; q < batch.layer_size(); ++q) {
+        const int32_t* key = batch.layer_key(q);
         double aggregate;
         if (options.use_incremental) {
           ACQ_ASSIGN_OR_RETURN(aggregate,
-                               batch.explorer().ComputeAggregate(coord));
+                               batch.explorer().ComputeAggregate(key));
         } else {
           aggregate = task.agg.ops->Final(layer_states[q]);
         }
         ACQ_ASSIGN_OR_RETURN(const bool keep,
-                             investigate(coord, score, aggregate));
+                             investigate(key, score, aggregate));
         if (!keep) {
           running = false;
           break;

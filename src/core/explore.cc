@@ -5,6 +5,7 @@
 
 #include "common/failpoint.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "exec/thread_pool.h"
 
 namespace acquire {
@@ -35,9 +36,6 @@ void AggregateStore::Reserve(size_t coords) {
   if (coords * block_width_ > arena_.capacity()) {
     arena_.reserve(std::max(coords * block_width_, arena_.capacity() * 2));
   }
-  // Keep the load factor under 3/4 for `coords` entries.
-  const size_t wanted = NextPowerOfTwo(coords * 4 / 3 + 1);
-  if (wanted > slots_.size()) Rehash(wanted);
   ChargeGrowth();
 }
 
@@ -68,82 +66,82 @@ size_t AggregateStore::ProbeSlot(const int32_t* key) const {
   }
 }
 
-void AggregateStore::Rehash(size_t slot_count) {
-  slots_.assign(slot_count, 0);
-  const size_t mask = slot_count - 1;
-  for (size_t e = 0; e < num_entries_; ++e) {
-    const int32_t* key = keys_.data() + e * d_;
-    size_t i = static_cast<size_t>(HashGridCoordSpan(key, d_)) & mask;
-    while (slots_[i] != 0) i = (i + 1) & mask;
-    slots_[i] = static_cast<uint32_t>(e + 1);
-  }
+void AggregateStore::IndexEntry(size_t e) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = static_cast<size_t>(HashGridCoordSpan(KeyAt(e), d_)) & mask;
+  while (slots_[i] != 0) i = (i + 1) & mask;
+  slots_[i] = static_cast<uint32_t>(e + 1);
 }
 
-const double* AggregateStore::FindWithSlot(const GridCoord& coord,
-                                           size_t* slot) const {
-  if (slots_.empty()) {
-    *slot = kNoSlot;
-    return nullptr;
+void AggregateStore::CatchUpIndex() {
+  const size_t wanted = NextPowerOfTwo(num_entries_ * 4 / 3 + 1);
+  if (wanted > slots_.size()) {
+    // Both are powers of two, so this at least doubles the table.
+    slots_.assign(std::max<size_t>(wanted, 64), 0);
+    indexed_ = 0;
   }
-  const size_t i = ProbeSlot(coord.data());
-  *slot = i;
-  const uint32_t e = slots_[i];
+  for (size_t e = indexed_; e < num_entries_; ++e) IndexEntry(e);
+  indexed_ = num_entries_;
+  ChargeGrowth();
+}
+
+const double* AggregateStore::Find(const int32_t* key) {
+  if (indexed_ < num_entries_) CatchUpIndex();
+  if (slots_.empty()) return nullptr;
+  const uint32_t e = slots_[ProbeSlot(key)];
   return e == 0 ? nullptr : arena_.data() + (e - 1) * block_width_;
 }
 
-double* AggregateStore::InsertHinted(const GridCoord& coord, size_t hint) {
-  if ((num_entries_ + 1) * 4 > slots_.size() * 3) {
-    Rehash(std::max<size_t>(slots_.size() * 2, 64));
-    hint = kNoSlot;  // the slots moved
-  }
-  const size_t slot = (hint < slots_.size() && slots_[hint] == 0)
-                          ? hint
-                          : ProbeSlot(coord.data());
-  keys_.insert(keys_.end(), coord.begin(), coord.end());
+double* AggregateStore::Append(const int32_t* key) {
+  keys_.insert(keys_.end(), key, key + d_);
   const size_t offset = num_entries_ * block_width_;
   arena_.resize(offset + block_width_, 0.0);
-  slots_[slot] = static_cast<uint32_t>(++num_entries_);
+  ++num_entries_;
   ChargeGrowth();
   return arena_.data() + offset;
 }
 
 Explorer::Explorer(const RefinedSpace* space, EvaluationLayer* layer,
                    MemoryBudget* budget)
-    : space_(space), layer_(layer) {
-  const AggregateOps& ops = *space_->task().agg.ops;
-  store_.Configure(space_->d(), ops.Init().size());
+    : space_(space), layer_(layer), flat_(*space->task().agg.ops) {
+  store_.Configure(space_->d(), flat_.width());
   store_.set_budget(budget);
-  scratch_.resize(space_->d() + 1);
+  scratch_.resize((space_->d() + 1) * flat_.width());
+  pred_blocks_.resize(space_->d());
+}
+
+Result<double> Explorer::ComputeAggregate(const int32_t* key) {
+  const double* block = nullptr;
+  ACQ_RETURN_IF_ERROR(EnsureComputed(key, &block));
+  // O_{d+1} is the whole refined query (Eq. 8).
+  return flat_.Final(block + space_->d() * store_.state_width());
 }
 
 Result<double> Explorer::ComputeAggregate(const GridCoord& coord) {
-  const double* block = nullptr;
-  ACQ_RETURN_IF_ERROR(EnsureComputed(coord, &block));
-  const size_t d = space_->d();
-  const size_t w = store_.state_width();
-  const AggregateOps& ops = *space_->task().agg.ops;
-  // O_{d+1} is the whole refined query (Eq. 8).
-  tmp_state_.assign(block + d * w, block + (d + 1) * w);
-  return ops.Final(tmp_state_);
+  if (coord.size() != space_->d()) {
+    return Status::InvalidArgument(
+        StringFormat("grid coordinate has %zu levels, space has %zu "
+                     "dimensions", coord.size(), space_->d()));
+  }
+  return ComputeAggregate(coord.data());
 }
 
-void Explorer::SeedCellStates(const std::vector<GridCoord>& coords,
-                              std::vector<AggregateOps::State> states) {
-  seed_states_ = std::move(states);
-  seed_keys_.clear();
-  for (const GridCoord& c : coords) {
-    seed_keys_.insert(seed_keys_.end(), c.begin(), c.end());
-  }
+void Explorer::SeedCellStates(const int32_t* keys, size_t count,
+                              std::vector<double>* states) {
+  seed_states_.swap(*states);
+  seed_keys_.assign(keys, keys + count * space_->d());
+  seed_taken_.assign(count, 0);
   seed_cursor_ = 0;
   seed_index_built_ = false;
+  seeds_fresh_ = true;
   // The evaluation layer executed these in the batch; count them now so
   // cell_queries() matches the layer's own query counter.
-  cell_queries_ += coords.size();
+  cell_queries_ += count;
 }
 
 void Explorer::BuildSeedIndex() {
   const size_t d = space_->d();
-  const size_t count = seed_states_.size();
+  const size_t count = seed_taken_.size();
   seed_slots_.assign(std::max<size_t>(16, NextPowerOfTwo(count * 2)), 0);
   const size_t mask = seed_slots_.size() - 1;
   for (size_t e = 0; e < count; ++e) {
@@ -156,42 +154,44 @@ void Explorer::BuildSeedIndex() {
   seed_index_built_ = true;
 }
 
-bool Explorer::TakeSeed(const GridCoord& coord, AggregateOps::State* out) {
-  if (seed_states_.empty()) return false;
+bool Explorer::SeedAtCursor(const int32_t* key) {
+  const size_t count = seed_taken_.size();
+  while (seed_cursor_ < count && seed_taken_[seed_cursor_]) ++seed_cursor_;
+  if (seed_cursor_ == count) return false;
   const size_t d = space_->d();
-  // Consumed seeds are cleared below, so skipping empties finds the first
-  // live seed; in a layer drain it is exactly the requested coordinate.
-  while (seed_cursor_ < seed_states_.size() &&
-         seed_states_[seed_cursor_].empty()) {
-    ++seed_cursor_;
-  }
-  size_t e = seed_states_.size();
-  if (seed_cursor_ < seed_states_.size()) {
-    const int32_t* key = seed_keys_.data() + seed_cursor_ * d;
-    size_t j = 0;
-    while (j < d && key[j] == coord[j]) ++j;
-    if (j == d) e = seed_cursor_;
-  }
-  if (e == seed_states_.size()) {
+  const int32_t* seed = seed_keys_.data() + seed_cursor_ * d;
+  size_t j = 0;
+  while (j < d && seed[j] == key[j]) ++j;
+  return j == d;
+}
+
+bool Explorer::TakeSeed(const int32_t* key, double* out) {
+  if (seed_taken_.empty()) return false;
+  size_t e = 0;
+  if (SeedAtCursor(key)) {
+    e = seed_cursor_;
+  } else {
     if (!seed_index_built_) BuildSeedIndex();
+    const size_t d = space_->d();
     const size_t mask = seed_slots_.size() - 1;
-    size_t i = static_cast<size_t>(HashGridCoordSpan(coord.data(), d)) & mask;
+    size_t i = static_cast<size_t>(HashGridCoordSpan(key, d)) & mask;
     while (true) {
       const uint32_t entry = seed_slots_[i];
       if (entry == 0) return false;
-      const int32_t* key = seed_keys_.data() + (entry - 1) * d;
+      const int32_t* seed = seed_keys_.data() + (entry - 1) * d;
       size_t j = 0;
-      while (j < d && key[j] == coord[j]) ++j;
+      while (j < d && seed[j] == key[j]) ++j;
       if (j == d) {
-        if (seed_states_[entry - 1].empty()) return false;  // consumed
+        if (seed_taken_[entry - 1]) return false;  // consumed
         e = entry - 1;
         break;
       }
       i = (i + 1) & mask;
     }
   }
-  out->swap(seed_states_[e]);
-  seed_states_[e].clear();  // deterministic consumed marker
+  const size_t w = store_.state_width();
+  std::copy_n(seed_states_.data() + e * w, w, out);
+  seed_taken_[e] = 1;
   return true;
 }
 
@@ -266,81 +266,88 @@ const double* Explorer::FindPredInRange(size_t j, const int32_t* key) {
   return nullptr;
 }
 
-Status Explorer::EnsureComputed(const GridCoord& coord, const double** block) {
-  if (const double* found = store_.Find(coord)) {
-    *block = found;
-    return Status::OK();
+Status Explorer::EnsureComputed(const int32_t* key, const double** block) {
+  // One presence probe at most: the next seed of a layer with no fill yet
+  // is proven absent (SeedCellStates); anything else is looked up once.
+  if (!(seeds_fresh_ && SeedAtCursor(key))) {
+    if (const double* found = store_.Find(key)) {
+      *block = found;
+      return Status::OK();
+    }
   }
   const size_t d = space_->d();
   const size_t w = store_.state_width();
-  const AggregateOps& ops = *space_->task().agg.ops;
 
-  stack_.clear();
-  stack_.push_back(coord);
-  pred_blocks_.resize(d);
+  // Every coordinate on the dependency stack is absent when it pops, so no
+  // pop is probed: it was pushed on a miss, and what is pushed above it and
+  // stored before it pops is a sibling (another missing predecessor of the
+  // same coordinate) or has a strictly smaller level sum.
+  stack_.assign(key, key + d);
   while (!stack_.empty()) {
-    GridCoord cur = std::move(stack_.back());
-    stack_.pop_back();
-    size_t slot_hint = AggregateStore::kNoSlot;
-    if (store_.FindWithSlot(cur, &slot_hint) != nullptr) continue;
+    cur_.assign(stack_.end() - d, stack_.end());
+    stack_.resize(stack_.size() - d);
     // Every predecessor cur - e_j must be available first; probe each by
     // decrementing cur in place. The lookups double as the merge inputs: a
     // found block pointer stays valid through the merges below because
-    // nothing inserts into the store before then.
+    // nothing appends to the store before then.
     bool missing = false;
     for (size_t j = 0; j < d; ++j) {
       pred_blocks_[j] = nullptr;
-      if (cur[j] == 0) continue;
-      --cur[j];
+      if (cur_[j] == 0) continue;
+      --cur_[j];
       const double* prev_block = nullptr;
       if (pred_lo_ < pred_hi_) {
-        prev_block = FindPredInRange(j, cur.data());
+        prev_block = FindPredInRange(j, cur_.data());
       } else if (shell_drain_) {
-        prev_block = FindShellPred(j, cur.data());
+        prev_block = FindShellPred(j, cur_.data());
       }
-      if (prev_block == nullptr) prev_block = store_.Find(cur);
+      if (prev_block == nullptr) prev_block = store_.Find(cur_.data());
       if (prev_block != nullptr) {
         pred_blocks_[j] = prev_block;
       } else {
         if (!missing) {
           missing = true;
-          ++cur[j];
-          stack_.push_back(cur);  // revisit once the predecessors resolve
-          --cur[j];
+          ++cur_[j];
+          // Revisit once the predecessors resolve.
+          stack_.insert(stack_.end(), cur_.begin(), cur_.end());
+          --cur_[j];
         }
-        stack_.push_back(cur);  // the missing predecessor itself
+        // The missing predecessor itself.
+        stack_.insert(stack_.end(), cur_.begin(), cur_.end());
       }
-      ++cur[j];
+      ++cur_[j];
     }
-    if (missing) continue;
+    if (missing) {
+      // The fill may store a later seed of this layer ahead of its turn.
+      seeds_fresh_ = false;
+      continue;
+    }
 
-    // Algorithm 3. scratch_[0] = the cell sub-query — taken from the batch
-    // seed when one exists, executed for real otherwise; scratch_[i] =
-    // O_{i+1} via Eq. 17.
-    if (!TakeSeed(cur, &scratch_[0])) {
-      ACQ_ASSIGN_OR_RETURN(scratch_[0],
-                           layer_->EvaluateBox(space_->CellBox(cur)));
+    // Algorithm 3. O_1 = the cell sub-query — taken from the batch seed
+    // when one exists, executed for real otherwise; O_{i+1} via Eq. 17.
+    double* states = scratch_.data();
+    if (!TakeSeed(cur_.data(), states)) {
+      ACQ_ASSIGN_OR_RETURN(AggregateOps::State cell,
+                           layer_->EvaluateBox(space_->CellBox(cur_)));
       ++cell_queries_;
-    }
-    if (scratch_[0].size() != w) {
-      return Status::Internal(
-          "aggregate state width differs from ops.Init()");
+      if (cell.size() != w) return FlatAggregate::WidthError();
+      std::copy(cell.begin(), cell.end(), states);
     }
     for (size_t i = 1; i <= d; ++i) {
-      scratch_[i] = scratch_[i - 1];
+      double* state = states + i * w;
+      std::copy_n(state - w, w, state);
       const double* prev_block = pred_blocks_[i - 1];
       if (prev_block == nullptr) continue;  // O_i(u - e_{i-1}) is empty
-      tmp_state_.assign(prev_block + i * w, prev_block + (i + 1) * w);
-      ops.Merge(&scratch_[i], tmp_state_);
+      if (!flat_.Merge(state, prev_block + i * w)) {
+        return FlatAggregate::WidthError();
+      }
     }
-    double* inserted = store_.InsertHinted(cur, slot_hint);
-    for (size_t i = 0; i <= d; ++i) {
-      std::copy(scratch_[i].begin(), scratch_[i].end(), inserted + i * w);
-    }
+    double* appended = store_.Append(cur_.data());
+    std::copy(scratch_.begin(), scratch_.end(), appended);
     if (shell_drain_) NoteShellInsert();
-    // `coord` sits at the bottom of the dependency stack, so the insert
-    // that empties the stack is coord's own block.
-    *block = inserted;
+    // `key` sits at the bottom of the dependency stack, so the append that
+    // empties the stack is its own block.
+    *block = appended;
   }
   return Status::OK();
 }
@@ -367,10 +374,10 @@ void BatchExplorer::JoinPrefetch() {
 void BatchExplorer::GenerateLayer() {
   Stopwatch sw;
   next_valid_ = false;
+  next_keys_.clear();
   if (!primed_) {
     if (exhausted_ || !generator_->Next(&lookahead_)) {
       exhausted_ = true;
-      next_coords_.clear();
       expand_ms_ += sw.ElapsedMillis();
       return;
     }
@@ -378,17 +385,12 @@ void BatchExplorer::GenerateLayer() {
     primed_ = true;
   }
   next_score_ = lookahead_score_;
-  // next_coords_ holds the layer drained two swaps ago; swapping its
-  // elements out instead of clearing hands their buffers back to
-  // lookahead_ (and from there to the generator's assign), so steady-state
-  // layer turnover allocates only when a layer outgrows the previous ones.
+  // next_keys_ holds the layer drained two swaps ago; clearing keeps its
+  // capacity, so steady-state layer turnover allocates only when a layer
+  // outgrows the previous ones.
   size_t n = 0;
   do {
-    if (n < next_coords_.size()) {
-      next_coords_[n].swap(lookahead_);
-    } else {
-      next_coords_.push_back(std::move(lookahead_));
-    }
+    next_keys_.insert(next_keys_.end(), lookahead_.begin(), lookahead_.end());
     ++n;
     // Interrupted runs stop draining mid-layer: the truncated layer is
     // handed over as-is (still valid coordinates of this score). The
@@ -408,7 +410,6 @@ void BatchExplorer::GenerateLayer() {
     }
     lookahead_score_ = generator_->CurrentScore();
   } while (lookahead_score_ == next_score_);
-  next_coords_.resize(n);
   next_valid_ = true;
   expand_ms_ += sw.ElapsedMillis();
 }
@@ -422,7 +423,7 @@ void BatchExplorer::StartPrefetch() {
   // pool hand-off costs more than the generator work it would overlap.
   constexpr size_t kMinPrefetchLayer = 4;
   ThreadPool& pool = ThreadPool::Shared();
-  if (pool.num_threads() > 1 && layer_coords_.size() >= kMinPrefetchLayer) {
+  if (pool.num_threads() > 1 && layer_size() >= kMinPrefetchLayer) {
     prefetch_ = pool.Submit([this] { GenerateLayer(); });
   }
 }
@@ -436,7 +437,8 @@ bool BatchExplorer::NextLayer() {
   if (!next_valid_) GenerateLayer();
   if (!next_valid_) return false;
   next_valid_ = false;
-  layer_coords_.swap(next_coords_);
+  layer_keys_.swap(next_keys_);
+  layer_executed_ = false;
   layer_score_ = next_score_;
   // Generate the following layer while the caller evaluates, merges and
   // investigates this one. The generator only depends on the space, never
@@ -447,21 +449,31 @@ bool BatchExplorer::NextLayer() {
 
 Status BatchExplorer::ExecuteLayer() {
   Stopwatch sw;
+  const size_t d = space_->d();
+  const size_t n = layer_size();
   // The store only ever holds handed-out coordinates (predecessor fills
   // resolve within the layers drained so far), so when its size equals the
   // count handed out in previous layers, nothing of this fresh layer can be
   // stored and the layer is used in place. Any mismatch — a caller
   // re-running or abandoning a layer, or exploring around the drain — runs
   // the per-coordinate filter, keeping "at most one execution per
-  // coordinate" unconditional.
-  const std::vector<GridCoord>* coords = &layer_coords_;
-  const bool in_sync = explorer_.store().size() == drained_total_;
+  // coordinate" unconditional. Either way the seeds are absent, which is
+  // what lets the drain append them without a probe.
+  const bool in_sync =
+      !layer_executed_ && explorer_.store().size() == drained_total_;
+  layer_executed_ = true;
+  const int32_t* keys = layer_keys_.data();
+  size_t count = n;
   if (!in_sync) {
     batch_.clear();
-    for (const GridCoord& c : layer_coords_) {
-      if (!explorer_.IsStored(c)) batch_.push_back(c);
+    for (size_t q = 0; q < n; ++q) {
+      const int32_t* key = layer_key(q);
+      if (!explorer_.IsStored(key)) {
+        batch_.insert(batch_.end(), key, key + d);
+      }
     }
-    coords = &batch_;
+    keys = batch_.data();
+    count = batch_.size() / d;
   }
   // In sync, store entries [drained_total_ - prev_layer_size_,
   // drained_total_) are exactly the previous layer in drain order — arm
@@ -477,15 +489,15 @@ Status BatchExplorer::ExecuteLayer() {
   } else {
     explorer_.BeginLayerDrain(0, 0);
   }
-  prev_layer_size_ = layer_coords_.size();
-  drained_total_ += layer_coords_.size();
-  explorer_.ReserveAdditional(coords->size());
-  if (!coords->empty()) {
-    ACQ_ASSIGN_OR_RETURN(
-        std::vector<AggregateOps::State> states,
-        layer_->EvaluateCells(coords->data(), coords->size(), space_->step()));
-    explorer_.SeedCellStates(*coords, std::move(states));
+  prev_layer_size_ = n;
+  drained_total_ += n;
+  explorer_.ReserveAdditional(count);
+  batch_states_.clear();
+  if (count > 0) {
+    ACQ_RETURN_IF_ERROR(layer_->EvaluateCellKeys(keys, count, space_->step(),
+                                                 &batch_states_));
   }
+  explorer_.SeedCellStates(keys, count, &batch_states_);
   batch_ms_ += sw.ElapsedMillis();
   return Status::OK();
 }

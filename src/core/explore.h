@@ -18,16 +18,16 @@ namespace acquire {
 /// Only aggregate states are retained, never result tuples, exactly as in
 /// Section 5.1.1.
 ///
-/// Layout: an open-addressed (linear probing, power-of-two) slot table maps
-/// a coordinate to an entry index; entry e's key lives at keys_[e*d..] and
-/// its d+1 fixed-width sub-aggregate states live contiguously at
-/// arena_[e*block_width..] — one flat double array for the whole store, so
-/// inserting a coordinate allocates nothing beyond the amortized geometric
-/// growth of three flat vectors (the previous map-of-vectors cost one node
-/// plus d+2 vector allocations per coordinate).
+/// Layout: entry e's key lives at keys_[e*d..] and its d+1 fixed-width
+/// sub-aggregate states live contiguously at arena_[e*block_width..] — one
+/// flat int32 array and one flat double array for the whole store. An
+/// open-addressed (linear probing, power-of-two) slot table maps a key to
+/// its entry, but lazily: Append never touches it, and the first Find after
+/// some appends indexes them. A drain whose predecessors all resolve through
+/// the explorer's sequential cursors never builds the table at all.
 class AggregateStore {
  public:
-  /// Must be called before any Insert/Find. `state_width` is the fixed
+  /// Must be called before any Append/Find. `state_width` is the fixed
   /// number of doubles per aggregate state (== ops.Init().size()).
   void Configure(size_t d, size_t state_width);
 
@@ -45,36 +45,19 @@ class AggregateStore {
            slots_.capacity() * sizeof(uint32_t);
   }
 
-  /// Pre-sizes the table and arena for `coords` total entries.
+  /// Pre-sizes the key and state arrays for `coords` total entries. The
+  /// slot table grows only when a Find needs it.
   void Reserve(size_t coords);
 
-  /// The (d+1)*state_width doubles of the coordinate's sub-aggregates —
+  /// The (d+1)*state_width doubles of the d-level key's sub-aggregates —
   /// state j (sub-query O_{j+1}) at offset j*state_width. nullptr when the
-  /// coordinate has not been investigated.
-  const double* Find(const GridCoord& coord) const {
-    if (slots_.empty()) return nullptr;
-    const uint32_t e = slots_[ProbeSlot(coord.data())];
-    return e == 0 ? nullptr : arena_.data() + (e - 1) * block_width_;
-  }
+  /// coordinate has not been investigated. Indexes every entry appended
+  /// since the previous Find first.
+  const double* Find(const int32_t* key);
 
-  /// No-hint sentinel for FindWithSlot / InsertHinted.
-  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
-
-  /// Find that also reports where the probe ended: on a miss, `slot` is the
-  /// empty slot the key would occupy, reusable as an InsertHinted hint as
-  /// long as no rehash or other insert intervenes (kNoSlot when the table
-  /// is empty).
-  const double* FindWithSlot(const GridCoord& coord, size_t* slot) const;
-
-  /// Appends a new entry and returns its zero-initialized block. The
-  /// coordinate must not be present (callers always Find first).
-  double* Insert(const GridCoord& coord) { return InsertHinted(coord, kNoSlot); }
-
-  /// Insert reusing a FindWithSlot miss probe: when the hinted slot is
-  /// still empty it is taken directly (a linear-probe chain never loses
-  /// occupancy, so the first empty slot of the key's chain cannot move
-  /// earlier), else the probe reruns.
-  double* InsertHinted(const GridCoord& coord, size_t hint);
+  /// Appends a new entry and returns its zero-initialized block. The key
+  /// must be absent: Append never probes.
+  double* Append(const int32_t* key);
 
   size_t size() const { return num_entries_; }
   size_t d() const { return d_; }
@@ -83,16 +66,20 @@ class AggregateStore {
 
   /// Entry `e`'s key / block by insertion order (e < size()). Entries are
   /// append-only, so indices are stable; block pointers are stable until
-  /// the next Insert.
+  /// the next Append.
   const int32_t* KeyAt(size_t e) const { return keys_.data() + e * d_; }
   const double* BlockAt(size_t e) const {
     return arena_.data() + e * block_width_;
   }
 
  private:
-  /// Slot holding the coordinate, or the empty slot where it would go.
+  /// Slot holding the key, or the empty slot where it would go.
   size_t ProbeSlot(const int32_t* key) const;
-  void Rehash(size_t slot_count);
+  /// Puts entry `e` (known absent from the table) into its first free slot.
+  void IndexEntry(size_t e);
+  /// Indexes entries [indexed_, size()), growing the table to keep its load
+  /// factor under 3/4.
+  void CatchUpIndex();
   /// Charges any capacity growth since the last call against budget_.
   void ChargeGrowth();
 
@@ -100,6 +87,7 @@ class AggregateStore {
   size_t state_width_ = 0;
   size_t block_width_ = 0;  // (d + 1) * state_width
   size_t num_entries_ = 0;
+  size_t indexed_ = 0;           // entries [0, indexed_) are in slots_
   std::vector<uint32_t> slots_;  // entry index + 1; 0 = empty
   std::vector<int32_t> keys_;    // num_entries * d, entry-major
   std::vector<double> arena_;    // num_entries * block_width
@@ -131,23 +119,29 @@ class Explorer {
   Explorer(const Explorer&) = delete;
   Explorer& operator=(const Explorer&) = delete;
 
-  /// Final aggregate value of grid query `coord` (Algorithm 3).
+  /// Final aggregate value of the grid query whose d levels start at `key`
+  /// (Algorithm 3).
+  Result<double> ComputeAggregate(const int32_t* key);
+  /// Same for a coordinate, which must have d levels (InvalidArgument).
   Result<double> ComputeAggregate(const GridCoord& coord);
 
   /// Records cell sub-query states that were already executed against the
-  /// layer in a batch (EvaluateCells): states[q] is O_1 of coords[q].
+  /// layer in a batch (EvaluateCellKeys): `count` d-strided keys and their
+  /// flat O_1 states, state q at q * state_width. The states are swapped
+  /// out of `states`, which gets the previous seed buffer back for reuse.
   /// ComputeAggregate consumes a seeded state instead of issuing the cell
   /// query again. Counts toward cell_queries() immediately — the layer did
-  /// execute them. Already-investigated coordinates must not be seeded, and
-  /// each call replaces the previous layer's seeds wholesale (predecessor
-  /// fills never reach a later layer, so seeds are consumed within their
-  /// own layer unless the search stops first).
-  void SeedCellStates(const std::vector<GridCoord>& coords,
-                      std::vector<AggregateOps::State> states);
+  /// execute them. Already-investigated coordinates must not be seeded, so
+  /// a request for the next unconsumed seed is appended without probing the
+  /// store — up to the layer's first predecessor fill, which may store a
+  /// later seed early (best-first orders can put an equal-score predecessor
+  /// after its successor). Each call replaces the previous layer's seeds
+  /// wholesale (fills never reach a later layer, so seeds are consumed
+  /// within their own layer unless the search stops first).
+  void SeedCellStates(const int32_t* keys, size_t count,
+                      std::vector<double>* states);
 
-  bool IsStored(const GridCoord& coord) const {
-    return store_.Find(coord) != nullptr;
-  }
+  bool IsStored(const int32_t* key) { return store_.Find(key) != nullptr; }
 
   /// Pre-sizes the store for `additional` more coordinates.
   void ReserveAdditional(size_t additional) {
@@ -186,16 +180,19 @@ class Explorer {
   const AggregateStore& store() const { return store_; }
 
  private:
-  /// Ensures store_ holds the sub-aggregates of `coord` (iterative
+  /// Ensures store_ holds the sub-aggregates of `key` (iterative
   /// dependency-stack fill) and sets `block` to its stored block.
-  Status EnsureComputed(const GridCoord& coord, const double** block);
+  Status EnsureComputed(const int32_t* key, const double** block);
 
-  /// Moves the seeded O_1 state of `coord` into `out` (true) or leaves it
-  /// untouched (false). Layer drains consume seeds in seeding order, so a
-  /// rolling cursor answers without hashing; out-of-order consumption
-  /// (shell/best-first predecessor fills) falls back to a lazily built
-  /// probe table over the seed keys.
-  bool TakeSeed(const GridCoord& coord, AggregateOps::State* out);
+  /// True when `key` is the first unconsumed seed. Layer drains consume
+  /// seeds in seeding order, so this rolling cursor answers them without
+  /// hashing.
+  bool SeedAtCursor(const int32_t* key);
+  /// Copies the seeded O_1 state of `key` into `out` (true) or leaves it
+  /// untouched (false). Out-of-order consumption (shell/best-first
+  /// predecessor fills) falls back to a lazily built probe table over the
+  /// seed keys.
+  bool TakeSeed(const int32_t* key, double* out);
   void BuildSeedIndex();
 
   /// Looks for `key` at or after pred_cursor_[j] within the armed entry
@@ -213,17 +210,18 @@ class Explorer {
 
   const RefinedSpace* space_;
   EvaluationLayer* layer_;
+  FlatAggregate flat_;  // the task's combine and final, resolved once
   AggregateStore store_;
   uint64_t cell_queries_ = 0;
-  /// Batch-executed cell states awaiting their Eq. 17 merges: a flat
-  /// open-addressed index over the current layer's seeds, rebuilt per
-  /// layer with no per-coordinate allocation (a map-of-states here cost
-  /// three node operations per coordinate — more than the batch saved).
-  std::vector<AggregateOps::State> seed_states_;
-  std::vector<int32_t> seed_keys_;    // seed e's coord at seed_keys_[e*d..]
+  /// Batch-executed cell states awaiting their Eq. 17 merges, flat and
+  /// replaced per layer with no per-coordinate allocation.
+  std::vector<double> seed_states_;   // seed e's state at e * state_width
+  std::vector<int32_t> seed_keys_;    // seed e's key at e * d
+  std::vector<uint8_t> seed_taken_;   // 1 once seed e is consumed
   std::vector<uint32_t> seed_slots_;  // seed index + 1; 0 = empty
   size_t seed_cursor_ = 0;            // first possibly-unconsumed seed
   bool seed_index_built_ = false;     // seed_slots_ populated (lazy)
+  bool seeds_fresh_ = false;          // no predecessor fill since seeding
   // Layer-drain predecessor cursors (see BeginLayerDrain).
   size_t pred_lo_ = 0;
   size_t pred_hi_ = 0;
@@ -233,13 +231,14 @@ class Explorer {
   size_t shell_lo_ = 0;        // first entry of the current shell
   size_t shell_group_lo_ = 0;  // first entry of the current pinned group
   std::vector<size_t> shell_cursor_;  // per dimension, >= shell_group_lo_
-  // Reused scratch (states of the coordinate being computed, a predecessor
-  // state lifted out of the arena, the dependency stack, the predecessor
-  // block pointers found during the availability check — valid only until
-  // the next store_ insert).
-  std::vector<AggregateOps::State> scratch_;
-  AggregateOps::State tmp_state_;
-  std::vector<GridCoord> stack_;
+  // Reused scratch: the O_1..O_{d+1} states of the coordinate being
+  // computed ((d + 1) * state_width doubles), the d-strided dependency
+  // stack, the coordinate being computed, and the predecessor block
+  // pointers found during the availability check (valid only until the
+  // next store_ append).
+  std::vector<double> scratch_;
+  std::vector<int32_t> stack_;
+  GridCoord cur_;
   std::vector<const double*> pred_blocks_;
 };
 
@@ -292,8 +291,12 @@ class BatchExplorer {
   /// Score shared by every coordinate of the current layer.
   double layer_score() const { return layer_score_; }
 
-  /// The current layer's coordinates in generation order.
-  const std::vector<GridCoord>& layer() const { return layer_coords_; }
+  /// The current layer's coordinates in generation order: layer_size()
+  /// keys of d levels each, one flat array.
+  size_t layer_size() const { return layer_keys_.size() / space_->d(); }
+  const int32_t* layer_key(size_t q) const {
+    return layer_keys_.data() + q * space_->d();
+  }
 
   /// Executes the cell sub-queries of every not-yet-investigated
   /// coordinate of the current layer in one batch and seeds the explorer.
@@ -324,7 +327,8 @@ class BatchExplorer {
   QueryGenerator* generator_;
   RunContext* ctx_;
   Explorer explorer_;
-  std::vector<GridCoord> layer_coords_;
+  std::vector<int32_t> layer_keys_;  // d-strided, generation order
+  bool layer_executed_ = false;      // ExecuteLayer ran on this layer
   double layer_score_ = 0.0;
   // Generator cursor and the prefetched layer. Owned by the prefetch task
   // between StartPrefetch() and JoinPrefetch().
@@ -332,12 +336,13 @@ class BatchExplorer {
   bool exhausted_ = false;
   GridCoord lookahead_;
   double lookahead_score_ = 0.0;
-  std::vector<GridCoord> next_coords_;
+  std::vector<int32_t> next_keys_;
   double next_score_ = 0.0;
   bool next_valid_ = false;    // next_* holds a layer not yet handed out
   std::future<void> prefetch_;
   std::exception_ptr prefetch_error_;  // joined, not yet rethrown
-  std::vector<GridCoord> batch_;  // scratch: coords needing execution
+  std::vector<int32_t> batch_;         // scratch: keys needing execution
+  std::vector<double> batch_states_;   // scratch: their O_1 states
   size_t drained_total_ = 0;      // coords handed out in previous layers
   size_t prev_layer_size_ = 0;    // size of the layer drained before this one
   bool shell_hint_ = false;       // arm the shell drain on in-sync layers

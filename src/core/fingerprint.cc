@@ -66,6 +66,52 @@ std::string OptNum(const std::optional<double>& v) {
   return v.has_value() ? Num(*v) : std::string("-");
 }
 
+// A literal as the key spells it: doubles exactly (Num), so two filters
+// whose constants differ past Value::ToString's six significant digits get
+// different keys.
+std::string ExactLiteral(const Value& v) {
+  return v.is_double() ? Num(v.dbl()) : v.ToString();
+}
+
+// Expr::ToString's rendering with every literal spelled exactly.
+std::string ExactExpr(const Expr& e) {
+  const std::vector<ExprPtr>& kids = e.children();
+  switch (e.kind()) {
+    case Expr::Kind::kColumn:
+      return e.column_name();
+    case Expr::Kind::kLiteral:
+      return ExactLiteral(e.literal());
+    case Expr::Kind::kCompare:
+      return ExactExpr(*kids[0]) + " " + CompareOpToString(e.compare_op()) +
+             " " + ExactExpr(*kids[1]);
+    case Expr::Kind::kArith:
+      return StringFormat("(%s %s %s)", ExactExpr(*kids[0]).c_str(),
+                          ArithOpToString(e.arith_op()),
+                          ExactExpr(*kids[1]).c_str());
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kOr: {
+      std::vector<std::string> parts;
+      for (const ExprPtr& kid : kids) parts.push_back(ExactExpr(*kid));
+      return StringFormat(
+          "(%s)",
+          Join(parts, e.kind() == Expr::Kind::kAnd ? " AND " : " OR ").c_str());
+    }
+    case Expr::Kind::kNot:
+      return StringFormat("NOT (%s)", ExactExpr(*kids[0]).c_str());
+    case Expr::Kind::kIn: {
+      std::vector<std::string> parts;
+      for (const Value& v : e.values()) parts.push_back(ExactLiteral(v));
+      return StringFormat("%s IN (%s)", ExactExpr(*kids[0]).c_str(),
+                          Join(parts, ", ").c_str());
+    }
+    case Expr::Kind::kBetween:
+      return StringFormat("%s BETWEEN %s AND %s", ExactExpr(*kids[0]).c_str(),
+                          ExactLiteral(e.values()[0]).c_str(),
+                          ExactLiteral(e.values()[1]).c_str());
+  }
+  return "?";
+}
+
 }  // namespace
 
 std::string TaskFingerprint::ToHex() const {
@@ -107,9 +153,9 @@ Result<std::string> CanonicalTaskKey(const Catalog& catalog,
   }
   for (const ExprJoinClauseSpec& j : spec.expr_joins) {
     key += StringFormat("|exprjoin{%s %s %s;ref=%d;cap=%s;w=%s}",
-                        j.left_function->ToString().c_str(),
+                        ExactExpr(*j.left_function).c_str(),
                         CompareOpToString(j.op),
-                        j.right_function->ToString().c_str(),
+                        ExactExpr(*j.right_function).c_str(),
                         j.refinable ? 1 : 0, Num(j.band_cap).c_str(),
                         Num(j.weight).c_str());
   }
@@ -122,7 +168,7 @@ Result<std::string> CanonicalTaskKey(const Catalog& catalog,
   }
   for (const ExprPredicateSpec& p : spec.expr_predicates) {
     key += StringFormat("|exprpred{%s %s %s;ref=%d;w=%s;max=%s}",
-                        p.function->ToString().c_str(),
+                        ExactExpr(*p.function).c_str(),
                         CompareOpToString(p.op), Num(p.bound).c_str(),
                         p.refinable ? 1 : 0, Num(p.weight).c_str(),
                         OptNum(p.max_refinement).c_str());
@@ -137,7 +183,7 @@ Result<std::string> CanonicalTaskKey(const Catalog& catalog,
                         Num(p.pscore_per_rollup).c_str());
   }
   for (const ExprPtr& f : spec.fixed_filters) {
-    key += StringFormat("|filter{%s}", f->ToString().c_str());
+    key += StringFormat("|filter{%s}", ExactExpr(*f).c_str());
   }
   key += StringFormat("|agg{%s;col=%s}|cons{%s %s}",
                       AggregateKindToString(spec.agg_kind),

@@ -150,6 +150,45 @@ const AggregateOps& GetBuiltinOps(AggregateKind kind) {
   return AvgOps();  // unreachable
 }
 
+FlatAggregate::FlatAggregate(const AggregateOps& ops) : ops_(&ops) {
+  // The built-ins are singletons, so identity picks their inline code; any
+  // other ops object (including a UDA that reuses a built-in name) is a UDA.
+  if (&ops == &CountOps()) {
+    kind_ = Kind::kCount;
+  } else if (&ops == &SumOps()) {
+    kind_ = Kind::kSum;
+  } else if (&ops == &MinOps()) {
+    kind_ = Kind::kMin;
+  } else if (&ops == &MaxOps()) {
+    kind_ = Kind::kMax;
+  } else if (&ops == &AvgOps()) {
+    kind_ = Kind::kAvg;
+  } else {
+    kind_ = Kind::kUda;
+  }
+  width_ = kind_ == Kind::kAvg   ? 2
+           : kind_ == Kind::kUda ? ops.Init().size()
+                                 : 1;
+}
+
+void FlatAggregate::InitUda(double* state) const {
+  const AggregateOps::State init = ops_->Init();
+  std::copy_n(init.begin(), std::min(init.size(), width_), state);
+}
+
+bool FlatAggregate::MergeUda(double* state, const double* other) const {
+  AggregateOps::State uda(state, state + width_);
+  ops_->Merge(&uda, AggregateOps::State(other, other + width_));
+  return StoreUda(uda, state);
+}
+
+bool FlatAggregate::StoreUda(const AggregateOps::State& uda,
+                             double* state) const {
+  if (uda.size() != width_) return false;
+  std::copy(uda.begin(), uda.end(), state);
+  return true;
+}
+
 LambdaAggregateOps::LambdaAggregateOps(
     std::string name, State init, std::function<void(State*, double)> add,
     std::function<void(State*, const State&)> merge,

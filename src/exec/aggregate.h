@@ -1,7 +1,9 @@
 #ifndef ACQUIRE_EXEC_AGGREGATE_H_
 #define ACQUIRE_EXEC_AGGREGATE_H_
 
+#include <algorithm>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,6 +64,136 @@ const AggregateOps& AvgOps();
 
 /// Resolves a non-UDA kind to its ops.
 const AggregateOps& GetBuiltinOps(AggregateKind kind);
+
+/// The OSP operations of one aggregate over flat states: each state is
+/// width() contiguous doubles. The built-in COUNT/SUM/MIN/MAX/AVG resolve
+/// once, at construction, to non-virtual inline code over raw doubles with
+/// the exact operand order of their AggregateOps (so results stay
+/// bit-identical); a UDA keeps its virtuals, round-tripping through a
+/// temporary State. Fold and Merge return false when a UDA changed the
+/// state's width, which a flat buffer cannot hold.
+class FlatAggregate {
+ public:
+  explicit FlatAggregate(const AggregateOps& ops);
+
+  /// The error a flat buffer raises for a state of the wrong width.
+  static Status WidthError() {
+    return Status::Internal("aggregate state width differs from ops.Init()");
+  }
+
+  size_t width() const { return width_; }
+
+  /// Writes the identity state.
+  void Init(double* state) const {
+    switch (kind_) {
+      case Kind::kMin:
+        state[0] = std::numeric_limits<double>::infinity();
+        return;
+      case Kind::kMax:
+        state[0] = -std::numeric_limits<double>::infinity();
+        return;
+      case Kind::kAvg:
+        state[1] = 0.0;
+        [[fallthrough]];
+      case Kind::kCount:
+      case Kind::kSum:
+        state[0] = 0.0;
+        return;
+      case Kind::kUda:
+        InitUda(state);
+        return;
+    }
+  }
+
+  /// Folds `count` values, value_at(0) .. value_at(count - 1), in order.
+  template <typename ValueAt>
+  bool Fold(double* state, size_t count, ValueAt value_at) const {
+    switch (kind_) {
+      case Kind::kCount:
+        for (size_t k = 0; k < count; ++k) state[0] += 1.0;
+        return true;
+      case Kind::kSum:
+        for (size_t k = 0; k < count; ++k) state[0] += value_at(k);
+        return true;
+      case Kind::kMin:
+        for (size_t k = 0; k < count; ++k) {
+          state[0] = std::min(state[0], value_at(k));
+        }
+        return true;
+      case Kind::kMax:
+        for (size_t k = 0; k < count; ++k) {
+          state[0] = std::max(state[0], value_at(k));
+        }
+        return true;
+      case Kind::kAvg:
+        for (size_t k = 0; k < count; ++k) {
+          state[0] += value_at(k);
+          state[1] += 1.0;
+        }
+        return true;
+      case Kind::kUda:
+        break;
+    }
+    AggregateOps::State uda(state, state + width_);
+    for (size_t k = 0; k < count; ++k) ops_->Add(&uda, value_at(k));
+    return StoreUda(uda, state);
+  }
+
+  /// Folds a contiguous run of values.
+  bool FoldRange(double* state, const double* values, size_t count) const {
+    return Fold(state, count, [values](size_t k) { return values[k]; });
+  }
+
+  /// OSP combine: `state` becomes the aggregate of the union.
+  bool Merge(double* state, const double* other) const {
+    switch (kind_) {
+      case Kind::kCount:
+      case Kind::kSum:
+        state[0] += other[0];
+        return true;
+      case Kind::kMin:
+        state[0] = std::min(state[0], other[0]);
+        return true;
+      case Kind::kMax:
+        state[0] = std::max(state[0], other[0]);
+        return true;
+      case Kind::kAvg:
+        state[0] += other[0];
+        state[1] += other[1];
+        return true;
+      case Kind::kUda:
+        break;
+    }
+    return MergeUda(state, other);
+  }
+
+  double Final(const double* state) const {
+    switch (kind_) {
+      case Kind::kCount:
+      case Kind::kSum:
+      case Kind::kMin:
+      case Kind::kMax:
+        return state[0];
+      case Kind::kAvg:
+        return state[1] == 0.0 ? 0.0 : state[0] / state[1];
+      case Kind::kUda:
+        break;
+    }
+    return ops_->Final(AggregateOps::State(state, state + width_));
+  }
+
+ private:
+  enum class Kind { kCount, kSum, kMin, kMax, kAvg, kUda };
+
+  void InitUda(double* state) const;
+  bool MergeUda(double* state, const double* other) const;
+  /// Copies a UDA state back into its flat slot; false on a width change.
+  bool StoreUda(const AggregateOps::State& uda, double* state) const;
+
+  const AggregateOps* ops_;
+  Kind kind_ = Kind::kUda;
+  size_t width_ = 0;
+};
 
 /// AggregateOps assembled from lambdas; the easiest way to define a UDA.
 class LambdaAggregateOps final : public AggregateOps {

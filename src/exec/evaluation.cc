@@ -108,22 +108,67 @@ Result<std::vector<AggregateOps::State>> EvaluationLayer::EvaluateBoxes(
   return states;
 }
 
-Result<std::vector<AggregateOps::State>> EvaluationLayer::EvaluateCells(
-    const GridCoord* coords, size_t count, double step) {
+Status EvaluationLayer::FlattenCoords(const GridCoord* coords, size_t count,
+                                      std::vector<int32_t>* keys) const {
   const size_t d = task_->d();
-  std::vector<std::vector<PScoreRange>> boxes(count);
+  keys->clear();
+  keys->reserve(count * d);
   for (size_t q = 0; q < count; ++q) {
     if (coords[q].size() != d) {
       return Status::InvalidArgument(
           StringFormat("cell coordinate has %zu levels, task has %zu "
                        "dimensions", coords[q].size(), d));
     }
+    keys->insert(keys->end(), coords[q].begin(), coords[q].end());
+  }
+  return Status::OK();
+}
+
+Result<std::vector<AggregateOps::State>> EvaluationLayer::EvaluateCellsAsBoxes(
+    const int32_t* keys, size_t count, double step) {
+  const size_t d = task_->d();
+  std::vector<std::vector<PScoreRange>> boxes(count);
+  for (size_t q = 0; q < count; ++q) {
     boxes[q].resize(d);
     for (size_t i = 0; i < d; ++i) {
-      boxes[q][i] = CellRangeForLevel(coords[q][i], step);
+      boxes[q][i] = CellRangeForLevel(keys[q * d + i], step);
     }
   }
   return EvaluateBoxes(boxes);
+}
+
+Status EvaluationLayer::FlattenStates(
+    const std::vector<AggregateOps::State>& states,
+    std::vector<double>* out) const {
+  const size_t w = task_->agg.ops->Init().size();
+  out->resize(states.size() * w);
+  for (size_t q = 0; q < states.size(); ++q) {
+    if (states[q].size() != w) {
+      return FlatAggregate::WidthError();
+    }
+    std::copy(states[q].begin(), states[q].end(), out->begin() + q * w);
+  }
+  return Status::OK();
+}
+
+Result<std::vector<AggregateOps::State>> EvaluationLayer::EvaluateCells(
+    const GridCoord* coords, size_t count, double step) {
+  std::vector<int32_t> keys;
+  ACQ_RETURN_IF_ERROR(FlattenCoords(coords, count, &keys));
+  return EvaluateCellsAsBoxes(keys.data(), count, step);
+}
+
+Status EvaluationLayer::EvaluateCellKeys(const int32_t* keys, size_t count,
+                                         double step,
+                                         std::vector<double>* states) {
+  const size_t d = task_->d();
+  std::vector<GridCoord> coords(count);
+  for (size_t q = 0; q < count; ++q) {
+    coords[q].assign(keys + q * d, keys + (q + 1) * d);
+  }
+  ACQ_ASSIGN_OR_RETURN(std::vector<AggregateOps::State> boxed,
+                       EvaluateCells(coords.data(), count, step));
+  return FlattenStates(boxed, states);
 }
 
 Result<double> EvaluationLayer::EvaluateQueryValue(

@@ -137,6 +137,17 @@ class EvaluationLayer {
   virtual Result<std::vector<AggregateOps::State>> EvaluateCells(
       const GridCoord* coords, size_t count, double step);
 
+  /// Flat batch cell-query API, the one the Explore phase drives: `keys`
+  /// holds `count` cells as d-strided int32 levels, and `states` is resized
+  /// to count * w doubles (w = ops.Init().size()), cell q's state at q * w.
+  /// Answers are those of EvaluateCells. The base implementation adapts
+  /// through the virtual EvaluateCells — so a wrapper that overrides only
+  /// that still sees every batch — and raises Internal when a state's width
+  /// differs from ops.Init()'s. CellSortedEvaluationLayer answers natively
+  /// from its flat per-cell states.
+  virtual Status EvaluateCellKeys(const int32_t* keys, size_t count,
+                                  double step, std::vector<double>* states);
+
   /// Evaluates independent box queries, results in input order; fans out
   /// across the shared pool when SupportsConcurrentEvaluate() allows it,
   /// else evaluates serially. Per-box results are bit-identical to
@@ -209,6 +220,20 @@ class EvaluationLayer {
 
   /// Shared argument check for EvaluateBox implementations.
   Status CheckBox(const std::vector<PScoreRange>& box) const;
+
+  /// Copies `count` coordinates into d-strided `keys`; InvalidArgument when
+  /// one has the wrong dimensionality.
+  Status FlattenCoords(const GridCoord* coords, size_t count,
+                       std::vector<int32_t>* keys) const;
+
+  /// The generic cell path: every cell's box through EvaluateBoxes.
+  Result<std::vector<AggregateOps::State>> EvaluateCellsAsBoxes(
+      const int32_t* keys, size_t count, double step);
+
+  /// Copies per-cell states into the flat `out`; Internal when one's width
+  /// differs from ops.Init()'s.
+  Status FlattenStates(const std::vector<AggregateOps::State>& states,
+                       std::vector<double>* out) const;
 
   /// Tallies `bytes` of layer-owned memory (prepared materializations,
   /// selection scratch) against the attached budget, or defers the charge

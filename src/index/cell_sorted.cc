@@ -1,12 +1,12 @@
 #include "index/cell_sorted.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <numeric>
 
 #include "common/failpoint.h"
 #include "common/stopwatch.h"
-#include "common/string_util.h"
 #include "exec/eval_kernel.h"
 
 namespace acquire {
@@ -47,7 +47,7 @@ Status CellSortedEvaluationLayer::Prepare() {
                    sizeof(double) +
                cell_keys_.size() * sizeof(int32_t) +
                cell_offsets_.size() * sizeof(uint32_t) +
-               cell_states_.size() * sizeof(AggregateOps::State));
+               cell_states_.size() * sizeof(double));
   prepare_ms_ += prepare_sw.ElapsedMillis();
   prepared_ = true;
   return Status::OK();
@@ -179,7 +179,8 @@ Status CellSortedEvaluationLayer::AbsorbStagedDeltas() {
   const size_t d = task_->d();
   const size_t m = num_cells();
   const size_t dm = delta_num_cells();
-  const AggregateOps& ops = *task_->agg.ops;
+  const FlatAggregate flat(*task_->agg.ops);
+  const size_t w = flat.width();
 
   NeededMatrix merged;
   merged.rows = matrix_.rows + k;
@@ -191,8 +192,8 @@ Status CellSortedEvaluationLayer::AbsorbStagedDeltas() {
   std::vector<uint32_t> offsets;
   offsets.reserve(m + dm + 1);
   offsets.push_back(0);
-  std::vector<AggregateOps::State> states;
-  states.reserve(m + dm);
+  std::vector<double> states;
+  states.reserve((m + dm) * w);
 
   uint32_t out_pos = 0;
   auto copy_base_cell = [&](size_t s) {
@@ -206,9 +207,11 @@ Status CellSortedEvaluationLayer::AbsorbStagedDeltas() {
                 matrix_.agg_values.data() + begin, count * sizeof(double));
     out_pos += count;
   };
-  // Copies staged cell `t`'s rows (append order) and, when `state` is
-  // given, continues it with their Adds — the rebuild's exact fold order.
-  auto copy_delta_cell = [&](size_t t, AggregateOps::State* state) {
+  // Copies staged cell `t`'s rows (append order) and continues the last
+  // state with their Adds — the rebuild's exact fold order.
+  bool width_ok = true;
+  auto copy_delta_cell = [&](size_t t) {
+    const uint32_t begin = out_pos;
     for (uint32_t r = delta_cell_offsets_[t]; r < delta_cell_offsets_[t + 1];
          ++r) {
       const uint32_t row = delta_order_[r];
@@ -216,9 +219,11 @@ Status CellSortedEvaluationLayer::AbsorbStagedDeltas() {
         merged.mutable_dim(i)[out_pos] = delta_needed_[row * d + i];
       }
       merged.agg_values[out_pos] = delta_agg_[row];
-      if (state != nullptr) ops.Add(state, delta_agg_[row]);
       ++out_pos;
     }
+    width_ok &= flat.FoldRange(states.data() + states.size() - w,
+                               merged.agg_values.data() + begin,
+                               out_pos - begin);
   };
 
   size_t s = 0;
@@ -240,19 +245,20 @@ Status CellSortedEvaluationLayer::AbsorbStagedDeltas() {
       keys.insert(keys.end(), cell_keys_.begin() + s * d,
                   cell_keys_.begin() + (s + 1) * d);
       copy_base_cell(s);
-      AggregateOps::State state = std::move(cell_states_[s]);
-      if (cmp == 0) copy_delta_cell(t++, &state);
-      states.push_back(std::move(state));
+      states.insert(states.end(), cell_states_.begin() + s * w,
+                    cell_states_.begin() + (s + 1) * w);
+      if (cmp == 0) copy_delta_cell(t++);
       ++s;
     } else {
       keys.insert(keys.end(), delta_cell_keys_.begin() + t * d,
                   delta_cell_keys_.begin() + (t + 1) * d);
-      AggregateOps::State state = ops.Init();
-      copy_delta_cell(t++, &state);
-      states.push_back(std::move(state));
+      states.resize(states.size() + w);
+      flat.Init(states.data() + states.size() - w);
+      copy_delta_cell(t++);
     }
     offsets.push_back(out_pos);
   }
+  if (!width_ok) return FlatAggregate::WidthError();
 
   const size_t old_cells = m;
   matrix_ = std::move(merged);
@@ -265,8 +271,7 @@ Status CellSortedEvaluationLayer::AbsorbStagedDeltas() {
   const size_t new_cells = num_cells();
   if (new_cells > old_cells) {
     ChargeBudget((new_cells - old_cells) *
-                 (d * sizeof(int32_t) + sizeof(uint32_t) +
-                  sizeof(AggregateOps::State)));
+                 (d * sizeof(int32_t) + sizeof(uint32_t) + w * sizeof(double)));
   }
   prepare_ms_ += merge_sw.ElapsedMillis();
   return Status::OK();
@@ -305,25 +310,40 @@ size_t CellSortedEvaluationLayer::LowerBoundDeltaCell(
   return lo;
 }
 
-void CellSortedEvaluationLayer::FoldDeltaCellAt(
-    size_t t, AggregateOps::State* state) const {
-  const AggregateOps& ops = *task_->agg.ops;
-  for (uint32_t r = delta_cell_offsets_[t]; r < delta_cell_offsets_[t + 1];
-       ++r) {
-    ops.Add(state, delta_agg_[delta_order_[r]]);
-  }
+bool CellSortedEvaluationLayer::FoldDeltaCellAt(const FlatAggregate& flat,
+                                                size_t t,
+                                                double* state) const {
+  const uint32_t begin = delta_cell_offsets_[t];
+  return flat.Fold(state, delta_cell_offsets_[t + 1] - begin,
+                   [&](size_t k) { return delta_agg_[delta_order_[begin + k]]; });
 }
 
-void CellSortedEvaluationLayer::FoldDeltaCell(
-    const int32_t* key, AggregateOps::State* state) const {
+bool CellSortedEvaluationLayer::FoldDeltaCell(const FlatAggregate& flat,
+                                              const int32_t* key,
+                                              double* state) const {
   const size_t dm = delta_num_cells();
-  if (dm == 0) return;
+  if (dm == 0) return true;
   const size_t d = task_->d();
   const size_t t = LowerBoundDeltaCell(key);
   if (t < dm &&
       std::equal(key, key + d, delta_cell_keys_.data() + t * d)) {
-    FoldDeltaCellAt(t, state);
+    return FoldDeltaCellAt(flat, t, state);
   }
+  return true;
+}
+
+bool CellSortedEvaluationLayer::CellStateAt(const FlatAggregate& flat,
+                                            size_t s, const int32_t* key,
+                                            double* state) const {
+  const size_t d = task_->d();
+  const size_t w = flat.width();
+  if (s < num_cells() &&
+      std::equal(key, key + d, cell_keys_.data() + s * d)) {
+    std::copy_n(cell_states_.data() + s * w, w, state);
+  } else {
+    flat.Init(state);
+  }
+  return FoldDeltaCell(flat, key, state);
 }
 
 size_t CellSortedEvaluationLayer::GallopLowerBound(size_t from,
@@ -355,28 +375,24 @@ size_t CellSortedEvaluationLayer::GallopLowerBound(size_t from,
   return lo;
 }
 
-Result<std::vector<AggregateOps::State>>
-CellSortedEvaluationLayer::EvaluateCells(const GridCoord* coords, size_t count,
-                                         double step) {
+Status CellSortedEvaluationLayer::EvaluateCellKeys(
+    const int32_t* keys, size_t count, double step,
+    std::vector<double>* states) {
   if (!prepared_) ACQ_RETURN_IF_ERROR(Prepare());
   ACQ_RETURN_IF_ERROR(SyncDeltas());
   // A foreign step means the requested cells are not this layout's cells;
   // the generic path decomposes them into box queries as usual. The
   // failpoint injects the same (bit-identical) fallback on native batches.
   if (step != step_ || ACQ_FAILPOINT("index.batch_eval")) {
-    return EvaluationLayer::EvaluateCells(coords, count, step);
+    ACQ_ASSIGN_OR_RETURN(std::vector<AggregateOps::State> boxed,
+                         EvaluateCellsAsBoxes(keys, count, step));
+    return FlattenStates(boxed, states);
   }
   const size_t d = task_->d();
-  const AggregateOps& ops = *task_->agg.ops;
-  std::vector<AggregateOps::State> states(count);
-  if (count == 0) return states;
-  for (size_t q = 0; q < count; ++q) {
-    if (coords[q].size() != d) {
-      return Status::InvalidArgument(
-          StringFormat("cell coordinate has %zu levels, task has %zu "
-                       "dimensions", coords[q].size(), d));
-    }
-  }
+  const FlatAggregate flat(*task_->agg.ops);
+  const size_t w = flat.width();
+  states->resize(count * w);
+  if (count == 0) return Status::OK();
   stats_.queries.fetch_add(count, std::memory_order_relaxed);
   stats_.tuples_scanned.fetch_add(count, std::memory_order_relaxed);
 
@@ -389,6 +405,11 @@ CellSortedEvaluationLayer::EvaluateCells(const GridCoord* coords, size_t count,
   // Prepare() (continued with the cell's staged delta rows in append order,
   // exactly as a rebuild would fold them), so the result is bit-identical
   // to a single sweep over a freshly rebuilt layout.
+  auto key_of = [&](uint32_t q) { return keys + size_t{q} * d; };
+  auto key_less = [&](uint32_t a, uint32_t b) {
+    return std::lexicographical_compare(key_of(a), key_of(a) + d, key_of(b),
+                                        key_of(b) + d);
+  };
   std::vector<uint32_t> req(count);
   std::iota(req.begin(), req.end(), 0u);
   // BFS layers arrive in descending key order (canonical-predecessor
@@ -396,46 +417,40 @@ CellSortedEvaluationLayer::EvaluateCells(const GridCoord* coords, size_t count,
   // before paying for a comparison sort.
   bool ascending = true;
   bool descending = true;
-  for (size_t q = 1; q < count && (ascending || descending); ++q) {
-    if (coords[q - 1] < coords[q]) {
+  for (uint32_t q = 1; q < count && (ascending || descending); ++q) {
+    if (key_less(q - 1, q)) {
       descending = false;
-    } else if (coords[q] < coords[q - 1]) {
+    } else if (key_less(q, q - 1)) {
       ascending = false;
     }
   }
   if (descending && !ascending) {
     std::reverse(req.begin(), req.end());
   } else if (!ascending) {
-    std::sort(req.begin(), req.end(), [&](uint32_t a, uint32_t b) {
-      return coords[a] < coords[b];
-    });
+    std::sort(req.begin(), req.end(), key_less);
   }
-  const size_t m = num_cells();
-  const bool have_deltas = delta_num_cells() > 0;
+  double* out = states->data();
+  std::atomic<bool> width_error{false};
   auto sweep = [&](size_t, size_t begin, size_t end) {
     if (begin >= end) return;
     // Seed this worker's cursor at its own slice of the key array with one
     // binary search, instead of galloping across the whole prefix that
     // earlier chunks own.
-    size_t cursor =
-        begin == 0 ? 0 : LowerBoundCell(coords[req[begin]].data());
+    size_t cursor = begin == 0 ? 0 : LowerBoundCell(key_of(req[begin]));
     const int32_t* prev_key = nullptr;
     uint32_t prev_qi = 0;
     for (size_t r = begin; r < end; ++r) {
       const uint32_t qi = req[r];
-      const int32_t* key = coords[qi].data();
+      const int32_t* key = key_of(qi);
+      double* state = out + size_t{qi} * w;
       if (prev_key != nullptr && std::equal(key, key + d, prev_key)) {
         // Duplicate request: reuse the previous answer.
-        states[qi] = states[prev_qi];
+        std::copy_n(out + size_t{prev_qi} * w, w, state);
       } else {
         cursor = GallopLowerBound(cursor, key);
-        if (cursor < m &&
-            std::equal(key, key + d, cell_keys_.data() + cursor * d)) {
-          states[qi] = cell_states_[cursor];
-        } else {
-          states[qi] = ops.Init();
+        if (!CellStateAt(flat, cursor, key, state)) {
+          width_error.store(true, std::memory_order_relaxed);
         }
-        if (have_deltas) FoldDeltaCell(key, &states[qi]);
         prev_key = key;
       }
       prev_qi = qi;
@@ -447,6 +462,25 @@ CellSortedEvaluationLayer::EvaluateCells(const GridCoord* coords, size_t count,
     pool_->ParallelFor(count, /*min_chunk=*/128, sweep);
   } else {
     sweep(0, 0, count);
+  }
+  if (width_error.load(std::memory_order_relaxed)) {
+    return FlatAggregate::WidthError();
+  }
+  return Status::OK();
+}
+
+Result<std::vector<AggregateOps::State>>
+CellSortedEvaluationLayer::EvaluateCells(const GridCoord* coords, size_t count,
+                                         double step) {
+  std::vector<int32_t> keys;
+  ACQ_RETURN_IF_ERROR(FlattenCoords(coords, count, &keys));
+  std::vector<double> flat_states;
+  ACQ_RETURN_IF_ERROR(EvaluateCellKeys(keys.data(), count, step, &flat_states));
+  const size_t w = FlatAggregate(*task_->agg.ops).width();
+  std::vector<AggregateOps::State> states(count);
+  for (size_t q = 0; q < count; ++q) {
+    states[q].assign(flat_states.begin() + q * w,
+                     flat_states.begin() + (q + 1) * w);
   }
   return states;
 }
@@ -470,6 +504,8 @@ Result<AggregateOps::State> CellSortedEvaluationLayer::EvaluateBox(
   ACQ_RETURN_IF_ERROR(CheckBox(box));
   stats_.queries.fetch_add(1, std::memory_order_relaxed);
   const AggregateOps& ops = *task_->agg.ops;
+  const FlatAggregate flat(ops);
+  const size_t w = flat.width();
   const size_t d = task_->d();
   const size_t m = num_cells();
 
@@ -488,15 +524,11 @@ Result<AggregateOps::State> CellSortedEvaluationLayer::EvaluateBox(
     if (single_cell) {
       // One binary search; the payload fold happened once in Prepare().
       stats_.tuples_scanned.fetch_add(1, std::memory_order_relaxed);
-      const size_t s = LowerBoundCell(lo32.data());
-      AggregateOps::State state;
-      if (s < m &&
-          std::equal(lo32.begin(), lo32.end(), cell_keys_.data() + s * d)) {
-        state = cell_states_[s];
-      } else {
-        state = ops.Init();
+      AggregateOps::State state(w);
+      if (!CellStateAt(flat, LowerBoundCell(lo32.data()), lo32.data(),
+                       state.data())) {
+        return FlatAggregate::WidthError();
       }
-      FoldDeltaCell(lo32.data(), &state);
       return state;
     }
     // Aligned box: only the sorted key range whose leading coordinate lies
@@ -509,7 +541,10 @@ Result<AggregateOps::State> CellSortedEvaluationLayer::EvaluateBox(
     // the merge sequence matches a rebuild bit for bit.
     std::vector<int32_t> first(d, 0);
     first[0] = lo32[0];  // smallest possible key in range
-    AggregateOps::State state = ops.Init();
+    AggregateOps::State state(w);
+    flat.Init(state.data());
+    AggregateOps::State cell_state(w);  // a cell continued with its deltas
+    bool width_ok = true;
     uint64_t cells_walked = 0;
     const size_t dm = delta_num_cells();
     size_t s = LowerBoundCell(first.data());
@@ -540,18 +575,22 @@ Result<AggregateOps::State> CellSortedEvaluationLayer::EvaluateBox(
       ++cells_walked;
       if (inside_box(cell)) {
         if (cmp < 0) {
-          ops.Merge(&state, cell_states_[s]);
+          width_ok &= flat.Merge(state.data(), cell_states_.data() + s * w);
         } else {
-          AggregateOps::State cell_state =
-              cmp == 0 ? cell_states_[s] : ops.Init();
-          FoldDeltaCellAt(t, &cell_state);
-          ops.Merge(&state, cell_state);
+          if (cmp == 0) {
+            std::copy_n(cell_states_.data() + s * w, w, cell_state.data());
+          } else {
+            flat.Init(cell_state.data());
+          }
+          width_ok &= FoldDeltaCellAt(flat, t, cell_state.data());
+          width_ok &= flat.Merge(state.data(), cell_state.data());
         }
       }
       if (cmp <= 0) ++s;
       if (cmp >= 0) ++t;
     }
     stats_.tuples_scanned.fetch_add(cells_walked, std::memory_order_relaxed);
+    if (!width_ok) return FlatAggregate::WidthError();
     return state;
   }
 

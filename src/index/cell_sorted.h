@@ -17,7 +17,8 @@ namespace acquire {
 ///   cell_keys_    m x d grid coordinates, lexicographically sorted
 ///   cell_offsets_ m + 1 prefix offsets into the permuted row payload
 ///   matrix_       needed matrix + aggregate inputs, permuted to cell order
-///   cell_states_  per-cell OSP aggregate state (fold of its offset range)
+///   cell_states_  m x w flat per-cell OSP aggregate states (w doubles each,
+///                 the fold of the cell's offset range)
 ///
 /// so the queries Algorithm 3 actually issues are no longer scans:
 ///  * a cell query is one binary search over the sorted keys plus a
@@ -62,15 +63,19 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
   Result<AggregateOps::State> EvaluateBox(
       const std::vector<PScoreRange>& box) override;
 
-  /// Native batched cell queries: the requested coordinates are sorted and
+  /// Native batched cell queries: the requested keys are sorted and
   /// answered in forward sweeps over the sorted CSR key array — a
   /// binary-search start, then galloping advances, so a layer of k cells
   /// costs O(k log(m/k)) key comparisons instead of k independent O(log m)
   /// searches. Large batches sweep deterministic contiguous chunks of the
   /// sorted order in parallel on the pool (bit-identical results; every
-  /// answer is a copy of the precomputed per-cell state, plus the staged
-  /// delta rows of that cell folded in append order). Falls back to the
-  /// generic path when `step` differs from the layout step.
+  /// answer is a copy of the precomputed flat per-cell state, plus the
+  /// staged delta rows of that cell folded in append order). Falls back to
+  /// the generic path when `step` differs from the layout step.
+  Status EvaluateCellKeys(const int32_t* keys, size_t count, double step,
+                          std::vector<double>* states) override;
+
+  /// EvaluateCellKeys behind the per-coordinate interface.
   Result<std::vector<AggregateOps::State>> EvaluateCells(
       const GridCoord* coords, size_t count, double step) override;
 
@@ -137,11 +142,19 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
   }
   /// First staged cell whose key is lexicographically >= `key`.
   size_t LowerBoundDeltaCell(const int32_t* key) const;
-  /// Continues `state` with staged cell `t`'s rows in append order.
-  void FoldDeltaCellAt(size_t t, AggregateOps::State* state) const;
+  /// Continues the flat `state` with staged cell `t`'s rows in append
+  /// order; false when a UDA changed the state's width.
+  bool FoldDeltaCellAt(const FlatAggregate& flat, size_t t,
+                       double* state) const;
   /// Continues `state` with the staged rows of cell `key` (no-op when the
   /// cell has none) — the exact Add continuation a full rebuild would run.
-  void FoldDeltaCell(const int32_t* key, AggregateOps::State* state) const;
+  bool FoldDeltaCell(const FlatAggregate& flat, const int32_t* key,
+                     double* state) const;
+  /// Writes cell `key`'s effective state (base fold continued with its
+  /// staged rows; the identity when it has neither), given its lower-bound
+  /// position `s` in the main key array.
+  bool CellStateAt(const FlatAggregate& flat, size_t s, const int32_t* key,
+                   double* state) const;
 
   /// Moves relation rows [consumed_rows_, num_rows()) into the staged delta
   /// buffer, merges them into its sorted order (O(k) plus a sort of only the
@@ -165,7 +178,7 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
   NeededMatrix matrix_;                 // permuted to cell order
   std::vector<int32_t> cell_keys_;      // m * d, cell-major, sorted
   std::vector<uint32_t> cell_offsets_;  // m + 1
-  std::vector<AggregateOps::State> cell_states_;
+  std::vector<double> cell_states_;     // m * state width, cell-major
 
   // Staged appended rows in append order (row-major; unreachable rows are
   // dropped at staging time) plus a sorted CSR view over them, extended on

@@ -1,12 +1,11 @@
 #include "index/parallel_prepare.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <numeric>
-#include <unordered_map>
 
 #include "common/failpoint.h"
-#include "exec/eval_kernel.h"
 
 namespace acquire {
 
@@ -18,22 +17,115 @@ constexpr size_t kMinRowsPerBucket = 8192;
 // kAuto stays sequential below this row count outright.
 constexpr size_t kMinParallelRows = 32768;
 
+constexpr uint32_t kUnreachable = UINT32_MAX;
+
+/// First-seen ids of the distinct grid cells of a row scan, keyed by flat
+/// d-int32 runs: linear probing over a power-of-two slot table, each cell's
+/// key and row count stored by id. The sequential build and every bucket of
+/// the sharded build's phase C share it, so neither allocates per cell.
+class FirstSeenCells {
+ public:
+  explicit FirstSeenCells(size_t d) : d_(d) {}
+
+  /// Forgets every cell, keeping the allocations.
+  void Clear() {
+    std::fill(slots_.begin(), slots_.end(), 0u);
+    keys_.clear();
+    counts_.clear();
+  }
+
+  /// Id of the cell `key` (first-seen order), counting one more row in it.
+  uint32_t Add(const int32_t* key) {
+    if ((counts_.size() + 1) * 2 > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>(HashGridCoordSpan(key, d_)) & mask;
+    while (slots_[i] != 0) {
+      const uint32_t id = slots_[i] - 1;
+      if (std::equal(key, key + d_, keys_.data() + id * d_)) {
+        ++counts_[id];
+        return id;
+      }
+      i = (i + 1) & mask;
+    }
+    const uint32_t id = static_cast<uint32_t>(counts_.size());
+    slots_[i] = id + 1;
+    keys_.insert(keys_.end(), key, key + d_);
+    counts_.push_back(1);
+    return id;
+  }
+
+  /// Lays the cells out in lexicographic key order: the sorted keys
+  /// (m * d), CSR offsets from the row counts (m + 1), and, by id, the
+  /// payload position of the cell's first row (the counting-sort cursor).
+  void LayOut(std::vector<int32_t>* keys, std::vector<uint32_t>* offsets,
+              std::vector<uint32_t>* cursor) const {
+    const size_t m = counts_.size();
+    std::vector<uint32_t> order(m);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      const int32_t* ka = keys_.data() + a * d_;
+      const int32_t* kb = keys_.data() + b * d_;
+      return std::lexicographical_compare(ka, ka + d_, kb, kb + d_);
+    });
+    keys->resize(m * d_);
+    offsets->assign(m + 1, 0);
+    cursor->resize(m);
+    for (size_t s = 0; s < m; ++s) {
+      const uint32_t id = order[s];
+      std::copy_n(keys_.data() + id * d_, d_, keys->data() + s * d_);
+      (*cursor)[id] = (*offsets)[s];
+      (*offsets)[s + 1] = (*offsets)[s] + counts_[id];
+    }
+  }
+
+ private:
+  void Grow() {
+    slots_.assign(std::max<size_t>(1024, slots_.size() * 2), 0u);
+    const size_t mask = slots_.size() - 1;
+    for (size_t id = 0; id < counts_.size(); ++id) {
+      size_t i = static_cast<size_t>(
+                     HashGridCoordSpan(keys_.data() + id * d_, d_)) &
+                 mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = static_cast<uint32_t>(id + 1);
+    }
+  }
+
+  size_t d_;
+  std::vector<uint32_t> slots_;   // id + 1; 0 = empty
+  std::vector<int32_t> keys_;     // id-major, d levels per cell
+  std::vector<uint32_t> counts_;  // rows per cell, by id
+};
+
+/// Folds each cell's contiguous payload (`agg_values` at the cell's
+/// offsets) into its flat state; false when a UDA changed the width.
+bool FoldCells(const FlatAggregate& flat, const double* agg_values,
+               const std::vector<uint32_t>& offsets, double* states) {
+  const size_t w = flat.width();
+  for (size_t s = 0; s + 1 < offsets.size(); ++s) {
+    double* state = states + s * w;
+    flat.Init(state);
+    if (!flat.FoldRange(state, agg_values + offsets[s],
+                        offsets[s + 1] - offsets[s])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// The sequential reference build (the pre-refactor CellSorted Prepare body,
 /// operating on an already-built matrix).
 Status BuildSequential(const NeededMatrix& raw, double step,
-                       const AggregateOps& ops, CellSortedLayout* out) {
+                       const FlatAggregate& flat, CellSortedLayout* out) {
   const size_t n = raw.rows;
   const size_t d = raw.dims;
 
   // Assign every row its grid cell; first-seen cell ids are temporary and
   // replaced by the sorted order below. Unreachable rows (needed == inf on
   // some dimension) are dropped: no PScoreRange admits infinity.
-  constexpr uint32_t kUnreachable = UINT32_MAX;
-  std::unordered_map<GridCoord, uint32_t, GridCoordHash> cell_ids;
-  std::vector<GridCoord> coords;  // by temporary cell id
-  std::vector<uint32_t> counts;   // by temporary cell id
+  FirstSeenCells cells(d);
   std::vector<uint32_t> row_cell(n, kUnreachable);
-  GridCoord coord(d);
+  std::vector<int32_t> coord(d);
   out->unreachable_rows = 0;
   for (size_t row = 0; row < n; ++row) {
     bool reachable = true;
@@ -49,47 +141,21 @@ Status BuildSequential(const NeededMatrix& raw, double step,
       ++out->unreachable_rows;
       continue;
     }
-    auto [it, inserted] =
-        cell_ids.try_emplace(coord, static_cast<uint32_t>(coords.size()));
-    if (inserted) {
-      coords.push_back(coord);
-      counts.push_back(0);
-    }
-    row_cell[row] = it->second;
-    ++counts[it->second];
+    row_cell[row] = cells.Add(coord.data());
   }
 
   // Sort the (small) set of distinct cells lexicographically, then
   // counting-sort the rows into that order: prefix offsets + scatter.
-  const size_t m = coords.size();
-  std::vector<uint32_t> order(m);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return coords[a] < coords[b];
-  });
-  std::vector<uint32_t> sorted_pos(m);
-  for (size_t s = 0; s < m; ++s) {
-    sorted_pos[order[s]] = static_cast<uint32_t>(s);
-  }
-
-  out->cell_keys.resize(m * d);
-  out->cell_offsets.assign(m + 1, 0);
-  for (size_t s = 0; s < m; ++s) {
-    const GridCoord& c = coords[order[s]];
-    std::copy(c.begin(), c.end(), out->cell_keys.begin() + s * d);
-    out->cell_offsets[s + 1] = out->cell_offsets[s] + counts[order[s]];
-  }
-
+  std::vector<uint32_t> cursor;
+  cells.LayOut(&out->cell_keys, &out->cell_offsets, &cursor);
   const size_t reachable = n - out->unreachable_rows;
   out->matrix.rows = reachable;
   out->matrix.dims = d;
   out->matrix.needed.resize(reachable * d);
   out->matrix.agg_values.resize(reachable);
-  std::vector<uint32_t> cursor(out->cell_offsets.begin(),
-                               out->cell_offsets.end() - 1);
   for (size_t row = 0; row < n; ++row) {
     if (row_cell[row] == kUnreachable) continue;
-    const uint32_t p = cursor[sorted_pos[row_cell[row]]]++;
+    const uint32_t p = cursor[row_cell[row]]++;
     for (size_t i = 0; i < d; ++i) {
       out->matrix.mutable_dim(i)[p] = raw.dim(i)[row];
     }
@@ -97,12 +163,11 @@ Status BuildSequential(const NeededMatrix& raw, double step,
   }
 
   // Per-cell aggregate states: fold each contiguous payload range.
-  out->cell_states.resize(m);
-  for (size_t s = 0; s < m; ++s) {
-    out->cell_states[s] = ops.Init();
-    FoldRange(ops, out->matrix.agg_values.data() + out->cell_offsets[s],
-              out->cell_offsets[s + 1] - out->cell_offsets[s],
-              &out->cell_states[s]);
+  out->state_width = flat.width();
+  out->cell_states.resize(out->num_cells() * flat.width());
+  if (!FoldCells(flat, out->matrix.agg_values.data(), out->cell_offsets,
+                 out->cell_states.data())) {
+    return FlatAggregate::WidthError();
   }
   return Status::OK();
 }
@@ -111,20 +176,21 @@ Status BuildSequential(const NeededMatrix& raw, double step,
 struct BucketCells {
   std::vector<int32_t> keys;      // m_b * d, sorted
   std::vector<uint32_t> offsets;  // m_b + 1, relative to the bucket start
-  std::vector<AggregateOps::State> states;
+  std::vector<double> states;     // m_b * state_width
 };
 
-/// The sharded build. Returns false (with *out untouched) when the input
-/// yields no usable splitter sample — the caller then runs the sequential
-/// reference instead.
-bool BuildParallel(const NeededMatrix& raw, double step,
-                   const AggregateOps& ops, ThreadPool* pool,
-                   CellSortedLayout* out, size_t* buckets_out) {
+/// The sharded build. Sets *buckets_out to 0 (with *out untouched) when the
+/// input yields no usable splitter sample — the caller then runs the
+/// sequential reference instead.
+Status BuildParallel(const NeededMatrix& raw, double step,
+                     const FlatAggregate& flat, ThreadPool* pool,
+                     CellSortedLayout* out, size_t* buckets_out) {
   const size_t n = raw.rows;
   const size_t d = raw.dims;
   const size_t chunks = pool->NumChunks(n, kMinRowsPerBucket);
   const size_t num_buckets = chunks;
-  if (n == 0 || num_buckets == 0) return false;
+  *buckets_out = 0;
+  if (n == 0 || num_buckets == 0) return Status::OK();
 
   // Deterministic range-partition splitters: a strided sample of row cell
   // coordinates, sorted, cut at even quantiles. The bucket of a row depends
@@ -149,7 +215,7 @@ bool BuildParallel(const NeededMatrix& raw, double step,
       if (ok) sample.push_back(c);
     }
   }
-  if (sample.empty()) return false;
+  if (sample.empty()) return Status::OK();
   std::sort(sample.begin(), sample.end());
   std::vector<GridCoord> splitters;
   splitters.reserve(num_buckets - 1);
@@ -251,68 +317,45 @@ bool BuildParallel(const NeededMatrix& raw, double step,
   out->matrix.dims = d;
   out->matrix.needed.resize(reachable_rows * d);
   out->matrix.agg_values.resize(reachable_rows);
+  const size_t w = flat.width();
   std::vector<BucketCells> bucket_cells(num_buckets);
+  std::atomic<bool> width_error{false};
   pool->ParallelFor(
       num_buckets, 1, [&](size_t, size_t bucket_begin, size_t bucket_end) {
-        std::unordered_map<GridCoord, uint32_t, GridCoordHash> ids;
-        GridCoord c(d);
+        FirstSeenCells cells(d);
+        std::vector<uint32_t> row_cell;
+        std::vector<uint32_t> cursor;
         for (size_t b = bucket_begin; b < bucket_end; ++b) {
           BucketCells& bc = bucket_cells[b];
           const uint32_t base = bucket_start[b];
           const uint32_t count = bucket_start[b + 1] - base;
           bc.offsets.assign(1, 0);
           if (count == 0) continue;
-          ids.clear();
-          std::vector<GridCoord> coords;
-          std::vector<uint32_t> cell_counts;
-          std::vector<uint32_t> row_cell(count);
+          cells.Clear();
+          row_cell.resize(count);
           for (uint32_t r = 0; r < count; ++r) {
             const uint32_t row = rows_by_bucket[base + r];
-            c.assign(levels.begin() + row * d, levels.begin() + (row + 1) * d);
-            auto [it, inserted] =
-                ids.try_emplace(c, static_cast<uint32_t>(coords.size()));
-            if (inserted) {
-              coords.push_back(c);
-              cell_counts.push_back(0);
-            }
-            row_cell[r] = it->second;
-            ++cell_counts[it->second];
+            row_cell[r] = cells.Add(levels.data() + size_t{row} * d);
           }
-          const size_t m = coords.size();
-          std::vector<uint32_t> order(m);
-          std::iota(order.begin(), order.end(), 0u);
-          std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b2) {
-            return coords[a] < coords[b2];
-          });
-          std::vector<uint32_t> sorted_pos(m);
-          for (size_t s = 0; s < m; ++s) {
-            sorted_pos[order[s]] = static_cast<uint32_t>(s);
-          }
-          bc.keys.resize(m * d);
-          bc.offsets.assign(m + 1, 0);
-          for (size_t s = 0; s < m; ++s) {
-            const GridCoord& coord = coords[order[s]];
-            std::copy(coord.begin(), coord.end(), bc.keys.begin() + s * d);
-            bc.offsets[s + 1] = bc.offsets[s] + cell_counts[order[s]];
-          }
-          std::vector<uint32_t> cursor(bc.offsets.begin(),
-                                       bc.offsets.end() - 1);
+          cells.LayOut(&bc.keys, &bc.offsets, &cursor);
           for (uint32_t r = 0; r < count; ++r) {
             const uint32_t row = rows_by_bucket[base + r];
-            const uint32_t p = base + cursor[sorted_pos[row_cell[r]]]++;
+            const uint32_t p = base + cursor[row_cell[r]]++;
             for (size_t i = 0; i < d; ++i) {
               out->matrix.mutable_dim(i)[p] = raw.dim(i)[row];
             }
             out->matrix.agg_values[p] = raw.agg_values[row];
           }
-          bc.states.resize(m);
-          for (size_t s = 0; s < m; ++s) {
-            bc.states[s] = ops.Init();
-            FoldRange(ops, out->matrix.agg_values.data() + base + bc.offsets[s],
-                      bc.offsets[s + 1] - bc.offsets[s], &bc.states[s]);
+          bc.states.resize((bc.offsets.size() - 1) * w);
+          if (!FoldCells(flat, out->matrix.agg_values.data() + base,
+                         bc.offsets, bc.states.data())) {
+            width_error.store(true, std::memory_order_relaxed);
           }
         }
       });
+  if (width_error.load(std::memory_order_relaxed)) {
+    return FlatAggregate::WidthError();
+  }
 
   // Assembly: concatenate the per-bucket layouts (the distinct-cell count is
   // small next to n, so this stays sequential).
@@ -323,22 +366,22 @@ bool BuildParallel(const NeededMatrix& raw, double step,
   out->cell_offsets.clear();
   out->cell_offsets.reserve(m_total + 1);
   out->cell_offsets.push_back(0);
+  out->state_width = w;
   out->cell_states.clear();
-  out->cell_states.reserve(m_total);
+  out->cell_states.reserve(m_total * w);
   for (size_t b = 0; b < num_buckets; ++b) {
-    BucketCells& bc = bucket_cells[b];
+    const BucketCells& bc = bucket_cells[b];
     const uint32_t base = bucket_start[b];
     out->cell_keys.insert(out->cell_keys.end(), bc.keys.begin(),
                           bc.keys.end());
     for (size_t s = 0; s + 1 < bc.offsets.size(); ++s) {
       out->cell_offsets.push_back(base + bc.offsets[s + 1]);
     }
-    for (AggregateOps::State& state : bc.states) {
-      out->cell_states.push_back(std::move(state));
-    }
+    out->cell_states.insert(out->cell_states.end(), bc.states.begin(),
+                            bc.states.end());
   }
-  if (buckets_out != nullptr) *buckets_out = num_buckets;
-  return true;
+  *buckets_out = num_buckets;
+  return Status::OK();
 }
 
 }  // namespace
@@ -367,12 +410,15 @@ Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
   // Result-preserving fault injection: a build that would have sharded runs
   // the sequential reference instead (identical layout by construction).
   if (parallel && ACQ_FAILPOINT("index.parallel_prepare")) parallel = false;
+  const FlatAggregate flat(ops);
   size_t buckets = 0;
-  if (parallel && !BuildParallel(raw, step, ops, pool, out, &buckets)) {
-    parallel = false;  // degenerate input (no reachable sample rows)
+  if (parallel) {
+    ACQ_RETURN_IF_ERROR(BuildParallel(raw, step, flat, pool, out, &buckets));
+    // Degenerate input (no reachable sample rows): build sequentially.
+    parallel = buckets > 0;
   }
   if (!parallel) {
-    ACQ_RETURN_IF_ERROR(BuildSequential(raw, step, ops, out));
+    ACQ_RETURN_IF_ERROR(BuildSequential(raw, step, flat, out));
   }
   if (info != nullptr) {
     info->parallel = parallel;
@@ -397,11 +443,8 @@ bool LayoutsBitIdentical(const CellSortedLayout& a,
   if (!bytes_equal(a.matrix.agg_values, b.matrix.agg_values)) return false;
   if (!bytes_equal(a.cell_keys, b.cell_keys)) return false;
   if (!bytes_equal(a.cell_offsets, b.cell_offsets)) return false;
-  if (a.cell_states.size() != b.cell_states.size()) return false;
-  for (size_t s = 0; s < a.cell_states.size(); ++s) {
-    if (!bytes_equal(a.cell_states[s], b.cell_states[s])) return false;
-  }
-  return true;
+  return a.state_width == b.state_width &&
+         bytes_equal(a.cell_states, b.cell_states);
 }
 
 }  // namespace acquire

@@ -36,7 +36,8 @@ struct CellSortedLayout {
   NeededMatrix matrix;                 // permuted to cell order
   std::vector<int32_t> cell_keys;      // m * d, cell-major, sorted
   std::vector<uint32_t> cell_offsets;  // m + 1
-  std::vector<AggregateOps::State> cell_states;
+  size_t state_width = 0;              // doubles per aggregate state
+  std::vector<double> cell_states;     // m * state_width, cell-major
 
   size_t num_cells() const {
     return cell_offsets.empty() ? 0 : cell_offsets.size() - 1;
@@ -53,17 +54,20 @@ struct PrepareBuildInfo {
 /// relation row order) at grid step `step`, folding per-cell states with
 /// `ops`.
 ///
-/// Sequential reference: first-seen cell ids over one row scan, sort the
-/// distinct cells, counting-sort the rows into cell order, fold each cell's
-/// contiguous payload.
+/// Sequential reference: first-seen cell ids over one row scan (an
+/// open-addressed table over flat d-int32 keys), sort the distinct cells,
+/// counting-sort the rows into cell order, fold each cell's contiguous
+/// payload into its flat state. A UDA whose fold changes the state's width
+/// fails the build with Internal.
 ///
 /// Sharded parallel build (two-phase): (A) per-row cell coordinates are
 /// computed over row chunks on the pool; (B) rows are range-partitioned by
 /// cell coordinate into per-worker buckets using deterministic sample-based
 /// splitters (all rows of one cell land in one bucket; per-chunk counts +
 /// prefix sums keep each bucket's rows in relation order), each bucket then
-/// runs the sequential reference on its slice in parallel, and the bucket
-/// layouts concatenate into the global CSR arrays. Because every cell lives in exactly one bucket and
+/// runs the sequential reference on its slice in parallel (phase C, with the
+/// same first-seen-cell table), and the bucket layouts concatenate into the
+/// global CSR arrays. Because every cell lives in exactly one bucket and
 /// buckets are ordered by the splitters, the concatenation IS the sorted
 /// order, and each cell's payload/fold order matches the reference exactly —
 /// the parallel build is bit-identical by construction, not by luck.

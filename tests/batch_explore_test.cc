@@ -64,6 +64,86 @@ const char* OrderName(SearchOrder order) {
   return "?";
 }
 
+const char* NormName(NormKind norm) {
+  switch (norm) {
+    case NormKind::kL1:
+      return "L1";
+    case NormKind::kL2:
+      return "L2";
+    case NormKind::kLp:
+      return "Lp";
+    case NormKind::kLInf:
+      return "LInf";
+  }
+  return "?";
+}
+
+Norm MakeNorm(NormKind norm) {
+  switch (norm) {
+    case NormKind::kL2:
+      return Norm::L2();
+    case NormKind::kLInf:
+      return Norm::LInf();
+    case NormKind::kL1:
+    case NormKind::kLp:
+      break;
+  }
+  return Norm::L1();
+}
+
+// A registered UDA with a 2-wide state (mean of squares over {sum of
+// squares, count}): it takes the flat path's virtual fallback.
+constexpr const char* kMeanSquare = "MEAN_SQUARE_BATCH";
+
+void RegisterMeanSquare() {
+  static const bool registered = [] {
+    using State = AggregateOps::State;
+    return UdaRegistry::Instance()
+        .Register(std::make_unique<LambdaAggregateOps>(
+            kMeanSquare, State{0.0, 0.0},
+            [](State* s, double v) {
+              (*s)[0] += v * v;
+              (*s)[1] += 1.0;
+            },
+            [](State* s, const State& other) {
+              (*s)[0] += other[0];
+              (*s)[1] += other[1];
+            },
+            [](const State& s) { return s[1] == 0.0 ? 0.0 : s[0] / s[1]; }))
+        .ok();
+  }();
+  ASSERT_TRUE(registered);
+}
+
+// Per aggregate: the original predicates' bound (c_i <= bound; values
+// uniform in [0, 1000]), and an equality target and tolerance the search
+// reaches only after several expansion layers, under every order and norm
+// (a run that stops mid-layer without a hit would execute the rest of its
+// last layer in batched mode only).
+struct AggregateCase {
+  double bound;
+  double target;
+  double delta;
+};
+
+AggregateCase CaseFor(AggregateKind agg) {
+  switch (agg) {
+    case AggregateKind::kCount:
+      return {30.0, 600.0, 0.02};
+    case AggregateKind::kSum:
+      return {30.0, 240000.0, 0.02};
+    case AggregateKind::kMin:
+      return {30.0, 6.5, 0.1};
+    case AggregateKind::kMax:
+      return {15.0, 990.0, 0.002};
+    case AggregateKind::kAvg:
+      return {30.0, 500.0, 0.002};
+    case AggregateKind::kUda:
+      return {30.0, 333000.0, 0.002};
+  }
+  return {};
+}
+
 void ExpectSameResult(const AcquireResult& seq, const AcquireResult& bat,
                       const std::string& label) {
   EXPECT_EQ(seq.satisfied, bat.satisfied) << label;
@@ -89,26 +169,42 @@ void ExpectSameResult(const AcquireResult& seq, const AcquireResult& bat,
   EXPECT_EQ(seq.best.error, bat.best.error) << label;
 }
 
+// Order x layer x norm x aggregate. Under L1 a predecessor always scores
+// strictly lower than its successor, so no layer ever fills one of its own
+// coordinates; under L2 and LInf best-first runs of equal score can request
+// a successor before its predecessor, which exercises the batched drain's
+// in-layer fills. SUM is FP-sensitive (any reordering shows), MIN/MAX and
+// AVG's 2-wide state take the built-in flat combine, and the UDA the
+// virtual fallback.
 class BatchExploreEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<SearchOrder, LayerKind>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<SearchOrder, LayerKind, NormKind, AggregateKind>> {};
 
 TEST_P(BatchExploreEquivalenceTest, BatchedMatchesSequential) {
-  auto [order, kind] = GetParam();
+  auto [order, kind, norm, agg] = GetParam();
   SyntheticOptions topt;
   topt.d = 3;
   topt.rows = 4000;
-  topt.agg = AggregateKind::kSum;  // FP-sensitive: catches any reordering
-  topt.target = 240000.0;         // forces several expansion layers
+  topt.agg = agg;
+  if (agg == AggregateKind::kUda) {
+    RegisterMeanSquare();
+    topt.uda_name = kMeanSquare;
+  }
+  const AggregateCase c = CaseFor(agg);
+  topt.bound = c.bound;
+  topt.target = c.target;  // forces several expansion layers
   auto fixture = MakeSyntheticTask(topt);
   ASSERT_NE(fixture, nullptr);
 
   AcquireOptions options;
   options.gamma = 12.0;  // grid step 4.0 with d = 3
-  options.delta = 0.02;
+  options.delta = c.delta;
   options.order = order;
+  options.norm = MakeNorm(norm);
   const double step = options.gamma / static_cast<double>(topt.d);
-  const std::string label =
-      std::string(OrderName(order)) + "/" + LayerName(kind);
+  const std::string label = std::string(OrderName(order)) + "/" +
+                            LayerName(kind) + "/" + NormName(norm) + "/" +
+                            AggregateKindToString(agg);
 
   auto seq_layer = MakeLayer(kind, &fixture->task, step);
   auto bat_layer = MakeLayer(kind, &fixture->task, step);
@@ -123,17 +219,49 @@ TEST_P(BatchExploreEquivalenceTest, BatchedMatchesSequential) {
   ExpectSameResult(*seq, *bat, label);
 }
 
+// Names the L1/SUM cases by order and layer alone, as before the norm and
+// aggregate axes existed.
+std::string EquivalenceCaseName(
+    const ::testing::TestParamInfo<BatchExploreEquivalenceTest::ParamType>&
+        info) {
+  const auto [order, kind, norm, agg] = info.param;
+  std::string name = std::string(OrderName(order)) + "_" + LayerName(kind);
+  if (norm != NormKind::kL1 || agg != AggregateKind::kSum) {
+    name += std::string("_") + NormName(norm) + "_" +
+            AggregateKindToString(agg);
+  }
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllOrdersAllLayers, BatchExploreEquivalenceTest,
     ::testing::Combine(::testing::Values(SearchOrder::kAuto, SearchOrder::kBfs,
                                          SearchOrder::kShell,
                                          SearchOrder::kBestFirst),
                        ::testing::Values(LayerKind::kDirect, LayerKind::kCached,
-                                         LayerKind::kCellSorted)),
-    [](const auto& info) {
-      return std::string(OrderName(std::get<0>(info.param))) + "_" +
-             LayerName(std::get<1>(info.param));
-    });
+                                         LayerKind::kCellSorted),
+                       ::testing::Values(NormKind::kL1),
+                       ::testing::Values(AggregateKind::kSum)),
+    EquivalenceCaseName);
+
+// The norm and aggregate axes on the batched CellSorted drain (the other
+// layers reach the drain through the same EvaluateCellKeys adapter, which
+// the grid above covers).
+INSTANTIATE_TEST_SUITE_P(
+    NormsAndAggregates, BatchExploreEquivalenceTest,
+    ::testing::Combine(::testing::Values(SearchOrder::kAuto, SearchOrder::kBfs,
+                                         SearchOrder::kShell,
+                                         SearchOrder::kBestFirst),
+                       ::testing::Values(LayerKind::kCellSorted),
+                       ::testing::Values(NormKind::kL1, NormKind::kL2,
+                                         NormKind::kLInf),
+                       ::testing::Values(AggregateKind::kCount,
+                                         AggregateKind::kSum,
+                                         AggregateKind::kMin,
+                                         AggregateKind::kMax,
+                                         AggregateKind::kAvg,
+                                         AggregateKind::kUda)),
+    EquivalenceCaseName);
 
 TEST(BatchExploreTest, CollectWithinGammaMatches) {
   // The within-gamma sweep keeps exploring past the hit layer; layer

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "acquire.h"
 #include "test_util.h"
@@ -169,6 +170,38 @@ TEST(CellSortedTest, EvaluateCellsEmptyBatch) {
   auto batch = layer.EvaluateCells(nullptr, 0, 5.0);
   ASSERT_TRUE(batch.ok());
   EXPECT_TRUE(batch->empty());
+}
+
+TEST(CellSortedTest, UdaThatGrowsItsStateFailsTheBatchedRun) {
+  // Per-cell states live in one flat buffer of Init()-wide slots, so a UDA
+  // whose Add appends to its state cannot be stored: the run must fail with
+  // the width error instead of writing past a slot.
+  static const bool registered = [] {
+    using State = AggregateOps::State;
+    return UdaRegistry::Instance()
+        .Register(std::make_unique<LambdaAggregateOps>(
+            "GROWING_STATE", State{0.0},
+            [](State* s, double v) { s->push_back(v); },
+            [](State* s, const State& other) { (*s)[0] += other[0]; },
+            [](const State& s) { return s[0]; }))
+        .ok();
+  }();
+  ASSERT_TRUE(registered);
+  SyntheticOptions options;
+  options.agg = AggregateKind::kUda;
+  options.uda_name = "GROWING_STATE";
+  options.target = 1e6;
+  auto fixture = MakeSyntheticTask(options);
+  ASSERT_NE(fixture, nullptr);
+  AcquireOptions acquire;
+  acquire.batch_explore = BatchExplore::kOn;
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  acquire.gamma / fixture->task.d());
+  auto result = RunAcquire(fixture->task, &layer, acquire);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(result.status().message(),
+            "aggregate state width differs from ops.Init()");
 }
 
 TEST(CellSortedTest, ExcludesUnreachableRows) {

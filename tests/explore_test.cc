@@ -131,43 +131,91 @@ TEST(ExplorerTest, ShellOrderWorksDespiteInShellDependencies) {
 TEST(AggregateStoreTest, InsertFindRoundTrip) {
   AggregateStore store;
   store.Configure(/*d=*/2, /*state_width=*/1);
-  EXPECT_EQ(store.Find({1, 2}), nullptr);
-  double* block = store.Insert({1, 2});
+  const int32_t key[] = {1, 2};
+  const int32_t other[] = {2, 1};
+  EXPECT_EQ(store.Find(key), nullptr);
+  double* block = store.Append(key);
   ASSERT_NE(block, nullptr);
-  // d + 1 = 3 states of width 1, zero-initialized on insert.
+  // d + 1 = 3 states of width 1, zero-initialized on append.
   EXPECT_EQ(store.block_width(), 3u);
   EXPECT_DOUBLE_EQ(block[2], 0.0);
   block[0] = 1.0;
   block[1] = 2.0;
   block[2] = 3.0;
-  const double* found = store.Find({1, 2});
+  const double* found = store.Find(key);
   ASSERT_NE(found, nullptr);
   EXPECT_DOUBLE_EQ(found[2], 3.0);
   EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.Find({2, 1}), nullptr);
+  EXPECT_EQ(store.Find(other), nullptr);
 }
 
 TEST(AggregateStoreTest, SurvivesRehashAndArenaGrowth) {
   AggregateStore store;
   store.Configure(/*d=*/3, /*state_width=*/2);
-  store.Reserve(16);  // deliberately too small for the 1000 inserts below
+  store.Reserve(16);  // deliberately too small for the 1000 appends below
   for (int32_t i = 0; i < 1000; ++i) {
-    GridCoord c{i, i % 7, i % 13};
-    ASSERT_EQ(store.Find(c), nullptr) << i;
-    double* block = store.Insert(c);
+    const int32_t key[] = {i, i % 7, i % 13};
+    ASSERT_EQ(store.Find(key), nullptr) << i;
+    double* block = store.Append(key);
     for (size_t j = 0; j < store.block_width(); ++j) {
       block[j] = static_cast<double>(i) + 0.25 * static_cast<double>(j);
     }
   }
   EXPECT_EQ(store.size(), 1000u);
   for (int32_t i = 0; i < 1000; ++i) {
-    const double* block = store.Find({i, i % 7, i % 13});
+    const int32_t key[] = {i, i % 7, i % 13};
+    const double* block = store.Find(key);
     ASSERT_NE(block, nullptr) << i;
     for (size_t j = 0; j < store.block_width(); ++j) {
       EXPECT_DOUBLE_EQ(block[j],
                        static_cast<double>(i) + 0.25 * static_cast<double>(j));
     }
   }
+}
+
+// The slot table is built lazily: Append never probes or indexes, and the
+// first Find after a run of appends indexes them. Runs of unprobed appends
+// alternate with lookups of both earlier and just-appended keys, and the
+// runs cross several table growths.
+TEST(AggregateStoreTest, LazyIndexFindsUnprobedAppends) {
+  AggregateStore store;
+  store.Configure(/*d=*/2, /*state_width=*/1);
+  auto value_of = [](int32_t i) { return 0.5 * static_cast<double>(i); };
+  int32_t next = 0;
+  for (int32_t run = 1; run <= 40; ++run) {
+    for (int32_t k = 0; k < run * 3; ++k, ++next) {
+      const int32_t key[] = {next, next % 5};
+      store.Append(key)[0] = value_of(next);  // no Find before the append
+    }
+    // Every new key and a sample of the older ones resolve to their blocks.
+    for (int32_t i = 0; i < next; i += (i < next - run * 3 ? 7 : 1)) {
+      const int32_t key[] = {i, i % 5};
+      const double* block = store.Find(key);
+      ASSERT_NE(block, nullptr) << "run " << run << " key " << i;
+      EXPECT_EQ(block[0], value_of(i)) << "run " << run << " key " << i;
+    }
+    const int32_t absent[] = {next, next % 5 + 1};
+    EXPECT_EQ(store.Find(absent), nullptr) << "run " << run;
+  }
+  EXPECT_EQ(store.size(), static_cast<size_t>(next));
+}
+
+TEST(AggregateStoreTest, SlotTableGrowsOnlyWhenLookedUp) {
+  AggregateStore store;
+  store.Configure(/*d=*/3, /*state_width=*/1);
+  store.Reserve(4096);
+  const size_t reserved = store.MemoryBytes();
+  for (int32_t i = 0; i < 4096; ++i) {
+    const int32_t key[] = {i, 1, 2};
+    store.Append(key);
+  }
+  // Appends within the reservation build no slot table...
+  EXPECT_EQ(store.MemoryBytes(), reserved);
+  // ...and the first lookup sizes it for every entry at once, counted in
+  // the store's footprint.
+  const int32_t last[] = {4095, 1, 2};
+  ASSERT_NE(store.Find(last), nullptr);
+  EXPECT_GE(store.MemoryBytes(), reserved + 4096 * sizeof(uint32_t));
 }
 
 }  // namespace

@@ -608,6 +608,29 @@ TEST(FingerprintTest, PlanAndCatalogIdentityFlipTheKey) {
   EXPECT_NE(MustFingerprint(local, *local_spec, AcquireOptions{}), before);
 }
 
+TEST(FingerprintTest, ExpressionLiteralsAreKeyedExactly) {
+  // NOREFINE lowers a predicate to a fixed filter, and a predicate over an
+  // arithmetic expression keeps that expression; the key spells both as
+  // expressions. Literals that agree to six significant digits are still
+  // different tasks...
+  auto bind = [](const std::string& clause) {
+    return MustBind(
+        "SELECT * FROM users CONSTRAINT COUNT(*) >= 500 "
+        "WHERE age <= 30 AND income >= 60000 AND " + clause);
+  };
+  auto key = [&](const std::string& clause) {
+    return MustFingerprint(*SharedCatalog(), bind(clause), AcquireOptions{});
+  };
+  const TaskFingerprint filter = key("engagement <= 0.05000001 NOREFINE");
+  EXPECT_NE(key("engagement <= 0.05000002 NOREFINE"), filter);
+  const TaskFingerprint expr = key("income * 0.05000001 <= 3000");
+  EXPECT_NE(key("income * 0.05000002 <= 3000"), expr);
+  // ...while a re-spelling that binds to the same double shares the key.
+  EXPECT_EQ(key("engagement <= 0.0500000100 NOREFINE"), filter);
+  EXPECT_EQ(key("engagement <= 5.000001e-2 NOREFINE"), filter);
+  EXPECT_EQ(key("income * 5.000001e-2 <= 3000"), expr);
+}
+
 TEST(FingerprintTest, UncacheableTasksAreRejectedNotMiskeyed) {
   const QuerySpec spec = MustBind(kBaseSql);
   AcquireOptions custom_error;

@@ -6,6 +6,7 @@
 // replies.
 
 #include <memory>
+#include <string>
 
 #include "common/random.h"
 #include "exec/planner.h"
@@ -26,6 +27,7 @@ struct SyntheticOptions {
   double target = 100.0;
   ConstraintOp op = ConstraintOp::kEq;
   AggregateKind agg = AggregateKind::kCount;
+  std::string uda_name;  // a registered UDA when agg == kUda
   double bound = 30.0;  // per-dim predicate: c_i <= bound over [0, 100]
   uint64_t seed = 1;
 };
@@ -60,6 +62,7 @@ inline std::unique_ptr<SyntheticTask> MakeSyntheticTask(
         {}});
   }
   spec.agg_kind = options.agg;
+  spec.uda_name = options.uda_name;
   if (options.agg != AggregateKind::kCount) spec.agg_column = "val";
   spec.constraint_op = options.op;
   spec.target = options.target;
