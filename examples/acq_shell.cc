@@ -28,7 +28,7 @@
 //                                 is scoped to the active tenant
 //   \report [i]                   per-predicate change report of answer i
 //   \materialize <i> <file>       execute answer i, write its tuples
-//   \set gamma|delta|batch|max_explored|memory_budget|cache <value>
+//   \set gamma|delta|max_explored|memory_budget|cache <value>
 //                                 tune thresholds / budgets (memory_budget
 //                                 and cache in bytes, 0 = unlimited /
 //                                 cache off). With cache on, re-running a
@@ -152,7 +152,7 @@ class Shell {
              "\\show <t> [n], \\explain <sql>, "
              "\\attach <id> gen <kind> [rows] | loaddb <dir>, "
              "\\detach <id>, \\tenant [id], "
-             "\\set gamma|delta|batch|max_explored|memory_budget|cache"
+             "\\set gamma|delta|max_explored|memory_budget|cache"
              "|progress <v>, "
              "\\quit\n");
       return true;
@@ -451,9 +451,6 @@ class Shell {
         progress_interval_ms_ = value;
       } else if (key == "delta" && value >= 0) {
         options_.delta = value;
-      } else if (key == "batch") {
-        options_.batch_explore =
-            value != 0.0 ? BatchExplore::kOn : BatchExplore::kOff;
       } else if (key == "max_explored" && value >= 0) {
         options_.max_explored = static_cast<uint64_t>(value);
       } else if (key == "memory_budget" && value >= 0) {
@@ -467,19 +464,15 @@ class Shell {
         }
         EvictCache();
       } else {
-        printf("usage: \\set gamma|delta|batch|max_explored|memory_budget"
+        printf("usage: \\set gamma|delta|max_explored|memory_budget"
                "|cache|progress <value>\n");
         return true;
       }
       printf("gamma=%.3f delta=%.4f max_explored=%llu memory_budget=%llu "
-             "batch=%s cache=%llu\n",
+             "cache=%llu\n",
              options_.gamma, options_.delta,
              static_cast<unsigned long long>(options_.max_explored),
              static_cast<unsigned long long>(options_.memory_budget_bytes),
-             options_.batch_explore == BatchExplore::kOff
-                 ? "off"
-                 : options_.batch_explore == BatchExplore::kOn ? "on"
-                                                               : "auto",
              static_cast<unsigned long long>(cache_bytes_));
       return true;
     }

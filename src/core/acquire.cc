@@ -72,28 +72,29 @@ Result<std::optional<RefinedQuery>> RepartitionCell(
   return std::optional<RefinedQuery>();
 }
 
-std::unique_ptr<QueryGenerator> MakeGenerator(const RefinedSpace& space,
-                                              const AcquireOptions& options,
-                                              MemoryBudget* budget) {
-  SearchOrder order = options.order;
-  if (order == SearchOrder::kAuto) {
-    order = options.norm.kind() == NormKind::kLInf ? SearchOrder::kShell
-                                                   : SearchOrder::kBfs;
-  }
-  switch (order) {
+}  // namespace
+
+SearchOrder ResolveSearchOrder(const AcquireOptions& options) {
+  if (options.order != SearchOrder::kAuto) return options.order;
+  return options.norm.kind() == NormKind::kLInf ? SearchOrder::kShell
+                                                : SearchOrder::kBfs;
+}
+
+std::unique_ptr<QueryGenerator> MakeQueryGenerator(
+    const RefinedSpace* space, const AcquireOptions& options,
+    MemoryBudget* budget) {
+  switch (ResolveSearchOrder(options)) {
     case SearchOrder::kShell:
       // O(d) state — nothing worth metering.
-      return std::make_unique<ShellGenerator>(&space);
+      return std::make_unique<ShellGenerator>(space);
     case SearchOrder::kBestFirst:
-      return std::make_unique<BestFirstGenerator>(&space, budget);
+      return std::make_unique<BestFirstGenerator>(space, budget);
     case SearchOrder::kAuto:
     case SearchOrder::kBfs:
       break;
   }
-  return std::make_unique<BfsGenerator>(&space, budget);
+  return std::make_unique<BfsGenerator>(space, budget);
 }
-
-}  // namespace
 
 Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
                                  const AcquireOptions& options) {
@@ -134,21 +135,12 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   layer->ResetStats();
   Stopwatch sw;  // after Prepare: elapsed_ms times the search itself
 
+  const SearchOrder order = ResolveSearchOrder(options);
   std::unique_ptr<QueryGenerator> generator =
-      MakeGenerator(space, options, budget);
+      MakeQueryGenerator(&space, options, budget);
   // Per-layer divergence detection only makes sense when the generator
   // emits discrete layers; best-first scores are (nearly) unique per coord.
-  SearchOrder effective_order = options.order;
-  if (effective_order == SearchOrder::kAuto) {
-    effective_order = options.norm.kind() == NormKind::kLInf
-                          ? SearchOrder::kShell
-                          : SearchOrder::kBfs;
-  }
-  const bool discrete_layers = effective_order != SearchOrder::kBestFirst;
-  // Every order batches by default now: BFS and shell emit discrete layers,
-  // and best-first micro-batches equal-score frontier runs (often single
-  // coordinates, which the batched driver handles at no extra cost).
-  const bool batched = options.batch_explore != BatchExplore::kOff;
+  const bool discrete_layers = order != SearchOrder::kBestFirst;
   AcquireResult result;
 
   // Algorithm 4's minRefLayer, in generator-score units. Once a hit occurs,
@@ -158,10 +150,9 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   // The extra score budget gamma buys: for BFS/shell each layer adds one
   // grid step to the L1 refinement, so gamma ~= d layers; for best-first the
   // score *is* the QScore.
-  const double gamma_bonus =
-      options.order == SearchOrder::kBestFirst
-          ? options.gamma
-          : options.gamma / space.step();
+  const double gamma_bonus = order == SearchOrder::kBestFirst
+                                 ? options.gamma
+                                 : options.gamma / space.step();
 
   // Divergence detection across completed layers (see AcquireOptions).
   double last_score = 0.0;
@@ -178,7 +169,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   uint64_t stall = 0;  // queries since the best error last improved
 
   // Per-phase driver timings (ExecStats doc): generator, sub-query
-  // execution, Eq. 17 merges + per-coordinate bookkeeping (batched only).
+  // execution, Eq. 17 merges + per-coordinate bookkeeping.
   double expand_ms = 0.0;
   double explore_ms = 0.0;
   double merge_ms = 0.0;
@@ -201,10 +192,9 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
     return true;
   };
 
-  // The per-coordinate body shared by the sequential and batched drivers:
-  // record the aggregate of the coordinate whose d levels start at `key`,
-  // repartition on an overshoot, apply the stall/max_explored stopping
-  // rules. False stops the search.
+  // The per-coordinate body: record the aggregate of the coordinate whose d
+  // levels start at `key`, repartition on an overshoot, apply the
+  // stall/max_explored stopping rules. False stops the search.
   auto investigate = [&](const int32_t* key, double score,
                          double aggregate) -> Result<bool> {
     ++result.queries_explored;
@@ -262,8 +252,8 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
     return true;
   };
 
-  // Cooperative interruption poll shared by both drivers. True stops the
-  // search, recording why; the partial best-so-far is still returned.
+  // Cooperative interruption poll. True stops the search, recording why;
+  // the partial best-so-far is still returned.
   auto interrupted = [&]() {
     if (ctx == nullptr || !ctx->ShouldStop()) return false;
     result.termination = ctx->Interruption();
@@ -317,55 +307,12 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
         investigate(origin.data(), 0.0, task.agg.ops->Final(state)));
     (void)keep_unused;
     result.termination = ctx->Interruption();
-  } else if (!batched) {
-    Explorer explorer(&space, layer, budget);
-    GridCoord coord;
-    // Progress tracks score boundaries separately from the divergence
-    // bookkeeping's last_score: best-first (non-discrete) runs never call
-    // close_layer, but their score changes are still drain points.
-    double progress_score = 0.0;
-    for (;;) {
-      if (interrupted()) break;
-      Stopwatch t_next;
-      const bool have = generator->Next(&coord);
-      expand_ms += t_next.ElapsedMillis();
-      if (!have) break;
-      const double score = generator->CurrentScore();
-      if (score > stop_score) break;
-      if (score != progress_score) {
-        if (result.queries_explored > 0) layer_drained();
-        progress_score = score;
-      }
-      if (discrete_layers && score != last_score && !close_layer(score)) {
-        break;
-      }
-
-      Stopwatch t_explore;
-      double aggregate;
-      if (options.use_incremental) {
-        ACQ_ASSIGN_OR_RETURN(aggregate, explorer.ComputeAggregate(coord));
-      } else {
-        // Ablation: full re-execution of the refined query.
-        ACQ_ASSIGN_OR_RETURN(AggregateOps::State state,
-                             layer->EvaluateBox(space.QueryBox(coord)));
-        aggregate = task.agg.ops->Final(state);
-      }
-      ACQ_ASSIGN_OR_RETURN(const bool keep,
-                           investigate(coord.data(), score, aggregate));
-      explore_ms += t_explore.ElapsedMillis();
-      if (ctx != nullptr) {
-        ctx->cell_queries.store(explorer.cell_queries(),
-                                std::memory_order_relaxed);
-      }
-      if (!keep) break;
-    }
-    total_cell_queries = explorer.cell_queries();
   } else {
     BatchExplorer batch(&space, layer, generator.get(), ctx);
     // Shell order's whole shell drains as one layer with intra-layer
     // predecessors, resolved by the shell cursors instead of the
     // previous-layer window.
-    batch.set_shell_drain_hint(effective_order == SearchOrder::kShell);
+    batch.set_shell_drain_hint(order == SearchOrder::kShell);
     std::vector<AggregateOps::State> layer_states;  // non-incremental mode
     GridCoord coord;                                 // non-incremental mode
     bool running = true;

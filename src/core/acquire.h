@@ -2,6 +2,7 @@
 #define ACQUIRE_CORE_ACQUIRE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/error_fn.h"
@@ -22,19 +23,6 @@ enum class SearchOrder {
   kBestFirst,  // exact-QScore priority order (ablation; not in the paper)
 };
 
-/// Layer-batched Explore (core/explore.h's BatchExplorer): drain an entire
-/// expand layer, execute its cell sub-queries in one EvaluateCells batch,
-/// then run the Eq. 17 merges sequentially in generation order. Aggregates,
-/// answer sets and cell-query counts are identical to the sequential
-/// explorer; only the wall clock changes.
-enum class BatchExplore {
-  kAuto,  // on for every search order: BFS and shell emit discrete layers,
-          // and best-first micro-batches equal-score frontier runs (often
-          // single coordinates, which batch at no extra cost)
-  kOn,
-  kOff,
-};
-
 /// Tunables of Algorithm 4 plus the extensions of Section 7.
 struct AcquireOptions {
   /// Refinement threshold gamma (Definition 1b): answers are guaranteed
@@ -48,8 +36,6 @@ struct AcquireOptions {
   Norm norm = Norm::L1();
 
   SearchOrder order = SearchOrder::kAuto;
-
-  BatchExplore batch_explore = BatchExplore::kAuto;
 
   /// Repartitioning depth b for cells that overshoot an equality constraint
   /// (Section 6); 0 disables repartitioning.
@@ -91,12 +77,23 @@ struct AcquireOptions {
   ErrorFn error_fn;
 
   /// Optional cooperative deadline / cancellation token (core/run_context.h).
-  /// Not owned; must outlive the run. When set, the drivers poll it (per
-  /// coordinate sequentially, per layer batched) and stop early with
-  /// AcquireResult::termination = kDeadlineExceeded / kCancelled, returning
-  /// the best-so-far partial result instead of an error.
+  /// Not owned; must outlive the run. When set, the drivers poll it once per
+  /// layer (Explore also once per 256 generated coordinates) and stop early
+  /// with AcquireResult::termination = kDeadlineExceeded / kCancelled,
+  /// returning the best-so-far partial result instead of an error.
   RunContext* run_ctx = nullptr;
 };
+
+/// The order `options` searches in: kAuto resolved to shells for the
+/// L-infinity norm and BFS otherwise; never kAuto.
+SearchOrder ResolveSearchOrder(const AcquireOptions& options);
+
+/// The Expand generator RunAcquire drives for `options` over `space` (not
+/// owned; must outlive the generator). `budget` (optional, not owned)
+/// meters the BFS and best-first frontiers.
+std::unique_ptr<QueryGenerator> MakeQueryGenerator(
+    const RefinedSpace* space, const AcquireOptions& options,
+    MemoryBudget* budget = nullptr);
 
 /// Outcome of one ACQUIRE run.
 struct AcquireResult {
@@ -123,7 +120,10 @@ struct AcquireResult {
   RefinedQuery best;
 
   uint64_t queries_explored = 0;  // grid queries investigated
-  uint64_t cell_queries = 0;      // cell sub-queries actually executed
+
+  /// Cell sub-queries executed. Explore executes a whole layer at a time,
+  /// so a run that stops mid-layer counts the rest of that layer too.
+  uint64_t cell_queries = 0;
 
   /// Evaluation-layer counters plus the driver's per-phase timings
   /// (expand_ms / explore_ms / merge_ms; see ExecStats).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <utility>
@@ -82,25 +81,23 @@ Result<AcqTask> MakeContractionTask(const AcqTask& task) {
 
 namespace {
 
-// Enumerates every coordinate with the given component sum under per-axis
-// caps, in lexicographic order. Returns false when the visitor stops.
-bool EnumerateLayer(const std::vector<int32_t>& caps,
+// Appends every coordinate with the given component sum under per-axis
+// caps to `out`, in lexicographic order.
+void EnumerateLayer(const std::vector<int32_t>& caps,
                     const std::vector<int64_t>& suffix_caps, int64_t sum,
                     size_t dim, GridCoord* coord,
-                    const std::function<bool(const GridCoord&)>& visit) {
+                    std::vector<GridCoord>* out) {
   const size_t d = caps.size();
   if (dim == d) {
-    return sum == 0 ? visit(*coord) : true;
+    if (sum == 0) out->push_back(*coord);
+    return;
   }
   int64_t lo = std::max<int64_t>(0, sum - suffix_caps[dim + 1]);
   int64_t hi = std::min<int64_t>(caps[dim], sum);
   for (int64_t v = lo; v <= hi; ++v) {
     (*coord)[dim] = static_cast<int32_t>(v);
-    if (!EnumerateLayer(caps, suffix_caps, sum - v, dim + 1, coord, visit)) {
-      return false;
-    }
+    EnumerateLayer(caps, suffix_caps, sum - v, dim + 1, coord, out);
   }
-  return true;
 }
 
 }  // namespace
@@ -126,18 +123,14 @@ Result<AcquireResult> RunAcquireContract(const AcqTask& task,
 
   // Budget resolution mirrors RunAcquire: attach before Prepare so the
   // contraction layer's materialization is charged against the run too.
-  RunContext contract_local_ctx;
-  RunContext* resolved_ctx = options.run_ctx;
-  if (resolved_ctx == nullptr && options.memory_budget_bytes > 0) {
-    resolved_ctx = &contract_local_ctx;
+  RunContext local_ctx;
+  RunContext* ctx = options.run_ctx;
+  if (ctx == nullptr && options.memory_budget_bytes > 0) ctx = &local_ctx;
+  if (ctx != nullptr && options.memory_budget_bytes > 0 &&
+      ctx->budget().limit() == 0) {
+    ctx->budget().set_limit(options.memory_budget_bytes);
   }
-  if (resolved_ctx != nullptr && options.memory_budget_bytes > 0 &&
-      resolved_ctx->budget().limit() == 0) {
-    resolved_ctx->budget().set_limit(options.memory_budget_bytes);
-  }
-  if (resolved_ctx != nullptr) {
-    layer->set_memory_budget(&resolved_ctx->budget());
-  }
+  if (ctx != nullptr) layer->set_memory_budget(&ctx->budget());
 
   ACQ_RETURN_IF_ERROR(layer->Prepare());
   layer->ResetStats();
@@ -210,19 +203,6 @@ Result<AcquireResult> RunAcquireContract(const AcqTask& task,
     return std::optional<RefinedQuery>();
   };
 
-  // Walk layers from the original query (p' sum = max) toward Q'_min,
-  // i.e. in order of increasing total contraction; stop with the first
-  // layer that contains an answer.
-  Status inner_status;
-  GridCoord coord(d);
-  double expand_ms = 0.0;
-  double explore_ms = 0.0;
-  double merge_ms = 0.0;
-  const bool batched = options.batch_explore != BatchExplore::kOff;
-  std::vector<GridCoord> layer_coords;
-  std::vector<std::vector<PScoreRange>> boxes;
-
-  RunContext* ctx = resolved_ctx;
   // Cooperative interruption poll (see RunAcquire); true stops the walk.
   auto interrupted = [&]() {
     if (ctx == nullptr || !ctx->ShouldStop()) return false;
@@ -230,9 +210,10 @@ Result<AcquireResult> RunAcquireContract(const AcqTask& task,
     return result.termination != RunTermination::kCompleted;
   };
 
-  // Per-coordinate body shared by the sequential and batched walks (the
-  // full-query aggregate is already evaluated). False stops the search.
-  auto visit_value = [&](const GridCoord& c, double aggregate) {
+  // Per-coordinate body (the full-query aggregate is already evaluated):
+  // {keep searching, this coordinate hit}.
+  auto visit_value = [&](const GridCoord& c, double aggregate)
+      -> Result<std::pair<bool, bool>> {
     ++result.queries_explored;
     if (ctx != nullptr) {
       ctx->queries_explored.store(result.queries_explored,
@@ -251,19 +232,16 @@ Result<AcquireResult> RunAcquireContract(const AcqTask& task,
                aggregate < task.constraint.target * (1.0 - options.delta)) {
       // Contracted past the target: the answer lies between this
       // coordinate and one grid step less contraction. Repartitioning
-      // (Section 6) stays sequential either way.
-      auto repartitioned = repartition(c);
-      if (!repartitioned.ok()) {
-        inner_status = repartitioned.status();
-        return std::make_pair(false, false);
-      }
-      if (repartitioned->has_value()) {
-        if ((*repartitioned)->error < best_error) {
-          best_error = (*repartitioned)->error;
-          result.best = **repartitioned;
+      // (Section 6) runs per coordinate, in enumeration order.
+      ACQ_ASSIGN_OR_RETURN(std::optional<RefinedQuery> repartitioned,
+                           repartition(c));
+      if (repartitioned.has_value()) {
+        if (repartitioned->error < best_error) {
+          best_error = repartitioned->error;
+          result.best = *repartitioned;
         }
         layer_hit = true;
-        result.queries.push_back(**repartitioned);
+        result.queries.push_back(*std::move(repartitioned));
       }
     }
     bool keep = result.queries_explored < options.max_explored;
@@ -271,62 +249,44 @@ Result<AcquireResult> RunAcquireContract(const AcqTask& task,
     return std::make_pair(keep, layer_hit);
   };
 
+  // Walk layers from the original query (p' sum = max) toward Q'_min,
+  // i.e. in order of increasing total contraction; stop with the first
+  // layer that contains an answer. Each layer is enumerated, its full-query
+  // boxes evaluated in one batch (parallel when the layer supports
+  // concurrent evaluation), and the hit/repartition logic applied in
+  // enumeration order.
+  GridCoord coord(d);
+  double expand_ms = 0.0;
+  double explore_ms = 0.0;
+  double merge_ms = 0.0;
+  std::vector<GridCoord> layer_coords;
+  std::vector<std::vector<PScoreRange>> boxes;
   for (int64_t sum = max_sum; sum >= 0; --sum) {
     if (interrupted()) break;
+    Stopwatch t_expand;
+    layer_coords.clear();
+    EnumerateLayer(caps, suffix_caps, sum, 0, &coord, &layer_coords);
+    expand_ms += t_expand.ElapsedMillis();
+
+    Stopwatch t_batch;
+    boxes.clear();
+    boxes.reserve(layer_coords.size());
+    for (const GridCoord& c : layer_coords) boxes.push_back(space.QueryBox(c));
+    ACQ_ASSIGN_OR_RETURN(std::vector<AggregateOps::State> states,
+                         layer->EvaluateBoxes(boxes));
+    explore_ms += t_batch.ElapsedMillis();
+
+    Stopwatch t_merge;
     bool layer_hit = false;
     bool keep_going = true;
-    if (batched) {
-      // Enumerate the layer, evaluate every full-query box in one batch
-      // (parallel when the layer supports concurrent evaluation), then
-      // apply the hit/repartition logic in enumeration order.
-      Stopwatch t_expand;
-      layer_coords.clear();
-      EnumerateLayer(caps, suffix_caps, sum, 0, &coord,
-                     [&](const GridCoord& c) {
-                       layer_coords.push_back(c);
-                       return true;
-                     });
-      expand_ms += t_expand.ElapsedMillis();
-
-      Stopwatch t_batch;
-      boxes.clear();
-      boxes.reserve(layer_coords.size());
-      for (const GridCoord& c : layer_coords) {
-        boxes.push_back(space.QueryBox(c));
-      }
-      ACQ_ASSIGN_OR_RETURN(std::vector<AggregateOps::State> states,
-                           layer->EvaluateBoxes(boxes));
-      explore_ms += t_batch.ElapsedMillis();
-
-      Stopwatch t_merge;
-      for (size_t q = 0; q < layer_coords.size(); ++q) {
-        auto [keep, hit] = visit_value(layer_coords[q],
-                                       task.agg.ops->Final(states[q]));
-        layer_hit |= hit;
-        if (!keep) {
-          keep_going = false;
-          break;
-        }
-      }
-      merge_ms += t_merge.ElapsedMillis();
-    } else {
-      Stopwatch t_layer;
-      keep_going = EnumerateLayer(
-          caps, suffix_caps, sum, 0, &coord, [&](const GridCoord& c) {
-            if (interrupted()) return false;
-            auto state = layer->EvaluateBox(space.QueryBox(c));
-            if (!state.ok()) {
-              inner_status = state.status();
-              return false;
-            }
-            auto [keep, hit] =
-                visit_value(c, task.agg.ops->Final(state.value()));
-            layer_hit |= hit;
-            return keep;
-          });
-      explore_ms += t_layer.ElapsedMillis();
+    for (size_t q = 0; q < layer_coords.size() && keep_going; ++q) {
+      ACQ_ASSIGN_OR_RETURN(
+          const auto visited,
+          visit_value(layer_coords[q], task.agg.ops->Final(states[q])));
+      keep_going = visited.first;
+      layer_hit |= visited.second;
     }
-    ACQ_RETURN_IF_ERROR(inner_status);
+    merge_ms += t_merge.ElapsedMillis();
     if (layer_hit || !keep_going) break;
   }
 

@@ -397,7 +397,7 @@ void BatchExplorer::GenerateLayer() {
     // lookahead coordinate was just placed into the layer, so the primed
     // invariant (lookahead_ holds a fetched-but-unplaced coordinate) no
     // longer holds -- if a later call generates another layer before the
-    // driver's own (strided) poll stops the search, it must re-prime from
+    // driver's own poll stops the search, it must re-prime from
     // the generator instead of replaying the consumed lookahead.
     if (ctx_ != nullptr && (n & 0xFF) == 0 && ctx_->ShouldStop()) {
       primed_ = false;

@@ -109,6 +109,10 @@ class AggregateStore {
 /// successors too, but best-first order can still request a coordinate
 /// before an equal-score predecessor, so missing predecessors are filled
 /// on demand (memoized, still at most one cell execution per coordinate).
+///
+/// BatchExplorer drives one, seeded with each layer's batch-executed cell
+/// states. Unseeded, it executes every cell query on demand, one coordinate
+/// at a time: Algorithm 3 as written, which the tests use as the reference.
 class Explorer {
  public:
   /// `budget` (optional, not owned) meters the aggregate store's arena
@@ -242,14 +246,15 @@ class Explorer {
   std::vector<const double*> pred_blocks_;
 };
 
-/// Layer-batched Explore driver: drains one equi-score layer at a time from
-/// the Expand generator, executes all of the layer's outstanding cell
-/// sub-queries in one EvaluateCells batch (parallel or natively merged,
+/// The Explore driver: drains one equi-score layer at a time from the
+/// Expand generator, executes all of the layer's outstanding cell
+/// sub-queries in one EvaluateCellKeys batch (parallel or natively merged,
 /// per the evaluation layer), then lets the caller run Algorithm 3 over the
 /// layer's coordinates in generation order. The Eq. 17 predecessor merges
-/// stay sequential in that order, so aggregates are bit-identical to the
-/// one-coordinate-at-a-time Explorer (Theorem 3's ordering is preserved;
-/// only O_1 executions are reordered, and those are independent).
+/// stay sequential in that order, so aggregates are bit-identical to an
+/// unseeded, one-coordinate-at-a-time Explorer (Theorem 3's ordering is
+/// preserved; only O_1 executions are reordered, and those are
+/// independent), and at every layer boundary so is the cell-query count.
 ///
 /// NextLayer additionally pipelines the generator: after handing out layer
 /// k it prefetches layer k+1 on the shared pool, so Expand runs concurrently

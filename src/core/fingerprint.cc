@@ -195,21 +195,14 @@ Result<std::string> CanonicalTaskKey(const Catalog& catalog,
   const EvalBackend backend = spec.eval_backend == EvalBackend::kAuto
                                   ? EvalBackend::kCellSorted
                                   : spec.eval_backend;
-  SearchOrder order = options.order;
-  if (order == SearchOrder::kAuto) {
-    order = options.norm.kind() == NormKind::kLInf ? SearchOrder::kShell
-                                                   : SearchOrder::kBfs;
-  }
-  // Mirrors RunAcquire's kAuto resolution: every order batches by default.
-  const bool batched = options.batch_explore != BatchExplore::kOff;
   key += StringFormat(
-      "|opts{backend=%s;gamma=%s;delta=%s;norm=%s/%s;order=%s;batch=%d;"
+      "|opts{backend=%s;gamma=%s;delta=%s;norm=%s/%s;order=%s;"
       "repart=%d;collect=%d;incr=%d;maxexp=%llu;dpat=%d;stall=%llu}",
       EvalBackendToString(backend), Num(options.gamma).c_str(),
       Num(options.delta).c_str(), NormKindName(options.norm.kind()),
-      Num(options.norm.p()).c_str(), SearchOrderName(order), batched ? 1 : 0,
-      options.repartition_iters, options.collect_within_gamma ? 1 : 0,
-      options.use_incremental ? 1 : 0,
+      Num(options.norm.p()).c_str(),
+      SearchOrderName(ResolveSearchOrder(options)), options.repartition_iters,
+      options.collect_within_gamma ? 1 : 0, options.use_incremental ? 1 : 0,
       static_cast<unsigned long long>(options.max_explored),
       options.divergence_patience,
       static_cast<unsigned long long>(options.stall_limit));

@@ -39,7 +39,7 @@ const char* RunTerminationToString(RunTermination t);
 Status TerminationToStatus(RunTermination t);
 
 /// Point-in-time view of a running search, handed to a ProgressSink at the
-/// layer-drain boundaries of both Explore drivers. All fields are plain
+/// Explore driver's layer-drain boundaries. All fields are plain
 /// values copied on the run thread, so a sink may stash the snapshot or
 /// serialize it without touching any live search state. `best_*` fields are
 /// meaningful only when `has_best` is set (the origin layer may drain before
@@ -75,11 +75,10 @@ struct ProgressSnapshot {
 /// run's layer-prefetch worker, and any number of other threads may call
 /// RequestCancel and read the progress counters concurrently. Deadline
 /// setters are not thread-safe — arm them before the run starts. The
-/// drivers poll at coordinate
-/// granularity in the sequential explorer and at layer granularity in the
-/// batched one, so an in-flight run stops within one layer's worth of work
-/// and returns its best-so-far partial answer instead of blocking the
-/// worker it runs on.
+/// drivers poll once per layer (and Explore's layer generation once per
+/// 256 coordinates), reading the clock every time, so an in-flight run
+/// stops within one layer's worth of work and returns its best-so-far
+/// partial answer instead of blocking the worker it runs on.
 class RunContext {
  public:
   using Clock = std::chrono::steady_clock;
@@ -123,22 +122,15 @@ class RunContext {
     return client_stop_.load(std::memory_order_relaxed);
   }
 
-  /// The driver's fast poll: the cancellation flag is read every call, the
-  /// clock only every kDeadlineStride calls (a steady_clock read costs an
-  /// order of magnitude more than a relaxed load, and sequential Explore
-  /// polls per coordinate). Safe to call from the run thread and its layer
-  /// prefetch worker concurrently.
-  bool ShouldStop() {
+  /// The driver's poll: the cancellation and stop flags, the budget and, if
+  /// armed, the deadline, with one clock read per call. The drivers poll per
+  /// layer, so the read is cheap next to the work between polls. Safe to
+  /// call from the run thread and its layer prefetch worker concurrently.
+  bool ShouldStop() const {
     if (cancel_requested()) return true;
     if (client_stop_requested()) return true;
     if (budget_.exhausted()) return true;
-    if (!has_deadline_) return false;
-    if (poll_count_.fetch_add(1, std::memory_order_relaxed) %
-            kDeadlineStride !=
-        0) {
-      return false;
-    }
-    return Clock::now() >= deadline_;
+    return has_deadline_ && Clock::now() >= deadline_;
   }
 
   /// Definitive classification for the result: cancellation wins over the
@@ -180,7 +172,7 @@ class RunContext {
 
   bool progress_armed() const { return static_cast<bool>(progress_sink_); }
 
-  /// Layer-drain hook for the Explore drivers: bumps `layers_drained` and,
+  /// Layer-drain hook for the Explore driver: bumps `layers_drained` and,
   /// when a sink is armed and the throttle window has elapsed, builds one
   /// snapshot — pre-seeded with this context's counters — lets `fill`
   /// complete it (best-so-far, ExecStats) and hands it to the sink. `fill`
@@ -214,13 +206,10 @@ class RunContext {
   std::atomic<uint64_t> layers_drained{0};
 
  private:
-  static constexpr uint64_t kDeadlineStride = 32;
-
   std::atomic<bool> cancel_{false};
   std::atomic<bool> client_stop_{false};
   bool has_deadline_ = false;
   Clock::time_point deadline_{};
-  std::atomic<uint64_t> poll_count_{0};
   MemoryBudget budget_;
 
   ProgressSink progress_sink_;

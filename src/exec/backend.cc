@@ -27,10 +27,6 @@ Result<EvalBackend> EvalBackendFromString(const std::string& name) {
                         EvalBackend::kCached, EvalBackend::kCellSorted}) {
     if (lower == EvalBackendToString(b)) return b;
   }
-  // Retired names of the deleted hash-grid and pool-chunked scan backends,
-  // still accepted from clients and mapped to the layers that replaced them.
-  if (lower == "gridindex") return EvalBackend::kCellSorted;
-  if (lower == "parallel") return EvalBackend::kCached;
   return Status::InvalidArgument("unknown evaluation backend: " + name);
 }
 

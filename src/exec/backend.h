@@ -20,8 +20,7 @@ enum class EvalBackend {
 
 const char* EvalBackendToString(EvalBackend backend);
 
-/// Parses the names EvalBackendToString emits (case-insensitive), plus the
-/// retired names "gridindex" (-> kCellSorted) and "parallel" (-> kCached);
+/// Parses the names EvalBackendToString emits (case-insensitive);
 /// InvalidArgument otherwise.
 Result<EvalBackend> EvalBackendFromString(const std::string& name);
 

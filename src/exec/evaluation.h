@@ -90,10 +90,9 @@ class EvaluationLayer {
 
     /// Per-phase driver timings, filled by RunAcquire / RunAcquireContract
     /// (never by the layer itself): generator time, cell/box execution
-    /// time, and Eq. 17 merge time. The sequential explorer folds merges
-    /// into explore_ms; only the batched explorer splits merge_ms out, and
-    /// it overlaps expand with the other phases (layer prefetch), so the
-    /// three can sum past elapsed_ms.
+    /// time, and the per-coordinate drain (Eq. 17 merges plus the search's
+    /// bookkeeping). Explore overlaps expand with the other phases (layer
+    /// prefetch), so the three can sum past elapsed_ms.
     double expand_ms = 0.0;
     double explore_ms = 0.0;
     double merge_ms = 0.0;

@@ -559,30 +559,6 @@ JsonValue AcqServer::HandleSubmit(const JsonValue& request,
     if (!parsed.ok()) return ErrorResponse(parsed.status());
     backend = *parsed;
   }
-  if (const JsonValue* batch = request.Get("batch_explore");
-      batch != nullptr) {
-    if (batch->is_bool()) {
-      options.batch_explore =
-          batch->AsBool() ? BatchExplore::kOn : BatchExplore::kOff;
-    } else if (batch->is_string()) {
-      const std::string lower = ToLower(batch->AsString());
-      if (lower == "auto") {
-        options.batch_explore = BatchExplore::kAuto;
-      } else if (lower == "on") {
-        options.batch_explore = BatchExplore::kOn;
-      } else if (lower == "off") {
-        options.batch_explore = BatchExplore::kOff;
-      } else {
-        return ErrorResponse(
-            Status::InvalidArgument,
-            StringFormat("unknown batch_explore '%s' (auto|on|off)",
-                         batch->AsString().c_str()));
-      }
-    } else {
-      return ErrorResponse(Status::InvalidArgument,
-                           "'batch_explore' must be a bool or a string");
-    }
-  }
   const double budget_bytes = request.GetNumber(
       "memory_budget_bytes",
       static_cast<double>(options_.default_memory_budget_bytes));

@@ -1,14 +1,18 @@
-// Equivalence suite for the layer-batched Explore pipeline: RunAcquire with
-// batch_explore on must produce bit-identical aggregates, identical answer
-// sets, and identical cell-query counts to the sequential explorer, for
-// every search order and every exact evaluation layer. The batched driver
-// only reorders the independent O_1 cell executions — the Eq. 17 merges run
-// in the same order either way — so even SUM/AVG must match exactly.
+// Equivalence battery for the Explore driver. RunAcquire drives a
+// BatchExplorer: each layer's cell sub-queries execute in one batch, then
+// the Eq. 17 merges run in generation order. Only the independent O_1
+// executions are reordered, so every drained coordinate must carry exactly
+// the aggregate an unseeded, one-coordinate-at-a-time Explorer computes —
+// on a second layer of the same kind and on the Direct oracle — for every
+// search order, exact layer, norm and aggregate, SUM and AVG included. At
+// every layer boundary the cell-query counts must agree as well.
 
 #include <gtest/gtest.h>
-#include <cmath>
+#include <algorithm>
 #include <memory>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "acquire.h"
 #include "test_util.h"
@@ -16,6 +20,7 @@
 namespace acquire {
 namespace {
 
+using test_util::ExploreOracle;
 using test_util::MakeSyntheticTask;
 using test_util::SyntheticOptions;
 
@@ -117,9 +122,8 @@ void RegisterMeanSquare() {
 
 // Per aggregate: the original predicates' bound (c_i <= bound; values
 // uniform in [0, 1000]), and an equality target and tolerance the search
-// reaches only after several expansion layers, under every order and norm
-// (a run that stops mid-layer without a hit would execute the rest of its
-// last layer in batched mode only).
+// reaches on the grid only after several expansion layers, under every
+// order and norm.
 struct AggregateCase {
   double bound;
   double target;
@@ -144,38 +148,36 @@ AggregateCase CaseFor(AggregateKind agg) {
   return {};
 }
 
-void ExpectSameResult(const AcquireResult& seq, const AcquireResult& bat,
-                      const std::string& label) {
-  EXPECT_EQ(seq.satisfied, bat.satisfied) << label;
-  EXPECT_EQ(seq.queries_explored, bat.queries_explored) << label;
-  EXPECT_EQ(seq.cell_queries, bat.cell_queries) << label;
-  EXPECT_EQ(seq.exec_stats.queries, bat.exec_stats.queries) << label;
-  ASSERT_EQ(seq.queries.size(), bat.queries.size()) << label;
-  for (size_t i = 0; i < seq.queries.size(); ++i) {
-    EXPECT_EQ(seq.queries[i].coord, bat.queries[i].coord)
-        << label << " answer " << i;
-    EXPECT_EQ(seq.queries[i].pscores, bat.queries[i].pscores)
-        << label << " answer " << i;
-    // Bit-exact: same cell states merged in the same order.
-    EXPECT_EQ(seq.queries[i].aggregate, bat.queries[i].aggregate)
-        << label << " answer " << i;
-    EXPECT_EQ(seq.queries[i].error, bat.queries[i].error)
-        << label << " answer " << i;
-    EXPECT_EQ(seq.queries[i].qscore, bat.queries[i].qscore)
-        << label << " answer " << i;
+// The best and every answer of `run` that lie on the grid. Repartitioned
+// answers lie off it and have no coordinate.
+std::vector<const RefinedQuery*> OnGridAnswers(const AcquireResult& run) {
+  std::vector<const RefinedQuery*> out;
+  if (!run.best.coord.empty()) out.push_back(&run.best);
+  for (const RefinedQuery& answer : run.queries) {
+    if (!answer.coord.empty()) out.push_back(&answer);
   }
-  EXPECT_EQ(seq.best.coord, bat.best.coord) << label;
-  EXPECT_EQ(seq.best.aggregate, bat.best.aggregate) << label;
-  EXPECT_EQ(seq.best.error, bat.best.error) << label;
+  return out;
+}
+
+// Every on-grid answer of `run` carries the Direct oracle's aggregate at its
+// coordinate, bit for bit.
+void ExpectAnswersMatchOracle(const AcquireResult& run, ExploreOracle* oracle,
+                              const std::string& label) {
+  for (const RefinedQuery* answer : OnGridAnswers(run)) {
+    auto truth = oracle->Aggregate(answer->coord);
+    ASSERT_TRUE(truth.ok()) << label << ": " << truth.status().ToString();
+    EXPECT_EQ(answer->aggregate, *truth)
+        << label << ": " << answer->description;
+  }
 }
 
 // Order x layer x norm x aggregate. Under L1 a predecessor always scores
 // strictly lower than its successor, so no layer ever fills one of its own
 // coordinates; under L2 and LInf best-first runs of equal score can request
-// a successor before its predecessor, which exercises the batched drain's
-// in-layer fills. SUM is FP-sensitive (any reordering shows), MIN/MAX and
-// AVG's 2-wide state take the built-in flat combine, and the UDA the
-// virtual fallback.
+// a successor before its predecessor, which exercises the drain's in-layer
+// fills. SUM is FP-sensitive (any reordering shows), MIN/MAX and AVG's
+// 2-wide state take the built-in flat combine, and the UDA the virtual
+// fallback.
 class BatchExploreEquivalenceTest
     : public ::testing::TestWithParam<
           std::tuple<SearchOrder, LayerKind, NormKind, AggregateKind>> {};
@@ -195,6 +197,7 @@ TEST_P(BatchExploreEquivalenceTest, BatchedMatchesSequential) {
   topt.target = c.target;  // forces several expansion layers
   auto fixture = MakeSyntheticTask(topt);
   ASSERT_NE(fixture, nullptr);
+  const AcqTask& task = fixture->task;
 
   AcquireOptions options;
   options.gamma = 12.0;  // grid step 4.0 with d = 3
@@ -206,17 +209,62 @@ TEST_P(BatchExploreEquivalenceTest, BatchedMatchesSequential) {
                             LayerName(kind) + "/" + NormName(norm) + "/" +
                             AggregateKindToString(agg);
 
-  auto seq_layer = MakeLayer(kind, &fixture->task, step);
-  auto bat_layer = MakeLayer(kind, &fixture->task, step);
-  ASSERT_NE(seq_layer, nullptr);
-  ASSERT_NE(bat_layer, nullptr);
+  // The driver as RunAcquire builds it, over the generator it would build.
+  auto layer = MakeLayer(kind, &task, step);
+  ASSERT_NE(layer, nullptr);
+  ASSERT_TRUE(layer->Prepare().ok()) << label;
+  RefinedSpace space(&task, options.gamma, options.norm);
+  std::unique_ptr<QueryGenerator> generator =
+      MakeQueryGenerator(&space, options);
+  BatchExplorer batch(&space, layer.get(), generator.get());
+  batch.set_shell_drain_hint(ResolveSearchOrder(options) ==
+                             SearchOrder::kShell);
 
-  options.batch_explore = BatchExplore::kOff;
-  auto seq = RunAcquire(fixture->task, seq_layer.get(), options);
-  options.batch_explore = BatchExplore::kOn;  // forced even for best-first
-  auto bat = RunAcquire(fixture->task, bat_layer.get(), options);
-  ASSERT_TRUE(seq.ok() && bat.ok()) << label;
-  ExpectSameResult(*seq, *bat, label);
+  // The references: unseeded, one coordinate at a time.
+  auto same_kind_layer = MakeLayer(kind, &task, step);
+  ASSERT_TRUE(same_kind_layer->Prepare().ok()) << label;
+  Explorer same_kind(&space, same_kind_layer.get());
+  ExploreOracle oracle(&task, options.gamma, options.norm);
+
+  // Drain through the first layer that holds an on-grid answer; RunAcquire
+  // stops there at the latest. `boundaries` records {coordinates drained,
+  // cell queries} after each layer.
+  std::vector<std::pair<uint64_t, uint64_t>> boundaries;
+  uint64_t drained = 0;
+  bool hit = false;
+  GridCoord coord;
+  while (!hit && batch.NextLayer()) {
+    ASSERT_TRUE(batch.ExecuteLayer().ok()) << label;
+    for (size_t q = 0; q < batch.layer_size(); ++q, ++drained) {
+      const int32_t* key = batch.layer_key(q);
+      coord.assign(key, key + topt.d);
+      auto got = batch.explorer().ComputeAggregate(key);
+      auto want = same_kind.ComputeAggregate(coord);
+      auto truth = oracle.Aggregate(coord);
+      ASSERT_TRUE(got.ok() && want.ok() && truth.ok()) << label;
+      ASSERT_EQ(*got, *want) << label << " coordinate " << drained;
+      ASSERT_EQ(*got, *truth) << label << " coordinate " << drained;
+      hit |= DefaultAggregateError(task.constraint, *got) <= options.delta;
+    }
+    ASSERT_EQ(batch.explorer().cell_queries(), same_kind.cell_queries())
+        << label << " after " << drained << " coordinates";
+    boundaries.emplace_back(drained, batch.explorer().cell_queries());
+  }
+  ASSERT_TRUE(hit) << label;
+
+  // RunAcquire on the same layer: the coordinates it investigates are a
+  // prefix of the drive's, and it executes whole layers, so its cell-query
+  // count is the drive's at the boundary of the layer it stopped in.
+  auto run = RunAcquire(task, layer.get(), options);
+  ASSERT_TRUE(run.ok()) << label << ": " << run.status().ToString();
+  EXPECT_TRUE(run->satisfied) << label;
+  ASSERT_LE(run->queries_explored, drained) << label;
+  const auto stop = std::find_if(
+      boundaries.begin(), boundaries.end(),
+      [&](const auto& b) { return b.first >= run->queries_explored; });
+  ASSERT_NE(stop, boundaries.end()) << label;
+  EXPECT_EQ(run->cell_queries, stop->second) << label;
+  ExpectAnswersMatchOracle(*run, &oracle, label);
 }
 
 // Names the L1/SUM cases by order and layer alone, as before the norm and
@@ -264,8 +312,8 @@ INSTANTIATE_TEST_SUITE_P(
     EquivalenceCaseName);
 
 TEST(BatchExploreTest, CollectWithinGammaMatches) {
-  // The within-gamma sweep keeps exploring past the hit layer; layer
-  // accounting (stop_score at layer granularity) must agree across modes.
+  // The within-gamma sweep keeps exploring past the hit layer; every answer
+  // it collects is still the oracle's.
   SyntheticOptions topt;
   topt.d = 2;
   topt.rows = 3000;
@@ -273,25 +321,22 @@ TEST(BatchExploreTest, CollectWithinGammaMatches) {
   topt.target = 900.0;
   auto fixture = MakeSyntheticTask(topt);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer seq_layer(&fixture->task);
-  CachedEvaluationLayer bat_layer(&fixture->task);
+  CachedEvaluationLayer layer(&fixture->task);
 
   AcquireOptions options;
   options.gamma = 10.0;
   options.delta = 0.03;
   options.collect_within_gamma = true;
-  options.batch_explore = BatchExplore::kOff;
-  auto seq = RunAcquire(fixture->task, &seq_layer, options);
-  options.batch_explore = BatchExplore::kOn;
-  auto bat = RunAcquire(fixture->task, &bat_layer, options);
-  ASSERT_TRUE(seq.ok() && bat.ok());
-  ExpectSameResult(*seq, *bat, "within_gamma");
-  EXPECT_TRUE(seq->satisfied);
+  auto run = RunAcquire(fixture->task, &layer, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run->satisfied);
+  ExploreOracle oracle(&fixture->task, options.gamma, options.norm);
+  ExpectAnswersMatchOracle(*run, &oracle, "within_gamma");
 }
 
 TEST(BatchExploreTest, NonIncrementalAblationMatches) {
-  // With use_incremental off the batched driver batches the full-query
-  // boxes instead of cell sub-queries; results must still be identical.
+  // With use_incremental off the driver batches the full-query boxes instead
+  // of cell sub-queries, so each answer is its own box's aggregate.
   SyntheticOptions topt;
   topt.d = 2;
   topt.rows = 2000;
@@ -299,46 +344,26 @@ TEST(BatchExploreTest, NonIncrementalAblationMatches) {
   topt.target = 480.0;
   auto fixture = MakeSyntheticTask(topt);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer seq_layer(&fixture->task);
-  CachedEvaluationLayer bat_layer(&fixture->task);
+  CachedEvaluationLayer layer(&fixture->task);
 
   AcquireOptions options;
   options.gamma = 10.0;
   options.use_incremental = false;
-  options.batch_explore = BatchExplore::kOff;
-  auto seq = RunAcquire(fixture->task, &seq_layer, options);
-  options.batch_explore = BatchExplore::kOn;
-  auto bat = RunAcquire(fixture->task, &bat_layer, options);
-  ASSERT_TRUE(seq.ok() && bat.ok());
-  ExpectSameResult(*seq, *bat, "non_incremental");
-  EXPECT_EQ(seq->cell_queries, 0u);
-}
-
-TEST(BatchExploreTest, BestFirstAutoBatchesAndMatchesSequential) {
-  // kAuto now micro-batches the best-first order too (equal-score frontier
-  // runs become tiny layers); that must stay indistinguishable from the
-  // unbatched explorer.
-  SyntheticOptions topt;
-  topt.d = 2;
-  topt.rows = 1000;
-  topt.target = 600.0;
-  auto fixture = MakeSyntheticTask(topt);
-  ASSERT_NE(fixture, nullptr);
-  AcquireOptions options;
-  options.order = SearchOrder::kBestFirst;
-  CachedEvaluationLayer seq_layer(&fixture->task);
-  options.batch_explore = BatchExplore::kOff;
-  auto seq = RunAcquire(fixture->task, &seq_layer, options);
-  CachedEvaluationLayer bat_layer(&fixture->task);
-  options.batch_explore = BatchExplore::kAuto;
-  auto bat = RunAcquire(fixture->task, &bat_layer, options);
-  ASSERT_TRUE(seq.ok() && bat.ok());
-  ExpectSameResult(*seq, *bat, "best_first_auto");
+  auto run = RunAcquire(fixture->task, &layer, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->cell_queries, 0u);
+  RefinedSpace space(&fixture->task, options.gamma, options.norm);
+  for (const RefinedQuery* answer : OnGridAnswers(*run)) {
+    auto state = layer.EvaluateBox(space.QueryBox(answer->coord));
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(answer->aggregate, fixture->task.agg.ops->Final(*state));
+  }
 }
 
 TEST(BatchExploreTest, ContractionBatchedMatchesSequential) {
-  // Overshooting equality target routes ProcessAcq into contraction; the
-  // batched layer walk there must agree with the sequential one.
+  // An overshooting equality target routes ProcessAcq into contraction,
+  // whose layer walk evaluates full-query boxes in one batch per layer:
+  // every answer is its own box's aggregate over the contraction task.
   SyntheticOptions topt;
   topt.d = 2;
   topt.rows = 3000;
@@ -351,16 +376,30 @@ TEST(BatchExploreTest, ContractionBatchedMatchesSequential) {
   AcquireOptions options;
   options.gamma = 10.0;
   options.delta = 0.02;
-  options.batch_explore = BatchExplore::kOff;
-  CachedEvaluationLayer seq_layer(&fixture->task);
-  auto seq = ProcessAcq(fixture->task, &seq_layer, options);
-  options.batch_explore = BatchExplore::kOn;
-  CachedEvaluationLayer bat_layer(&fixture->task);
-  auto bat = ProcessAcq(fixture->task, &bat_layer, options);
-  ASSERT_TRUE(seq.ok() && bat.ok());
-  ASSERT_EQ(seq->mode, AcqMode::kContracted);
-  ASSERT_EQ(bat->mode, AcqMode::kContracted);
-  ExpectSameResult(seq->result, bat->result, "contraction");
+  CachedEvaluationLayer layer(&fixture->task);
+  auto outcome = ProcessAcq(fixture->task, &layer, options);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_EQ(outcome->mode, AcqMode::kContracted);
+  ASSERT_TRUE(outcome->result.satisfied);
+  const AcqTask& contraction = *outcome->contraction_task;
+  RefinedSpace space(&contraction, options.gamma, options.norm);
+  DirectEvaluationLayer reference(&contraction);
+  for (const RefinedQuery& answer : outcome->result.queries) {
+    // Answers report contraction amounts c; the box is over p' = 100 - c.
+    std::vector<PScoreRange> box;
+    if (answer.coord.empty()) {
+      for (size_t i = 0; i < contraction.d(); ++i) {
+        box.push_back(PScoreRange{
+            -1.0, contraction.dims[i]->MaxPScore() - answer.pscores[i]});
+      }
+    } else {
+      box = space.QueryBox(answer.coord);
+    }
+    auto state = reference.EvaluateBox(box);
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    EXPECT_EQ(answer.aggregate, contraction.agg.ops->Final(*state))
+        << answer.description;
+  }
 }
 
 TEST(BatchExploreTest, PhaseTimingsAreReported) {
@@ -372,7 +411,6 @@ TEST(BatchExploreTest, PhaseTimingsAreReported) {
   ASSERT_NE(fixture, nullptr);
   CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions options;
-  options.batch_explore = BatchExplore::kOn;
   auto result = RunAcquire(fixture->task, &layer, options);
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->exec_stats.expand_ms, 0.0);

@@ -194,7 +194,6 @@ TEST(CellSortedTest, UdaThatGrowsItsStateFailsTheBatchedRun) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   AcquireOptions acquire;
-  acquire.batch_explore = BatchExplore::kOn;
   CellSortedEvaluationLayer layer(&fixture->task,
                                   acquire.gamma / fixture->task.d());
   auto result = RunAcquire(fixture->task, &layer, acquire);
@@ -258,7 +257,10 @@ TEST(BackendFactoryTest, NameRoundTrip) {
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, backend);
   }
-  EXPECT_FALSE(EvalBackendFromString("postgres").ok());
+  // Unknown names, including the retired "gridindex" and "parallel".
+  for (const char* name : {"postgres", "gridindex", "parallel"}) {
+    EXPECT_FALSE(EvalBackendFromString(name).ok()) << name;
+  }
 }
 
 TEST(BackendFactoryTest, ProcessAcqRunsOnTaskSelectedBackend) {

@@ -189,6 +189,46 @@ TEST_P(LayerConformanceTest, EvaluateCellsMatchesPerCellBoxes) {
   }
 }
 
+TEST_P(LayerConformanceTest, EvaluateBoxesMatchesPerBoxEvaluateBox) {
+  // The batch box API, which the contraction walk and the non-incremental
+  // ablation drive with full-query boxes, must be bit-identical to calling
+  // EvaluateBox per box, whether it fans out across the pool or not. The
+  // boxes end off the grid, so no cell-aligned fast path answers them.
+  auto [kind, agg] = GetParam();
+  SyntheticOptions options;
+  options.d = 3;
+  options.rows = 5000;
+  options.agg = agg;
+  options.target = 10.0;
+  auto fixture = MakeSyntheticTask(options);
+  ASSERT_NE(fixture, nullptr);
+
+  std::unique_ptr<EvaluationLayer> layer = MakeLayer(kind, &fixture->task);
+  ASSERT_NE(layer, nullptr);
+  ASSERT_TRUE(layer->Prepare().ok());
+
+  Rng rng(61 + static_cast<uint64_t>(kind) * 11 +
+          static_cast<uint64_t>(agg) * 3);
+  std::vector<std::vector<PScoreRange>> boxes;
+  for (int q = 0; q < 40; ++q) {
+    std::vector<PScoreRange> box(3);
+    for (auto& r : box) {
+      // Mostly full queries (-inf, p], some bands.
+      double hi = rng.NextDouble(0.0, 60.0);
+      r = PScoreRange{rng.NextBool(0.75) ? -1.0 : hi / 2.0, hi};
+    }
+    boxes.push_back(std::move(box));
+  }
+  auto batch = layer->EvaluateBoxes(boxes);
+  ASSERT_TRUE(batch.ok()) << LayerName(kind);
+  ASSERT_EQ(batch->size(), boxes.size());
+  for (size_t q = 0; q < boxes.size(); ++q) {
+    auto expected = layer->EvaluateBox(boxes[q]);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ((*batch)[q], *expected) << LayerName(kind) << " box " << q;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllLayersAllAggregates, LayerConformanceTest,
     ::testing::Combine(::testing::Values(LayerKind::kDirect,

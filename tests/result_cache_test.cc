@@ -66,18 +66,18 @@ double StatsNumber(AcqServer* server, const char* field) {
 
 // --- the differential battery -------------------------------------------
 
-// >= 200 randomized tasks, cycling through all four search orders crossed
-// with batch_explore on/off. Each task is SUBMITted twice; the second reply
-// must be a cache hit (no new run: "completed" stays put) and byte-identical
-// to the first — including wall_ms and elapsed_ms, which only survive a
-// repeat because the report is rendered once and replayed.
+// >= 200 randomized tasks, cycling through all four search orders. Each
+// task is SUBMITted twice; the second reply must be a cache hit (no new
+// run: "completed" stays put) and byte-identical to the first — including
+// wall_ms and elapsed_ms, which only survive a repeat because the report is
+// rendered once and replayed.
 TEST(ResultCacheDifferentialTest, RepeatSubmitIsByteIdenticalAcrossTheGrid) {
   ServerOptions options;
   options.cache_bytes = 64ull << 20;
   AcqServer server(SharedCatalog(), options);
   const char* orders[] = {"bfs", "shell", "best_first", "auto"};
   std::mt19937 rng(0xac01f5e1u);
-  constexpr int kTasks = 208;  // 26 per order x batch combination
+  constexpr int kTasks = 208;  // 52 per order
   for (int i = 0; i < kTasks; ++i) {
     const int age = 22 + static_cast<int>(rng() % 18);
     const int income = 40000 + static_cast<int>(rng() % 40) * 1000;
@@ -89,7 +89,6 @@ TEST(ResultCacheDifferentialTest, RepeatSubmitIsByteIdenticalAcrossTheGrid) {
                            "WHERE age <= %d AND income >= %d",
                            target, age, income)));
     request.Set("order", JsonValue::Str(orders[i % 4]));
-    request.Set("batch_explore", JsonValue::Bool((i / 4) % 2 == 0));
     request.Set("wait", JsonValue::Bool(true));
     const std::string line = request.Dump();
 
@@ -499,8 +498,6 @@ TEST(FingerprintTest, EveryResultAffectingOptionFlipsTheKey) {
       {"norm", [](AcquireOptions* o) { o->norm = Norm::L2(); }},
       {"norm_p", [](AcquireOptions* o) { o->norm = Norm::Lp(3.0); }},
       {"order", [](AcquireOptions* o) { o->order = SearchOrder::kShell; }},
-      {"batch_explore",
-       [](AcquireOptions* o) { o->batch_explore = BatchExplore::kOff; }},
       {"repartition_iters",
        [](AcquireOptions* o) { o->repartition_iters = 3; }},
       {"collect_within_gamma",
@@ -550,11 +547,6 @@ TEST(FingerprintTest, AutoChoicesResolveToTheirEffectiveValue) {
   shell_linf.order = SearchOrder::kShell;
   EXPECT_EQ(MustFingerprint(*SharedCatalog(), spec, auto_linf),
             MustFingerprint(*SharedCatalog(), spec, shell_linf));
-  // Discrete-layer orders: batch auto resolves to on.
-  AcquireOptions batch_on;
-  batch_on.batch_explore = BatchExplore::kOn;
-  EXPECT_EQ(MustFingerprint(*SharedCatalog(), spec, AcquireOptions{}),
-            MustFingerprint(*SharedCatalog(), spec, batch_on));
   // Backend auto resolves to cell_sorted.
   QuerySpec cell = spec;
   cell.eval_backend = EvalBackend::kCellSorted;

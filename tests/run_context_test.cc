@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "core/processor.h"
 #include "core/run_context.h"
@@ -75,11 +76,68 @@ TEST(RunContextTest, ExpiredDeadlineStops) {
   RunContext ctx;
   ctx.SetTimeoutMillis(0.01);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  // The deadline is checked on a stride; poll until the clock read lands.
-  bool stopped = false;
-  for (int i = 0; i < 64 && !stopped; ++i) stopped = ctx.ShouldStop();
-  EXPECT_TRUE(stopped);
+  // Every poll reads the clock, so the first one after expiry stops.
+  EXPECT_TRUE(ctx.ShouldStop());
   EXPECT_EQ(ctx.Interruption(), RunTermination::kDeadlineExceeded);
+}
+
+// A Cached layer whose `sleeping_batch`-th EvaluateCells call sleeps until
+// `wake`. The driver executes one cell batch per layer, so the batch count
+// tells how many layers ran.
+class SleepyCellsLayer final : public EvaluationLayer {
+ public:
+  SleepyCellsLayer(const AcqTask* task, int sleeping_batch,
+                   RunContext::Clock::time_point wake)
+      : EvaluationLayer(task),
+        inner_(task),
+        sleeping_batch_(sleeping_batch),
+        wake_(wake) {}
+
+  Status Prepare() override { return inner_.Prepare(); }
+  Result<AggregateOps::State> EvaluateBox(
+      const std::vector<PScoreRange>& box) override {
+    return inner_.EvaluateBox(box);
+  }
+  Result<std::vector<AggregateOps::State>> EvaluateCells(
+      const GridCoord* coords, size_t count, double step) override {
+    if (++batches_ == sleeping_batch_) std::this_thread::sleep_until(wake_);
+    return inner_.EvaluateCells(coords, count, step);
+  }
+
+  int batches() const { return batches_; }
+
+ private:
+  CachedEvaluationLayer inner_;
+  const int sleeping_batch_;
+  const RunContext::Clock::time_point wake_;
+  int batches_ = 0;
+};
+
+TEST(RunContextTest, DeadlinePassedInsideALayerStopsBeforeTheNext) {
+  // The third layer's cell batch outlasts the deadline. Every poll reads
+  // the clock, so the poll after that layer sees it: no further batch runs.
+  SyntheticOptions options;
+  options.rows = 4000;
+  options.d = 2;
+  options.op = ConstraintOp::kGe;
+  options.target = 1e9;  // unreachable: only the deadline stops the search
+  auto fixture = MakeSyntheticTask(options);
+  ASSERT_NE(fixture, nullptr);
+  const RunContext::Clock::time_point deadline =
+      RunContext::Clock::now() + std::chrono::milliseconds(10);
+  RunContext ctx;
+  ctx.set_deadline(deadline);
+  constexpr int kSleepingBatch = 3;
+  SleepyCellsLayer layer(&fixture->task, kSleepingBatch,
+                         deadline + std::chrono::milliseconds(5));
+  AcquireOptions acquire;
+  acquire.run_ctx = &ctx;
+  auto result = RunAcquire(fixture->task, &layer, acquire);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->termination, RunTermination::kDeadlineExceeded);
+  // A slow host may pass the deadline before the sleeping batch; the run
+  // then stops even earlier.
+  EXPECT_LE(layer.batches(), kSleepingBatch);
 }
 
 TEST(RunContextTest, TerminationToStatusMapping) {

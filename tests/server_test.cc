@@ -881,63 +881,59 @@ TEST(ServerTest, MultipleRequestsOnOneConnection) {
   server.Stop();
 }
 
-// SUBMIT once took a "merge_strategy" field. The Eq. 17 merge is always
-// sequential now, and the field is ignored like any other the server does
-// not read, so older clients keep working: valid or not, it changes no
-// byte of the reply.
-TEST(ServerTest, SubmitIgnoresRetiredMergeStrategyField) {
+// SUBMIT once took "merge_strategy" and "batch_explore" fields. The Eq. 17
+// merge is always sequential and Explore always batched now, and both
+// fields are ignored like any other the server does not read, so older
+// clients keep working: valid or not, they change no byte of the reply.
+TEST(ServerTest, SubmitIgnoresRetiredFields) {
   AcqServer server(SharedCatalog());
-  auto submit = [&](const char* merge_strategy) {
+  auto submit = [&](const char* field, const JsonValue& value) {
     JsonValue request = JsonValue::Object();
     request.Set("cmd", JsonValue::Str("SUBMIT"));
     request.Set("sql", JsonValue::Str(
                            "SELECT * FROM users CONSTRAINT COUNT(*) >= 900 "
                            "WHERE age <= 30 AND income >= 60000"));
     request.Set("wait", JsonValue::Bool(true));
-    if (merge_strategy != nullptr) {
-      request.Set("merge_strategy", JsonValue::Str(merge_strategy));
-    }
+    if (field != nullptr) request.Set(field, value);
     return MustParse(server.HandleRequestLine(request.Dump()));
   };
-  const JsonValue plain = submit(nullptr);
+  const JsonValue plain = submit(nullptr, JsonValue::Null());
   ASSERT_TRUE(plain.GetBool("ok", false)) << plain.Dump();
   ASSERT_EQ(plain.GetString("state"), "done") << plain.Dump();
-  for (const char* strategy : {"radix", "bogus"}) {
-    const JsonValue reply = submit(strategy);
-    EXPECT_TRUE(reply.GetBool("ok", false)) << strategy << ": " << reply.Dump();
+  const std::pair<const char*, JsonValue> retired[] = {
+      {"merge_strategy", JsonValue::Str("radix")},
+      {"merge_strategy", JsonValue::Str("bogus")},
+      {"batch_explore", JsonValue::Bool(false)},
+      {"batch_explore", JsonValue::Str("off")},
+      {"batch_explore", JsonValue::Str("on")},
+      {"batch_explore", JsonValue::Str("bogus")},
+  };
+  for (const auto& [field, value] : retired) {
+    const JsonValue reply = submit(field, value);
+    EXPECT_TRUE(reply.GetBool("ok", false))
+        << field << "=" << value.Dump() << ": " << reply.Dump();
     EXPECT_EQ(test_util::StripIdAndTiming(reply).Dump(),
               test_util::StripIdAndTiming(plain).Dump())
-        << strategy;
+        << field << "=" << value.Dump();
   }
 }
 
-TEST(ServerTest, SubmitRetiredBackendNamesAnswerLikeTheirSuccessors) {
-  // "gridindex" and "parallel" named deleted backends. They still parse,
-  // to the layers that replaced them, so a SUBMIT naming one must
-  // fingerprint, run and reply exactly like its successor.
+TEST(ServerTest, SubmitRetiredBackendNamesAreRejected) {
+  // "gridindex" and "parallel" name deleted backends. A SUBMIT naming one
+  // is rejected like any unknown name, not mapped to another backend.
   AcqServer server(SharedCatalog());
-  auto submit = [&](const char* backend) {
+  for (const char* retired : {"gridindex", "parallel"}) {
     JsonValue request = JsonValue::Object();
     request.Set("cmd", JsonValue::Str("SUBMIT"));
     request.Set("sql", JsonValue::Str(
                            "SELECT * FROM users CONSTRAINT SUM(income) >= 3e8 "
                            "WHERE age <= 30 AND income <= 40000"));
-    request.Set("backend", JsonValue::Str(backend));
+    request.Set("backend", JsonValue::Str(retired));
     request.Set("wait", JsonValue::Bool(true));
-    return MustParse(server.HandleRequestLine(request.Dump()));
-  };
-  for (const auto& [retired, successor] :
-       {std::pair{"gridindex", "cellsorted"}, std::pair{"parallel", "cached"}}) {
-    const JsonValue expected = submit(successor);
-    ASSERT_TRUE(expected.GetBool("ok", false)) << expected.Dump();
-    ASSERT_EQ(expected.GetString("state"), "done") << expected.Dump();
-    const JsonValue* report = expected.Get("report");
-    ASSERT_NE(report, nullptr) << expected.Dump();
-    EXPECT_EQ(report->GetString("mode"), "expanded") << expected.Dump();
-    const JsonValue reply = submit(retired);
-    EXPECT_EQ(test_util::StripIdAndTiming(reply).Dump(),
-              test_util::StripIdAndTiming(expected).Dump())
-        << retired;
+    const JsonValue reply = MustParse(server.HandleRequestLine(request.Dump()));
+    EXPECT_FALSE(reply.GetBool("ok", true)) << retired << ": " << reply.Dump();
+    EXPECT_EQ(reply.GetString("code"), "InvalidArgument")
+        << retired << ": " << reply.Dump();
   }
 }
 

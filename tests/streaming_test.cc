@@ -1,7 +1,7 @@
 // Streaming anytime results, proven bit-exact: a SUBMIT that opts into
 // PROGRESS frames must produce a final report byte-identical to the same
 // SUBMIT without streaming (modulo the volatile session id and wall-clock
-// fields), across every search order, batch on/off, and frame throttle.
+// fields), across every search order and frame throttle.
 // Frames themselves must be monotone — the anytime contract is that the
 // best answer only ever tightens — and a client STOP at any point must
 // yield a well-formed best-so-far report with termination
@@ -51,13 +51,12 @@ struct StreamedRun {
 };
 
 JsonValue SubmitRequest(const std::string& sql, const std::string& order,
-                        bool batch, double interval_ms, bool streaming) {
+                        double interval_ms, bool streaming) {
   JsonValue request = JsonValue::Object();
   request.Set("cmd", JsonValue::Str("SUBMIT"));
   request.Set("sql", JsonValue::Str(sql));
   request.Set("wait", JsonValue::Bool(true));
   request.Set("order", JsonValue::Str(order));
-  request.Set("batch_explore", JsonValue::Bool(batch));
   if (streaming) {
     JsonValue progress = JsonValue::Object();
     progress.Set("interval_ms", JsonValue::Number(interval_ms));
@@ -121,9 +120,9 @@ void ExpectFramesMonotone(const StreamedRun& run) {
   }
 }
 
-// The headline battery: 4 search orders x batch on/off, each solved
-// without streaming (the baseline), with interval 0 (frame per drained
-// layer) and with a 5 ms throttle. All three final reports must be
+// The headline battery: 4 search orders, each solved without streaming
+// (the baseline), with interval 0 (frame per drained layer) and with a
+// 5 ms throttle. All three final reports must be
 // byte-identical after stripping the session id and wall-clock fields,
 // and the streamed runs' frames must be monotone.
 TEST(StreamingTest, DifferentialBatteryBitExactFinalReports) {
@@ -134,30 +133,27 @@ TEST(StreamingTest, DifferentialBatteryBitExactFinalReports) {
   const char* orders[] = {"auto", "bfs", "shell", "best_first"};
   uint64_t total_frames = 0;
   for (const char* order : orders) {
-    for (bool batch : {false, true}) {
-      SCOPED_TRACE(StringFormat("order=%s batch=%d", order, batch ? 1 : 0));
-      StreamedRun baseline =
-          RunStreamed(server, SubmitRequest(sql, order, batch, 0.0, false));
-      ASSERT_TRUE(baseline.reply.GetBool("ok", false))
-          << baseline.reply.Dump();
-      ASSERT_EQ(baseline.reply.GetString("state"), "done")
-          << baseline.reply.Dump();
-      EXPECT_TRUE(baseline.frames.empty());
-      const std::string want = StripIdAndTiming(baseline.reply).Dump();
+    SCOPED_TRACE(StringFormat("order=%s", order));
+    StreamedRun baseline =
+        RunStreamed(server, SubmitRequest(sql, order, 0.0, false));
+    ASSERT_TRUE(baseline.reply.GetBool("ok", false)) << baseline.reply.Dump();
+    ASSERT_EQ(baseline.reply.GetString("state"), "done")
+        << baseline.reply.Dump();
+    EXPECT_TRUE(baseline.frames.empty());
+    const std::string want = StripIdAndTiming(baseline.reply).Dump();
 
-      for (double interval_ms : {0.0, 5.0}) {
-        SCOPED_TRACE(StringFormat("interval_ms=%g", interval_ms));
-        StreamedRun streamed =
-            RunStreamed(server, SubmitRequest(sql, order, batch, interval_ms, true));
-        ASSERT_TRUE(streamed.reply.GetBool("ok", false))
-            << streamed.reply.Dump();
-        EXPECT_EQ(StripIdAndTiming(streamed.reply).Dump(), want);
-        if (interval_ms == 0.0) {
-          EXPECT_FALSE(streamed.frames.empty());
-        }
-        ExpectFramesMonotone(streamed);
-        total_frames += streamed.frames.size();
+    for (double interval_ms : {0.0, 5.0}) {
+      SCOPED_TRACE(StringFormat("interval_ms=%g", interval_ms));
+      StreamedRun streamed =
+          RunStreamed(server, SubmitRequest(sql, order, interval_ms, true));
+      ASSERT_TRUE(streamed.reply.GetBool("ok", false))
+          << streamed.reply.Dump();
+      EXPECT_EQ(StripIdAndTiming(streamed.reply).Dump(), want);
+      if (interval_ms == 0.0) {
+        EXPECT_FALSE(streamed.frames.empty());
       }
+      ExpectFramesMonotone(streamed);
+      total_frames += streamed.frames.size();
     }
   }
   // STATS accounts for every frame the battery streamed.
@@ -170,8 +166,8 @@ TEST(StreamingTest, DifferentialBatteryBitExactFinalReports) {
 }
 
 // Acceptance check: a five-dimensional fig9-style run at interval 0 emits
-// one frame per drained layer (the batched driver drains whole equi-score
-// layers, so frame count and the final layers_drained agree exactly).
+// one frame per drained layer (Explore drains whole equi-score layers, so
+// frame count and the final layers_drained agree exactly).
 TEST(StreamingTest, IntervalZeroEmitsOneFramePerDrainedLayer) {
   AcqServer server(SharedCatalog());
   const std::string sql =
@@ -179,7 +175,7 @@ TEST(StreamingTest, IntervalZeroEmitsOneFramePerDrainedLayer) {
       "WHERE age <= 45 AND weekly_exercise_hours >= 3 AND income >= 20000 "
       "AND systolic_bp <= 135 AND annual_cost <= 25000";
   StreamedRun streamed =
-      RunStreamed(server, SubmitRequest(sql, "bfs", /*batch=*/true, 0.0, true));
+      RunStreamed(server, SubmitRequest(sql, "bfs", 0.0, true));
   ASSERT_TRUE(streamed.reply.GetBool("ok", false)) << streamed.reply.Dump();
   ASSERT_EQ(streamed.reply.GetString("state"), "done")
       << streamed.reply.Dump();
@@ -278,7 +274,7 @@ TEST(StreamingTest, QueuedStopResolvesWithEmptyReport) {
   JsonValue hog = SubmitRequest(
       "SELECT * FROM users CONSTRAINT COUNT(*) >= 600 "
       "WHERE age <= 30 AND income >= 60000",
-      "auto", false, 0.0, false);
+      "auto", 0.0, false);
   hog.Set("wait", JsonValue::Bool(false));
   JsonValue hog_reply = MustParse(server.HandleRequestLine(hog.Dump()));
   ASSERT_TRUE(hog_reply.GetBool("ok", false)) << hog_reply.Dump();
@@ -286,7 +282,7 @@ TEST(StreamingTest, QueuedStopResolvesWithEmptyReport) {
   JsonValue queued = SubmitRequest(
       "SELECT * FROM users CONSTRAINT COUNT(*) >= 700 "
       "WHERE age <= 28 AND income >= 62000",
-      "auto", false, 0.0, false);
+      "auto", 0.0, false);
   queued.Set("wait", JsonValue::Bool(false));
   JsonValue queued_reply = MustParse(server.HandleRequestLine(queued.Dump()));
   ASSERT_TRUE(queued_reply.GetBool("ok", false)) << queued_reply.Dump();
@@ -321,10 +317,10 @@ TEST(StreamingTest, CacheHitStreamsNoFramesAndStaysBitIdentical) {
       "SELECT * FROM users CONSTRAINT COUNT(*) >= 800 "
       "WHERE age <= 30 AND income >= 60000";
   StreamedRun first =
-      RunStreamed(server, SubmitRequest(sql, "auto", false, 0.0, true));
+      RunStreamed(server, SubmitRequest(sql, "auto", 0.0, true));
   ASSERT_TRUE(first.reply.GetBool("ok", false)) << first.reply.Dump();
   StreamedRun second =
-      RunStreamed(server, SubmitRequest(sql, "auto", false, 0.0, true));
+      RunStreamed(server, SubmitRequest(sql, "auto", 0.0, true));
   ASSERT_TRUE(second.reply.GetBool("ok", false)) << second.reply.Dump();
   EXPECT_TRUE(second.frames.empty())
       << "cache hit ran nothing, so nothing may stream";
@@ -392,7 +388,7 @@ TEST(StreamingTest, TcpStreamOrdersFramesBeforeFinalReply) {
   JsonValue request = SubmitRequest(
       "SELECT * FROM users CONSTRAINT COUNT(*) >= 1400 "
       "WHERE age <= 30 AND income >= 60000 AND engagement >= 3.0",
-      "bfs", true, 0.0, true);
+      "bfs", 0.0, true);
   std::vector<JsonValue> frames;
   Result<JsonValue> reply = client.CallStreaming(
       request, [&frames](const JsonValue& frame) { frames.push_back(frame); });
@@ -430,7 +426,7 @@ TEST(StreamingTest, NoRetryAfterDeliveredFrame) {
   JsonValue request = SubmitRequest(
       "SELECT * FROM users CONSTRAINT COUNT(*) >= 1400 "
       "WHERE age <= 30 AND income >= 60000 AND engagement >= 3.0",
-      "bfs", true, 0.0, true);
+      "bfs", 0.0, true);
 
   LineClient probe;
   ASSERT_TRUE(probe.Connect("127.0.0.1", server.port()).ok());
@@ -494,7 +490,7 @@ TEST(StreamingTest, RetryStillAllowedBeforeFirstFrame) {
   JsonValue request = SubmitRequest(
       "SELECT * FROM users CONSTRAINT COUNT(*) >= 700 "
       "WHERE age <= 30 AND income >= 60000",
-      "auto", false, 0.0, false);
+      "auto", 0.0, false);
   RetryOptions retry;
   retry.max_attempts = 5;
   retry.initial_backoff_ms = 1.0;

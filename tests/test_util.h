@@ -2,13 +2,17 @@
 #define ACQUIRE_TESTS_TEST_UTIL_H_
 
 // Shared helpers for tests: small synthetic tasks with controllable
-// dimensionality, aggregate and constraint, and a comparator for server
-// replies.
+// dimensionality, aggregate and constraint, the reference Explore oracle,
+// and a comparator for server replies.
 
 #include <memory>
 #include <string>
 
 #include "common/random.h"
+#include "core/explore.h"
+#include "core/norms.h"
+#include "core/refined_space.h"
+#include "exec/evaluation.h"
 #include "exec/planner.h"
 #include "server/json.h"
 #include "storage/catalog.h"
@@ -71,6 +75,28 @@ inline std::unique_ptr<SyntheticTask> MakeSyntheticTask(
   out->task = std::move(task).value();
   return out;
 }
+
+/// The reference Explore: an unseeded Explorer over a DirectEvaluationLayer.
+/// It runs Algorithm 3 one coordinate at a time, executing each cell query
+/// on demand as a fresh scan, so nothing it answers depends on batching,
+/// seeding, drain cursors or an index. Any driver's aggregate at a grid
+/// coordinate must equal its answer bit for bit.
+class ExploreOracle {
+ public:
+  /// The grid of `task` at `gamma` under `norm`: the same space the run
+  /// under test searches. `task` must outlive the oracle.
+  ExploreOracle(const AcqTask* task, double gamma, const Norm& norm)
+      : space_(task, gamma, norm), layer_(task), explorer_(&space_, &layer_) {}
+
+  Result<double> Aggregate(const GridCoord& coord) {
+    return explorer_.ComputeAggregate(coord);
+  }
+
+ private:
+  RefinedSpace space_;
+  DirectEvaluationLayer layer_;
+  Explorer explorer_;
+};
 
 /// Recursively drops the fields that legitimately differ between two runs
 /// of the same task: the session id and wall-clock timings. Everything
