@@ -147,8 +147,9 @@ int Main() {
   json += StringFormat(
       "],\"speedup_cellsorted_vs_cached_cell\":%.2f,"
       "\"speedup_cellsorted_vs_cached_box\":%.2f,"
-      "\"speedup_cellsorted_vs_cached\":%.2f}",
-      cell_speedup, box_speedup, std::min(cell_speedup, box_speedup));
+      "\"speedup_cellsorted_vs_cached\":%.2f,\"host\":%s}",
+      cell_speedup, box_speedup, std::min(cell_speedup, box_speedup),
+      HostJson().c_str());
   printf("%s\n", json.c_str());
   return 0;
 }

@@ -1,13 +1,14 @@
-// Index prepare: sharded cell-sorted build vs the sequential reference at
-// 1/2/4/8 workers, plus the amortized cost of live ingestion (append +
-// staged delta sync + merge) against a full rebuild. Every parallel build
-// must be bit-identical to the sequential layout (LayoutsBitIdentical) and
-// every delta-maintained answer bit-identical to a rebuilt layer before
-// its time is reported — a fast wrong build is worthless.
+// Index prepare: the one cell-sorted layout build, timed as its two
+// phases — the needed-PScore matrix, then the one-pass keying and fold
+// with the sort of the distinct cells — plus the amortized cost of live
+// ingestion (append + staged delta sync + merge) against a full rebuild.
+// Every delta-maintained answer must be bit-identical to a rebuilt layer
+// before its time is reported — a fast wrong build is worthless.
 //
-// Emits one line of JSON on stdout (committed as BENCH_index_prepare.json);
-// human-readable progress goes to stderr. ACQ_BENCH_ROWS=<n> shrinks the
-// catalog for a quick pass; the default is the paper-scale 10^6.
+// Emits one line of JSON on stdout (committed as BENCH_index_prepare.json),
+// with a host block; human-readable progress goes to stderr.
+// ACQ_BENCH_ROWS=<n> shrinks the catalog for a quick pass; the default is
+// the paper-scale 10^6.
 
 #include <algorithm>
 #include <cstdio>
@@ -19,30 +20,30 @@
 #include "exec/eval_kernel.h"
 #include "exec/thread_pool.h"
 #include "index/cell_sorted.h"
-#include "index/parallel_prepare.h"
 
 namespace acquire {
 namespace bench {
 namespace {
 
-// Minimum over `reps` of one full layout build (matrix + CSR fold).
-double TimeBuild(const AcqTask& task, double step, ThreadPool* pool,
-                 PrepareMode mode, int reps, CellSortedLayout* out) {
-  double best = 1e300;
+struct BuildTimes {
+  double matrix_ms = 1e300;
+  double layout_ms = 1e300;
+};
+
+// Minimum over `reps` of each phase of one build, on the shared pool as
+// Prepare() runs it.
+BuildTimes TimeBuild(const AcqTask& task, double step, int reps,
+                     CellSortedLayout* out) {
+  BuildTimes best;
   for (int r = 0; r < reps; ++r) {
     NeededMatrix raw;
-    CellSortedLayout layout;
-    Stopwatch sw;
-    ACQ_CHECK(BuildNeededMatrix(task, pool, &raw).ok());
-    PrepareBuildInfo info;
-    Status built =
-        BuildCellSortedLayout(raw, step, *task.agg.ops, pool, mode, &layout,
-                              &info);
-    const double ms = sw.ElapsedMillis();
+    Stopwatch matrix_sw;
+    ACQ_CHECK(BuildNeededMatrix(task, &ThreadPool::Shared(), &raw).ok());
+    best.matrix_ms = std::min(best.matrix_ms, matrix_sw.ElapsedMillis());
+    Stopwatch layout_sw;
+    Status built = BuildCellSortedLayout(raw, step, *task.agg.ops, out);
+    best.layout_ms = std::min(best.layout_ms, layout_sw.ElapsedMillis());
     ACQ_CHECK(built.ok()) << built.ToString();
-    ACQ_CHECK(info.parallel == (mode == PrepareMode::kParallel));
-    best = std::min(best, ms);
-    if (r == reps - 1) *out = std::move(layout);
   }
   return best;
 }
@@ -91,41 +92,14 @@ int Main() {
   fprintf(stderr, "index_prepare_bench rows=%zu d=%zu step=%.2f\n", rows, d,
           step);
 
-  CellSortedLayout reference;
-  const double seq_ms = TimeBuild(task, step, /*pool=*/nullptr,
-                                  PrepareMode::kSequential, reps, &reference);
-  fprintf(stderr, "sequential cells=%zu prepare=%.1fms\n",
-          reference.num_cells(), seq_ms);
-
-  std::string json = StringFormat(
-      "{\"bench\":\"index_prepare\",\"rows\":%zu,\"d\":%zu,\"cells\":%zu,"
-      "\"sequential_prepare_ms\":%.3f,\"configs\":[",
-      rows, d, reference.num_cells(), seq_ms);
-
-  TablePrinter table({"mode", "threads", "prepare_ms", "speedup"});
-  table.AddRow({"sequential", "-", Ms(seq_ms), "1.00"});
-  double best_speedup = 0.0;
-  bool first = true;
-  for (size_t threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    CellSortedLayout built;
-    const double ms = TimeBuild(task, step, &pool, PrepareMode::kParallel,
-                                reps, &built);
-    // Bit-identity gate: the timing comparison is meaningless otherwise.
-    ACQ_CHECK(LayoutsBitIdentical(reference, built))
-        << threads << "-thread parallel build diverged";
-    const double speedup = ms > 0.0 ? seq_ms / ms : 0.0;
-    best_speedup = std::max(best_speedup, speedup);
-    fprintf(stderr, "parallel threads=%zu prepare=%.1fms speedup=%.2f\n",
-            threads, ms, speedup);
-    table.AddRow({"parallel", std::to_string(threads), Ms(ms),
-                  StringFormat("%.2f", speedup)});
-    if (!first) json += ",";
-    first = false;
-    json += StringFormat(
-        "{\"threads\":%zu,\"prepare_ms\":%.3f,\"speedup\":%.2f}", threads, ms,
-        speedup);
-  }
+  CellSortedLayout layout;
+  const BuildTimes build = TimeBuild(task, step, reps, &layout);
+  const size_t cells = layout.cell_keys.size() / d;
+  fprintf(stderr, "cells=%zu unreachable=%zu matrix=%.1fms layout=%.1fms\n",
+          cells, layout.unreachable_rows, build.matrix_ms, build.layout_ms);
+  TablePrinter table({"phase", "ms"});
+  table.AddRow({"needed matrix", Ms(build.matrix_ms)});
+  table.AddRow({"layout (key + fold + sort)", Ms(build.layout_ms)});
 
   // --- live ingestion: staged deltas vs full rebuild ----------------------
   // N small batches appended to the relation; each batch is staged by the
@@ -162,7 +136,7 @@ int Main() {
   ACQ_CHECK(layer.MergeDeltas().ok());
   const double merge_ms = t_merge.ElapsedMillis();
 
-  // One full (sequential) rebuild over the grown relation — both the delta
+  // One full rebuild over the grown relation — both the delta
   // correctness reference and the per-batch cost of the naive strategy.
   CellSortedEvaluationLayer rebuilt(&task, step);
   Stopwatch t_rebuild;
@@ -182,15 +156,18 @@ int Main() {
           "rebuild=%.2fms amortized_speedup=%.1f\n",
           batches, batch_rows, staging_ms, merge_ms, rebuild_ms,
           amortized_speedup);
-  table.AddRow({"delta-maintain", "-", Ms(delta_total),
-                StringFormat("%.2f", amortized_speedup)});
+  table.AddRow({"delta-maintain (all batches)", Ms(delta_total)});
+  table.AddRow({"rebuild (one batch)", Ms(rebuild_ms)});
 
-  json += StringFormat(
-      "],\"best_speedup\":%.2f,\"delta\":{\"batches\":%zu,"
-      "\"rows_per_batch\":%zu,\"staging_ms\":%.3f,\"merge_ms\":%.3f,"
-      "\"rebuild_ms\":%.3f,\"amortized_speedup\":%.2f}}",
-      best_speedup, batches, batch_rows, staging_ms, merge_ms, rebuild_ms,
-      amortized_speedup);
+  const std::string json = StringFormat(
+      "{\"bench\":\"index_prepare\",\"rows\":%zu,\"d\":%zu,\"cells\":%zu,"
+      "\"unreachable_rows\":%zu,\"matrix_ms\":%.3f,\"layout_ms\":%.3f,"
+      "\"delta\":{\"batches\":%zu,\"rows_per_batch\":%zu,"
+      "\"staging_ms\":%.3f,\"merge_ms\":%.3f,\"rebuild_ms\":%.3f,"
+      "\"amortized_speedup\":%.2f},\"host\":%s}",
+      rows, d, cells, layout.unreachable_rows, build.matrix_ms,
+      build.layout_ms, batches, batch_rows, staging_ms, merge_ms, rebuild_ms,
+      amortized_speedup, HostJson().c_str());
 
   table.Print();
   printf("%s\n", json.c_str());

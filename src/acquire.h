@@ -26,7 +26,7 @@
 #include "expr/custom_metric_dim.h"     // user-defined refinement metrics
 #include "expr/ontology.h"              // categorical roll-ups (Section 7.3)
 #include "index/backend_factory.h"      // EvalBackend -> layer
-#include "index/cell_sorted.h"          // CSR cell-sorted backend
+#include "index/cell_sorted.h"          // cell-sorted grid index backend
 #include "sql/binder.h"                 // SQL -> AcqTask
 #include "sql/explain.h"                // plan introspection
 #include "sql/printer.h"                // refined-query SQL rendering

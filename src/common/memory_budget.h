@@ -9,7 +9,7 @@ namespace acquire {
 /// Cooperative memory budget for one run's working set: the search-side
 /// structures that grow with the explored space (aggregate-store arena,
 /// expand layer arenas) and the evaluation layer's prepared footprint and
-/// scratch (needed-PScore matrix, CSR cell layout, per-call selection
+/// scratch (needed-PScore matrix, sorted cell layout, per-call selection
 /// vectors).
 ///
 /// Enforcement is soft: Charge never blocks an allocation, it latches

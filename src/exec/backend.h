@@ -10,12 +10,13 @@ namespace acquire {
 /// Which evaluation-layer implementation answers box queries for a task.
 /// kAuto lets the driver pick (currently the cell-sorted backend: grid
 /// queries — the only queries Algorithm 3 issues — are cell-aligned, and
-/// the CSR layout answers those in O(log cells) instead of O(n * d)).
+/// the sorted cell layout answers those in O(log cells) instead of
+/// O(n * d)).
 enum class EvalBackend {
   kAuto,
   kDirect,     // scan + recompute per call ("Postgres mode")
   kCached,     // materialized needed matrix, serial scan per call
-  kCellSorted, // Section 7.4 grid index in CSR form: binary search + fold
+  kCellSorted, // Section 7.4 grid index: binary search + per-cell state
 };
 
 const char* EvalBackendToString(EvalBackend backend);

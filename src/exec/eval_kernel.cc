@@ -1,31 +1,13 @@
 #include "exec/eval_kernel.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace acquire {
 
 namespace {
 
-// Below this the chunking/merge overhead beats the win of a second thread.
+// Below this the chunking overhead beats the win of a second thread.
 constexpr size_t kMinRowsPerChunk = 4096;
-
-/// Evaluates one box query over rows [begin, end) of the matrix (serial;
-/// scratch must hold at least end - begin bytes).
-AggregateOps::State ScanBoxRange(const AggregateOps& ops,
-                                 const NeededMatrix& matrix,
-                                 const std::vector<PScoreRange>& box,
-                                 size_t begin, size_t end, uint8_t* scratch) {
-  const size_t count = end - begin;
-  std::fill(scratch, scratch + count, uint8_t{1});
-  for (size_t i = 0; i < matrix.dims; ++i) {
-    RefineSelection(matrix.dim(i) + begin, count, box[i], scratch);
-  }
-  AggregateOps::State state = ops.Init();
-  FoldSelected(ops, matrix.agg_values.data() + begin, scratch, count, &state);
-  return state;
-}
 
 }  // namespace
 
@@ -73,30 +55,20 @@ Status BuildNeededMatrixRows(const AcqTask& task, size_t begin, size_t end,
 
 Result<AggregateOps::State> ScanBoxOverMatrix(
     const AggregateOps& ops, const NeededMatrix& matrix,
-    const std::vector<PScoreRange>& box, ThreadPool* pool) {
+    const std::vector<PScoreRange>& box) {
   if (box.size() != matrix.dims) {
     return Status::InvalidArgument(
         StringFormat("box has %zu ranges, matrix has %zu dimensions",
                      box.size(), matrix.dims));
   }
   const size_t n = matrix.rows;
-  if (pool == nullptr || pool->NumChunks(n, kMinRowsPerChunk) <= 1) {
-    std::vector<uint8_t> scratch(n);
-    return ScanBoxRange(ops, matrix, box, 0, n, scratch.data());
+  std::vector<uint8_t> select(n, uint8_t{1});
+  for (size_t i = 0; i < matrix.dims; ++i) {
+    RefineSelection(matrix.dim(i), n, box[i], select.data());
   }
-  const size_t chunks = pool->NumChunks(n, kMinRowsPerChunk);
-  std::vector<AggregateOps::State> partials(chunks, ops.Init());
-  pool->ParallelFor(n, kMinRowsPerChunk,
-                    [&](size_t chunk, size_t begin, size_t end) {
-                      std::vector<uint8_t> scratch(end - begin);
-                      partials[chunk] = ScanBoxRange(ops, matrix, box, begin,
-                                                     end, scratch.data());
-                    });
-  AggregateOps::State merged = ops.Init();
-  for (const AggregateOps::State& partial : partials) {
-    ops.Merge(&merged, partial);  // chunk order => deterministic result
-  }
-  return merged;
+  AggregateOps::State state = ops.Init();
+  FoldSelected(ops, matrix.agg_values.data(), select.data(), n, &state);
+  return state;
 }
 
 }  // namespace acquire

@@ -49,21 +49,13 @@ inline void FoldSelected(const AggregateOps& ops, const double* values,
   }
 }
 
-/// Folds a contiguous run of rows unconditionally (the cell-sorted layout
-/// turns a cell query into exactly this).
-inline void FoldRange(const AggregateOps& ops, const double* values,
-                      size_t count, AggregateOps::State* state) {
-  for (size_t k = 0; k < count; ++k) ops.Add(state, values[k]);
-}
-
-/// Evaluates one box query over the whole matrix. With a pool (and enough
-/// rows to amortize it) the scan is chunked across the pool and the
-/// per-chunk partial states are merged in chunk order — deterministic
-/// results for a fixed pool size (the OSP merge is what makes the
-/// parallelization valid at all; Section 2.6).
+/// Evaluates one box query over the whole matrix: the selection kernel over
+/// each dimension stream, then a fold of the selected rows in row order.
+/// Cached and cell-sorted layers both answer off-grid boxes with this call
+/// over the same relation-order matrix, so their answers agree bit for bit.
 Result<AggregateOps::State> ScanBoxOverMatrix(
     const AggregateOps& ops, const NeededMatrix& matrix,
-    const std::vector<PScoreRange>& box, ThreadPool* pool = nullptr);
+    const std::vector<PScoreRange>& box);
 
 }  // namespace acquire
 

@@ -79,9 +79,11 @@ struct NeededMatrix {
 ///    but skip predicate-function evaluation. Models a DBMS with a
 ///    specialized access path.
 ///  * CellSortedEvaluationLayer (index/cell_sorted.h) — Section 7.4's grid
-///    index in CSR form: rows counting-sorted into grid cells, so a cell
-///    query is one binary search plus a precomputed per-cell state, and an
-///    aligned box merges per-cell states in sorted key order.
+///    index: rows grouped into grid cells in one pass, so a cell query is
+///    one binary search over sorted keys plus a precomputed per-cell state,
+///    an aligned box merges per-cell states in sorted key order, and an
+///    off-grid box scans the same relation-order matrix the cached layer
+///    holds.
 class EvaluationLayer {
  public:
   struct ExecStats {
@@ -132,7 +134,7 @@ class EvaluationLayer {
   /// implementation fans the per-cell calls out on the shared thread pool
   /// when the layer permits concurrent evaluation, else answers serially;
   /// indexed backends override it to answer the whole batch natively
-  /// (CellSortedEvaluationLayer sweeps its CSR key array once).
+  /// (CellSortedEvaluationLayer sweeps its sorted key array once).
   virtual Result<std::vector<AggregateOps::State>> EvaluateCells(
       const GridCoord* coords, size_t count, double step);
 

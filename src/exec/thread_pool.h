@@ -18,9 +18,11 @@ namespace acquire {
 /// would dominate it.
 ///
 /// Determinism contract: chunk boundaries depend only on (n, min_chunk,
-/// num_threads), never on scheduling, so a caller that keeps per-chunk
-/// partial aggregates and merges them in chunk order gets bit-identical
-/// results on every run (see ScanBoxOverMatrix).
+/// num_threads), never on scheduling. Every engine caller writes per-element
+/// results that do not depend on the chunking (BuildNeededMatrix's rows,
+/// the cell-sorted layer's batched cell sweep), so its answers are the same
+/// bytes at every pool width; merging per-chunk partial aggregates would
+/// tie a result to the width, which is why no box scan is chunked.
 class ThreadPool {
  public:
   /// `num_threads` = 0 sizes the pool to the hardware concurrency

@@ -19,7 +19,7 @@ struct BackendOptions {
 
 /// Constructs the evaluation layer for `backend` over `task` (which must
 /// outlive the returned layer). kAuto resolves to the cell-sorted backend:
-/// the grid queries Algorithm 3 issues are exactly what its CSR layout
+/// the grid queries Algorithm 3 issues are exactly what its cell layout
 /// answers in O(log cells). The layer is returned unprepared.
 Result<std::unique_ptr<EvaluationLayer>> MakeEvaluationLayer(
     const AcqTask* task, EvalBackend backend,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <numeric>
 
 #include "common/failpoint.h"
@@ -11,14 +10,126 @@
 
 namespace acquire {
 
+namespace {
+
+/// First-seen ids of the distinct grid cells of a row scan, keyed by flat
+/// d-int32 runs: linear probing over a power-of-two slot table, each cell's
+/// key stored by id, so grouping allocates nothing per cell.
+class FirstSeenCells {
+ public:
+  explicit FirstSeenCells(size_t d) : d_(d) {}
+
+  const int32_t* key(uint32_t id) const { return keys_.data() + id * d_; }
+
+  /// Id of the cell `key`; a cell not seen before gets the next id.
+  uint32_t Add(const int32_t* key) {
+    if ((size_ + 1) * 2 > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    size_t i = static_cast<size_t>(HashGridCoordSpan(key, d_)) & mask;
+    while (slots_[i] != 0) {
+      const uint32_t id = slots_[i] - 1;
+      if (std::equal(key, key + d_, this->key(id))) return id;
+      i = (i + 1) & mask;
+    }
+    const uint32_t id = static_cast<uint32_t>(size_++);
+    slots_[i] = id + 1;
+    keys_.insert(keys_.end(), key, key + d_);
+    return id;
+  }
+
+  /// The ids in lexicographic key order.
+  std::vector<uint32_t> SortedIds() const {
+    std::vector<uint32_t> order(size_);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return std::lexicographical_compare(key(a), key(a) + d_, key(b),
+                                          key(b) + d_);
+    });
+    return order;
+  }
+
+ private:
+  void Grow() {
+    slots_.assign(std::max<size_t>(1024, slots_.size() * 2), 0u);
+    const size_t mask = slots_.size() - 1;
+    for (size_t id = 0; id < size_; ++id) {
+      size_t i = static_cast<size_t>(
+                     HashGridCoordSpan(key(static_cast<uint32_t>(id)), d_)) &
+                 mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = static_cast<uint32_t>(id + 1);
+    }
+  }
+
+  size_t d_;
+  size_t size_ = 0;
+  std::vector<uint32_t> slots_;  // id + 1; 0 = empty
+  std::vector<int32_t> keys_;    // id-major, d levels per cell
+};
+
+}  // namespace
+
+Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
+                             const AggregateOps& ops, CellSortedLayout* out) {
+  if (step <= 0.0) {
+    return Status::InvalidArgument("cell-sorted layout requires a positive "
+                                   "step");
+  }
+  const size_t d = raw.dims;
+  const FlatAggregate flat(ops);
+  const size_t w = flat.width();
+
+  // Key every row and fold it into its cell's state (by first-seen id) in
+  // the same pass. Unreachable rows (needed == inf on some dimension) are
+  // only counted: no PScoreRange admits infinity.
+  FirstSeenCells cells(d);
+  std::vector<double> states;
+  std::vector<int32_t> coord(d);
+  size_t unreachable = 0;
+  for (size_t row = 0; row < raw.rows; ++row) {
+    bool reachable = true;
+    for (size_t i = 0; i < d; ++i) {
+      const int64_t level = PScoreLevel(raw.dim(i)[row], step);
+      if (level < 0) {
+        reachable = false;
+        break;
+      }
+      coord[i] = static_cast<int32_t>(level);
+    }
+    if (!reachable) {
+      ++unreachable;
+      continue;
+    }
+    const size_t id = cells.Add(coord.data());
+    if (id * w == states.size()) {
+      states.resize(states.size() + w);
+      flat.Init(states.data() + id * w);
+    }
+    if (!flat.FoldRange(states.data() + id * w, &raw.agg_values[row], 1)) {
+      return FlatAggregate::WidthError();
+    }
+  }
+
+  // Sort the m distinct cells and permute their keys and states.
+  const std::vector<uint32_t> order = cells.SortedIds();
+  out->unreachable_rows = unreachable;
+  out->state_width = w;
+  out->cell_keys.resize(order.size() * d);
+  out->cell_states.resize(order.size() * w);
+  for (size_t s = 0; s < order.size(); ++s) {
+    std::copy_n(cells.key(order[s]), d, out->cell_keys.data() + s * d);
+    std::copy_n(states.data() + size_t{order[s]} * w, w,
+                out->cell_states.data() + s * w);
+  }
+  return Status::OK();
+}
+
 CellSortedEvaluationLayer::CellSortedEvaluationLayer(const AcqTask* task,
                                                      double step,
-                                                     ThreadPool* pool,
-                                                     PrepareMode prepare_mode)
+                                                     ThreadPool* pool)
     : EvaluationLayer(task),
       step_(step),
-      pool_(pool != nullptr ? pool : &ThreadPool::Shared()),
-      prepare_mode_(prepare_mode) {}
+      pool_(pool != nullptr ? pool : &ThreadPool::Shared()) {}
 
 Status CellSortedEvaluationLayer::Prepare() {
   if (prepared_) return Status::OK();
@@ -29,24 +140,21 @@ Status CellSortedEvaluationLayer::Prepare() {
   // Snapshot the row count first: rows appended between here and the first
   // evaluate call are picked up by the delta sync, never double-counted.
   const size_t relation_rows = task_->relation->num_rows();
-  NeededMatrix raw;
-  ACQ_RETURN_IF_ERROR(BuildNeededMatrix(*task_, pool_, &raw));
+  NeededMatrix matrix;
+  ACQ_RETURN_IF_ERROR(
+      BuildNeededMatrixRows(*task_, 0, relation_rows, pool_, &matrix));
   CellSortedLayout layout;
-  ACQ_RETURN_IF_ERROR(BuildCellSortedLayout(raw, step_, *task_->agg.ops,
-                                            pool_, prepare_mode_, &layout,
-                                            &build_info_));
+  ACQ_RETURN_IF_ERROR(
+      BuildCellSortedLayout(matrix, step_, *task_->agg.ops, &layout));
   unreachable_rows_ = layout.unreachable_rows;
-  matrix_ = std::move(layout.matrix);
+  matrix_ = std::move(matrix);
   cell_keys_ = std::move(layout.cell_keys);
-  cell_offsets_ = std::move(layout.cell_offsets);
   cell_states_ = std::move(layout.cell_states);
   consumed_rows_ = relation_rows;
-  // Retained footprint only (the raw matrix and sort scratch are freed on
-  // return): sorted matrix, CSR keys/offsets, per-cell states.
+  // Retained footprint: the matrix, the sorted keys and per-cell states.
   ChargeBudget((matrix_.needed.size() + matrix_.agg_values.size()) *
                    sizeof(double) +
                cell_keys_.size() * sizeof(int32_t) +
-               cell_offsets_.size() * sizeof(uint32_t) +
                cell_states_.size() * sizeof(double));
   prepare_ms_ += prepare_sw.ElapsedMillis();
   prepared_ = true;
@@ -63,7 +171,7 @@ Status CellSortedEvaluationLayer::StageNewRows() {
   if (relation_rows <= consumed_rows_) return Status::OK();
   Stopwatch stage_sw;
   const size_t d = task_->d();
-  const size_t staged_before = delta_agg_.size();
+  const size_t staged_before = delta_order_.size();
   // The appended rows' needed values are bit-identical to the rows a full
   // rebuild would compute (BuildNeededMatrixRows re-runs PrecomputeNeeded,
   // so value-memoizing dimensions see the new rows too).
@@ -71,29 +179,23 @@ Status CellSortedEvaluationLayer::StageNewRows() {
   ACQ_RETURN_IF_ERROR(BuildNeededMatrixRows(*task_, consumed_rows_,
                                             relation_rows, /*pool=*/nullptr,
                                             &fresh));
-  GridCoord coord(d);
-  size_t appended = 0;
   for (size_t row = 0; row < fresh.rows; ++row) {
+    const uint32_t r = static_cast<uint32_t>(delta_agg_.size());
     bool reachable = true;
     for (size_t i = 0; i < d; ++i) {
-      int64_t level = PScoreLevel(fresh.dim(i)[row], step_);
-      if (level < 0) {
-        reachable = false;
-        break;
-      }
-      coord[i] = static_cast<int32_t>(level);
-    }
-    if (!reachable) {
-      ++unreachable_rows_;
-      continue;
-    }
-    delta_coords_.insert(delta_coords_.end(), coord.begin(), coord.end());
-    for (size_t i = 0; i < d; ++i) {
+      const int64_t level = PScoreLevel(fresh.dim(i)[row], step_);
+      reachable &= level >= 0;
+      delta_coords_.push_back(static_cast<int32_t>(level));
       delta_needed_.push_back(fresh.dim(i)[row]);
     }
     delta_agg_.push_back(fresh.agg_values[row]);
-    ++appended;
+    if (reachable) {
+      delta_order_.push_back(r);
+    } else {
+      ++unreachable_rows_;
+    }
   }
+  const size_t appended = delta_order_.size() - staged_before;
   consumed_rows_ = relation_rows;
 
   // Extend the sorted order: stable-sort only the new rows, then merge them
@@ -102,34 +204,31 @@ Status CellSortedEvaluationLayer::StageNewRows() {
   // in append order — the same permutation a stable sort of the whole buffer
   // gives, which is what makes the per-cell fold continuation identical to a
   // rebuild.
-  const size_t k = delta_agg_.size();
   auto key_less = [&](uint32_t a, uint32_t b) {
     const int32_t* ka = delta_coords_.data() + a * d;
     const int32_t* kb = delta_coords_.data() + b * d;
     return std::lexicographical_compare(ka, ka + d, kb, kb + d);
   };
-  delta_order_.resize(k);
   const auto fresh_begin = delta_order_.begin() + staged_before;
-  std::iota(fresh_begin, delta_order_.end(),
-            static_cast<uint32_t>(staged_before));
   std::stable_sort(fresh_begin, delta_order_.end(), key_less);
   std::inplace_merge(delta_order_.begin(), fresh_begin, delta_order_.end(),
                      key_less);
+  const size_t k = delta_order_.size();
   delta_cell_keys_.clear();
-  delta_cell_offsets_.assign(1, 0);
+  delta_offsets_.assign(1, 0);
   const int32_t* prev = nullptr;
   for (size_t r = 0; r < k; ++r) {
     const int32_t* key = delta_coords_.data() + delta_order_[r] * d;
     if (prev == nullptr || !std::equal(key, key + d, prev)) {
       delta_cell_keys_.insert(delta_cell_keys_.end(), key, key + d);
-      if (r > 0) delta_cell_offsets_.push_back(static_cast<uint32_t>(r));
+      if (r > 0) delta_offsets_.push_back(static_cast<uint32_t>(r));
     }
     prev = key;
   }
-  delta_cell_offsets_.push_back(static_cast<uint32_t>(k));
+  delta_offsets_.push_back(static_cast<uint32_t>(k));
   delta_rows_ += appended;
-  ChargeBudget(appended * ((d + 1) * sizeof(double) + d * sizeof(int32_t) +
-                           sizeof(uint32_t)));
+  ChargeBudget(fresh.rows * ((d + 1) * sizeof(double) + d * sizeof(int32_t)) +
+               appended * sizeof(uint32_t));
   prepare_ms_ += stage_sw.ElapsedMillis();
   return Status::OK();
 }
@@ -154,7 +253,7 @@ void CellSortedEvaluationLayer::ClearDeltaBuffer() {
   delta_agg_.clear();
   delta_order_.clear();
   delta_cell_keys_.clear();
-  delta_cell_offsets_.clear();
+  delta_offsets_.clear();
 }
 
 Status CellSortedEvaluationLayer::AbsorbStagedDeltas() {
@@ -162,7 +261,7 @@ Status CellSortedEvaluationLayer::AbsorbStagedDeltas() {
   if (k == 0) return Status::OK();
   ++delta_merges_;
   if (ACQ_FAILPOINT("index.delta_merge")) {
-    // Result-preserving fault: fall back to the O(n log n) full rebuild the
+    // Result-preserving fault: fall back to the full rebuild the
     // incremental merge exists to avoid. The layout is canonical, so the
     // rebuild produces the exact bytes the merge would have.
     prepared_ = false;
@@ -170,7 +269,6 @@ Status CellSortedEvaluationLayer::AbsorbStagedDeltas() {
     consumed_rows_ = 0;
     matrix_ = NeededMatrix{};
     cell_keys_.clear();
-    cell_offsets_.clear();
     cell_states_.clear();
     ClearDeltaBuffer();
     return Prepare();
@@ -182,50 +280,14 @@ Status CellSortedEvaluationLayer::AbsorbStagedDeltas() {
   const FlatAggregate flat(*task_->agg.ops);
   const size_t w = flat.width();
 
-  NeededMatrix merged;
-  merged.rows = matrix_.rows + k;
-  merged.dims = d;
-  merged.needed.resize(merged.rows * d);
-  merged.agg_values.resize(merged.rows);
+  // Keys and states: a two-pointer merge of the main and staged cells. A
+  // staged cell continues its base state (or the identity) with its rows'
+  // Adds in append order — the rebuild's exact fold order.
   std::vector<int32_t> keys;
   keys.reserve((m + dm) * d);
-  std::vector<uint32_t> offsets;
-  offsets.reserve(m + dm + 1);
-  offsets.push_back(0);
   std::vector<double> states;
   states.reserve((m + dm) * w);
-
-  uint32_t out_pos = 0;
-  auto copy_base_cell = [&](size_t s) {
-    const uint32_t begin = cell_offsets_[s];
-    const uint32_t count = cell_offsets_[s + 1] - begin;
-    for (size_t i = 0; i < d; ++i) {
-      std::memcpy(merged.mutable_dim(i) + out_pos, matrix_.dim(i) + begin,
-                  count * sizeof(double));
-    }
-    std::memcpy(merged.agg_values.data() + out_pos,
-                matrix_.agg_values.data() + begin, count * sizeof(double));
-    out_pos += count;
-  };
-  // Copies staged cell `t`'s rows (append order) and continues the last
-  // state with their Adds — the rebuild's exact fold order.
   bool width_ok = true;
-  auto copy_delta_cell = [&](size_t t) {
-    const uint32_t begin = out_pos;
-    for (uint32_t r = delta_cell_offsets_[t]; r < delta_cell_offsets_[t + 1];
-         ++r) {
-      const uint32_t row = delta_order_[r];
-      for (size_t i = 0; i < d; ++i) {
-        merged.mutable_dim(i)[out_pos] = delta_needed_[row * d + i];
-      }
-      merged.agg_values[out_pos] = delta_agg_[row];
-      ++out_pos;
-    }
-    width_ok &= flat.FoldRange(states.data() + states.size() - w,
-                               merged.agg_values.data() + begin,
-                               out_pos - begin);
-  };
-
   size_t s = 0;
   size_t t = 0;
   while (s < m || t < dm) {
@@ -244,34 +306,50 @@ Status CellSortedEvaluationLayer::AbsorbStagedDeltas() {
     if (cmp <= 0) {
       keys.insert(keys.end(), cell_keys_.begin() + s * d,
                   cell_keys_.begin() + (s + 1) * d);
-      copy_base_cell(s);
       states.insert(states.end(), cell_states_.begin() + s * w,
                     cell_states_.begin() + (s + 1) * w);
-      if (cmp == 0) copy_delta_cell(t++);
       ++s;
     } else {
       keys.insert(keys.end(), delta_cell_keys_.begin() + t * d,
                   delta_cell_keys_.begin() + (t + 1) * d);
       states.resize(states.size() + w);
       flat.Init(states.data() + states.size() - w);
-      copy_delta_cell(t++);
     }
-    offsets.push_back(out_pos);
+    if (cmp >= 0) {
+      width_ok &=
+          FoldDeltaCellAt(flat, t++, states.data() + states.size() - w);
+    }
   }
   if (!width_ok) return FlatAggregate::WidthError();
 
-  const size_t old_cells = m;
-  matrix_ = std::move(merged);
+  // The matrix: every staged row, unreachable ones too, appended after the
+  // absorbed rows in relation order.
+  NeededMatrix grown;
+  grown.rows = matrix_.rows + k;
+  grown.dims = d;
+  grown.needed.resize(grown.rows * d);
+  grown.agg_values.resize(grown.rows);
+  for (size_t i = 0; i < d; ++i) {
+    double* col = grown.mutable_dim(i);
+    std::copy_n(matrix_.dim(i), matrix_.rows, col);
+    for (size_t r = 0; r < k; ++r) {
+      col[matrix_.rows + r] = delta_needed_[r * d + i];
+    }
+  }
+  std::copy(matrix_.agg_values.begin(), matrix_.agg_values.end(),
+            grown.agg_values.begin());
+  std::copy(delta_agg_.begin(), delta_agg_.end(),
+            grown.agg_values.begin() + matrix_.rows);
+
+  matrix_ = std::move(grown);
   cell_keys_ = std::move(keys);
-  cell_offsets_ = std::move(offsets);
   cell_states_ = std::move(states);
   ClearDeltaBuffer();
-  // The row payload was charged at staging time; only the CSR growth from
-  // brand-new cells is charged here.
+  // The staged rows were charged at staging time; only the keys and states
+  // of brand-new cells are charged here.
   const size_t new_cells = num_cells();
-  if (new_cells > old_cells) {
-    ChargeBudget((new_cells - old_cells) *
-                 (d * sizeof(int32_t) + sizeof(uint32_t) + w * sizeof(double)));
+  if (new_cells > m) {
+    ChargeBudget((new_cells - m) * (d * sizeof(int32_t) + w * sizeof(double)));
   }
   prepare_ms_ += merge_sw.ElapsedMillis();
   return Status::OK();
@@ -313,8 +391,8 @@ size_t CellSortedEvaluationLayer::LowerBoundDeltaCell(
 bool CellSortedEvaluationLayer::FoldDeltaCellAt(const FlatAggregate& flat,
                                                 size_t t,
                                                 double* state) const {
-  const uint32_t begin = delta_cell_offsets_[t];
-  return flat.Fold(state, delta_cell_offsets_[t + 1] - begin,
+  const uint32_t begin = delta_offsets_[t];
+  return flat.Fold(state, delta_offsets_[t + 1] - begin,
                    [&](size_t k) { return delta_agg_[delta_order_[begin + k]]; });
 }
 
@@ -594,15 +672,14 @@ Result<AggregateOps::State> CellSortedEvaluationLayer::EvaluateBox(
     return state;
   }
 
-  // Off-grid box: branchless kernel scan over the permuted matrix, chunked
-  // across the persistent pool when large enough to pay off. The scan (and
-  // its deterministic chunk merge) must run over exactly the layout a full
-  // rebuild would produce, so staged rows are absorbed first.
-  if (staged_delta_rows() > 0) {
+  // Off-grid box: the kernel scan over the relation-order matrix, the call
+  // CachedEvaluationLayer makes, so both answer bit for bit alike. Staged
+  // rows are absorbed first so the matrix holds every consumed row.
+  if (!delta_agg_.empty()) {
     ACQ_RETURN_IF_ERROR(AbsorbStagedDeltas());
   }
   stats_.tuples_scanned.fetch_add(matrix_.rows, std::memory_order_relaxed);
-  return ScanBoxOverMatrix(ops, matrix_, box, pool_);
+  return ScanBoxOverMatrix(ops, matrix_, box);
 }
 
 }  // namespace acquire

@@ -4,21 +4,47 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/result.h"
 #include "exec/evaluation.h"
 #include "exec/thread_pool.h"
-#include "index/parallel_prepare.h"
 
 namespace acquire {
 
-/// Cell-sorted columnar evaluation backend: the needed-PScore matrix is
-/// built once (in parallel, dimension-major) and its rows are
-/// counting-sorted into refined-space grid cells in a CSR layout —
+/// The cell-sorted layout of a needed-PScore matrix at one grid step:
+/// Section 7.4's grid index reduced to what Algorithm 3's cell and aligned
+/// box queries read.
+struct CellSortedLayout {
+  size_t unreachable_rows = 0;      // rows no box admits (needed == inf)
+  std::vector<int32_t> cell_keys;   // m * d, cell-major, sorted
+  size_t state_width = 0;           // doubles per aggregate state
+  std::vector<double> cell_states;  // m * state_width, cell-major
+};
+
+/// Builds the cell-sorted layout of `raw` (a needed-PScore matrix in
+/// relation row order) at grid step `step`, in one pass over the rows: each
+/// reachable row is keyed through an open-addressed first-seen table over
+/// flat d-int32 keys and its aggregate input is folded into that cell's
+/// flat state on the spot. Then the m distinct cells are sorted
+/// lexicographically and their keys and states permuted into that order.
+///
+/// The layout is canonical: rows reach their cell in relation order, so
+/// each cell's state is Init() followed by ops.Add over its rows in
+/// relation order — the fold a GROUP BY cell ORDER BY cell over the
+/// relation computes, whatever builds it. A UDA whose fold changes the
+/// state's width fails the build with Internal.
+Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
+                             const AggregateOps& ops, CellSortedLayout* out);
+
+/// Cell-sorted evaluation backend: the needed-PScore matrix is built once
+/// (in parallel, dimension-major) and kept in relation order, and the
+/// reachable rows are grouped into refined-space grid cells —
 ///
 ///   cell_keys_    m x d grid coordinates, lexicographically sorted
-///   cell_offsets_ m + 1 prefix offsets into the permuted row payload
-///   matrix_       needed matrix + aggregate inputs, permuted to cell order
 ///   cell_states_  m x w flat per-cell OSP aggregate states (w doubles each,
-///                 the fold of the cell's offset range)
+///                 the fold of the cell's rows in relation order)
+///   matrix_       needed matrix + aggregate inputs in relation order,
+///                 unreachable rows included (what CachedEvaluationLayer
+///                 holds)
 ///
 /// so the queries Algorithm 3 actually issues are no longer scans:
 ///  * a cell query is one binary search over the sorted keys plus a
@@ -26,45 +52,38 @@ namespace acquire {
 ///  * a grid-aligned box query walks only the key range whose first
 ///    coordinate overlaps the box, merging per-cell states in sorted key
 ///    order (deterministic), instead of visiting every populated cell,
-///  * an off-grid box (repartition probes) falls back to the shared
-///    branchless kernel over the permuted matrix, chunked across the
-///    persistent thread pool.
-///
-/// The layout build itself is delegated to BuildCellSortedLayout
-/// (index/parallel_prepare.h), which shards the cell assignment, the
-/// partition-by-cell and the per-bucket sorts across the pool for large
-/// relations — bit-identical to the sequential reference by construction.
+///  * an off-grid box (repartition probes) is the shared branchless kernel
+///    scan over the matrix — the call CachedEvaluationLayer makes, so the
+///    answer equals the cached and direct answers bit for bit.
 ///
 /// Incremental maintenance: rows appended to the task's relation after
 /// Prepare() are discovered lazily at the next evaluate call and staged in a
 /// sorted delta buffer. Every query path answers base + staged rows exactly
 /// as a full rebuild would — per-cell answers continue the base fold with
 /// the delta rows' Adds in append order, which is the precise operation
-/// sequence a rebuild runs (the counting sort is stable, so a rebuilt cell's
-/// payload is its old rows in relation order followed by the appended ones).
-/// Once the buffer reaches the merge threshold — or an off-grid probe needs
-/// the contiguous permuted matrix — the staged rows are absorbed into the
-/// main layout with one O(n + k) two-pointer merge instead of an
-/// O(n log n) rebuild.
+/// sequence a rebuild runs (a rebuilt cell folds its old rows in relation
+/// order, then the appended ones). Once the buffer reaches the merge
+/// threshold — or an off-grid probe needs the whole matrix — the staged
+/// rows are absorbed: one O(m + dm) two-pointer merge of keys and states,
+/// and the staged rows appended to the matrix in relation order, instead of
+/// a rebuild.
 ///
 /// `step` must match the refined space's grid step (gamma / d) for the
 /// aligned fast paths to fire; any other step is still correct, just slow.
 class CellSortedEvaluationLayer final : public EvaluationLayer {
  public:
-  /// `pool` = nullptr uses the process-wide shared pool. `prepare_mode`
-  /// picks the layout build strategy (bit-identical either way).
+  /// `pool` = nullptr uses the process-wide shared pool.
   CellSortedEvaluationLayer(const AcqTask* task, double step,
-                            ThreadPool* pool = nullptr,
-                            PrepareMode prepare_mode = PrepareMode::kAuto);
+                            ThreadPool* pool = nullptr);
 
-  /// Builds the matrix and the CSR cell layout in one preparation pass.
+  /// Builds the matrix, then the cell layout over it.
   Status Prepare() override;
 
   Result<AggregateOps::State> EvaluateBox(
       const std::vector<PScoreRange>& box) override;
 
   /// Native batched cell queries: the requested keys are sorted and
-  /// answered in forward sweeps over the sorted CSR key array — a
+  /// answered in forward sweeps over the sorted key array — a
   /// binary-search start, then galloping advances, so a layer of k cells
   /// costs O(k log(m/k)) key comparisons instead of k independent O(log m)
   /// searches. Large batches sweep deterministic contiguous chunks of the
@@ -79,35 +98,32 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
   Result<std::vector<AggregateOps::State>> EvaluateCells(
       const GridCoord* coords, size_t count, double step) override;
 
-  /// CSR layout, key array and per-cell states are read-only once built —
-  /// but only while no appended rows are pending: staging (and a possible
-  /// threshold merge) mutates the layer, so concurrent fan-out is withheld
-  /// until the next serial evaluate call has synced the deltas.
+  /// Keys, states and matrix are read-only once built — but only while no
+  /// appended rows are pending: staging (and a possible absorb) mutates the
+  /// layer, so concurrent fan-out is withheld until the next serial
+  /// evaluate call has synced the deltas.
   bool SupportsConcurrentEvaluate() const override {
     return prepared_ && delta_agg_.empty() &&
            task_->relation->num_rows() == consumed_rows_;
   }
 
   double step() const { return step_; }
-  size_t num_cells() const { return cell_offsets_.empty()
-                                 ? 0
-                                 : cell_offsets_.size() - 1; }
-  /// Rows excluded from the layout because some dimension can never admit
-  /// them (needed == inf admits no box).
+  size_t num_cells() const {
+    const size_t d = task_->d();
+    return d == 0 ? 0 : cell_keys_.size() / d;
+  }
+  /// Rows no cell holds because some dimension can never admit them
+  /// (needed == inf admits no box).
   size_t unreachable_rows() const { return unreachable_rows_; }
-
-  /// How Prepare() actually ran (sequential vs sharded, bucket count).
-  const PrepareBuildInfo& build_info() const { return build_info_; }
-  PrepareMode prepare_mode() const { return prepare_mode_; }
 
   /// Relation rows already reflected in the layer (main layout + staged
   /// deltas); rows at or past this index are picked up by the next sync.
   size_t consumed_rows() const { return consumed_rows_; }
   /// Reachable appended rows currently staged in the delta buffer.
-  size_t staged_delta_rows() const { return delta_agg_.size(); }
+  size_t staged_delta_rows() const { return delta_order_.size(); }
 
   /// Staged-row count that triggers an automatic merge into the main
-  /// layout; 0 restores the default max(4096, layout_rows / 8). Exposed so
+  /// layout; 0 restores the default max(4096, matrix rows / 8). Exposed so
   /// tests and the prepare bench can force or forbid merges.
   void set_delta_merge_threshold(size_t threshold) {
     delta_merge_threshold_ = threshold;
@@ -115,11 +131,10 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
   size_t delta_merge_threshold() const;
 
   /// Stages any unconsumed relation rows, then absorbs every staged row
-  /// into the main layout now. The merge is the O(n + k) two-pointer
-  /// concatenation described above and produces exactly the layout a full
-  /// rebuild would (bit for bit); the `index.delta_merge` failpoint
-  /// downgrades it to that full rebuild, which is therefore
-  /// result-preserving by the same argument.
+  /// into the main layout now. The merge is the two-pointer merge described
+  /// above and produces exactly the layer a full rebuild would (bit for
+  /// bit); the `index.delta_merge` failpoint downgrades it to that full
+  /// rebuild, which is therefore result-preserving by the same argument.
   Status MergeDeltas();
 
   /// True when every range in `box` is exactly one grid cell at this
@@ -138,7 +153,7 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
   size_t GallopLowerBound(size_t from, const int32_t* key) const;
 
   size_t delta_num_cells() const {
-    return delta_cell_offsets_.empty() ? 0 : delta_cell_offsets_.size() - 1;
+    return delta_offsets_.empty() ? 0 : delta_offsets_.size() - 1;
   }
   /// First staged cell whose key is lexicographically >= `key`.
   size_t LowerBoundDeltaCell(const int32_t* key) const;
@@ -157,38 +172,37 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
                    double* state) const;
 
   /// Moves relation rows [consumed_rows_, num_rows()) into the staged delta
-  /// buffer, merges them into its sorted order (O(k) plus a sort of only the
-  /// new rows) and rebuilds its CSR view.
+  /// buffer, merges the reachable ones into its sorted order (O(k) plus a
+  /// sort of only the new rows) and rebuilds its CSR view.
   Status StageNewRows();
   /// StageNewRows + threshold-triggered absorb; serial-entry only.
   Status SyncDeltas();
-  /// Merges the staged rows into the main layout (or rebuilds from scratch
-  /// under the `index.delta_merge` failpoint).
+  /// Merges the staged rows into the main layout and appends them to the
+  /// matrix (or rebuilds from scratch under the `index.delta_merge`
+  /// failpoint).
   Status AbsorbStagedDeltas();
   void ClearDeltaBuffer();
 
   double step_;
   ThreadPool* pool_;
-  PrepareMode prepare_mode_;
-  PrepareBuildInfo build_info_;
   bool prepared_ = false;
   size_t unreachable_rows_ = 0;
   size_t consumed_rows_ = 0;
   size_t delta_merge_threshold_ = 0;  // 0 = auto
-  NeededMatrix matrix_;                 // permuted to cell order
-  std::vector<int32_t> cell_keys_;      // m * d, cell-major, sorted
-  std::vector<uint32_t> cell_offsets_;  // m + 1
-  std::vector<double> cell_states_;     // m * state width, cell-major
+  NeededMatrix matrix_;               // relation order, unreachable rows too
+  std::vector<int32_t> cell_keys_;    // m * d, cell-major, sorted
+  std::vector<double> cell_states_;   // m * state width, cell-major
 
-  // Staged appended rows in append order (row-major; unreachable rows are
-  // dropped at staging time) plus a sorted CSR view over them, extended on
-  // every sync (k stays small — at most the merge threshold).
-  std::vector<int32_t> delta_coords_;  // k * d, row-major
-  std::vector<double> delta_needed_;   // k * d, row-major
-  std::vector<double> delta_agg_;      // k
-  std::vector<uint32_t> delta_order_;  // k, stable-sorted by cell key
-  std::vector<int32_t> delta_cell_keys_;      // dm * d, sorted
-  std::vector<uint32_t> delta_cell_offsets_;  // dm + 1, into delta_order_
+  // Every appended row not yet absorbed, in append order (row-major; an
+  // unreachable row's key is never read, as delta_order_ leaves it out),
+  // plus a sorted CSR view over the reachable ones, extended on every sync
+  // (k stays small — at most the merge threshold).
+  std::vector<int32_t> delta_coords_;     // k * d, row-major
+  std::vector<double> delta_needed_;      // k * d, row-major
+  std::vector<double> delta_agg_;         // k
+  std::vector<uint32_t> delta_order_;     // reachable rows in stable key order
+  std::vector<int32_t> delta_cell_keys_;  // dm * d, sorted
+  std::vector<uint32_t> delta_offsets_;   // dm + 1, into delta_order_
 };
 
 }  // namespace acquire

@@ -1,14 +1,16 @@
-// Structural tests for the cell-sorted CSR backend: layout invariants,
-// the three query paths (cell probe, aligned box walk, off-grid scan), the
-// native batched cell path, unreachable-row exclusion, and the backend
-// factory that constructs it.
+// Structural tests for the cell-sorted backend: the one-pass layout build
+// against a row-by-row reference, the three query paths (cell probe,
+// aligned box walk, off-grid scan), the native batched cell path,
+// unreachable-row exclusion, and the backend factory that constructs it.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstring>
 #include <memory>
+#include <tuple>
 
 #include "acquire.h"
+#include "exec/eval_kernel.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -24,6 +26,171 @@ TEST(CellSortedTest, RejectsNonPositiveStep) {
   CellSortedEvaluationLayer layer(&fixture->task, 0.0);
   EXPECT_FALSE(layer.Prepare().ok());
 }
+
+// The layout build behind the layer's prepare step rejects a zero grid
+// step on its own, without going through the layer.
+TEST(ParallelPrepareTest, RejectsNonPositiveStep) {
+  SyntheticOptions options;
+  auto fixture = MakeSyntheticTask(options);
+  ASSERT_NE(fixture, nullptr);
+  NeededMatrix raw;
+  ASSERT_TRUE(BuildNeededMatrix(fixture->task, nullptr, &raw).ok());
+  CellSortedLayout out;
+  EXPECT_FALSE(
+      BuildCellSortedLayout(raw, 0.0, *fixture->task.agg.ops, &out).ok());
+}
+
+TEST(CellSortedTest, LayerReportsPrepareMsAndConsumedRows) {
+  SyntheticOptions options;
+  options.rows = 40000;
+  auto fixture = MakeSyntheticTask(options);
+  ASSERT_NE(fixture, nullptr);
+  CellSortedEvaluationLayer layer(&fixture->task, 5.0);
+  ASSERT_TRUE(layer.Prepare().ok());
+  EXPECT_GT(layer.stats().prepare_ms, 0.0);
+  EXPECT_EQ(layer.consumed_rows(), options.rows);
+}
+
+// A registered UDA with a 2-wide state {sum of squares, count}: the build
+// folds it through the flat path's virtual fallback.
+constexpr const char* kLayoutUda = "MEAN_SQUARE_LAYOUT";
+
+bool RegisterLayoutUda() {
+  static const bool registered = [] {
+    using State = AggregateOps::State;
+    return UdaRegistry::Instance()
+        .Register(std::make_unique<LambdaAggregateOps>(
+            kLayoutUda, State{0.0, 0.0},
+            [](State* s, double v) {
+              (*s)[0] += v * v;
+              (*s)[1] += 1.0;
+            },
+            [](State* s, const State& other) {
+              (*s)[0] += other[0];
+              (*s)[1] += other[1];
+            },
+            [](const State& s) { return s[1] == 0.0 ? 0.0 : s[0] / s[1]; }))
+        .ok();
+  }();
+  return registered;
+}
+
+enum class Relation { kUniform, kEmpty, kAllUnreachable };
+
+const char* RelationName(Relation relation) {
+  switch (relation) {
+    case Relation::kUniform:
+      return "";
+    case Relation::kEmpty:
+      return "_Empty";
+    case Relation::kAllUnreachable:
+      return "_AllUnreachable";
+  }
+  return "?";
+}
+
+class CellSortedLayoutTest
+    : public ::testing::TestWithParam<
+          std::tuple<size_t, AggregateKind, Relation>> {};
+
+// The one-pass build must equal the row-by-row reference byte for byte:
+// the same sorted keys, memcmp-equal states and the same unreachable count.
+TEST_P(CellSortedLayoutTest, MatchesReferenceByteForByte) {
+  auto [d, agg, relation] = GetParam();
+  ASSERT_TRUE(RegisterLayoutUda());
+  SyntheticOptions options;
+  options.d = d;
+  options.rows = 8000;
+  options.agg = agg;
+  if (agg == AggregateKind::kUda) options.uda_name = kLayoutUda;
+  // No row satisfies c0 <= -1, so with a zero cap on dimension 0 every row
+  // is unreachable; otherwise the cap of 50 leaves rows with c0 > 80
+  // (about a fifth) unreachable.
+  if (relation == Relation::kAllUnreachable) options.bound = -1.0;
+  auto fixture = MakeSyntheticTask(options);
+  ASSERT_NE(fixture, nullptr);
+  if (relation == Relation::kEmpty) {
+    // Planning needs data to bind the predicates' domains, so the empty
+    // relation replaces the planned one (same schema) afterwards.
+    auto empty = std::make_shared<Table>(
+        "data", fixture->task.relation->schema());
+    ASSERT_TRUE(empty->FinalizeAppend().ok());
+    fixture->task.relation = empty;
+  }
+  auto* dim0 = dynamic_cast<NumericDim*>(fixture->task.dims[0].get());
+  ASSERT_NE(dim0, nullptr);
+  dim0->set_max_refinement(relation == Relation::kAllUnreachable ? 0.0
+                                                                  : 50.0);
+  // Coarser cells at higher d keep several rows per cell to fold.
+  const double step = 4.0 * static_cast<double>(d);
+
+  NeededMatrix raw;
+  ASSERT_TRUE(BuildNeededMatrix(fixture->task, nullptr, &raw).ok());
+  CellSortedLayout layout;
+  ASSERT_TRUE(
+      BuildCellSortedLayout(raw, step, *fixture->task.agg.ops, &layout).ok());
+  const test_util::ReferenceLayout reference =
+      test_util::ReferenceCellLayout(fixture->task, step);
+
+  switch (relation) {
+    case Relation::kUniform:
+      EXPECT_GT(reference.unreachable_rows, 0u);
+      // Some cell holds several rows, so fold order is exercised.
+      EXPECT_LT(reference.cells.size(),
+                options.rows - reference.unreachable_rows);
+      break;
+    case Relation::kEmpty:
+      EXPECT_EQ(raw.rows, 0u);
+      EXPECT_TRUE(reference.cells.empty());
+      break;
+    case Relation::kAllUnreachable:
+      EXPECT_EQ(reference.unreachable_rows, options.rows);
+      break;
+  }
+  EXPECT_EQ(layout.unreachable_rows, reference.unreachable_rows);
+  const size_t w = fixture->task.agg.ops->Init().size();
+  ASSERT_EQ(layout.state_width, w);
+  ASSERT_EQ(layout.cell_keys.size(), reference.cells.size() * d);
+  ASSERT_EQ(layout.cell_states.size(), reference.cells.size() * w);
+  size_t s = 0;
+  for (const auto& [key, state] : reference.cells) {
+    EXPECT_EQ(GridCoord(layout.cell_keys.begin() + s * d,
+                        layout.cell_keys.begin() + (s + 1) * d),
+              key)
+        << "cell " << s;
+    ASSERT_EQ(state.size(), w);
+    EXPECT_EQ(0, std::memcmp(layout.cell_states.data() + s * w, state.data(),
+                             w * sizeof(double)))
+        << "cell " << s;
+    ++s;
+  }
+}
+
+const AggregateKind kLayoutAggregates[] = {
+    AggregateKind::kCount, AggregateKind::kSum, AggregateKind::kMin,
+    AggregateKind::kMax,   AggregateKind::kAvg, AggregateKind::kUda};
+
+std::string LayoutCaseName(
+    const ::testing::TestParamInfo<CellSortedLayoutTest::ParamType>& info) {
+  return "d" + std::to_string(std::get<0>(info.param)) + "_" +
+         AggregateKindToString(std::get<1>(info.param)) +
+         RelationName(std::get<2>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DimsByAggregates, CellSortedLayoutTest,
+    ::testing::Combine(::testing::Values<size_t>(1, 2, 3, 4, 5),
+                       ::testing::ValuesIn(kLayoutAggregates),
+                       ::testing::Values(Relation::kUniform)),
+    LayoutCaseName);
+
+INSTANTIATE_TEST_SUITE_P(
+    EdgeRelations, CellSortedLayoutTest,
+    ::testing::Combine(::testing::Values<size_t>(2),
+                       ::testing::ValuesIn(kLayoutAggregates),
+                       ::testing::Values(Relation::kEmpty,
+                                         Relation::kAllUnreachable)),
+    LayoutCaseName);
 
 TEST(CellSortedTest, CellProbeTouchesOneCellNotTheData) {
   SyntheticOptions options;
@@ -77,9 +244,8 @@ TEST(CellSortedTest, AlignedBoxVisitsOnlyCandidateCells) {
 }
 
 TEST(CellSortedTest, OffGridBoxFallsBackToExactScan) {
-  // 30k rows split the fallback scan into several pool chunks — at least
-  // two even on a one-worker pool, which counts the calling thread as a
-  // runner — so the chunk-order merge of partial SUMs is checked too.
+  // The fallback scans the relation-order matrix in row order, which is the
+  // direct layer's fold order too, so even SUM states match bit for bit.
   SyntheticOptions options;
   options.d = 3;
   options.rows = 30000;
@@ -89,7 +255,6 @@ TEST(CellSortedTest, OffGridBoxFallsBackToExactScan) {
   CellSortedEvaluationLayer layer(&fixture->task, 5.0);
   ASSERT_TRUE(layer.Prepare().ok());
   DirectEvaluationLayer reference(&fixture->task);
-  const AggregateOps& ops = *fixture->task.agg.ops;
 
   Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {
@@ -103,9 +268,7 @@ TEST(CellSortedTest, OffGridBoxFallsBackToExactScan) {
     auto got = layer.EvaluateBox(box);
     auto expected = reference.EvaluateBox(box);
     ASSERT_TRUE(got.ok() && expected.ok());
-    EXPECT_NEAR(ops.Final(*got), ops.Final(*expected),
-                1e-9 * std::max(1.0, std::fabs(ops.Final(*expected))))
-        << "trial " << trial;
+    EXPECT_EQ(*got, *expected) << "trial " << trial;
   }
 }
 

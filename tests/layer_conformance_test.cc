@@ -3,11 +3,14 @@
 // exact). All must return identical aggregate states for identical box
 // queries, across aggregates and random boxes. COUNT/MIN/MAX must match
 // bit-for-bit (no FP reassociation can change them); SUM/AVG are compared
-// with a tight relative tolerance because chunked merges may re-associate
-// the additions.
+// with a tight relative tolerance because the cell-sorted layer's aligned
+// boxes merge per-cell states, which re-associates the additions. Off-grid
+// boxes are exact: every layer folds the selected rows in relation order,
+// and the cell-sorted layer does so at every pool width.
 
 #include <gtest/gtest.h>
 #include <cmath>
+#include <cstring>
 
 #include "acquire.h"
 #include "test_util.h"
@@ -244,6 +247,49 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(LayerName(std::get<0>(info.param))) + "_" +
              AggregateKindToString(std::get<1>(info.param));
     });
+
+TEST(LayerConformancePoolWidthTest, CellSortedOffGridMatchesCached) {
+  // An off-grid box is one scan of the relation-order matrix, never split
+  // across the pool, so the cell-sorted layer answers it with the cached
+  // layer's bytes at any pool width. 40k rows are enough for a pooled scan
+  // to split into chunks even on a one-worker pool, and a chunk-order merge
+  // re-associates SUM and AVG.
+  for (AggregateKind agg : {AggregateKind::kSum, AggregateKind::kAvg}) {
+    SyntheticOptions options;
+    options.d = 3;
+    options.rows = 40000;
+    options.agg = agg;
+    auto fixture = MakeSyntheticTask(options);
+    ASSERT_NE(fixture, nullptr);
+    CachedEvaluationLayer cached(&fixture->task);
+    ThreadPool one_worker(1);
+    ThreadPool four_workers(4);
+    CellSortedEvaluationLayer narrow(&fixture->task, 5.0, &one_worker);
+    CellSortedEvaluationLayer wide(&fixture->task, 5.0, &four_workers);
+
+    Rng rng(41);
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<PScoreRange> box(3);
+      for (auto& r : box) {
+        const double hi = rng.NextDouble(20.0, 60.0);  // almost surely off-grid
+        r = PScoreRange{rng.NextBool(0.5) ? -1.0 : hi / 3.0, hi};
+      }
+      auto expected = cached.EvaluateBox(box);
+      ASSERT_TRUE(expected.ok());
+      for (CellSortedEvaluationLayer* layer : {&narrow, &wide}) {
+        GridCoord coord;
+        ASSERT_FALSE(layer->IsCellAligned(box, &coord));
+        auto got = layer->EvaluateBox(box);
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(got->size(), expected->size());
+        EXPECT_EQ(0, std::memcmp(got->data(), expected->data(),
+                                 got->size() * sizeof(double)))
+            << AggregateKindToString(agg) << " trial " << trial << " pool "
+            << (layer == &narrow ? 1 : 4);
+      }
+    }
+  }
+}
 
 TEST(MinAggregateTest, ExpansionNeverIncreasesMin) {
   // MIN is antitone under query expansion (the paper treats MIN as

@@ -3,8 +3,9 @@
 
 // Shared helpers for tests: small synthetic tasks with controllable
 // dimensionality, aggregate and constraint, the reference Explore oracle,
-// and a comparator for server replies.
+// the reference cell grouping, and a comparator for server replies.
 
+#include <map>
 #include <memory>
 #include <string>
 
@@ -97,6 +98,41 @@ class ExploreOracle {
   DirectEvaluationLayer layer_;
   Explorer explorer_;
 };
+
+/// The reference grouping of a task's rows into grid cells at `step`.
+struct ReferenceLayout {
+  std::map<GridCoord, AggregateOps::State> cells;  // lexicographic order
+  size_t unreachable_rows = 0;
+};
+
+/// Groups `task`'s relation row by row: each row's cell from ComputeNeeded
+/// and PScoreLevel, and each cell's state from ops.Init() and ops.Add over
+/// its reachable rows in relation order. It shares no code with the
+/// cell-sorted build, whose keys, states and unreachable count must equal
+/// it byte for byte.
+inline ReferenceLayout ReferenceCellLayout(const AcqTask& task, double step) {
+  ReferenceLayout out;
+  const AggregateOps& ops = *task.agg.ops;
+  std::vector<double> needed;
+  for (size_t row = 0; row < task.relation->num_rows(); ++row) {
+    ComputeNeeded(task, row, &needed);
+    GridCoord coord(task.d());
+    bool reachable = true;
+    for (size_t i = 0; i < task.d() && reachable; ++i) {
+      const int64_t level = PScoreLevel(needed[i], step);
+      reachable = level >= 0;
+      coord[i] = static_cast<int32_t>(level);
+    }
+    if (!reachable) {
+      ++out.unreachable_rows;
+      continue;
+    }
+    auto [cell, inserted] = out.cells.try_emplace(coord);
+    if (inserted) cell->second = ops.Init();
+    ops.Add(&cell->second, task.AggValue(row));
+  }
+  return out;
+}
 
 /// Recursively drops the fields that legitimately differ between two runs
 /// of the same task: the session id and wall-clock timings. Everything
