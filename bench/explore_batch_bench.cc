@@ -4,7 +4,11 @@
 // one thread-pool fan-out on layers without a native batch path); the
 // Eq. 17 merges stay sequential in generation order. Before a config's time
 // is reported, its best answer is checked bit-exact against an unseeded,
-// one-coordinate-at-a-time Explorer.
+// one-coordinate-at-a-time Explorer. Each config then runs again on the
+// same layer with the aggregate store a first run left (a warm run, as a
+// served ACQ on a reused layer does): its best answer, queries_explored and
+// cell_queries must equal the cold run's before warm_elapsed_ms and
+// warm_merge_ms are reported.
 //
 // Emits one line of JSON on stdout (committed as BENCH_explore_batch.json),
 // with a "host" object (nproc, build type, compiler, pool width) so lines
@@ -35,12 +39,15 @@ struct Run {
   RefinedQuery best;
 };
 
+// `store` (optional) is handed to every rep: a store a previous run on
+// `layer` left makes each rep a warm run.
 Run RunReps(const AcqTask& task, EvaluationLayer* layer,
-            const AcquireOptions& options, int reps) {
+            const AcquireOptions& options, int reps,
+            AggregateStore* store = nullptr) {
   Run run;
   run.elapsed_ms = 1e300;
   for (int r = 0; r < reps; ++r) {
-    auto result = RunAcquire(task, layer, options);
+    auto result = RunAcquire(task, layer, options, store);
     ACQ_CHECK(result.ok()) << result.status().ToString();
     if (result->elapsed_ms < run.elapsed_ms) {
       run.elapsed_ms = result->elapsed_ms;
@@ -88,7 +95,7 @@ int Main() {
   bool first_config = true;
 
   TablePrinter table({"n", "d", "layers", "queries", "elapsed_ms",
-                      "merge_ms"});
+                      "merge_ms", "warm_ms", "warm_merge_ms"});
   for (size_t n : sizes) {
     Catalog catalog = MakeLineitemCatalog(n);
     for (size_t d : dims) {
@@ -121,6 +128,17 @@ int Main() {
           << "best answer diverged from the unseeded Explorer at n=" << n
           << " d=" << d;
 
+      // Warm: the first run's store replays on every rep, and must change
+      // nothing the run reports.
+      AggregateStore store;
+      ACQ_CHECK(RunAcquire(task, &layer, options, &store).ok());
+      const Run warm = RunReps(task, &layer, options, reps, &store);
+      ACQ_CHECK(warm.best.coord == run.best.coord &&
+                warm.best.aggregate == run.best.aggregate &&
+                warm.queries_explored == run.queries_explored &&
+                warm.cell_queries == run.cell_queries)
+          << "warm run diverged from the cold run at n=" << n << " d=" << d;
+
       const size_t layers = CountLayers(task, options, run.queries_explored);
       const double layers_per_sec =
           run.elapsed_ms > 0.0 ? 1000.0 * layers / run.elapsed_ms : 0.0;
@@ -130,7 +148,8 @@ int Main() {
       table.AddRow({std::to_string(n), std::to_string(d),
                     std::to_string(layers),
                     std::to_string(run.queries_explored), Ms(run.elapsed_ms),
-                    Ms(run.merge_ms)});
+                    Ms(run.merge_ms), Ms(warm.elapsed_ms),
+                    Ms(warm.merge_ms)});
 
       if (!first_config) json += ",";
       first_config = false;
@@ -138,11 +157,13 @@ int Main() {
           "{\"n\":%zu,\"d\":%zu,\"prepare_ms\":%.2f,\"layers\":%zu,"
           "\"queries_explored\":%llu,\"cell_queries\":%llu,"
           "\"elapsed_ms\":%.3f,\"expand_ms\":%.3f,\"explore_ms\":%.3f,"
-          "\"merge_ms\":%.3f,\"layers_per_sec\":%.1f}",
+          "\"merge_ms\":%.3f,\"layers_per_sec\":%.1f,"
+          "\"warm_elapsed_ms\":%.3f,\"warm_merge_ms\":%.3f}",
           n, d, prepare_ms, layers,
           static_cast<unsigned long long>(run.queries_explored),
           static_cast<unsigned long long>(run.cell_queries), run.elapsed_ms,
-          run.expand_ms, run.explore_ms, run.merge_ms, layers_per_sec);
+          run.expand_ms, run.explore_ms, run.merge_ms, layers_per_sec,
+          warm.elapsed_ms, warm.merge_ms);
     }
   }
   json += StringFormat("],\"host\":%s}", HostJson().c_str());

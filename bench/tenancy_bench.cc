@@ -5,7 +5,8 @@
 // the in-flight task plus its own run, so its p99 must stay within ~2x of
 // the solo p99 (plus a small scheduling floor). The bench measures both
 // phases, asserts the bound, and emits one line of JSON on stdout
-// (committed as BENCH_tenancy.json); progress goes to stderr.
+// (committed as BENCH_tenancy.json), with a "host" object; progress goes to
+// stderr.
 //
 // ACQ_BENCH_ROWS=<n> resizes the per-tenant catalogs for a quick pass.
 
@@ -150,9 +151,10 @@ int Main() {
       "\"solo\":{\"p50_ms\":%.3f,\"p99_ms\":%.3f},"
       "\"contended\":{\"p50_ms\":%.3f,\"p99_ms\":%.3f},"
       "\"heavy_completed\":%.0f,"
-      "\"fair_share_bound_ms\":%.3f,\"bound_ok\":%s}\n",
+      "\"fair_share_bound_ms\":%.3f,\"bound_ok\":%s,\"host\":%s}\n",
       rows, probes, solo_p50, solo_p99, contended_p50, contended_p99,
-      heavy_completed, bound_ms, bound_ok ? "true" : "false");
+      heavy_completed, bound_ms, bound_ok ? "true" : "false",
+      HostJson().c_str());
   return 0;
 }
 

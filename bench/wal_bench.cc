@@ -7,8 +7,8 @@
 // bit-exact: every appended record comes back, in order, with the same
 // generation stamps, and the tail is not torn.
 //
-// Emits one line of JSON on stdout (committed as BENCH_wal.json);
-// human-readable progress goes to stderr. ACQ_BENCH_ROWS scales the
+// Emits one line of JSON on stdout (committed as BENCH_wal.json), with a
+// "host" object; human-readable progress goes to stderr. ACQ_BENCH_ROWS scales the
 // record count for a quick smoke pass.
 
 #include <cstdio>
@@ -158,8 +158,8 @@ int Main() {
   const double replay_rec_s = PerSec(records, replay_ms);
   json += StringFormat(
       "],\"replay\":{\"records\":%zu,\"replay_ms\":%.3f,"
-      "\"records_per_s\":%.1f},\"crc32c_mb_per_s\":%.1f}",
-      records, replay_ms, replay_rec_s, crc_mb_s);
+      "\"records_per_s\":%.1f},\"crc32c_mb_per_s\":%.1f,\"host\":%s}",
+      records, replay_ms, replay_rec_s, crc_mb_s, HostJson().c_str());
   fprintf(stderr, "replay: %zu records in %.2fms (%.0f rec/s), crc32c %.0f "
           "MB/s\n",
           records, replay_ms, replay_rec_s, crc_mb_s);

@@ -97,7 +97,8 @@ std::unique_ptr<QueryGenerator> MakeQueryGenerator(
 }
 
 Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
-                                 const AcquireOptions& options) {
+                                 const AcquireOptions& options,
+                                 AggregateStore* store) {
   if (task.d() == 0) {
     return Status::InvalidArgument("task has no refinable predicates");
   }
@@ -308,7 +309,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
     (void)keep_unused;
     result.termination = ctx->Interruption();
   } else {
-    BatchExplorer batch(&space, layer, generator.get(), ctx);
+    BatchExplorer batch(&space, layer, generator.get(), ctx, store);
     // Shell order's whole shell drains as one layer with intra-layer
     // predecessors, resolved by the shell cursors instead of the
     // previous-layer window.
@@ -367,6 +368,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
       if (running) layer_drained();
     }
     total_cell_queries = batch.explorer().cell_queries();
+    result.store_replayed = batch.explorer().replayed();
     // Stopping on a hit layer leaves the following layer's prefetch
     // running, and it adds to the expand timer.
     batch.JoinPrefetch();

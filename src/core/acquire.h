@@ -121,9 +121,16 @@ struct AcquireResult {
 
   uint64_t queries_explored = 0;  // grid queries investigated
 
-  /// Cell sub-queries executed. Explore executes a whole layer at a time,
-  /// so a run that stops mid-layer counts the rest of that layer too.
+  /// Cell sub-queries the search accounts for: what a run without a kept
+  /// store executes. Explore executes a whole layer at a time, so a run
+  /// that stops mid-layer counts the rest of that layer too. Coordinates
+  /// replayed from a kept store count as the layer batch they replace
+  /// would; exec_stats.queries is the physical count.
   uint64_t cell_queries = 0;
+
+  /// Coordinates answered from a kept aggregate store (RunAcquire's
+  /// `store`) instead of executed and merged; part of cell_queries.
+  uint64_t store_replayed = 0;
 
   /// Evaluation-layer counters plus the driver's per-phase timings
   /// (expand_ms / explore_ms / merge_ms; see ExecStats).
@@ -142,8 +149,16 @@ struct AcquireResult {
 /// CachedEvaluationLayer for the materialized-distances variant, or a
 /// CellSortedEvaluationLayer (Section 7.4's grid index) for O(log cells)
 /// cell queries. The layer must wrap the same task.
+///
+/// `store` (optional, in/out, not owned) is the Eq. 17 aggregate store the
+/// search investigates into. It must be empty or hold a store an earlier
+/// run built on this layout over the same rows; those entries are replayed
+/// (BatchExplorer), and afterwards it holds this run's store for the next.
+/// The result is byte-identical to a run without one. The run's memory
+/// budget meters the store's growth during the run only.
 Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
-                                 const AcquireOptions& options = {});
+                                 const AcquireOptions& options = {},
+                                 AggregateStore* store = nullptr);
 
 }  // namespace acquire
 

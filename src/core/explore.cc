@@ -92,6 +92,15 @@ const double* AggregateStore::Find(const int32_t* key) {
   return e == 0 ? nullptr : arena_.data() + (e - 1) * block_width_;
 }
 
+void AggregateStore::Truncate(size_t n) {
+  if (n >= num_entries_) return;
+  num_entries_ = n;
+  keys_.resize(n * d_);
+  arena_.resize(n * block_width_);
+  slots_.clear();
+  indexed_ = 0;
+}
+
 double* AggregateStore::Append(const int32_t* key) {
   keys_.insert(keys_.end(), key, key + d_);
   const size_t offset = num_entries_ * block_width_;
@@ -102,9 +111,15 @@ double* AggregateStore::Append(const int32_t* key) {
 }
 
 Explorer::Explorer(const RefinedSpace* space, EvaluationLayer* layer,
-                   MemoryBudget* budget)
-    : space_(space), layer_(layer), flat_(*space->task().agg.ops) {
-  store_.Configure(space_->d(), flat_.width());
+                   MemoryBudget* budget, AggregateStore* store)
+    : space_(space),
+      layer_(layer),
+      flat_(*space->task().agg.ops),
+      store_(store != nullptr ? *store : own_store_) {
+  if (store_.d() != space_->d() || store_.state_width() != flat_.width()) {
+    store_ = AggregateStore();
+    store_.Configure(space_->d(), flat_.width());
+  }
   store_.set_budget(budget);
   scratch_.resize((space_->d() + 1) * flat_.width());
   pred_blocks_.resize(space_->d());
@@ -112,7 +127,12 @@ Explorer::Explorer(const RefinedSpace* space, EvaluationLayer* layer,
 
 Result<double> Explorer::ComputeAggregate(const int32_t* key) {
   const double* block = nullptr;
-  ACQ_RETURN_IF_ERROR(EnsureComputed(key, &block));
+  if (replay_next_ < replay_end_ &&
+      std::equal(key, key + space_->d(), store_.KeyAt(replay_next_))) {
+    block = store_.BlockAt(replay_next_++);
+  } else {
+    ACQ_RETURN_IF_ERROR(EnsureComputed(key, &block));
+  }
   // O_{d+1} is the whole refined query (Eq. 8).
   return flat_.Final(block + space_->d() * store_.state_width());
 }
@@ -137,6 +157,19 @@ void Explorer::SeedCellStates(const int32_t* keys, size_t count,
   // The evaluation layer executed these in the batch; count them now so
   // cell_queries() matches the layer's own query counter.
   cell_queries_ += count;
+}
+
+void Explorer::ReplayStored(size_t lo, size_t count) {
+  replay_next_ = lo;
+  replay_end_ = lo + count;
+  cell_queries_ += count;
+  replayed_ += count;
+}
+
+void Explorer::TruncateStore(size_t n) {
+  store_.Truncate(n);
+  replay_next_ = 0;
+  replay_end_ = 0;
 }
 
 void Explorer::BuildSeedIndex() {
@@ -353,12 +386,15 @@ Status Explorer::EnsureComputed(const int32_t* key, const double** block) {
 }
 
 BatchExplorer::BatchExplorer(const RefinedSpace* space, EvaluationLayer* layer,
-                             QueryGenerator* generator, RunContext* ctx)
+                             QueryGenerator* generator, RunContext* ctx,
+                             AggregateStore* store)
     : space_(space),
       layer_(layer),
       generator_(generator),
       ctx_(ctx),
-      explorer_(space, layer, ctx != nullptr ? &ctx->budget() : nullptr) {}
+      explorer_(space, layer, ctx != nullptr ? &ctx->budget() : nullptr,
+                store),
+      replay_end_(explorer_.store().size()) {}
 
 BatchExplorer::~BatchExplorer() { JoinPrefetch(); }
 
@@ -451,22 +487,42 @@ Status BatchExplorer::ExecuteLayer() {
   Stopwatch sw;
   const size_t d = space_->d();
   const size_t n = layer_size();
-  // The store only ever holds handed-out coordinates (predecessor fills
-  // resolve within the layers drained so far), so when its size equals the
-  // count handed out in previous layers, nothing of this fresh layer can be
-  // stored and the layer is used in place. Any mismatch — a caller
-  // re-running or abandoning a layer, or exploring around the drain — runs
-  // the per-coordinate filter, keeping "at most one execution per
-  // coordinate" unconditional. Either way the seeds are absent, which is
-  // what lets the drain append them without a probe.
-  const bool in_sync =
-      !layer_executed_ && explorer_.store().size() == drained_total_;
+  // Replay. A cold BFS or shell drive stores coordinates in generation
+  // order, so when this layer's keys equal the kept entries at
+  // [drained_total_, ...), one sequential compare proves them investigated:
+  // the explorer hands their blocks out with no execution and no Eq. 17
+  // combine. Only the part of the layer past the kept store's end runs. At
+  // the first layer that differs (another order, norm or weights, or a
+  // best-first store whose fills reordered it) the store is cut back to
+  // the drained entries, which is exactly what a cold drive holds here.
+  size_t replayed = 0;
+  if (!layer_executed_ && drained_total_ < replay_end_) {
+    const size_t kept = std::min(n, replay_end_ - drained_total_);
+    if (std::equal(layer_keys_.data(), layer_keys_.data() + kept * d,
+                   explorer_.store().KeyAt(drained_total_))) {
+      replayed = kept;
+      explorer_.ReplayStored(drained_total_, replayed);
+    } else {
+      explorer_.TruncateStore(drained_total_);
+      replay_end_ = drained_total_;
+    }
+  }
+  // Past the kept entries the store holds only handed-out coordinates
+  // (predecessor fills resolve within the layers drained so far), so when
+  // its size equals the count handed out before the rest of this layer,
+  // nothing of that rest can be stored and it is used in place. Any
+  // mismatch — a caller re-running or abandoning a layer, or exploring
+  // around the drain — runs the per-coordinate filter, keeping "at most one
+  // execution per coordinate" unconditional. Either way the seeds are
+  // absent, which is what lets the drain append them without a probe.
+  const bool in_sync = !layer_executed_ &&
+                       explorer_.store().size() == drained_total_ + replayed;
   layer_executed_ = true;
-  const int32_t* keys = layer_keys_.data();
-  size_t count = n;
+  const int32_t* keys = layer_key(replayed);
+  size_t count = n - replayed;
   if (!in_sync) {
     batch_.clear();
-    for (size_t q = 0; q < n; ++q) {
+    for (size_t q = replayed; q < n; ++q) {
       const int32_t* key = layer_key(q);
       if (!explorer_.IsStored(key)) {
         batch_.insert(batch_.end(), key, key + d);

@@ -64,13 +64,17 @@ class AggregateStore {
   size_t state_width() const { return state_width_; }
   size_t block_width() const { return block_width_; }
 
-  /// Entry `e`'s key / block by insertion order (e < size()). Entries are
-  /// append-only, so indices are stable; block pointers are stable until
+  /// Entry `e`'s key / block by insertion order (e < size()). Indices are
+  /// stable until a Truncate below them; block pointers are stable until
   /// the next Append.
   const int32_t* KeyAt(size_t e) const { return keys_.data() + e * d_; }
   const double* BlockAt(size_t e) const {
     return arena_.data() + e * block_width_;
   }
+
+  /// Drops entries [n, size()) and the slot table, which the next Find
+  /// rebuilds over the entries kept. Capacity is kept.
+  void Truncate(size_t n);
 
  private:
   /// Slot holding the key, or the empty slot where it would go.
@@ -116,9 +120,16 @@ class AggregateStore {
 class Explorer {
  public:
   /// `budget` (optional, not owned) meters the aggregate store's arena
-  /// growth — see AggregateStore::set_budget.
+  /// growth — see AggregateStore::set_budget. `store` (optional, not owned)
+  /// is investigated into instead of the explorer's own and keeps the
+  /// entries when the explorer goes: it must be empty or hold only entries
+  /// computed on this layout over the same rows (a kept store; see
+  /// BatchExplorer). One of another shape is cleared first.
   Explorer(const RefinedSpace* space, EvaluationLayer* layer,
-           MemoryBudget* budget = nullptr);
+           MemoryBudget* budget = nullptr, AggregateStore* store = nullptr);
+
+  /// Detaches the budget from the store, which may outlive the run.
+  ~Explorer() { store_.set_budget(nullptr); }
 
   Explorer(const Explorer&) = delete;
   Explorer& operator=(const Explorer&) = delete;
@@ -177,9 +188,25 @@ class Explorer {
   /// only ever answer exact matches. Disarms any BFS layer drain.
   void BeginShellDrain(size_t lo);
 
-  /// Number of cell queries actually executed (== store().size() plus any
-  /// seeded-but-not-yet-consumed batch states).
+  /// Arms the replay cursor: store entries [lo, lo + count) hold exactly
+  /// the next `count` coordinates the caller will request, in order (the
+  /// caller compared their keys). ComputeAggregate hands their blocks out
+  /// without executing or merging anything. Counts toward cell_queries()
+  /// and replayed() immediately, as the layer batch they replace would.
+  void ReplayStored(size_t lo, size_t count);
+
+  /// Cuts the store back to its first `n` entries (AggregateStore::Truncate)
+  /// and disarms the replay cursor.
+  void TruncateStore(size_t n);
+
+  /// Cell queries the run accounts for: executed ones plus replayed ones,
+  /// so it equals what a run without a kept store executes (store().size()
+  /// past the kept entries plus any seeded-but-not-yet-consumed batch
+  /// states). The layer's own query counter shows the physical work.
   uint64_t cell_queries() const { return cell_queries_; }
+
+  /// Coordinates answered from kept store entries (ReplayStored).
+  uint64_t replayed() const { return replayed_; }
 
   const AggregateStore& store() const { return store_; }
 
@@ -215,8 +242,12 @@ class Explorer {
   const RefinedSpace* space_;
   EvaluationLayer* layer_;
   FlatAggregate flat_;  // the task's combine and final, resolved once
-  AggregateStore store_;
+  AggregateStore own_store_;  // unused when the caller passes a store
+  AggregateStore& store_;
   uint64_t cell_queries_ = 0;
+  uint64_t replayed_ = 0;
+  size_t replay_next_ = 0;  // next entry ReplayStored hands out
+  size_t replay_end_ = 0;   // one past the last
   /// Batch-executed cell states awaiting their Eq. 17 merges, flat and
   /// replaced per layer with no per-coordinate allocation.
   std::vector<double> seed_states_;   // seed e's state at e * state_width
@@ -262,6 +293,12 @@ class Explorer {
 /// generator emits the same layers in the same order either way, and it is
 /// touched by exactly one thread at a time (JoinPrefetch is the hand-over),
 /// so results are unchanged.
+///
+/// A store kept from an earlier run on the same layout and rows is replayed
+/// instead of recomputed: every entry depends only on the layout, and runs in
+/// one search order drain the same coordinate sequence, each stopping at a
+/// different layer (see ExecuteLayer). Aggregates, cell_queries() at every
+/// layer boundary and the store left behind are those of a cold drive.
 class BatchExplorer {
  public:
   /// `ctx` (optional, not owned) lets a huge layer generation stop early:
@@ -270,8 +307,12 @@ class BatchExplorer {
   /// to completion first. The driver re-polls before consuming the layer,
   /// so a truncated layer is never mistaken for a complete one on an
   /// uninterrupted run (ctx == nullptr is byte-identical behavior).
+  /// `store` (optional, not owned) is the explorer's store (see Explorer):
+  /// the entries it holds on entry are replayed, and it holds the drive's
+  /// store afterwards.
   BatchExplorer(const RefinedSpace* space, EvaluationLayer* layer,
-                QueryGenerator* generator, RunContext* ctx = nullptr);
+                QueryGenerator* generator, RunContext* ctx = nullptr,
+                AggregateStore* store = nullptr);
 
   /// Joins an in-flight layer prefetch (JoinPrefetch).
   ~BatchExplorer();
@@ -304,7 +345,8 @@ class BatchExplorer {
   }
 
   /// Executes the cell sub-queries of every not-yet-investigated
-  /// coordinate of the current layer in one batch and seeds the explorer.
+  /// coordinate of the current layer in one batch and seeds the explorer;
+  /// a prefix that matches the kept store is replayed instead.
   Status ExecuteLayer();
 
   /// Tells ExecuteLayer which predecessor fast path to arm on in-sync
@@ -349,6 +391,9 @@ class BatchExplorer {
   std::vector<int32_t> batch_;         // scratch: keys needing execution
   std::vector<double> batch_states_;   // scratch: their O_1 states
   size_t drained_total_ = 0;      // coords handed out in previous layers
+  // Store entries [drained_total_, replay_end_) were kept from an earlier
+  // run and not yet matched by a layer.
+  size_t replay_end_ = 0;
   size_t prev_layer_size_ = 0;    // size of the layer drained before this one
   bool shell_hint_ = false;       // arm the shell drain on in-sync layers
   double expand_ms_ = 0.0;

@@ -49,7 +49,8 @@ const char* AcqModeToString(AcqMode mode) {
 }
 
 Result<AcqOutcome> ProcessAcq(const AcqTask& task, EvaluationLayer* layer,
-                              const AcquireOptions& options) {
+                              const AcquireOptions& options,
+                              AggregateStore* store) {
   if (layer == nullptr || &layer->task() != &task) {
     return Status::InvalidArgument(
         "evaluation layer must wrap the same AcqTask");
@@ -105,7 +106,8 @@ Result<AcqOutcome> ProcessAcq(const AcqTask& task, EvaluationLayer* layer,
 
   // --- Too few results: expansion (Algorithm 4). ---
   outcome.mode = AcqMode::kExpanded;
-  ACQ_ASSIGN_OR_RETURN(outcome.result, RunAcquire(task, layer, options));
+  ACQ_ASSIGN_OR_RETURN(outcome.result,
+                       RunAcquire(task, layer, options, store));
   return outcome;
 }
 

@@ -42,9 +42,11 @@ double GridStepFor(const AcqTask& task, const AcquireOptions& options);
 /// constructed cached layer, since `layer` wraps the expansion task).
 /// The result's build tallies (ExecStats prepare_ms, delta_rows,
 /// delta_merges) include `layer`'s in every mode, since it answered the
-/// origin query.
+/// origin query. `store` (optional, in/out) is handed to RunAcquire on
+/// expansion and left untouched otherwise.
 Result<AcqOutcome> ProcessAcq(const AcqTask& task, EvaluationLayer* layer,
-                              const AcquireOptions& options = {});
+                              const AcquireOptions& options = {},
+                              AggregateStore* store = nullptr);
 
 /// Backend-driven front door: constructs the evaluation layer the task
 /// asks for (task.eval_backend via index/backend_factory.h, grid step

@@ -725,6 +725,11 @@ JsonValue AcqServer::HandleStats(const JsonValue& request) {
   set("layer_hits", counters.layer_hits);
   set("layer_misses", counters.layer_misses);
   set("layer_bypassed", counters.layer_bypassed);
+  // The Eq. 17 store kept with the idle layer: coordinates replayed from
+  // it (logical cell_queries that never reached eval_queries) and its size.
+  set("store_replayed", counters.store_replayed);
+  set("store_entries", counters.store_entries);
+  set("store_bytes", counters.store_bytes);
   set("appends", counters.appends);
   set("append_rows", counters.append_rows);
   set("catalog_generation", manager.catalog().generation());
@@ -1089,6 +1094,13 @@ JsonValue AcqServer::HandleTenants() {
     entry.Set("layer_bypassed",
               JsonValue::Number(
                   static_cast<double>(counters.layer_bypassed)));
+    entry.Set("store_replayed",
+              JsonValue::Number(
+                  static_cast<double>(counters.store_replayed)));
+    entry.Set("store_entries",
+              JsonValue::Number(static_cast<double>(counters.store_entries)));
+    entry.Set("store_bytes",
+              JsonValue::Number(static_cast<double>(counters.store_bytes)));
     const ResultCacheStats cache = manager.cache().stats();
     entry.Set("cache_entries",
               JsonValue::Number(static_cast<double>(cache.entries)));

@@ -607,8 +607,15 @@ void SessionManager::Shutdown() {
 }
 
 ServerCounters SessionManager::counters() const {
-  std::lock_guard<std::mutex> lock(counters_mu_);
-  return counters_;
+  ServerCounters counters;
+  {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    counters = counters_;
+  }
+  std::lock_guard<std::mutex> lock(layer_mu_);
+  counters.store_entries = idle_layer_.store.size();
+  counters.store_bytes = idle_layer_.store.MemoryBytes();
+  return counters;
 }
 
 size_t SessionManager::num_running() const {
@@ -709,12 +716,19 @@ Result<AcqOutcome> SessionManager::ProcessReusingLayer(
   }
   const bool hit = idle.layer != nullptr && idle.key == key;
   std::unique_ptr<EvaluationLayer> layer;
+  // An entry depends only on the layout and the rows, and the relation only
+  // grows, so an unchanged row count means no APPEND since the store's run.
+  const size_t rows = task->relation->num_rows();
+  AggregateStore store;
   if (hit) {
     layer = std::move(idle.layer);
     layer->Rebind(task.get());
-  } else {
-    // Drop the stale layout before building, so the tenant never holds two.
-    idle = IdleLayer{};
+    if (idle.store_rows == rows) std::swap(store, idle.store);
+  }
+  // Drop a stale layout before building and a stale store before the run
+  // grows its own, so the tenant never holds two of either.
+  idle = IdleLayer{};
+  if (!hit) {
     BackendOptions backend_options;
     backend_options.grid_step = key.step;
     ACQ_ASSIGN_OR_RETURN(
@@ -725,14 +739,16 @@ Result<AcqOutcome> SessionManager::ProcessReusingLayer(
     std::lock_guard<std::mutex> clock(counters_mu_);
     ++(hit ? counters_.layer_hits : counters_.layer_misses);
   }
-  Result<AcqOutcome> ran = ProcessAcq(*task, layer.get(), options);
+  Result<AcqOutcome> ran = ProcessAcq(*task, layer.get(), options, &store);
   // The budget lives in this run's RunContext; the next run's origin query
-  // must not charge its staging to it.
+  // must not charge its staging to it. (The run's explorer already detached
+  // it from the store.)
   layer->set_memory_budget(nullptr);
   if (ran.ok()) {
-    // The most recently finished run's layer wins the idle slot; one a
-    // concurrent run returned first is dropped after the unlock.
-    IdleLayer back{std::move(key), task, std::move(layer)};
+    // The most recently finished run's layer and store win the idle slot;
+    // ones a concurrent run returned first are dropped after the unlock.
+    IdleLayer back{std::move(key), task, std::move(layer), std::move(store),
+                   rows};
     std::lock_guard<std::mutex> lock(layer_mu_);
     std::swap(idle_layer_, back);
   }
@@ -855,6 +871,7 @@ void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
         const AcquireResult& result = outcome.result;
         counters_.queries_explored += result.queries_explored;
         counters_.cell_queries += result.cell_queries;
+        counters_.store_replayed += result.store_replayed;
         counters_.eval_queries += result.exec_stats.queries;
         counters_.tuples_scanned += result.exec_stats.tuples_scanned;
         counters_.prepare_micros +=

@@ -159,6 +159,13 @@ struct ServerCounters {
   uint64_t layer_hits = 0;
   uint64_t layer_misses = 0;
   uint64_t layer_bypassed = 0;
+  /// The Eq. 17 store kept with the idle layer: coordinates runs answered
+  /// from it instead of executing and merging them (part of cell_queries,
+  /// absent from eval_queries), and the idle store's entries and reserved
+  /// bytes right now (gauges, 0 while no store is idle).
+  uint64_t store_replayed = 0;
+  uint64_t store_entries = 0;
+  uint64_t store_bytes = 0;
   /// Live ingestion through SessionManager::AppendRows: successful APPEND
   /// batches and the rows they landed.
   uint64_t appends = 0;
@@ -407,7 +414,9 @@ class SessionManager {
   /// prepared layer when its key matches (a hit skips Prepare; rows appended
   /// since its last use are staged by delta maintenance), else on a fresh
   /// layer — built after the stale idle one is dropped — that a successful
-  /// run hands back as the new idle layer. Runs that fail ReusableLayout
+  /// run hands back as the new idle layer. A hit over unchanged rows also
+  /// takes the idle Eq. 17 store, which the run replays and extends and a
+  /// successful run parks with its layer. Runs that fail ReusableLayout
   /// call ProcessAcq exactly as before. Tallies the layer_* counters.
   Result<AcqOutcome> ProcessReusingLayer(const std::shared_ptr<AcqTask>& task,
                                          const AcquireOptions& options);
@@ -445,14 +454,18 @@ class SessionManager {
   /// The tenant's one idle prepared layer (DESIGN.md §6), with the key it
   /// was laid out under and the task it is bound to — held so the idle layer
   /// never points at a freed task and its relation's address cannot be
-  /// recycled under the key. A run takes it out exclusively; `layer` is null
-  /// while none is idle. A leaf lock: nothing else is acquired under it.
+  /// recycled under the key — and the last run's Eq. 17 store with the
+  /// relation row count it was computed at. A run takes it out exclusively;
+  /// `layer` is null while none is idle. A leaf lock: nothing else is
+  /// acquired under it.
   struct IdleLayer {
     LayoutKey key;
     std::shared_ptr<const AcqTask> task;
     std::unique_ptr<EvaluationLayer> layer;
+    AggregateStore store;
+    size_t store_rows = 0;
   };
-  std::mutex layer_mu_;
+  mutable std::mutex layer_mu_;
   IdleLayer idle_layer_;  // under layer_mu_
 };
 

@@ -5,10 +5,12 @@
 // the aggregate an unseeded, one-coordinate-at-a-time Explorer computes —
 // on a second layer of the same kind and on the Direct oracle — for every
 // search order, exact layer, norm and aggregate, SUM and AVG included. At
-// every layer boundary the cell-query counts must agree as well.
+// every layer boundary the cell-query counts must agree as well. A drive
+// that replays another drive's store must match a cold drive the same way.
 
 #include <gtest/gtest.h>
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <tuple>
 #include <utility>
@@ -310,6 +312,245 @@ INSTANTIATE_TEST_SUITE_P(
                                          AggregateKind::kAvg,
                                          AggregateKind::kUda)),
     EquivalenceCaseName);
+
+// --- Kept stores -----------------------------------------------------------
+
+// Forwards to a prepared layer and counts the cell batches reaching it.
+class CountingLayer : public EvaluationLayer {
+ public:
+  explicit CountingLayer(EvaluationLayer* inner)
+      : EvaluationLayer(&inner->task()), inner_(inner) {}
+
+  Result<AggregateOps::State> EvaluateBox(
+      const std::vector<PScoreRange>& box) override {
+    return inner_->EvaluateBox(box);
+  }
+  Status EvaluateCellKeys(const int32_t* keys, size_t count, double step,
+                          std::vector<double>* states) override {
+    ++batches;
+    cells += count;
+    return inner_->EvaluateCellKeys(keys, count, step, states);
+  }
+
+  size_t batches = 0;
+  size_t cells = 0;
+
+ private:
+  EvaluationLayer* inner_;
+};
+
+// What one drive saw: every drained coordinate's aggregate in drain order
+// and, after each layer, the cell-query count and the layer's cell batches.
+struct Drive {
+  std::vector<double> aggregates;
+  std::vector<uint64_t> cell_queries;
+  std::vector<size_t> batches;
+  uint64_t replayed = 0;
+};
+
+// Drives `order` under `norm` over `layer` into `store` for the first
+// `limit` coordinates, stopping mid-layer at the limit as max_explored
+// does. `counter` (optional) is `layer` itself, wrapped.
+Drive DriveInto(const AcqTask& task, EvaluationLayer* layer,
+                SearchOrder order, const Norm& norm, uint64_t limit,
+                AggregateStore* store, const CountingLayer* counter = nullptr) {
+  AcquireOptions options;
+  options.gamma = 12.0;
+  options.order = order;
+  options.norm = norm;
+  RefinedSpace space(&task, options.gamma, options.norm);
+  std::unique_ptr<QueryGenerator> generator =
+      MakeQueryGenerator(&space, options);
+  BatchExplorer batch(&space, layer, generator.get(), nullptr, store);
+  batch.set_shell_drain_hint(ResolveSearchOrder(options) ==
+                             SearchOrder::kShell);
+  Drive drive;
+  while (drive.aggregates.size() < limit && batch.NextLayer()) {
+    const size_t batches_before = counter != nullptr ? counter->batches : 0;
+    EXPECT_TRUE(batch.ExecuteLayer().ok());
+    for (size_t q = 0;
+         q < batch.layer_size() && drive.aggregates.size() < limit; ++q) {
+      Result<double> got = batch.explorer().ComputeAggregate(batch.layer_key(q));
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      drive.aggregates.push_back(got.ok() ? *got : 0.0);
+    }
+    drive.cell_queries.push_back(batch.explorer().cell_queries());
+    drive.batches.push_back(
+        counter != nullptr ? counter->batches - batches_before : 0);
+  }
+  batch.JoinPrefetch();
+  drive.replayed = batch.explorer().replayed();
+  return drive;
+}
+
+// Same entries in the same order, keys and blocks bit for bit.
+void ExpectSameStore(const AggregateStore& got, const AggregateStore& want) {
+  ASSERT_EQ(got.size(), want.size());
+  if (want.size() == 0) return;
+  EXPECT_EQ(std::memcmp(got.KeyAt(0), want.KeyAt(0),
+                        want.size() * want.d() * sizeof(int32_t)),
+            0);
+  EXPECT_EQ(std::memcmp(got.BlockAt(0), want.BlockAt(0),
+                        want.size() * want.block_width() * sizeof(double)),
+            0);
+}
+
+// A d = 3 task whose drives run several hundred coordinates deep.
+std::unique_ptr<test_util::SyntheticTask> KeptStoreTask(AggregateKind agg) {
+  SyntheticOptions topt;
+  topt.d = 3;
+  topt.rows = 4000;
+  topt.agg = agg;
+  topt.target = CaseFor(agg).target;
+  return MakeSyntheticTask(topt);
+}
+
+// A drive handed another drive's store (of the same order, stopped inside a
+// layer) replays it: every aggregate, the cell-query count at every layer
+// boundary and the store left behind are a cold drive's. Best-first under
+// L2 fills predecessors inside layers, so its own store mismatches at the
+// first reordered layer and is cut back there.
+TEST(BatchExploreTest, KeptStoreReplaysLikeAColdDrive) {
+  const std::pair<SearchOrder, Norm> orders[] = {
+      {SearchOrder::kBfs, Norm::L1()},
+      {SearchOrder::kShell, Norm::LInf()},
+      {SearchOrder::kBestFirst, Norm::L2()}};
+  for (AggregateKind agg :
+       {AggregateKind::kSum, AggregateKind::kAvg, AggregateKind::kMin}) {
+    auto fixture = KeptStoreTask(agg);
+    ASSERT_NE(fixture, nullptr);
+    const AcqTask& task = fixture->task;
+    CellSortedEvaluationLayer layer(&task, 4.0);
+    ASSERT_TRUE(layer.Prepare().ok());
+    for (const auto& [order, norm] : orders) {
+      SCOPED_TRACE(std::string(AggregateKindToString(agg)) + "/" +
+                   OrderName(order));
+      AggregateStore kept;
+      DriveInto(task, &layer, order, norm, 300, &kept);
+      ASSERT_EQ(kept.size(), 300u);
+      AggregateStore cold_store;
+      const Drive cold =
+          DriveInto(task, &layer, order, norm, 1500, &cold_store);
+      const Drive warm = DriveInto(task, &layer, order, norm, 1500, &kept);
+      ASSERT_EQ(warm.aggregates.size(), cold.aggregates.size());
+      for (size_t i = 0; i < cold.aggregates.size(); ++i) {
+        ASSERT_EQ(warm.aggregates[i], cold.aggregates[i]) << "coordinate " << i;
+      }
+      EXPECT_EQ(warm.cell_queries, cold.cell_queries);
+      EXPECT_EQ(cold.replayed, 0u);
+      EXPECT_GT(warm.replayed, 0u);
+      if (order != SearchOrder::kBestFirst) {
+        EXPECT_EQ(warm.replayed, 300u);
+      }
+      ExpectSameStore(kept, cold_store);
+    }
+  }
+}
+
+// Layers the kept store holds in full never reach the evaluation layer; the
+// layer the store ends in executes only its remainder.
+TEST(BatchExploreTest, FullyReplayedLayersExecuteNothing) {
+  auto fixture = KeptStoreTask(AggregateKind::kSum);
+  ASSERT_NE(fixture, nullptr);
+  const AcqTask& task = fixture->task;
+  CellSortedEvaluationLayer inner(&task, 4.0);
+  ASSERT_TRUE(inner.Prepare().ok());
+  AggregateStore kept;
+  DriveInto(task, &inner, SearchOrder::kBfs, Norm::L1(), 300, &kept);
+
+  CountingLayer counting(&inner);
+  const Drive warm = DriveInto(task, &counting, SearchOrder::kBfs,
+                               Norm::L1(), 600, &kept, &counting);
+  // BFS layers at d = 3 hold 1, 3, 6, ... coordinates: 286 fill layers
+  // 0-10 and the store ends 14 coordinates into layer 11.
+  ASSERT_GT(warm.batches.size(), 12u);
+  for (size_t k = 0; k < 11; ++k) {
+    EXPECT_EQ(warm.batches[k], 0u) << "layer " << k;
+  }
+  EXPECT_EQ(warm.batches[11], 1u);
+  EXPECT_EQ(warm.replayed, 300u);
+  EXPECT_EQ(counting.cells, warm.cell_queries.back() - warm.replayed);
+}
+
+// A store built in another order, or under other weights, is replayed up to
+// the first layer the drains part at, cut back there, and the drive goes on
+// cold: it still matches a cold drive coordinate for coordinate.
+TEST(BatchExploreTest, StoreFromAnotherOrderTruncatesAndMatches) {
+  auto fixture = KeptStoreTask(AggregateKind::kSum);
+  ASSERT_NE(fixture, nullptr);
+  AcqTask& task = fixture->task;
+  CellSortedEvaluationLayer layer(&task, 4.0);
+  ASSERT_TRUE(layer.Prepare().ok());
+  struct Case {
+    const char* name;
+    SearchOrder built;
+    Norm built_norm;
+    SearchOrder replayed;
+    Norm replayed_norm;
+    std::vector<double> weights;  // applied before the replaying drive
+  };
+  const Case cases[] = {
+      {"shell then BFS", SearchOrder::kShell, Norm::LInf(), SearchOrder::kBfs,
+       Norm::L1(), {}},
+      {"BFS then weighted best-first", SearchOrder::kBfs, Norm::L1(),
+       SearchOrder::kBestFirst, Norm::L2(), {1.0, 3.0, 0.5}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (size_t i = 0; i < task.d(); ++i) task.dims[i]->set_weight(1.0);
+    AggregateStore kept;
+    DriveInto(task, &layer, c.built, c.built_norm, 300, &kept);
+    for (size_t i = 0; i < c.weights.size(); ++i) {
+      task.dims[i]->set_weight(c.weights[i]);
+    }
+    AggregateStore cold_store;
+    const Drive cold =
+        DriveInto(task, &layer, c.replayed, c.replayed_norm, 800, &cold_store);
+    const Drive warm =
+        DriveInto(task, &layer, c.replayed, c.replayed_norm, 800, &kept);
+    ASSERT_EQ(warm.aggregates.size(), cold.aggregates.size());
+    for (size_t i = 0; i < cold.aggregates.size(); ++i) {
+      ASSERT_EQ(warm.aggregates[i], cold.aggregates[i]) << "coordinate " << i;
+    }
+    EXPECT_EQ(warm.cell_queries, cold.cell_queries);
+    // The origin layer always matches; the drains part before the end.
+    EXPECT_GE(warm.replayed, 1u);
+    EXPECT_LT(warm.replayed, 300u);
+    ExpectSameStore(kept, cold_store);
+  }
+}
+
+TEST(BatchExploreTest, TruncatedStoreFindsKeptKeysOnly) {
+  AggregateStore store;
+  store.Configure(2, 1);
+  for (int32_t i = 0; i < 10; ++i) {
+    const int32_t key[2] = {i, 2 * i};
+    double* block = store.Append(key);
+    for (size_t j = 0; j < store.block_width(); ++j) block[j] = i + 0.5 * j;
+  }
+  const int32_t probe[2] = {7, 14};
+  ASSERT_NE(store.Find(probe), nullptr);  // builds the slot table
+  store.Truncate(6);
+  EXPECT_EQ(store.size(), 6u);
+  for (int32_t i = 0; i < 10; ++i) {
+    const int32_t key[2] = {i, 2 * i};
+    const double* block = store.Find(key);
+    if (i < 6) {
+      ASSERT_NE(block, nullptr) << i;
+      EXPECT_EQ(block, store.BlockAt(i));
+      EXPECT_EQ(block[2], i + 1.0);
+    } else {
+      EXPECT_EQ(block, nullptr) << i;
+    }
+  }
+  // Appends after the cut are found again, in the freed positions.
+  double* appended = store.Append(probe);
+  appended[0] = 42.0;
+  const double* found = store.Find(probe);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found, store.BlockAt(6));
+  EXPECT_EQ(found[0], 42.0);
+}
 
 TEST(BatchExploreTest, CollectWithinGammaMatches) {
   // The within-gamma sweep keeps exploring past the hit layer; every answer

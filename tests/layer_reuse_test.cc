@@ -1,11 +1,14 @@
 // Prepared-layer reuse across served runs: a SUBMIT whose layout matches the
 // tenant's idle cell-sorted layer runs on it (rebound, not re-prepared; rows
 // appended since its last use are staged by delta maintenance) instead of
-// building a fresh one. Every warm reply must equal, after StripIdAndTiming,
-// the report a cold ProcessAcq renders on a mirror catalog that received the
-// same APPEND batches. Runs reuse does not apply to must bypass it, and the
-// layout key must change exactly when the layout does.
+// building a fresh one, and replays the Eq. 17 store the last run left with
+// it while no APPEND intervened. Every warm reply must equal, after
+// StripIdAndTiming, the report a cold ProcessAcq renders on a mirror catalog
+// that received the same APPEND batches. Runs reuse does not apply to must
+// bypass it, and the layout key must change exactly when the layout does.
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -56,12 +59,16 @@ const char* OrderName(SearchOrder order) {
   return "auto";
 }
 
-// One SUBMIT and the options a cold ProcessAcq of it runs with.
+// One SUBMIT and the options a cold ProcessAcq of it runs with. The norm and
+// max_explored reach only runs submitted through the session manager
+// (LayerReuseTest::Serve): the wire request carries neither.
 struct Query {
   std::string sql;
   double gamma = 10.0;
   double delta = 0.05;
   SearchOrder order = SearchOrder::kAuto;
+  Norm norm = Norm::L1();
+  uint64_t max_explored = 0;  // 0: the default
 
   JsonValue Request() const {
     JsonValue request = JsonValue::Object();
@@ -78,6 +85,8 @@ struct Query {
     options.gamma = gamma;
     options.delta = delta;
     options.order = order;
+    options.norm = norm;
+    if (max_explored > 0) options.max_explored = max_explored;
     return options;
   }
 };
@@ -175,6 +184,39 @@ class LayerReuseTest : public ::testing::Test {
 
   double Stat(const char* field) { return acquire::Stat(server_.get(), field); }
 
+  // A served run of `query` through the tenant's session manager, which
+  // takes every option of it; the wire renders its outcome with the same
+  // BuildReportJson.
+  Session::View Serve(const Query& query, double timeout_ms = 0.0,
+                      SessionProgress progress = {}) {
+    Result<SessionPtr> session = server_->sessions().Submit(
+        query.sql, query.Options(), timeout_ms, EvalBackend::kAuto,
+        std::move(progress));
+    EXPECT_TRUE(session.ok()) << session.status().ToString();
+    if (!session.ok()) return {};
+    (*session)->WaitDone();
+    Session::View view = (*session)->Snapshot();
+    EXPECT_EQ(view.state, SessionState::kDone) << view.error.ToString();
+    return view;
+  }
+
+  // Serves `query`, expects its report to equal the cold one, and returns
+  // the served outcome.
+  AcqOutcome ExpectServedMatchesCold(const Query& query) {
+    Session::View view = Serve(query);
+    if (!view.has_outcome) {
+      ADD_FAILURE() << query.sql << ": no outcome";
+      return {};
+    }
+    EXPECT_EQ(test_util::StripIdAndTiming(
+                  BuildReportJson(view.outcome, view.task.get(), 0.0))
+                  .Dump(),
+              ColdReport(query))
+        << query.sql << " order=" << OrderName(query.order)
+        << " norm=" << query.norm.ToString();
+    return view.outcome;
+  }
+
   Catalog served_;
   Catalog mirror_;
   std::unique_ptr<AcqServer> server_;
@@ -232,6 +274,155 @@ TEST_F(LayerReuseTest, WarmRepliesMatchColdAcrossAggregatesAndOrders) {
   // Every appended row is staged by exactly one warm run: counted once per
   // run that staged it, never re-counted while the layer carries it.
   EXPECT_EQ(Stat("delta_rows"), static_cast<double>(staged));
+}
+
+// The kept Eq. 17 store: the idle slot keeps the last run's store with the
+// layer, and a hit over unchanged rows replays it. Per aggregate, a seeded
+// sequence on one layout: rising targets extend the store and falling ones
+// replay it; BFS, shell and best-first runs under L1, L2 and L-inf
+// interleave, so a run in another order cuts the store back at its first
+// differing layer; a max_explored stop leaves a partial last layer and a
+// deadline stop an early one, each followed by a deeper run; an APPEND
+// drops the store; and the index.delta_merge failpoint rebuilds the layer
+// under a run.
+TEST_F(LayerReuseTest, KeptStoreRepliesMatchColdAcrossOrdersAndNorms) {
+  struct Template {
+    const char* constraint;
+    double lo;
+    double hi;
+  };
+  // Targets past the original query's aggregate (COUNT 862, SUM 64805,
+  // AVG 51.1, MIN 0.185, MAX 79992 before any APPEND), so most runs expand;
+  // the MIN ones can never rise to their target and drain the whole space.
+  const Template templates[] = {
+      {"COUNT(*) >=", 900.0, 1800.0},
+      {"SUM(engagement) >=", 6.6e4, 9.5e4},
+      {"AVG(engagement) =", 54.0, 58.0},
+      {"MIN(engagement) =", 0.2, 1.0},
+      {"MAX(income) =", 82000.0, 120000.0},
+  };
+  const SearchOrder orders[] = {SearchOrder::kBfs, SearchOrder::kShell,
+                                SearchOrder::kBestFirst};
+  const Norm norms[] = {Norm::L1(), Norm::L2(), Norm::LInf()};
+  constexpr uint64_t kPartialStop = 12;  // inside a d=2 BFS layer
+  uint64_t replayed = 0;
+  for (const Template& t : templates) {
+    SCOPED_TRACE(t.constraint);
+    auto query_at = [&](double target, SearchOrder order, const Norm& norm) {
+      Query query;
+      query.sql = StringFormat(
+          "SELECT * FROM users CONSTRAINT %s %.3f WHERE age <= 30 AND "
+          "income <= 80000",
+          t.constraint, target);
+      query.order = order;
+      query.norm = norm;
+      return query;
+    };
+    auto run = [&](const Query& query) {
+      AcqOutcome outcome = ExpectServedMatchesCold(query);
+      EXPECT_LE(outcome.result.store_replayed, outcome.result.cell_queries);
+      replayed += outcome.result.store_replayed;
+      return outcome;
+    };
+    auto expanded = [](const AcqOutcome& outcome) {
+      return outcome.mode == AcqMode::kExpanded;
+    };
+
+    // Rising targets extend the store; falling ones then find every layer
+    // they drain stored, in their own order.
+    std::vector<double> targets;
+    for (int i = 0; i < 4; ++i) targets.push_back(rng_.NextDouble(t.lo, t.hi));
+    std::sort(targets.begin(), targets.end());
+    AcqOutcome deepest;
+    for (double target : targets) {
+      deepest = run(query_at(target, SearchOrder::kBfs, Norm::L1()));
+    }
+    for (int i = 0; i < 2; ++i) {
+      const AcqOutcome shallower = run(query_at(
+          rng_.NextDouble(t.lo, targets.front()), SearchOrder::kBfs,
+          Norm::L1()));
+      if (expanded(shallower) && expanded(deepest) &&
+          shallower.result.queries_explored <=
+              deepest.result.queries_explored) {
+        EXPECT_EQ(shallower.result.store_replayed,
+                  shallower.result.cell_queries);
+      }
+    }
+
+    // Every order under every norm, then the last one again: each switch
+    // truncates the store where the drains part, and the repeat replays.
+    for (SearchOrder order : orders) {
+      for (const Norm& norm : norms) {
+        run(query_at(rng_.NextDouble(t.lo, t.hi), order, norm));
+      }
+    }
+    const AcqOutcome repeat = run(query_at(rng_.NextDouble(t.lo, t.hi),
+                                           orders[2], norms[2]));
+    if (expanded(repeat)) {
+      EXPECT_GT(repeat.result.store_replayed, 0u);
+    }
+
+    // An APPEND drops the store; a max_explored stop then leaves a partial
+    // last layer, whose stored prefix the deeper run after it replays
+    // before it executes the rest.
+    AppendInRange(20);
+    Query partial = query_at(t.hi, SearchOrder::kBfs, Norm::L1());
+    partial.max_explored = kPartialStop;
+    const AcqOutcome stopped = run(partial);
+    EXPECT_EQ(stopped.result.store_replayed, 0u);
+    const AcqOutcome deeper =
+        run(query_at(t.hi, SearchOrder::kBfs, Norm::L1()));
+    if (stopped.result.termination == RunTermination::kTruncated &&
+        deeper.result.queries_explored > kPartialStop) {
+      EXPECT_EQ(deeper.result.store_replayed, kPartialStop);
+    }
+
+    // A deadline that passes while the second layer's frame is handled:
+    // the run stops at its next poll and parks the store it built, which
+    // the next run replays.
+    SessionProgress progress;
+    progress.enabled = true;
+    progress.callback = [](const Session&, const ProgressSnapshot& snap) {
+      if (snap.layers_drained == 2) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+      }
+    };
+    const Session::View cut =
+        Serve(query_at(t.hi, SearchOrder::kShell, Norm::LInf()), 200.0,
+              std::move(progress));
+    ASSERT_TRUE(cut.has_outcome);
+    if (cut.outcome.result.termination != RunTermination::kCompleted) {
+      EXPECT_EQ(cut.outcome.result.termination,
+                RunTermination::kDeadlineExceeded);
+    }
+    replayed += cut.outcome.result.store_replayed;
+    run(query_at(rng_.NextDouble(t.lo, t.hi), SearchOrder::kShell,
+                 Norm::LInf()));
+
+    // Past the merge threshold under the failpoint: the layer is rebuilt,
+    // not merged, and the store is dropped all the same.
+    if (FailpointRegistry::compiled_in()) {
+      AppendInRange(4200);
+      FailpointRegistry& registry = FailpointRegistry::Global();
+      ASSERT_TRUE(registry.Configure("index.delta_merge", "p:1").ok());
+      const AcqOutcome rebuilt =
+          run(query_at(t.hi, SearchOrder::kBfs, Norm::L2()));
+      registry.DisarmAll();
+      EXPECT_EQ(rebuilt.result.store_replayed, 0u);
+      const AcqOutcome after = run(query_at(rng_.NextDouble(t.lo, t.hi),
+                                            SearchOrder::kBfs, Norm::L2()));
+      if (expanded(rebuilt) && expanded(after)) {
+        EXPECT_GT(after.result.store_replayed, 0u);
+      }
+    }
+  }
+  const double layouts = static_cast<double>(std::size(templates));
+  EXPECT_EQ(Stat("layer_misses"), layouts);
+  EXPECT_EQ(Stat("layer_bypassed"), 0.0);
+  EXPECT_GT(replayed, 0u);
+  EXPECT_EQ(Stat("store_replayed"), static_cast<double>(replayed));
+  EXPECT_GT(Stat("store_entries"), 0.0);
+  EXPECT_GT(Stat("store_bytes"), 0.0);
 }
 
 // Equality targets on a coarse grid overshoot inside a cell, so the search
@@ -371,8 +562,9 @@ TEST_F(LayerReuseTest, ConcurrentClientsOnOneLayout) {
 // Runs whose layer reuse cannot keep exact stay on their own per-run build:
 // a NOREFINE filter and a join (relations materialized per plan), the
 // cached backend (it never stages appended rows) and a memory limit (a warm
-// run would charge no prepare). Two of each must leave layer_hits at 0;
-// the plain control on the same table shows reuse was available.
+// run would charge no prepare), which a server with a global memory budget
+// sets on every run. Two of each must leave layer_hits at 0; the plain
+// control on the same table shows reuse was available.
 TEST(LayerReuseBypassTest, BypassCasesNeverHit) {
   Catalog catalog;
   TpchOptions tpch;
@@ -426,6 +618,29 @@ TEST(LayerReuseBypassTest, BypassCasesNeverHit) {
   EXPECT_EQ(entry.GetNumber("layer_hits", -1.0), 1.0);
   EXPECT_EQ(entry.GetNumber("layer_misses", -1.0), 1.0);
   EXPECT_EQ(entry.GetNumber("layer_bypassed", -1.0), 8.0);
+  // The control's second run replayed the store its first one parked.
+  EXPECT_GT(entry.GetNumber("store_replayed", -1.0), 0.0);
+  EXPECT_GT(entry.GetNumber("store_entries", -1.0), 0.0);
+  EXPECT_GT(entry.GetNumber("store_bytes", -1.0), 0.0);
+
+  // A governed server gives every run a nonzero share of its global memory
+  // budget, so it never keeps an idle layer, nor a store with it.
+  ServerOptions governed;
+  governed.global_memory_budget_bytes = uint64_t{1} << 30;
+  AcqServer governed_server(&catalog, governed);
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    JsonValue request = JsonValue::Object();
+    request.Set("cmd", JsonValue::Str("SUBMIT"));
+    request.Set("sql", JsonValue::Str(lineitem));
+    request.Set("wait", JsonValue::Bool(true));
+    JsonValue reply =
+        MustParse(governed_server.HandleRequestLine(request.Dump()));
+    EXPECT_EQ(reply.GetString("state"), "done") << reply.Dump();
+  }
+  EXPECT_EQ(Stat(&governed_server, "layer_hits"), 0.0);
+  EXPECT_EQ(Stat(&governed_server, "layer_misses"), 0.0);
+  EXPECT_EQ(Stat(&governed_server, "layer_bypassed"), 2.0);
+  EXPECT_EQ(Stat(&governed_server, "store_entries"), 0.0);
 }
 
 // --- LayoutKey -----------------------------------------------------------
