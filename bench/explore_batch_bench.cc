@@ -63,21 +63,20 @@ Run RunReps(const AcqTask& task, EvaluationLayer* layer,
 }
 
 /// Number of expand layers the search consumed: replay the deterministic
-/// generator over the same space until `explored` coordinates have been
-/// produced, counting score changes. (A partially drained hit layer counts
-/// as one layer, matching what the batched driver executes.)
+/// generator over the same space, one NextLayer call per layer, until
+/// `explored` coordinates have been produced. (A partially drained hit
+/// layer counts as one layer, matching what the batched driver executes.)
 size_t CountLayers(const AcqTask& task, const AcquireOptions& options,
                    uint64_t explored) {
   RefinedSpace space(&task, options.gamma, options.norm);
   BfsGenerator gen(&space);
-  GridCoord coord;
+  std::vector<int32_t> keys;
+  double score = 0.0;
   size_t layers = 0;
-  double last_score = -1.0;
-  for (uint64_t i = 0; i < explored && gen.Next(&coord); ++i) {
-    if (gen.CurrentScore() != last_score) {
-      ++layers;
-      last_score = gen.CurrentScore();
-    }
+  for (uint64_t produced = 0;
+       produced < explored && gen.NextLayer(&keys, &score);
+       produced += keys.size() / space.d()) {
+    ++layers;
   }
   return layers;
 }

@@ -106,31 +106,44 @@ void BM_ExplorerLayerSweep(benchmark::State& state) {
   RefinedSpace space(&task, 10.0, Norm::L1());
   CellSortedEvaluationLayer layer(&task, space.step());
   benchmark::DoNotOptimize(layer.Prepare());
-  const int n = static_cast<int>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t d = space.d();
+  std::vector<int32_t> keys;
+  double score = 0.0;
   for (auto _ : state) {
     Explorer explorer(&space, &layer);
     BfsGenerator gen(&space);
-    GridCoord coord;
-    for (int i = 0; i < n && gen.Next(&coord); ++i) {
-      benchmark::DoNotOptimize(explorer.ComputeAggregate(coord));
+    size_t done = 0;
+    while (done < n && gen.NextLayer(&keys, &score)) {
+      for (size_t q = 0; q < keys.size() && done < n; q += d, ++done) {
+        benchmark::DoNotOptimize(explorer.ComputeAggregate(keys.data() + q));
+      }
     }
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_ExplorerLayerSweep)->Arg(100)->Arg(1000);
 
 void BM_BfsGeneration(benchmark::State& state) {
   const AcqTask& task = SharedTask();
   RefinedSpace space(&task, 10.0, Norm::L1());
-  const int n = static_cast<int>(state.range(0));
+  // Whole layers until at least n coordinates; the items are the
+  // coordinates generated.
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<int32_t> keys;
+  double score = 0.0;
+  size_t coords = 0;
   for (auto _ : state) {
     BfsGenerator gen(&space);
-    GridCoord coord;
-    for (int i = 0; i < n && gen.Next(&coord); ++i) {
-      benchmark::DoNotOptimize(coord);
+    size_t produced = 0;
+    while (produced < n && gen.NextLayer(&keys, &score)) {
+      benchmark::DoNotOptimize(keys.data());
+      produced += keys.size() / space.d();
     }
+    benchmark::ClobberMemory();
+    coords += produced;
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
+  state.SetItemsProcessed(static_cast<int64_t>(coords));
 }
 BENCHMARK(BM_BfsGeneration)->Arg(1000)->Arg(10000);
 

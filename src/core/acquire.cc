@@ -82,18 +82,17 @@ SearchOrder ResolveSearchOrder(const AcquireOptions& options) {
 
 std::unique_ptr<QueryGenerator> MakeQueryGenerator(
     const RefinedSpace* space, const AcquireOptions& options,
-    MemoryBudget* budget) {
+    RunContext* ctx) {
   switch (ResolveSearchOrder(options)) {
     case SearchOrder::kShell:
-      // O(d) state — nothing worth metering.
-      return std::make_unique<ShellGenerator>(space);
+      return std::make_unique<ShellGenerator>(space, ctx);
     case SearchOrder::kBestFirst:
-      return std::make_unique<BestFirstGenerator>(space, budget);
+      return std::make_unique<BestFirstGenerator>(space, ctx);
     case SearchOrder::kAuto:
     case SearchOrder::kBfs:
       break;
   }
-  return std::make_unique<BfsGenerator>(space, budget);
+  return std::make_unique<BfsGenerator>(space, ctx);
 }
 
 Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
@@ -138,7 +137,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
 
   const SearchOrder order = ResolveSearchOrder(options);
   std::unique_ptr<QueryGenerator> generator =
-      MakeQueryGenerator(&space, options, budget);
+      MakeQueryGenerator(&space, options, ctx);
   // Per-layer divergence detection only makes sense when the generator
   // emits discrete layers; best-first scores are (nearly) unique per coord.
   const bool discrete_layers = order != SearchOrder::kBestFirst;

@@ -78,9 +78,10 @@ struct AcquireOptions {
 
   /// Optional cooperative deadline / cancellation token (core/run_context.h).
   /// Not owned; must outlive the run. When set, the drivers poll it once per
-  /// layer (Explore also once per 256 generated coordinates) and stop early
-  /// with AcquireResult::termination = kDeadlineExceeded / kCancelled,
-  /// returning the best-so-far partial result instead of an error.
+  /// layer (and the Expand generators once per 256 coordinates they
+  /// generate) and stop early with AcquireResult::termination =
+  /// kDeadlineExceeded / kCancelled, returning the best-so-far partial
+  /// result instead of an error.
   RunContext* run_ctx = nullptr;
 };
 
@@ -89,11 +90,12 @@ struct AcquireOptions {
 SearchOrder ResolveSearchOrder(const AcquireOptions& options);
 
 /// The Expand generator RunAcquire drives for `options` over `space` (not
-/// owned; must outlive the generator). `budget` (optional, not owned)
-/// meters the BFS and best-first frontiers.
+/// owned; must outlive the generator). `ctx` (optional, not owned) is the
+/// run's context: generation polls it, and its budget meters the BFS and
+/// best-first frontiers (QueryGenerator).
 std::unique_ptr<QueryGenerator> MakeQueryGenerator(
     const RefinedSpace* space, const AcquireOptions& options,
-    MemoryBudget* budget = nullptr);
+    RunContext* ctx = nullptr);
 
 /// Outcome of one ACQUIRE run.
 struct AcquireResult {

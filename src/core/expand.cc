@@ -30,13 +30,20 @@ size_t LayerCardinalityBound(int64_t k, size_t d, size_t cap) {
   return static_cast<size_t>(c);
 }
 
+// Generation's stop poll (QueryGenerator): true once per 256 coordinates
+// produced, when the run's context says stop. Polling only after a full
+// stride keeps a cut shell or best-first layer nonempty, so the cut never
+// reads as exhaustion.
+bool StopAfter(size_t produced, const RunContext* ctx) {
+  return (produced & 0xFF) == 0 && ctx != nullptr && ctx->ShouldStop();
+}
+
 }  // namespace
 
-BfsGenerator::BfsGenerator(const RefinedSpace* space, MemoryBudget* budget)
-    : space_(space), budget_(budget) {
+BfsGenerator::BfsGenerator(const RefinedSpace* space, RunContext* ctx)
+    : space_(space), ctx_(ctx) {
   total_cells_ = TotalCells(*space_, size_t{1} << 26);
   layer_.assign(space_->d(), 0);  // the origin
-  next_.reserve(space_->d() * space_->d());
   ChargeGrowth();
 }
 
@@ -46,153 +53,142 @@ void BfsGenerator::ChargeGrowth() {
   if (bytes <= charged_bytes_) return;
   const size_t delta = bytes - charged_bytes_;
   charged_bytes_ = bytes;
-  if (budget_ == nullptr) return;
-  budget_->Charge(delta);
-  if (ACQ_FAILPOINT("expand.layer_alloc")) budget_->MarkExhausted();
+  if (ctx_ == nullptr) return;
+  ctx_->budget().Charge(delta);
+  if (ACQ_FAILPOINT("expand.layer_alloc")) ctx_->budget().MarkExhausted();
 }
 
-bool BfsGenerator::Next(GridCoord* out) {
+bool BfsGenerator::NextLayer(std::vector<int32_t>* keys, double* score) {
+  if (layer_.empty()) return false;
   const size_t d = space_->d();
-  if (pos_ * d == layer_.size()) {
-    if (next_.empty()) return false;
-    layer_.swap(next_);
-    next_.clear();
-    pos_ = 0;
-    score_ += 1.0;
-    // Coordinates appended while visiting layer k belong to layer k + 1.
-    next_.reserve(d * std::min(
-        LayerCardinalityBound(static_cast<int64_t>(score_) + 1, d,
-                              total_cells_),
-        total_cells_));
-    ChargeGrowth();
-  }
-  const int32_t* cur = layer_.data() + pos_ * d;
-  // Canonical-predecessor expansion: only increment dimensions at or after
-  // the last nonzero one, so each successor is generated exactly once (see
-  // the class comment) and no visited set is needed.
-  size_t first = 0;
-  for (size_t i = d; i-- > 0;) {
-    if (cur[i] > 0) {
-      first = i;
-      break;
+  // next_ holds the caller's previous layer; clearing keeps its capacity.
+  next_.clear();
+  next_.reserve(d * std::min(LayerCardinalityBound(
+                                 static_cast<int64_t>(score_) + 1, d,
+                                 total_cells_),
+                             total_cells_));
+  ChargeGrowth();
+  const size_t n = layer_.size() / d;
+  for (size_t q = 0; q < n; ++q) {
+    const int32_t* cur = layer_.data() + q * d;
+    // Canonical-predecessor expansion: only increment dimensions at or after
+    // the last nonzero one, so each successor is generated exactly once (see
+    // the class comment) and no visited set is needed.
+    size_t first = 0;
+    for (size_t i = d; i-- > 0;) {
+      if (cur[i] > 0) {
+        first = i;
+        break;
+      }
     }
-  }
-  for (size_t i = first; i < d; ++i) {
-    if (cur[i] >= space_->MaxLevel(i)) continue;
-    next_.insert(next_.end(), cur, cur + d);
-    ++next_[next_.size() - d + i];
+    for (size_t i = first; i < d; ++i) {
+      if (cur[i] >= space_->MaxLevel(i)) continue;
+      next_.insert(next_.end(), cur, cur + d);
+      ++next_[next_.size() - d + i];
+    }
+    if (StopAfter(q + 1, ctx_)) break;
   }
   ChargeGrowth();  // reserve underestimates occasionally force a regrow
-  ++pos_;
-  out->assign(cur, cur + d);
+  *score = score_;
+  score_ += 1.0;
+  keys->swap(layer_);
+  layer_.swap(next_);
   return true;
 }
 
-ShellGenerator::ShellGenerator(const RefinedSpace* space) : space_(space) {
-  current_.resize(space_->d(), 0);
+ShellGenerator::ShellGenerator(const RefinedSpace* space, RunContext* ctx)
+    : space_(space), ctx_(ctx) {
   for (size_t i = 0; i < space_->d(); ++i) {
     max_shell_ = std::max(max_shell_, space_->MaxLevel(i));
   }
 }
 
-bool ShellGenerator::Next(GridCoord* out) {
+bool ShellGenerator::NextLayer(std::vector<int32_t>* keys, double* score) {
+  if (k_ > max_shell_) return false;
   const size_t d = space_->d();
-  if (k_ == 0) {
-    if (!shell0_done_) {
-      shell0_done_ = true;
-      *out = GridCoord(d, 0);
-      return true;
-    }
-    k_ = 1;
-    pinned_ = d;  // before the first (highest-pin) group
-    odometer_live_ = false;
+  const int32_t k = k_++;
+  *score = static_cast<double>(k);
+  if (k == 0) {
+    keys->assign(d, 0);  // shell 0 is the origin alone
+    return true;
   }
-
-  while (k_ <= max_shell_) {
-    if (!odometer_live_) {
-      // Find the next dimension that can be pinned at k, in DESCENDING
-      // order (see the class comment: this makes the shell topological for
-      // the Explore phase's predecessor cursors).
-      bool found = false;
-      while (pinned_ > 0) {
-        --pinned_;
-        if (space_->MaxLevel(pinned_) >= k_) {
-          found = true;
+  keys->clear();
+  size_t produced = 0;
+  // Pinned groups in DESCENDING order (see the class comment: this makes
+  // the shell topological for the Explore phase's predecessor cursors).
+  for (size_t p = d; p-- > 0;) {
+    if (space_->MaxLevel(p) < k) continue;
+    keys->resize(keys->size() + d, 0);  // the group's first coordinate
+    (*keys)[keys->size() - d + p] = k;
+    for (;;) {
+      if (StopAfter(++produced, ctx_)) return true;
+      // Advance an odometer over the free dimensions (last varies fastest)
+      // from the previous coordinate. Dimensions before the pinned one stay
+      // below k so each coordinate is enumerated exactly once (under its
+      // first k-valued dimension).
+      const int32_t* prev = keys->data() + keys->size() - d;
+      size_t bump = d;
+      for (size_t j = d; j-- > 0;) {
+        if (j != p && prev[j] < std::min(j < p ? k - 1 : k,
+                                         space_->MaxLevel(j))) {
+          bump = j;
           break;
         }
       }
-      if (!found) {
-        ++k_;
-        pinned_ = d;
-        continue;
-      }
-      for (size_t j = 0; j < d; ++j) current_[j] = 0;
-      current_[pinned_] = k_;
-      odometer_live_ = true;
-      *out = current_;
-      return true;
-    }
-    // Advance the odometer over the free dimensions (last varies fastest).
-    bool advanced = false;
-    for (size_t rj = d; rj-- > 0;) {
-      if (rj == pinned_) continue;
-      // Dimensions before the pinned one stay below k so each coordinate is
-      // enumerated exactly once (under its first k-valued dimension).
-      int32_t limit = std::min(rj < pinned_ ? k_ - 1 : k_,
-                               space_->MaxLevel(rj));
-      if (current_[rj] < limit) {
-        ++current_[rj];
-        for (size_t m = rj + 1; m < d; ++m) {
-          if (m != pinned_) current_[m] = 0;
-        }
-        advanced = true;
-        break;
+      if (bump == d) break;  // group exhausted
+      const size_t at = keys->size();
+      keys->resize(at + d);
+      int32_t* u = keys->data() + at;
+      std::copy_n(u - d, d, u);
+      ++u[bump];
+      for (size_t m = bump + 1; m < d; ++m) {
+        if (m != p) u[m] = 0;
       }
     }
-    if (advanced) {
-      *out = current_;
-      return true;
-    }
-    // Group exhausted; the loop top moves to the next lower pin.
-    odometer_live_ = false;
   }
-  return false;
+  return true;
 }
 
 BestFirstGenerator::BestFirstGenerator(const RefinedSpace* space,
-                                       MemoryBudget* budget)
-    : space_(space), budget_(budget) {
+                                       RunContext* ctx)
+    : space_(space), ctx_(ctx) {
   seen_.reserve(std::min(TotalCells(*space_, size_t{1} << 26), size_t{4096}));
   GridCoord origin(space_->d(), 0);
   seen_.insert(origin);
   heap_.push(Entry{0.0, std::move(origin)});
 }
 
-bool BestFirstGenerator::Next(GridCoord* out) {
+bool BestFirstGenerator::NextLayer(std::vector<int32_t>* keys,
+                                   double* score) {
   if (heap_.empty()) return false;
-  Entry top = heap_.top();
-  heap_.pop();
-  for (size_t i = 0; i < top.coord.size(); ++i) {
-    if (top.coord[i] >= space_->MaxLevel(i)) continue;
-    GridCoord next = top.coord;
-    ++next[i];
-    if (seen_.insert(next).second) {
-      double q = space_->QScoreOf(next);
-      heap_.push(Entry{q, std::move(next)});
+  keys->clear();
+  *score = heap_.top().qscore;
+  size_t produced = 0;
+  do {
+    Entry top = heap_.top();
+    heap_.pop();
+    for (size_t i = 0; i < top.coord.size(); ++i) {
+      if (top.coord[i] >= space_->MaxLevel(i)) continue;
+      GridCoord next = top.coord;
+      ++next[i];
+      if (seen_.insert(next).second) {
+        double q = space_->QScoreOf(next);
+        heap_.push(Entry{q, std::move(next)});
+      }
     }
-  }
-  if (budget_ != nullptr && seen_.size() > charged_coords_) {
-    // Each frontier coordinate lives once in seen_ and (while queued) once
-    // in the heap: roughly two d-length int32 vectors plus bucket overhead.
-    const size_t per_coord =
-        2 * (sizeof(GridCoord) + top.coord.size() * sizeof(int32_t)) +
-        2 * sizeof(void*);
-    budget_->Charge((seen_.size() - charged_coords_) * per_coord);
-    charged_coords_ = seen_.size();
-    if (ACQ_FAILPOINT("expand.layer_alloc")) budget_->MarkExhausted();
-  }
-  score_ = top.qscore;
-  *out = std::move(top.coord);
+    if (ctx_ != nullptr && seen_.size() > charged_coords_) {
+      // Each frontier coordinate lives once in seen_ and (while queued) once
+      // in the heap: roughly two d-length int32 vectors plus bucket overhead.
+      const size_t per_coord =
+          2 * (sizeof(GridCoord) + top.coord.size() * sizeof(int32_t)) +
+          2 * sizeof(void*);
+      ctx_->budget().Charge((seen_.size() - charged_coords_) * per_coord);
+      charged_coords_ = seen_.size();
+      if (ACQ_FAILPOINT("expand.layer_alloc")) ctx_->budget().MarkExhausted();
+    }
+    keys->insert(keys->end(), top.coord.begin(), top.coord.end());
+  } while (!StopAfter(++produced, ctx_) && !heap_.empty() &&
+           heap_.top().qscore == *score);
   return true;
 }
 

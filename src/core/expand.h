@@ -1,10 +1,8 @@
 #ifndef ACQUIRE_CORE_EXPAND_H_
 #define ACQUIRE_CORE_EXPAND_H_
 
-#include <memory>
 #include <queue>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "core/refined_space.h"
@@ -12,22 +10,27 @@
 
 namespace acquire {
 
-/// The Expand phase (Section 4): produces grid queries in nondecreasing
-/// refinement order. Implementations guarantee Theorem 2's property — every
-/// query of score k is produced before any query of score > k — which the
-/// driver uses to stop as soon as the layer containing the first hit is
-/// exhausted.
+/// The Expand phase (Section 4): produces the refined space one equi-score
+/// layer at a time, in nondecreasing score order. Implementations guarantee
+/// Theorem 2's property — every query of score k is produced before any
+/// query of score > k — which the driver uses to stop as soon as the layer
+/// containing the first hit is exhausted.
+///
+/// `ctx` (optional, not owned) is the run's context. Generation polls it
+/// once per 256 coordinates and, once it says stop, cuts the layer it is
+/// building short: from then on every layer may be a prefix of the full
+/// one, so the caller polls the context too before it takes each layer
+/// (BatchExplorer). BFS and best-first also meter their frontiers against
+/// its budget.
 class QueryGenerator {
  public:
   virtual ~QueryGenerator() = default;
 
-  /// Produces the next grid query; false once the space is exhausted.
-  virtual bool Next(GridCoord* out) = 0;
-
-  /// Monotone nondecreasing score of the coordinate last returned by
-  /// Next(): the BFS/shell layer index, or the exact QScore for the
-  /// best-first generator.
-  virtual double CurrentScore() const = 0;
+  /// Writes the next layer into `keys` as d-strided grid levels in
+  /// generation order, replacing its contents, and the layer's score into
+  /// `score`: the BFS/shell layer index, or the exact QScore for the
+  /// best-first generator. False once the space is exhausted.
+  virtual bool NextLayer(std::vector<int32_t>* keys, double* score) = 0;
 };
 
 /// Algorithm 1: breadth-first search over the refined-space grid graph.
@@ -39,77 +42,71 @@ class QueryGenerator {
 /// dimension, so generating cur + e_i only for i >= last_nonzero(cur)
 /// produces each coordinate exactly once (the per-axis caps preserve this —
 /// the canonical predecessor of an in-cap coordinate is itself in cap).
-/// That keeps expansion allocation-free per coordinate: layers live in two
-/// flat d-strided int32 arenas (current and next) pre-sized from the
-/// layer-cardinality estimate, and Next assigns into the caller's vector
-/// (which reuses its capacity) instead of handing out a fresh one.
+/// That keeps expansion allocation-free per coordinate: layers live in flat
+/// d-strided int32 arenas pre-sized from the layer-cardinality estimate.
+/// NextLayer expands the held layer k into the arena for layer k + 1, then
+/// swaps layer k out to the caller, whose vector comes back as the next
+/// arena — so a stop seen while expanding cuts layer k + 1, which the
+/// following call hands out.
 class BfsGenerator final : public QueryGenerator {
  public:
-  /// `budget` (optional, not owned) meters the flat layer arenas — in high
-  /// dimensions a single BFS layer can dwarf the aggregate store, so layer
-  /// growth past the budget (or an injected "expand.layer_alloc" failpoint
-  /// hit) latches budget exhaustion for the driver to observe.
-  explicit BfsGenerator(const RefinedSpace* space,
-                        MemoryBudget* budget = nullptr);
+  /// In high dimensions a single BFS layer can dwarf the aggregate store, so
+  /// arena growth past ctx's budget (or an injected "expand.layer_alloc"
+  /// failpoint hit) latches budget exhaustion for the driver to observe.
+  explicit BfsGenerator(const RefinedSpace* space, RunContext* ctx = nullptr);
 
-  bool Next(GridCoord* out) override;
-  double CurrentScore() const override { return score_; }
+  bool NextLayer(std::vector<int32_t>* keys, double* score) override;
 
  private:
   /// Charges layer-arena capacity growth since the last call.
   void ChargeGrowth();
 
   const RefinedSpace* space_;
-  std::vector<int32_t> layer_;  // current layer, d-strided, generation order
-  std::vector<int32_t> next_;   // successors of the layer_ coords visited
-  size_t pos_ = 0;              // next unvisited coordinate index in layer_
+  RunContext* ctx_;             // not owned; nullptr = no poll, untracked
+  std::vector<int32_t> layer_;  // layer score_, d-strided, generation order
+  std::vector<int32_t> next_;   // layer score_ + 1 while expanding
   double score_ = 0.0;
   size_t total_cells_ = 0;      // saturated grid cardinality (reserve cap)
-  MemoryBudget* budget_;        // not owned; nullptr = untracked
   size_t charged_bytes_ = 0;    // arena capacity bytes already charged
 };
 
 /// Algorithm 2: explicit enumeration of the L-shaped equi-L∞ shells
-/// max_i(u_i) = k, in increasing k. Within a shell, coordinates are grouped
-/// by the FIRST dimension pinned at k (dimensions before the pin stay below
-/// k) and enumerated lexicographically; the groups themselves are emitted in
-/// DESCENDING pin order (d-1 down to 0). That order makes every shell
-/// topological for Eq. 17: a predecessor u - e_p of a group-p coordinate
-/// either drops to shell k-1 or re-pins on a later dimension (an
-/// earlier-emitted group), and a predecessor along a free dimension is
-/// lexicographically earlier in the same group — so the Explore phase's
-/// shell-drain cursors (Explorer::BeginShellDrain) always find predecessors
-/// already stored, with no on-demand fills.
+/// max_i(u_i) = k, in increasing k, one shell per layer. Within a shell,
+/// coordinates are grouped by the FIRST dimension pinned at k (dimensions
+/// before the pin stay below k) and enumerated lexicographically; NextLayer
+/// walks the groups in DESCENDING pin order (d-1 down to 0). That order
+/// makes every shell topological for Eq. 17: a predecessor u - e_p of a
+/// group-p coordinate either drops to shell k-1 or re-pins on a later
+/// dimension (an earlier-emitted group), and a predecessor along a free
+/// dimension is lexicographically earlier in the same group — so the
+/// Explore phase's shell-drain cursors (Explorer::BeginShellDrain) always
+/// find predecessors already stored, with no on-demand fills.
 class ShellGenerator final : public QueryGenerator {
  public:
-  explicit ShellGenerator(const RefinedSpace* space);
+  explicit ShellGenerator(const RefinedSpace* space,
+                          RunContext* ctx = nullptr);
 
-  bool Next(GridCoord* out) override;
-  double CurrentScore() const override { return static_cast<double>(k_); }
+  bool NextLayer(std::vector<int32_t>* keys, double* score) override;
 
  private:
   const RefinedSpace* space_;
-  int32_t k_ = 0;        // current shell
-  size_t pinned_ = 0;    // dimension fixed at k; d = before the first group
-  GridCoord current_;    // odometer over the free dimensions
-  bool shell0_done_ = false;
-  bool odometer_live_ = false;
+  RunContext* ctx_;  // not owned; nullptr = no poll
+  int32_t k_ = 0;    // the next shell
   int32_t max_shell_ = 0;
 };
 
 /// Best-first variant (an ablation, not in the paper): pops coordinates in
-/// exact QScore order using a priority queue. For non-L1 norms this visits
-/// strictly fewer queries than BFS before the first hit, at the cost of a
-/// heap.
+/// exact QScore order using a priority queue; a layer is a run of pops with
+/// equal QScore. For non-L1 norms this visits strictly fewer queries than
+/// BFS before the first hit, at the cost of a heap.
 class BestFirstGenerator final : public QueryGenerator {
  public:
-  /// `budget` (optional, not owned) meters the heap + visited set, which
-  /// grow with the explored frontier like the BFS layer arenas do.
+  /// Meters the heap + visited set against ctx's budget, since they grow
+  /// with the explored frontier like the BFS layer arenas do.
   explicit BestFirstGenerator(const RefinedSpace* space,
-                              MemoryBudget* budget = nullptr);
+                              RunContext* ctx = nullptr);
 
-  bool Next(GridCoord* out) override;
-  double CurrentScore() const override { return score_; }
+  bool NextLayer(std::vector<int32_t>* keys, double* score) override;
 
  private:
   struct Entry {
@@ -119,10 +116,9 @@ class BestFirstGenerator final : public QueryGenerator {
   };
 
   const RefinedSpace* space_;
+  RunContext* ctx_;           // not owned; nullptr = no poll, untracked
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
   std::unordered_set<GridCoord, GridCoordHash> seen_;
-  double score_ = 0.0;
-  MemoryBudget* budget_;      // not owned; nullptr = untracked
   size_t charged_coords_ = 0; // frontier coordinates already charged
 };
 

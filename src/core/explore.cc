@@ -391,7 +391,6 @@ BatchExplorer::BatchExplorer(const RefinedSpace* space, EvaluationLayer* layer,
     : space_(space),
       layer_(layer),
       generator_(generator),
-      ctx_(ctx),
       explorer_(space, layer, ctx != nullptr ? &ctx->budget() : nullptr,
                 store),
       replay_end_(explorer_.store().size()) {}
@@ -409,44 +408,10 @@ void BatchExplorer::JoinPrefetch() {
 
 void BatchExplorer::GenerateLayer() {
   Stopwatch sw;
-  next_valid_ = false;
-  next_keys_.clear();
-  if (!primed_) {
-    if (exhausted_ || !generator_->Next(&lookahead_)) {
-      exhausted_ = true;
-      expand_ms_ += sw.ElapsedMillis();
-      return;
-    }
-    lookahead_score_ = generator_->CurrentScore();
-    primed_ = true;
-  }
-  next_score_ = lookahead_score_;
-  // next_keys_ holds the layer drained two swaps ago; clearing keeps its
-  // capacity, so steady-state layer turnover allocates only when a layer
-  // outgrows the previous ones.
-  size_t n = 0;
-  do {
-    next_keys_.insert(next_keys_.end(), lookahead_.begin(), lookahead_.end());
-    ++n;
-    // Interrupted runs stop draining mid-layer: the truncated layer is
-    // handed over as-is (still valid coordinates of this score). The
-    // lookahead coordinate was just placed into the layer, so the primed
-    // invariant (lookahead_ holds a fetched-but-unplaced coordinate) no
-    // longer holds -- if a later call generates another layer before the
-    // driver's own poll stops the search, it must re-prime from
-    // the generator instead of replaying the consumed lookahead.
-    if (ctx_ != nullptr && (n & 0xFF) == 0 && ctx_->ShouldStop()) {
-      primed_ = false;
-      break;
-    }
-    if (!generator_->Next(&lookahead_)) {
-      primed_ = false;
-      exhausted_ = true;
-      break;
-    }
-    lookahead_score_ = generator_->CurrentScore();
-  } while (lookahead_score_ == next_score_);
-  next_valid_ = true;
+  // next_keys_ holds the layer handed out two swaps ago; the generator
+  // reuses its capacity, so steady-state layer turnover allocates only when
+  // a layer outgrows the previous ones.
+  next_valid_ = generator_->NextLayer(&next_keys_, &next_score_);
   expand_ms_ += sw.ElapsedMillis();
 }
 

@@ -277,15 +277,16 @@ class Explorer {
   std::vector<const double*> pred_blocks_;
 };
 
-/// The Explore driver: drains one equi-score layer at a time from the
-/// Expand generator, executes all of the layer's outstanding cell
-/// sub-queries in one EvaluateCellKeys batch (parallel or natively merged,
-/// per the evaluation layer), then lets the caller run Algorithm 3 over the
-/// layer's coordinates in generation order. The Eq. 17 predecessor merges
-/// stay sequential in that order, so aggregates are bit-identical to an
-/// unseeded, one-coordinate-at-a-time Explorer (Theorem 3's ordering is
-/// preserved; only O_1 executions are reordered, and those are
-/// independent), and at every layer boundary so is the cell-query count.
+/// The Explore driver: takes one equi-score layer at a time from the
+/// Expand generator (QueryGenerator::NextLayer), executes all of the layer's
+/// outstanding cell sub-queries in one EvaluateCellKeys batch (parallel or
+/// natively merged, per the evaluation layer), then lets the caller run
+/// Algorithm 3 over the layer's coordinates in generation order. The Eq. 17
+/// predecessor merges stay sequential in that order, so aggregates are
+/// bit-identical to an unseeded, one-coordinate-at-a-time Explorer
+/// (Theorem 3's ordering is preserved; only O_1 executions are reordered,
+/// and those are independent), and at every layer boundary so is the
+/// cell-query count.
 ///
 /// NextLayer additionally pipelines the generator: after handing out layer
 /// k it prefetches layer k+1 on the shared pool, so Expand runs concurrently
@@ -301,12 +302,12 @@ class Explorer {
 /// layer boundary and the store left behind are those of a cold drive.
 class BatchExplorer {
  public:
-  /// `ctx` (optional, not owned) lets a huge layer generation stop early:
-  /// GenerateLayer polls it every few hundred coordinates and truncates the
-  /// layer, so a cancelled run is not stuck expanding a d-dimensional layer
-  /// to completion first. The driver re-polls before consuming the layer,
-  /// so a truncated layer is never mistaken for a complete one on an
-  /// uninterrupted run (ctx == nullptr is byte-identical behavior).
+  /// `ctx` (optional, not owned) supplies the memory budget that meters the
+  /// explorer's store. The stop poll is not here: the generator polls the
+  /// same context while it builds a layer and cuts the layer short once it
+  /// says stop (QueryGenerator), and the driver polls it before it takes
+  /// each layer, so at most a cut prefix of one layer is investigated
+  /// before the run ends interrupted.
   /// `store` (optional, not owned) is the explorer's store (see Explorer):
   /// the entries it holds on entry are replayed, and it holds the drive's
   /// store afterwards.
@@ -320,9 +321,8 @@ class BatchExplorer {
   BatchExplorer(const BatchExplorer&) = delete;
   BatchExplorer& operator=(const BatchExplorer&) = delete;
 
-  /// Drains the next equi-score layer from the generator (one-coordinate
-  /// lookahead detects the score change). False once the space is
-  /// exhausted. Does not execute anything. Rethrows a generator failure
+  /// Hands out the generator's next equi-score layer. False once the space
+  /// is exhausted. Does not execute anything. Rethrows a generator failure
   /// raised while prefetching the layer it hands out.
   bool NextLayer();
 
@@ -364,25 +364,20 @@ class BatchExplorer {
   double batch_ms() const { return batch_ms_; }
 
  private:
-  /// Drains one equi-score run from the generator into next_*. Runs either
-  /// inline (first layer) or on a pool worker; never both at once.
+  /// Has the generator write its next layer into next_*. Runs either inline
+  /// (first layer) or on a pool worker; never both at once.
   void GenerateLayer();
   void StartPrefetch();
 
   const RefinedSpace* space_;
   EvaluationLayer* layer_;
   QueryGenerator* generator_;
-  RunContext* ctx_;
   Explorer explorer_;
   std::vector<int32_t> layer_keys_;  // d-strided, generation order
   bool layer_executed_ = false;      // ExecuteLayer ran on this layer
   double layer_score_ = 0.0;
-  // Generator cursor and the prefetched layer. Owned by the prefetch task
-  // between StartPrefetch() and JoinPrefetch().
-  bool primed_ = false;        // lookahead holds a coordinate
-  bool exhausted_ = false;
-  GridCoord lookahead_;
-  double lookahead_score_ = 0.0;
+  // The prefetched layer. Owned by the prefetch task between
+  // StartPrefetch() and JoinPrefetch().
   std::vector<int32_t> next_keys_;
   double next_score_ = 0.0;
   bool next_valid_ = false;    // next_* holds a layer not yet handed out

@@ -75,10 +75,10 @@ struct ProgressSnapshot {
 /// run's layer-prefetch worker, and any number of other threads may call
 /// RequestCancel and read the progress counters concurrently. Deadline
 /// setters are not thread-safe — arm them before the run starts. The
-/// drivers poll once per layer (and Explore's layer generation once per
-/// 256 coordinates), reading the clock every time, so an in-flight run
-/// stops within one layer's worth of work and returns its best-so-far
-/// partial answer instead of blocking the worker it runs on.
+/// drivers poll once per layer (and the Expand generators once per 256
+/// coordinates they generate), reading the clock every time, so an
+/// in-flight run stops within one layer's worth of work and returns its
+/// best-so-far partial answer instead of blocking the worker it runs on.
 class RunContext {
  public:
   using Clock = std::chrono::steady_clock;
@@ -124,8 +124,9 @@ class RunContext {
 
   /// The driver's poll: the cancellation and stop flags, the budget and, if
   /// armed, the deadline, with one clock read per call. The drivers poll per
-  /// layer, so the read is cheap next to the work between polls. Safe to
-  /// call from the run thread and its layer prefetch worker concurrently.
+  /// layer and the generators per 256 coordinates, so the read is cheap next
+  /// to the work between polls. Safe to call from the run thread and its
+  /// layer prefetch worker (which runs the generator) concurrently.
   bool ShouldStop() const {
     if (cancel_requested()) return true;
     if (client_stop_requested()) return true;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "acquire.h"
@@ -54,10 +55,11 @@ TEST(ShellGeneratorTest, OneDimensionalShellsAreJustTheLine) {
   ASSERT_NE(fixture, nullptr);
   RefinedSpace space(&fixture->task, 10.0, Norm::LInf());
   ShellGenerator gen(&space);
-  GridCoord coord;
+  std::vector<int32_t> keys;
+  double score = 0.0;
   for (int32_t expected = 0; expected <= 5; ++expected) {
-    ASSERT_TRUE(gen.Next(&coord));
-    EXPECT_EQ(coord, GridCoord{expected});
+    ASSERT_TRUE(gen.NextLayer(&keys, &score));
+    EXPECT_EQ(keys, GridCoord{expected});
   }
 }
 
@@ -128,9 +130,9 @@ TEST(BestFirstCapsTest, ExhaustsCappedSpaceWithoutDuplicates) {
   RefinedSpace space(&fixture->task, 10.0, Norm::L2());
   BestFirstGenerator gen(&space);
   std::set<GridCoord> seen;
-  GridCoord coord;
   size_t count = 0;
-  while (gen.Next(&coord)) {
+  for (const auto& [coord, score] :
+       test_util::DrainCoords(&gen, 2, std::numeric_limits<size_t>::max())) {
     EXPECT_TRUE(seen.insert(coord).second);
     ++count;
   }

@@ -36,8 +36,9 @@ TEST_P(ExploreTest, IncrementalEqualsFullReexecution) {
 
   DirectEvaluationLayer reference(&task);
   BfsGenerator gen(&space);
-  GridCoord coord;
-  for (int i = 0; i < 120 && gen.Next(&coord); ++i) {
+  const auto coords = test_util::DrainCoords(&gen, d, 120);
+  for (size_t i = 0; i < coords.size(); ++i) {
+    const GridCoord& coord = coords[i].first;
     auto incremental = explorer.ComputeAggregate(coord);
     ASSERT_TRUE(incremental.ok());
     auto full = reference.EvaluateBox(space.QueryBox(coord));
@@ -72,10 +73,10 @@ TEST(ExplorerTest, OneCellExecutionPerCoordinate) {
   Explorer explorer(&space, &layer);
 
   BfsGenerator gen(&space);
-  GridCoord coord;
   size_t investigated = 0;
-  for (; investigated < 50 && gen.Next(&coord); ++investigated) {
+  for (const auto& [coord, score] : test_util::DrainCoords(&gen, 2, 50)) {
     ASSERT_TRUE(explorer.ComputeAggregate(coord).ok());
+    ++investigated;
   }
   EXPECT_EQ(explorer.cell_queries(), investigated);
   EXPECT_EQ(explorer.store().size(), investigated);
@@ -118,8 +119,7 @@ TEST(ExplorerTest, ShellOrderWorksDespiteInShellDependencies) {
   DirectEvaluationLayer reference(&fixture->task);
 
   ShellGenerator gen(&space);
-  GridCoord coord;
-  for (int i = 0; i < 60 && gen.Next(&coord); ++i) {
+  for (const auto& [coord, score] : test_util::DrainCoords(&gen, 2, 60)) {
     auto incremental = explorer.ComputeAggregate(coord);
     ASSERT_TRUE(incremental.ok());
     auto full = reference.EvaluateBox(space.QueryBox(coord));

@@ -2,12 +2,15 @@
 #define ACQUIRE_TESTS_TEST_UTIL_H_
 
 // Shared helpers for tests: small synthetic tasks with controllable
-// dimensionality, aggregate and constraint, the reference Explore oracle,
-// the reference cell grouping, and a comparator for server replies.
+// dimensionality, aggregate and constraint, a generator drain, the
+// reference Explore oracle, the reference cell grouping, and a comparator
+// for server replies.
 
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "core/explore.h"
@@ -36,6 +39,22 @@ struct SyntheticOptions {
   double bound = 30.0;  // per-dim predicate: c_i <= bound over [0, 100]
   uint64_t seed = 1;
 };
+
+// The first `limit` coordinates a generator over a d-dimensional space
+// emits, in order, each with its layer's score.
+inline std::vector<std::pair<GridCoord, double>> DrainCoords(
+    QueryGenerator* gen, size_t d, size_t limit) {
+  std::vector<std::pair<GridCoord, double>> out;
+  std::vector<int32_t> keys;
+  double score = 0.0;
+  while (out.size() < limit && gen->NextLayer(&keys, &score)) {
+    for (auto it = keys.begin(); it != keys.end() && out.size() < limit;
+         it += d) {
+      out.emplace_back(GridCoord(it, it + d), score);
+    }
+  }
+  return out;
+}
 
 // A d-predicate COUNT/SUM/... task over a uniform table: columns c0..c4 in
 // [0, 100], aggregate column "val" in [0, 1000].
