@@ -30,8 +30,7 @@
 //                          resource governor (idle shares lent to active
 //                          tenants); 0 = no memory governance
 //   --cache-bytes N        result-cache byte limit; repeat SUBMITs of a
-//                          completed task answer from the cache and
-//                          identical in-flight tasks dedup onto one run
+//                          completed task answer from the cache
 //                          (default 0 = cache off)
 //   --cache-file PATH      persist the result cache: loaded at startup
 //                          (entries whose catalog generation no longer
@@ -265,11 +264,10 @@ int main(int argc, char** argv) {
   if (options.cache_bytes > 0) {
     const ResultCacheStats cache = server.sessions().cache().stats();
     std::printf(
-        "cache: %llu hits, %llu misses, %llu inflight joins, %llu evictions, "
+        "cache: %llu hits, %llu misses, %llu evictions, "
         "%llu entries / %llu bytes retained\n",
         static_cast<unsigned long long>(cache.hits),
         static_cast<unsigned long long>(cache.misses),
-        static_cast<unsigned long long>(counters.cache_inflight_joins),
         static_cast<unsigned long long>(cache.evictions),
         static_cast<unsigned long long>(cache.entries),
         static_cast<unsigned long long>(cache.bytes));

@@ -210,6 +210,29 @@ Result<AcquireResult> RunAcquireContract(const AcqTask& task,
     return result.termination != RunTermination::kCompleted;
   };
 
+  // Layer-drain progress hook (RunContext::LayerDrained), as in RunAcquire:
+  // counts the walked layer and, when a frame emits, fills in the
+  // best-so-far and the evaluation layer's counters.
+  auto layer_drained = [&]() {
+    if (ctx == nullptr) return;
+    ctx->LayerDrained([&](ProgressSnapshot* snap) {
+      snap->elapsed_ms = sw.ElapsedMillis();
+      if (best_error < std::numeric_limits<double>::infinity()) {
+        snap->has_best = true;
+        snap->best_error = result.best.error;
+        snap->best_qscore = result.best.qscore;
+        snap->best_aggregate = result.best.aggregate;
+        snap->best_description = result.best.description;
+      }
+      const EvaluationLayer::ExecStats stats = layer->stats();
+      snap->eval_queries = stats.queries;
+      snap->tuples_scanned = stats.tuples_scanned;
+      snap->prepare_ms = stats.prepare_ms;
+      snap->delta_rows = stats.delta_rows;
+      snap->delta_merges = stats.delta_merges;
+    });
+  };
+
   // Per-coordinate body (the full-query aggregate is already evaluated):
   // {keep searching, this coordinate hit}.
   auto visit_value = [&](const GridCoord& c, double aggregate)
@@ -287,6 +310,8 @@ Result<AcquireResult> RunAcquireContract(const AcqTask& task,
       layer_hit |= visited.second;
     }
     merge_ms += t_merge.ElapsedMillis();
+    // Every coordinate of this layer was visited: a drain point.
+    if (keep_going) layer_drained();
     if (layer_hit || !keep_going) break;
   }
 

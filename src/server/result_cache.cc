@@ -1,6 +1,5 @@
 #include "server/result_cache.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -76,17 +75,6 @@ void ResultCache::set_limit_bytes(uint64_t bytes) {
   }
 }
 
-double ResultCache::PriorityOf(const Shard& shard, const CachedResult& result,
-                               uint64_t freq) {
-  // GreedyDual-Size-Frequency: benefit of keeping the entry (cost to
-  // recompute, amortized over its size, scaled by how often it actually
-  // hits) on top of the shard clock. Zero-cost entries collapse to the
-  // clock, i.e. plain LRU via the recency-list tiebreak.
-  const double size =
-      static_cast<double>(result.bytes > 0 ? result.bytes : 1);
-  return shard.clock + result.cost_ms * static_cast<double>(freq) / size;
-}
-
 CachedResultPtr ResultCache::Lookup(const TaskFingerprint& fp) {
   if (!enabled()) return nullptr;
   Shard& shard = ShardFor(fp);
@@ -94,12 +82,9 @@ CachedResultPtr ResultCache::Lookup(const TaskFingerprint& fp) {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(fp);
     if (it != shard.index.end()) {
-      Entry& entry = *it->second;
-      ++entry.freq;
-      entry.priority = PriorityOf(shard, *entry.result, entry.freq);
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       hits_.fetch_add(1, std::memory_order_relaxed);
-      return entry.result;
+      return it->second->result;
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
@@ -116,14 +101,10 @@ void ResultCache::Insert(const TaskFingerprint& fp, CachedResultPtr result) {
     shard.bytes -= entry.result->bytes;
     shard.bytes += result->bytes;
     entry.result = std::move(result);
-    ++entry.freq;
-    entry.priority = PriorityOf(shard, *entry.result, entry.freq);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   } else {
     shard.bytes += result->bytes;
-    Entry entry{fp, std::move(result)};
-    entry.priority = PriorityOf(shard, *entry.result, entry.freq);
-    shard.lru.push_front(std::move(entry));
+    shard.lru.push_front(Entry{fp, std::move(result)});
     shard.index.emplace(fp, shard.lru.begin());
   }
   EvictLocked(&shard);
@@ -133,53 +114,12 @@ void ResultCache::EvictLocked(Shard* shard) {
   const uint64_t shard_limit =
       limit_.load(std::memory_order_relaxed) / kShards;
   while (!shard->lru.empty() && shard->bytes > shard_limit) {
-    // Minimum-priority victim; scanning from the tail makes ties resolve
-    // to the least recently used entry. Result caches hold few, large
-    // entries, so the linear scan is noise next to what they cache.
-    auto victim = std::prev(shard->lru.end());
-    for (auto it = shard->lru.end(); it != shard->lru.begin();) {
-      --it;
-      if (it->priority < victim->priority) victim = it;
-    }
-    // The clock inherits the victim's priority: entries untouched since
-    // long-ago cheap eras age out against newly inserted ones.
-    shard->clock = std::max(shard->clock, victim->priority);
-    shard->bytes -= victim->result->bytes;
-    shard->index.erase(victim->fp);
-    shard->lru.erase(victim);
+    const Entry& victim = shard->lru.back();
+    shard->bytes -= victim.result->bytes;
+    shard->index.erase(victim.fp);
+    shard->lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-void ResultCache::RecordFailure(uint64_t key, const Status& error) {
-  if (!enabled() || error.ok()) return;
-  std::lock_guard<std::mutex> lock(negative_mu_);
-  auto it = negative_.find(key);
-  if (it == negative_.end()) {
-    if (negative_.size() >= kMaxNegativeEntries) {
-      negative_.erase(negative_.begin());  // arbitrary victim; table is tiny
-    }
-    negative_.emplace(key, NegativeEntry{error, 1});
-    return;
-  }
-  if (it->second.error.code() != error.code()) {
-    it->second = NegativeEntry{error, 1};  // failure mode moved: restart
-    return;
-  }
-  it->second.error = error;
-  ++it->second.failures;
-}
-
-bool ResultCache::LookupFailure(uint64_t key, Status* error) {
-  if (!enabled()) return false;
-  std::lock_guard<std::mutex> lock(negative_mu_);
-  auto it = negative_.find(key);
-  if (it == negative_.end() || it->second.failures < kNegativeThreshold) {
-    return false;
-  }
-  *error = it->second.error;
-  negative_hits_.fetch_add(1, std::memory_order_relaxed);
-  return true;
 }
 
 void ResultCache::Clear() {
@@ -188,14 +128,11 @@ void ResultCache::Clear() {
     shard.lru.clear();
     shard.index.clear();
     shard.bytes = 0;
-    shard.clock = 0.0;
   }
-  std::lock_guard<std::mutex> lock(negative_mu_);
-  negative_.clear();
 }
 
 namespace {
-constexpr const char kCacheFileHeader[] = "acq-cache-v2";
+constexpr const char kCacheFileHeader[] = "acq-cache-v3";
 constexpr const char kCacheCrcPrefix[] = "crc ";
 }  // namespace
 
@@ -216,9 +153,9 @@ Status ResultCache::SaveToFile(const std::string& path) const {
       char meta[256];
       std::snprintf(meta, sizeof(meta),
                     "%" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-                    " %" PRIu64 " %zu %.17g",
+                    " %" PRIu64 " %zu",
                     entry.fp.hi, entry.fp.lo, r.generation,
-                    r.queries_explored, r.cell_queries, r.bytes, r.cost_ms);
+                    r.queries_explored, r.cell_queries, r.bytes);
       body += meta;
       body += '\n';
       body += r.report.Dump();
@@ -296,9 +233,8 @@ Status ResultCache::LoadFromFile(const std::string& path,
     auto result = std::make_shared<CachedResult>();
     unsigned long long hi = 0, lo = 0, gen = 0, explored = 0, cells = 0,
                        bytes = 0;
-    double cost_ms = 0.0;
-    if (std::sscanf(line.c_str(), "%llu %llu %llu %llu %llu %llu %lg", &hi,
-                    &lo, &gen, &explored, &cells, &bytes, &cost_ms) != 7) {
+    if (std::sscanf(line.c_str(), "%llu %llu %llu %llu %llu %llu", &hi, &lo,
+                    &gen, &explored, &cells, &bytes) != 6) {
       return Status::ParseError(StringFormat(
           "cache file %s entry %zu: bad metadata line", path.c_str(),
           entry_no));
@@ -327,7 +263,6 @@ Status ResultCache::LoadFromFile(const std::string& path,
     result->queries_explored = static_cast<uint64_t>(explored);
     result->cell_queries = static_cast<uint64_t>(cells);
     result->bytes = static_cast<size_t>(bytes);
-    result->cost_ms = cost_ms;
     result->generation = static_cast<uint64_t>(gen);
     Insert(fp, std::move(result));
     if (loaded != nullptr) ++(*loaded);
@@ -341,15 +276,10 @@ ResultCacheStats ResultCache::stats() const {
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.limit_bytes = limit_.load(std::memory_order_relaxed);
-  stats.negative_hits = negative_hits_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     stats.entries += shard.lru.size();
     stats.bytes += shard.bytes;
-  }
-  {
-    std::lock_guard<std::mutex> lock(negative_mu_);
-    stats.negative_entries = negative_.size();
   }
   return stats;
 }

@@ -24,10 +24,10 @@ namespace acquire {
 JsonValue BuildReportJson(const AcqOutcome& outcome, const AcqTask* task,
                           double wall_ms);
 
-/// One completed run's reply, shared by the run's own session, its
-/// in-flight followers, and every later cache hit. The report is rendered
-/// exactly once (wall_ms and elapsed_ms included), which is what makes
-/// cached replies bit-exact. Immutable after construction.
+/// One completed run's reply, shared by the run's own session and every
+/// later cache hit. The report is rendered exactly once (wall_ms and
+/// elapsed_ms included), which is what makes cached replies bit-exact.
+/// Immutable after construction.
 struct CachedResult {
   JsonValue report;
   /// The seeding run's RunContext progress counters — cache-served sessions
@@ -36,9 +36,6 @@ struct CachedResult {
   uint64_t cell_queries = 0;
   /// Approximate retained footprint, charged against the byte limit.
   size_t bytes = 0;
-  /// Observed compute cost of the seeding run (wall milliseconds); feeds
-  /// cost-aware eviction. 0 (unknown) makes the entry evict like pure LRU.
-  double cost_ms = 0.0;
   /// Catalog generation the seeding run planned against. The fingerprint
   /// already folds the generation in, so lookups can never cross
   /// generations; this copy exists for persistence (LoadFromFile drops
@@ -54,35 +51,18 @@ struct ResultCacheStats {
   uint64_t entries = 0;
   uint64_t bytes = 0;
   uint64_t limit_bytes = 0;
-  /// Negative cache (repeatedly-failing plans; see RecordFailure).
-  uint64_t negative_hits = 0;
-  uint64_t negative_entries = 0;
 };
 
-/// Sharded, byte-bounded cache over completed-run replies, keyed by the
+/// Sharded, byte-bounded LRU cache over completed-run replies, keyed by the
 /// 128-bit task fingerprint (core/fingerprint.h). Thread-safe: each shard
 /// has its own mutex and recency list, hit/miss/eviction counters are
 /// atomics, and entries are immutable shared_ptrs, so a Lookup winner keeps
-/// its result alive across a concurrent Clear or eviction.
-///
-/// Eviction is cost-aware (GreedyDual-Size-Frequency): each entry carries
-/// priority = shard_clock + cost_ms * hits / bytes, the minimum-priority
-/// entry is evicted first, and the shard clock advances to each victim's
-/// priority so long-idle expensive entries age out instead of pinning the
-/// cache. A 1 ms origin-satisfies reply and a 30 s search reply therefore
-/// stop being eviction-equals. Entries with unknown cost (cost_ms == 0) tie
-/// on priority and fall back to least-recently-used order.
+/// its result alive across a concurrent Clear or eviction. A shard over its
+/// share of the byte limit evicts its least recently used entries.
 ///
 /// A limit of 0 disables the cache entirely: Lookup always misses (without
 /// counting), Insert is a no-op, and nothing is retained. Shrinking the
 /// limit evicts immediately.
-///
-/// The cache also keeps a small negative side-table for repeatedly-failing
-/// plans, keyed by a caller-computed hash (SQL text + catalog generation,
-/// NOT the task fingerprint — failing plans usually cannot be fingerprinted
-/// at all). Only deterministic failures belong in it; after
-/// kNegativeThreshold identical failures LookupFailure serves the error
-/// without re-planning.
 class ResultCache {
  public:
   explicit ResultCache(uint64_t limit_bytes = 0);
@@ -96,55 +76,37 @@ class ResultCache {
   /// 0 clears and disables. Shrinking evicts down to the new limit.
   void set_limit_bytes(uint64_t bytes);
 
-  /// Counted hit (frequency bumped, priority recomputed, entry moved to the
-  /// front of its shard's recency list) or miss.
+  /// Counted hit (entry moved to the front of its shard's recency list) or
+  /// miss.
   CachedResultPtr Lookup(const TaskFingerprint& fp);
 
-  /// Inserts/refreshes, then evicts minimum-priority entries while the
-  /// shard is over its share of the byte limit. No-op when disabled.
+  /// Inserts/refreshes at the front of the recency list, then evicts from
+  /// its tail while the shard is over its share of the byte limit. No-op
+  /// when disabled.
   void Insert(const TaskFingerprint& fp, CachedResultPtr result);
 
-  /// Identical failures before LookupFailure starts serving a key
-  /// negatively.
-  static constexpr uint64_t kNegativeThreshold = 2;
-
-  /// Records one deterministic plan failure for `key`. A failure with a
-  /// different status code resets the key (the plan's failure mode moved,
-  /// e.g. after a catalog change the caller didn't fold into the key).
-  /// No-op when the cache is disabled.
-  void RecordFailure(uint64_t key, const Status& error);
-
-  /// True (and counted as a negative hit) when `key` has accumulated at
-  /// least kNegativeThreshold identical failures; *error receives the
-  /// recorded status. Unknown / below-threshold keys and a disabled cache
-  /// return an uncounted false.
-  bool LookupFailure(uint64_t key, Status* error);
-
-  /// Drops every entry, positive and negative. Monotonic counters
-  /// (hits/misses/evictions) survive; cleared entries do not count as
-  /// evictions.
+  /// Drops every entry. Monotonic counters (hits/misses/evictions) survive;
+  /// cleared entries do not count as evictions.
   void Clear();
 
   ResultCacheStats stats() const;
 
-  /// Writes every positive entry to `path` in the versioned "acq-cache-v2"
-  /// text format (negative entries are deliberately not persisted — they
-  /// guard live re-planning, which a restart re-establishes cheaply).
-  /// Crash-safe: the snapshot is staged at `path`.tmp, fsynced and renamed
-  /// into place, and carries a trailing CRC line over the body so
-  /// LoadFromFile can reject a torn or bit-rotted file outright.
-  /// Snapshot semantics per shard; concurrent inserts may or may not land.
+  /// Writes every entry to `path` in the versioned "acq-cache-v3" text
+  /// format. Crash-safe: the snapshot is staged at `path`.tmp, fsynced and
+  /// renamed into place, and carries a trailing CRC line over the body so
+  /// LoadFromFile can reject a torn or bit-rotted file outright. Snapshot
+  /// semantics per shard; concurrent inserts may or may not land.
   Status SaveToFile(const std::string& path) const;
 
   /// Loads a SaveToFile snapshot, inserting entries via the normal Insert
   /// path (so the byte limit applies). The header and trailing CRC are
   /// verified before anything is inserted — a truncated, torn or corrupted
-  /// snapshot is rejected whole (ParseError), never half-loaded. Entries
-  /// recorded under a catalog generation other than `current_generation`
-  /// are stale — the data they answered for has changed identity — and are
-  /// dropped. Returns the count of loaded entries via `loaded`/`dropped`
-  /// when non-null. NotFound when `path` does not exist (cold start),
-  /// IOError/ParseError on corruption.
+  /// snapshot, or one in an older format version, is rejected whole
+  /// (ParseError), never half-loaded. Entries recorded under a catalog
+  /// generation other than `current_generation` are stale — the data they
+  /// answered for has changed identity — and are dropped. Returns the count
+  /// of loaded entries via `loaded`/`dropped` when non-null. NotFound when
+  /// `path` does not exist (cold start), IOError/ParseError on corruption.
   Status LoadFromFile(const std::string& path, uint64_t current_generation,
                       size_t* loaded = nullptr, size_t* dropped = nullptr);
 
@@ -152,46 +114,30 @@ class ResultCache {
   struct Entry {
     TaskFingerprint fp;
     CachedResultPtr result;
-    uint64_t freq = 1;       // lookups since insertion (plus the insert)
-    double priority = 0.0;   // GDSF priority at last touch
   };
   struct Shard {
     mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used (priority tiebreak)
+    std::list<Entry> lru;  // front = most recently used
     std::unordered_map<TaskFingerprint, std::list<Entry>::iterator,
                        TaskFingerprintHash>
         index;
     uint64_t bytes = 0;
-    double clock = 0.0;  // rises to each victim's priority (aging)
   };
   static constexpr size_t kShards = 8;
-  /// Negative side-table bound; tiny on purpose (it only needs to cover the
-  /// recently-failing plans a client keeps retrying).
-  static constexpr size_t kMaxNegativeEntries = 256;
-
-  struct NegativeEntry {
-    Status error;
-    uint64_t failures = 0;
-  };
 
   Shard& ShardFor(const TaskFingerprint& fp) {
     // hi is already avalanche-mixed; its low bits pick the shard.
     return shards_[fp.hi & (kShards - 1)];
   }
-  static double PriorityOf(const Shard& shard, const CachedResult& result,
-                           uint64_t freq);
-  /// Requires shard.mu. Evicts minimum-priority entries while over budget.
+  /// Requires shard.mu. Evicts least recently used entries while over
+  /// budget.
   void EvictLocked(Shard* shard);
 
   std::atomic<uint64_t> limit_{0};
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> negative_hits_{0};
   Shard shards_[kShards];
-
-  mutable std::mutex negative_mu_;
-  std::unordered_map<uint64_t, NegativeEntry> negative_;
 };
 
 }  // namespace acquire

@@ -11,6 +11,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -34,6 +35,28 @@ JsonValue ErrorResponse(const Status& status) {
 
 JsonValue ErrorResponse(Status (*factory)(std::string), std::string message) {
   return ErrorResponse(factory(std::move(message)));
+}
+
+/// Largest integer magnitude a JSON number (a double) holds exactly.
+constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
+constexpr double kMaxInt =
+    static_cast<double>(std::numeric_limits<int>::max());
+
+/// Reads the optional count field `key` of `request` into *out, leaving *out
+/// untouched when the field is absent. A present value must be an integral
+/// number in [0, max], so the cast below is exact and defined.
+template <typename T>
+Status ReadCount(const JsonValue& request, const char* key, T* out,
+                 double max = kMaxExactInteger) {
+  const JsonValue* field = request.Get(key);
+  if (field == nullptr) return Status::OK();
+  const double v = field->is_number() ? field->AsDouble() : -1.0;
+  if (v < 0.0 || v > max || v != std::floor(v)) {
+    return Status::InvalidArgument(
+        StringFormat("'%s' must be an integer in [0, %.0f]", key, max));
+  }
+  *out = static_cast<T>(v);
+  return Status::OK();
 }
 
 Result<SearchOrder> ParseOrder(const std::string& name) {
@@ -523,16 +546,20 @@ JsonValue AcqServer::HandleSubmit(const JsonValue& request,
   AcquireOptions options;
   options.gamma = request.GetNumber("gamma", options.gamma);
   options.delta = request.GetNumber("delta", options.delta);
-  options.max_explored = static_cast<uint64_t>(request.GetNumber(
-      "max_explored", static_cast<double>(options.max_explored)));
   options.collect_within_gamma =
       request.GetBool("collect_within_gamma", options.collect_within_gamma);
-  options.repartition_iters = static_cast<int>(request.GetNumber(
-      "repartition_iters", options.repartition_iters));
-  options.stall_limit = static_cast<uint64_t>(request.GetNumber(
-      "stall_limit", static_cast<double>(options.stall_limit)));
-  options.divergence_patience = static_cast<int>(request.GetNumber(
-      "divergence_patience", options.divergence_patience));
+  options.memory_budget_bytes = options_.default_memory_budget_bytes;
+  for (const Status& status :
+       {ReadCount(request, "max_explored", &options.max_explored),
+        ReadCount(request, "stall_limit", &options.stall_limit),
+        ReadCount(request, "memory_budget_bytes",
+                  &options.memory_budget_bytes),
+        ReadCount(request, "repartition_iters", &options.repartition_iters,
+                  kMaxInt),
+        ReadCount(request, "divergence_patience",
+                  &options.divergence_patience, kMaxInt)}) {
+    if (!status.ok()) return ErrorResponse(status);
+  }
   if (options.gamma <= 0.0) {
     return ErrorResponse(Status::InvalidArgument, "gamma must be positive");
   }
@@ -559,14 +586,6 @@ JsonValue AcqServer::HandleSubmit(const JsonValue& request,
     if (!parsed.ok()) return ErrorResponse(parsed.status());
     backend = *parsed;
   }
-  const double budget_bytes = request.GetNumber(
-      "memory_budget_bytes",
-      static_cast<double>(options_.default_memory_budget_bytes));
-  if (budget_bytes < 0.0) {
-    return ErrorResponse(Status::InvalidArgument,
-                         "memory_budget_bytes must be non-negative");
-  }
-  options.memory_budget_bytes = static_cast<uint64_t>(budget_bytes);
   const double timeout_ms =
       request.GetNumber("timeout_ms", options_.default_timeout_ms);
 
@@ -743,14 +762,10 @@ JsonValue AcqServer::HandleStats(const JsonValue& request) {
   const ResultCacheStats cache = manager.cache().stats();
   set("cache_hits", cache.hits);
   set("cache_misses", cache.misses);
-  set("cache_inflight_joins", counters.cache_inflight_joins);
   set("cache_evictions", cache.evictions);
   set("cache_entries", cache.entries);
   set("cache_bytes", cache.bytes);
   set("cache_limit_bytes", cache.limit_bytes);
-  set("cache_negative_hits", cache.negative_hits);
-  set("cache_negative_entries", cache.negative_entries);
-  set("cache_negative_served", counters.cache_negative_served);
   // Connection-hardening and fault-injection counters.
   set("oversize_lines", oversize_lines_.load(std::memory_order_relaxed));
   set("idle_disconnects", idle_disconnects_.load(std::memory_order_relaxed));
@@ -847,12 +862,11 @@ JsonValue AcqServer::HandleCache(const JsonValue& request) {
   if (!tenant.ok()) return ErrorResponse(tenant.status());
   SessionManager& manager = (*tenant)->manager();
   ResultCache& cache = manager.cache();
-  if (const JsonValue* limit = request.Get("limit"); limit != nullptr) {
-    if (!limit->is_number() || limit->AsDouble() < 0.0) {
-      return ErrorResponse(Status::InvalidArgument,
-                           "'limit' must be a non-negative byte count");
-    }
-    cache.set_limit_bytes(static_cast<uint64_t>(limit->AsDouble()));
+  if (request.Get("limit") != nullptr) {
+    uint64_t limit = 0;
+    Status status = ReadCount(request, "limit", &limit);
+    if (!status.ok()) return ErrorResponse(status);
+    cache.set_limit_bytes(limit);
   }
   if (const JsonValue* clear = request.Get("clear"); clear != nullptr) {
     if (!clear->is_bool()) {
@@ -861,7 +875,6 @@ JsonValue AcqServer::HandleCache(const JsonValue& request) {
     if (clear->AsBool()) cache.Clear();
   }
   const ResultCacheStats stats = cache.stats();
-  const ServerCounters counters = manager.counters();
   JsonValue out = JsonValue::Object();
   out.Set("ok", JsonValue::Bool(true));
   out.Set("tenant", JsonValue::Str((*tenant)->id()));
@@ -872,14 +885,10 @@ JsonValue AcqServer::HandleCache(const JsonValue& request) {
   };
   set("hits", stats.hits);
   set("misses", stats.misses);
-  set("inflight_joins", counters.cache_inflight_joins);
   set("evictions", stats.evictions);
   set("entries", stats.entries);
   set("bytes", stats.bytes);
   set("limit_bytes", stats.limit_bytes);
-  set("negative_hits", stats.negative_hits);
-  set("negative_entries", stats.negative_entries);
-  set("negative_served", counters.cache_negative_served);
   out.Set("cache", std::move(body));
   return out;
 }
@@ -938,8 +947,8 @@ JsonValue AcqServer::HandleAppend(const JsonValue& request) {
                              i));
           }
           const double v = cell.AsDouble();
-          constexpr double kMaxExact = 9007199254740992.0;  // 2^53
-          if (v != std::floor(v) || v < -kMaxExact || v > kMaxExact) {
+          if (v != std::floor(v) || v < -kMaxExactInteger ||
+              v > kMaxExactInteger) {
             return ErrorResponse(
                 Status::TypeError,
                 StringFormat(
@@ -990,36 +999,14 @@ JsonValue AcqServer::HandleAttach(const JsonValue& request) {
   params.id = request.GetString("tenant");
   params.generator = request.GetString("gen");
   params.loaddb_dir = request.GetString("loaddb");
-  const double rows = request.GetNumber("rows", 0.0);
-  const double seed = request.GetNumber("seed", 0.0);
-  if (rows < 0.0 || seed < 0.0) {
-    return ErrorResponse(Status::InvalidArgument,
-                         "'rows' and 'seed' must be non-negative");
-  }
-  params.rows = static_cast<uint64_t>(rows);
-  params.seed = static_cast<uint64_t>(seed);
   params.weight = request.GetNumber("weight", 1.0);
-  const double max_queued = request.GetNumber("max_queued", 0.0);
-  if (max_queued < 0.0) {
-    return ErrorResponse(Status::InvalidArgument,
-                         "'max_queued' must be non-negative");
-  }
-  params.max_queued = static_cast<size_t>(max_queued);
-  if (const JsonValue* cache_bytes = request.Get("cache_bytes");
-      cache_bytes != nullptr) {
-    if (!cache_bytes->is_number() || cache_bytes->AsDouble() < 0.0) {
-      return ErrorResponse(Status::InvalidArgument,
-                           "'cache_bytes' must be a non-negative byte count");
-    }
-    params.cache_bytes = static_cast<int64_t>(cache_bytes->AsDouble());
-  }
-  if (const JsonValue* disk_bytes = request.Get("disk_bytes");
-      disk_bytes != nullptr) {
-    if (!disk_bytes->is_number() || disk_bytes->AsDouble() < 0.0) {
-      return ErrorResponse(Status::InvalidArgument,
-                           "'disk_bytes' must be a non-negative byte count");
-    }
-    params.disk_bytes = static_cast<uint64_t>(disk_bytes->AsDouble());
+  for (const Status& status :
+       {ReadCount(request, "rows", &params.rows),
+        ReadCount(request, "seed", &params.seed),
+        ReadCount(request, "max_queued", &params.max_queued),
+        ReadCount(request, "cache_bytes", &params.cache_bytes),
+        ReadCount(request, "disk_bytes", &params.disk_bytes)}) {
+    if (!status.ok()) return ErrorResponse(status);
   }
   Result<TenantPtr> attached = registry_.Attach(params);
   if (!attached.ok()) return ErrorResponse(attached.status());

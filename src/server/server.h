@@ -31,7 +31,7 @@ struct ServerOptions {
   /// their own; 0 means such runs are unmetered.
   uint64_t default_memory_budget_bytes = 0;
   /// Result-cache byte limit (see SessionManagerOptions::cache_bytes);
-  /// 0 (the default) disables the cache and in-flight deduplication.
+  /// 0 (the default) disables the cache.
   uint64_t cache_bytes = 0;
   /// A request line (or a partial line with no newline yet) longer than
   /// this is answered with kInvalidArgument and the connection is closed —
@@ -73,11 +73,14 @@ struct ServerOptions {
 ///            "max_explored":?, "timeout_ms":?, "wait":bool,
 ///            "progress":{"interval_ms":N} | true}
 ///           -> {"ok":true,"id":"s-1","state":...}; with "wait":true the
-///           response is the terminal STATUS report instead. With the
+///           response is the terminal STATUS report instead. The count
+///           fields max_explored, stall_limit, memory_budget_bytes (at
+///           most 2^53) and repartition_iters, divergence_patience (at most
+///           INT32_MAX) must be non-negative integral numbers. With the
 ///           result cache enabled (cache_bytes > 0), a SUBMIT matching a
 ///           completed run is answered from the cache (no slot consumed,
-///           report byte-identical to the seeding reply) and one matching
-///           an in-flight run joins it instead of re-running.
+///           report byte-identical to the seeding reply); every other
+///           SUBMIT runs, even one identical to a run still in flight.
 ///           "progress" opts into streaming: while the run executes, the
 ///           server pushes {"progress":true,"id":...,...} PROGRESS frames
 ///           (one JSON object per line; schema in DESIGN.md §11) on this
@@ -88,8 +91,7 @@ struct ServerOptions {
 ///           the terminal publish, so the final report is always the last
 ///           line of the exchange — never interleaved, never torn.
 ///           Streaming implies "wait" semantics; "wait":false alongside
-///           "progress" is rejected. Cache-served submissions (admission
-///           hits, followers, negative hits) run nothing and stream
+///           "progress" is rejected. Cache hits run nothing and stream
 ///           nothing: their reply is the whole exchange. Fields SUBMIT
 ///           does not read are ignored, so clients may keep sending
 ///           retired ones.
@@ -113,20 +115,23 @@ struct ServerOptions {
 ///           grammar in common/failpoint.h), {"cmd":"FAILPOINT",
 ///           "clear":true} / {"clear":"name"} disarms. kUnsupported when
 ///           the build compiled failpoints out.
-///   CACHE   {"cmd":"CACHE"} -> result-cache stats; {"cmd":"CACHE",
+///   CACHE   {"cmd":"CACHE"} -> result-cache stats (hits, misses,
+///           evictions, entries, bytes, limit_bytes); {"cmd":"CACHE",
 ///           "clear":true} drops every entry, {"cmd":"CACHE","limit":N}
-///           resizes the byte limit (0 clears and disables).
+///           resizes the byte limit (an integral N in [0, 2^53]; 0 clears
+///           and disables). A full shard evicts its least recently used
+///           entry.
 ///   APPEND  {"cmd":"APPEND","table":"t","rows":[[v,...],...]} -> appends
 ///           rows to a catalog table (live ingestion). Values are coerced
 ///           against the table schema (int64 columns require integral JSON
 ///           numbers); the batch is all-or-nothing. Requires the
 ///           mutable-catalog constructor — kUnsupported otherwise. Each
 ///           successful batch bumps the catalog generation, so cached
-///           results and negative plan-cache entries from before the
-///           append are never served afterwards.
+///           results from before the append are never served afterwards.
 ///   ATTACH  {"cmd":"ATTACH","tenant":"t1","gen":"users","rows":N,
 ///            "seed":S, "weight":W, "cache_bytes":N, "max_queued":N,
-///            "disk_bytes":N} or
+///            "disk_bytes":N} (rows, seed, max_queued, cache_bytes and
+///           disk_bytes: non-negative integral numbers, at most 2^53) or
 ///           {"cmd":"ATTACH","tenant":"t1","loaddb":"dir"} -> attaches a
 ///           new tenant with its own catalog (generated, or restored from
 ///           a SaveCatalog directory), session manager, admission queue

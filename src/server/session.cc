@@ -28,37 +28,6 @@ double MillisSince(Clock::time_point start) {
       .count();
 }
 
-/// Negative-cache key: the raw SQL text plus the catalog generation (a
-/// reload that could make the plan succeed invalidates the key). NOT the
-/// task fingerprint — plans that fail usually cannot be fingerprinted.
-/// Options are deliberately excluded: only parse/bind failures are
-/// recorded, and those depend on nothing but (sql, catalog).
-uint64_t NegativeKey(const Catalog& catalog, const std::string& sql) {
-  uint64_t h = 1469598103934665603ULL ^ catalog.generation();
-  for (unsigned char c : sql) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Only failures that are pure functions of (sql, catalog) may be served
-/// from the negative cache. Transient conditions (unavailable, resource
-/// exhausted, internal, IO) must retry for real.
-bool IsDeterministicPlanFailure(const Status& error) {
-  switch (error.code()) {
-    case StatusCode::kInvalidArgument:
-    case StatusCode::kNotFound:
-    case StatusCode::kNotImplemented:
-    case StatusCode::kParseError:
-    case StatusCode::kTypeError:
-    case StatusCode::kUnsupported:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 const char* SessionStateToString(SessionState state) {
@@ -211,56 +180,21 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
         "(failpoint server.tenant_admission)");
   }
 
-  // The catalog-reading part of admission — negative-cache key, fingerprint
-  // and the generation it was computed under — runs inside the shared data
-  // lock so a concurrent AppendRows can't move the catalog mid-read
-  // (fingerprint folds the generation in; tearing the two apart would let a
-  // stale fingerprint carry a fresh generation or vice versa).
-  Status negative;
-  bool negative_hit = false;
+  // The catalog-reading part of admission — the fingerprint and the
+  // generation it was computed under — runs inside the shared data lock so
+  // a concurrent AppendRows can't move the catalog mid-read (fingerprint
+  // folds the generation in; tearing the two apart would let a stale
+  // fingerprint carry a fresh generation or vice versa). It runs before
+  // mu_: parsing/binding is pure and touches only the catalog. Any failure
+  // just means "uncacheable" and the submission proceeds exactly as it did
+  // before the cache existed.
   TaskFingerprint fp;
   bool has_fp = false;
   uint64_t fp_generation = 0;
-  {
+  if (cache_.enabled()) {
     std::shared_lock<std::shared_mutex> data_lock(data_mu_);
-    negative_hit = cache_.LookupFailure(NegativeKey(*catalog_, sql), &negative);
-    if (!negative_hit) {
-      // Fingerprint before taking mu_: parsing/binding is pure and touches
-      // only the catalog (read-locked here). Any failure just means
-      // "uncacheable" and the submission proceeds exactly as it did before
-      // the cache existed.
-      has_fp =
-          cache_.enabled() && ComputeFingerprint(sql, options, backend, &fp);
-      fp_generation = catalog_->generation();
-    }
-  }
-
-  // Negative cache: a plan that already failed deterministically (same SQL,
-  // same catalog generation) at least kNegativeThreshold times fails
-  // immediately — no slot, no queue entry, no re-plan.
-  if (negative_hit) {
-    SessionPtr session;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shutdown_) return Status::Unavailable("session manager shut down");
-      session = std::make_shared<Session>(NextIdLocked(), std::move(sql),
-                                          std::move(options));
-      session->backend_ = backend;
-      sessions_.emplace(session->id(), session);
-    }
-    {
-      std::lock_guard<std::mutex> clock(counters_mu_);
-      ++counters_.submitted;
-      ++counters_.cache_negative_served;
-    }
-    {
-      std::lock_guard<std::mutex> lock(session->mu_);
-      session->state_ = SessionState::kFailed;
-      session->error_ = std::move(negative);
-      session->wall_ms_ = MillisSince(session->submitted_at_);
-      session->cv_.notify_all();
-    }
-    return session;
+    has_fp = ComputeFingerprint(sql, options, backend, &fp);
+    fp_generation = catalog_->generation();
   }
 
   // Cache hit: finish immediately from the stored reply — no running slot,
@@ -298,8 +232,8 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
 
   // Governed slot acquisition happens before mu_ (the governor lock is
   // taken while holding no manager lock, never the other way around) and
-  // strictly after the negative/cache-hit paths above, so cache hits keep
-  // consuming no slot. A slot granted here implies running_ < max_running_:
+  // strictly after the cache-hit path above, so cache hits keep consuming
+  // no slot. A slot granted here implies running_ < max_running_:
   // the governor caps this manager's outstanding grants at max_running_ and
   // only slot-holding paths increment running_.
   bool slot = false;
@@ -307,28 +241,12 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
 
   SessionPtr session;
   bool launch = false;
-  bool joined = false;
   bool queued = false;
   Status reject;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_) {
       reject = Status::Unavailable("session manager shut down");
-    } else if (auto inflight_it = has_fp ? inflight_.find(fp) : inflight_.end();
-               inflight_it != inflight_.end()) {
-      // Identical task already in flight: join it as a follower instead of
-      // running again. Followers hold no slot and no queue entry (they are
-      // pure waiters), so they bypass the admission-full check.
-      session = std::make_shared<Session>(NextIdLocked(), std::move(sql),
-                                          std::move(options));
-      session->backend_ = backend;
-      session->fp_ = fp;
-      session->has_fp_ = true;
-      session->fp_generation_ = fp_generation;
-      if (timeout_ms > 0.0) session->ctx_.SetTimeoutMillis(timeout_ms);
-      sessions_.emplace(session->id(), session);
-      inflight_it->second.followers.push_back(session);
-      joined = true;
     } else {
       const bool can_run =
           governor_ != nullptr ? slot : running_ < max_running_;
@@ -346,7 +264,6 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
           session->fp_ = fp;
           session->has_fp_ = true;
           session->fp_generation_ = fp_generation;
-          inflight_.emplace(fp, Inflight{session, {}});
         }
         // The deadline clock starts at admission, so queue wait counts
         // against the caller's budget -- a request that waited out its
@@ -383,15 +300,14 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
       }
     }
   }
-  // An acquired slot that didn't launch (shutdown, follower join, or a
-  // reject — the last is impossible with a slot, but harmless) goes back to
-  // the governor, which may hand it straight to a queued tenant.
+  // An acquired slot that didn't launch (shutdown, or a reject — impossible
+  // with a slot, but harmless) goes back to the governor, which may hand it
+  // straight to a queued tenant.
   if (governor_ != nullptr && slot && !launch) governor_->ReleaseRunSlot(this);
   if (!reject.ok()) return reject;
   {
     std::lock_guard<std::mutex> clock(counters_mu_);
     ++counters_.submitted;
-    if (joined) ++counters_.cache_inflight_joins;
   }
   if (launch) {
     Launch(session);
@@ -453,63 +369,11 @@ void SessionManager::PublishFromCache(const SessionPtr& session,
   session->cv_.notify_all();
 }
 
-void SessionManager::PublishCancelled(const SessionPtr& session) {
-  std::lock_guard<std::mutex> lock(session->mu_);
-  if (IsTerminal(session->state_)) return;
-  session->state_ = SessionState::kCancelled;
-  session->wall_ms_ = MillisSince(session->submitted_at_);
-  session->cv_.notify_all();
-}
-
-void SessionManager::ResolveInflightLocked(const SessionPtr& session,
-                                           const CachedResultPtr& cached,
-                                           SessionPtr* promoted,
-                                           std::vector<SessionPtr>* serve,
-                                           std::vector<SessionPtr>* cancel) {
-  if (!session->has_fp_) return;
-  auto it = inflight_.find(session->fp_);
-  if (it == inflight_.end() || it->second.leader != session) return;
-  std::vector<SessionPtr> followers = std::move(it->second.followers);
-  inflight_.erase(it);
-  if (cached != nullptr) {
-    cache_.Insert(session->fp_, cached);
-    *serve = std::move(followers);
-    return;
-  }
-  if (followers.empty()) return;
-  if (!shutdown_) {
-    // The leader didn't complete (failed / cancelled / truncated /
-    // exhausted), so its reply must not stand in for the followers': the
-    // oldest follower runs fresh on the slot the leader is vacating, and the
-    // rest wait on it.
-    *promoted = std::move(followers.front());
-    followers.erase(followers.begin());
-    inflight_.emplace(session->fp_, Inflight{*promoted, std::move(followers)});
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> clock(counters_mu_);
-    counters_.cancelled += followers.size();
-  }
-  *cancel = std::move(followers);
-}
-
-void SessionManager::FinishSlot(const SessionPtr& session,
-                                const CachedResultPtr& cached,
-                                SessionPtr* next,
-                                std::vector<SessionPtr>* serve,
-                                std::vector<SessionPtr>* cancel) {
+void SessionManager::FinishSlot(SessionPtr* next) {
   bool release_slot = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    SessionPtr promoted;
-    ResolveInflightLocked(session, cached, &promoted, serve, cancel);
-    if (promoted != nullptr) {
-      // A promoted follower inherits the slot (manager-local and, under a
-      // governor, the governor grant) — it has waited at least as long as
-      // anything queued anywhere.
-      *next = std::move(promoted);
-    } else if (governor_ == nullptr && !queue_.empty()) {
+    if (governor_ == nullptr && !queue_.empty()) {
       *next = queue_.front();
       queue_.pop_front();
     } else if (governor_ == nullptr) {
@@ -544,41 +408,12 @@ Result<SessionPtr> SessionManager::Find(const std::string& id) const {
 
 Result<SessionPtr> SessionManager::Cancel(const std::string& id) {
   ACQ_ASSIGN_OR_RETURN(SessionPtr session, Find(id));
-  // A follower holds no slot and no run: cancelling it just detaches it
-  // from the leader it was waiting on. The leader (and any other follower)
-  // is untouched — cancelling one duplicate never poisons the rest.
-  bool was_follower = false;
-  if (session->has_fp_) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = inflight_.find(session->fp_);
-    if (it != inflight_.end() && it->second.leader != session) {
-      auto& followers = it->second.followers;
-      auto pos = std::find(followers.begin(), followers.end(), session);
-      if (pos != followers.end()) {
-        followers.erase(pos);
-        was_follower = true;
-      }
-    }
-  }
-  if (was_follower) {
-    {
-      std::lock_guard<std::mutex> clock(counters_mu_);
-      ++counters_.cancelled;
-    }
-    PublishCancelled(session);
-    return session;
-  }
   session->RequestCancel();
   return session;
 }
 
 Result<SessionPtr> SessionManager::Stop(const std::string& id) {
   ACQ_ASSIGN_OR_RETURN(SessionPtr session, Find(id));
-  // Followers are deliberately left attached (see the header): stopping a
-  // pure waiter cannot produce a partial answer, and its leader's full
-  // result — which it will receive anyway — dominates any best-so-far.
-  // RequestClientStop on a follower's context is a harmless no-op (nothing
-  // polls it), so no follower special-casing is needed here.
   session->RequestClientStop();
   return session;
 }
@@ -645,11 +480,7 @@ void SessionManager::Launch(SessionPtr session) {
       ++counters_.failed;
     }
     SessionPtr next;
-    std::vector<SessionPtr> serve_unused;
-    std::vector<SessionPtr> cancel_followers;
-    // A failed leader must not strand its followers: promote one onto
-    // this slot (it becomes `next`) or, on shutdown, cancel them.
-    FinishSlot(session, nullptr, &next, &serve_unused, &cancel_followers);
+    FinishSlot(&next);
     // After releasing the slot, Shutdown may destroy the manager: only
     // sessions may be touched past this point on the next == nullptr path.
     {
@@ -660,9 +491,6 @@ void SessionManager::Launch(SessionPtr session) {
           "(failpoint server.pool_enqueue)");
       session->wall_ms_ = MillisSince(session->submitted_at_);
       session->cv_.notify_all();
-    }
-    for (const SessionPtr& follower : cancel_followers) {
-      PublishCancelled(follower);
     }
     if (next == nullptr) return;
     session = std::move(next);
@@ -811,8 +639,9 @@ void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
     // Bind + plan against the shared catalog, then run. The task
     // outlives the outcome (answer rendering needs its dimensions), so it
     // lives in a shared_ptr on the session. The failpoint sits in front of
-    // the whole body: a `sleep:` spec stretches the run (widening the
-    // in-flight dedup window for tests) and a failure spec fails it.
+    // the whole body: a `sleep:` spec stretches the run (holding it in
+    // flight while tests race other requests against it) and a failure spec
+    // fails it.
     Binder binder(catalog_);
     Result<AcqTask> planned =
         ACQ_FAILPOINT("server.run")
@@ -821,9 +650,6 @@ void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
             : binder.PlanSql(session->sql());
     if (!planned.ok()) {
       error = planned.status();
-      if (IsDeterministicPlanFailure(error)) {
-        cache_.RecordFailure(NegativeKey(*catalog_, session->sql()), error);
-      }
     } else {
       task = std::make_shared<AcqTask>(std::move(*planned));
       if (session->backend_ != EvalBackend::kAuto) {
@@ -885,15 +711,16 @@ void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
   }
 
   // One wall-clock reading and (for completed cacheable runs) one report
-  // render, BEFORE any publish: the leader, its followers, and every later
-  // cache hit reply with this exact JSON, which is what makes cached
-  // replies byte-identical to the fresh one.
+  // render, inserted BEFORE the terminal publish: the run itself and every
+  // later cache hit reply with this exact JSON, which is what makes cached
+  // replies byte-identical to the fresh one, and a repeat sent after the
+  // reply finds the entry.
   const double wall_ms = MillisSince(start);
   CachedResultPtr cached;
   // Stale-generation guard: a session fingerprinted at generation G but run
   // after an APPEND moved the catalog to G' computed its answer on data the
   // fingerprint does not describe. Its reply is correct for the caller, but
-  // it must not seed the cache (followers are promoted to re-run instead).
+  // it must not seed the cache.
   const bool generation_current =
       data_lock.owns_lock() &&
       catalog_->generation() == session->fp_generation_;
@@ -907,10 +734,9 @@ void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
     entry->cell_queries =
         session->ctx_.cell_queries.load(std::memory_order_relaxed);
     entry->bytes = entry->report.Dump().size() + 64;
-    // Cost-aware eviction signal: what this reply cost to compute.
-    entry->cost_ms = wall_ms;
     entry->generation = session->fp_generation_;
     cached = std::move(entry);
+    cache_.Insert(session->fp_, cached);
   }
   if (data_lock.owns_lock()) data_lock.unlock();
 
@@ -920,9 +746,7 @@ void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
   // The idle_cv_ notify inside FinishSlot can let Shutdown (and the
   // manager destructor) proceed, so from here on only sessions themselves
   // may be touched.
-  std::vector<SessionPtr> serve_followers;
-  std::vector<SessionPtr> cancel_followers;
-  FinishSlot(session, cached, next, &serve_followers, &cancel_followers);
+  FinishSlot(next);
 
   {
     std::lock_guard<std::mutex> lock(session->mu_);
@@ -938,13 +762,6 @@ void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
     session->cached_ = cached;
     session->wall_ms_ = wall_ms;
     session->cv_.notify_all();
-  }
-
-  for (const SessionPtr& follower : serve_followers) {
-    PublishFromCache(follower, cached);
-  }
-  for (const SessionPtr& follower : cancel_followers) {
-    PublishCancelled(follower);
   }
 }
 

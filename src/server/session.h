@@ -11,7 +11,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/fingerprint.h"
@@ -66,8 +65,8 @@ class Session {
     AcqOutcome outcome;
     std::shared_ptr<const AcqTask> task;
     /// Set when this session was served from the result cache (an admission
-    /// hit, an in-flight follower, or the seeding leader itself): the
-    /// pre-rendered report to reply with, byte-identical across all of them.
+    /// hit) or seeded it: the pre-rendered report to reply with,
+    /// byte-identical across all of them.
     CachedResultPtr cached;
     double wall_ms = 0.0;
     uint64_t queries_explored = 0;
@@ -88,11 +87,11 @@ class Session {
   const RunContext::Clock::time_point submitted_at_;
 
   /// Task fingerprint, computed at admission when the result cache is
-  /// enabled and the task is cacheable; keys the cache and the in-flight
-  /// dedup map. Immutable after Submit. `fp_generation_` is the catalog
-  /// generation the fingerprint was computed under: a session that runs
-  /// after an APPEND moved the catalog past it computes a fresh answer but
-  /// must NOT seed the cache under the stale fingerprint.
+  /// enabled and the task is cacheable; keys the cache. Immutable after
+  /// Submit. `fp_generation_` is the catalog generation the fingerprint was
+  /// computed under: a session that runs after an APPEND moved the catalog
+  /// past it computes a fresh answer but must NOT seed the cache under the
+  /// stale fingerprint.
   TaskFingerprint fp_{};
   bool has_fp_ = false;
   uint64_t fp_generation_ = 0;
@@ -111,6 +110,8 @@ class Session {
 using SessionPtr = std::shared_ptr<Session>;
 
 /// Server-wide monotonic counters, readable while serving (STATS verb).
+/// Cache hits bump only `submitted` (plus the cache's hit counter): the
+/// termination counters count executed runs.
 struct ServerCounters {
   uint64_t submitted = 0;
   uint64_t rejected = 0;   // admission queue full
@@ -132,16 +133,6 @@ struct ServerCounters {
   uint64_t eval_queries = 0;    // evaluation-layer box queries
   uint64_t tuples_scanned = 0;
   uint64_t run_micros = 0;      // summed AcquireResult::elapsed_ms
-  /// Submissions that joined an identical in-flight task instead of
-  /// running (they wait on the leader's result). Cache-served sessions —
-  /// admission hits and followers — bump only `submitted` plus this /
-  /// the cache's hit counter: the termination counters above count
-  /// executed runs.
-  uint64_t cache_inflight_joins = 0;
-  /// Submissions short-circuited to kFailed by the negative cache (a plan
-  /// that already failed deterministically >= kNegativeThreshold times);
-  /// they bump only `submitted` plus this — no slot, no run, no `failed`.
-  uint64_t cache_negative_served = 0;
   /// Index-build work folded across finished runs (ExecStats::prepare_ms in
   /// microseconds) plus delta-maintenance activity (rows staged into index
   /// delta buffers and buffer-into-base merges), each counting only work
@@ -202,9 +193,8 @@ class DurabilityHook {
 /// before launch, so frames cover the run from its first drained layer. The
 /// callback runs on the run thread between layers — it must be fast and must
 /// not call back into the manager (it may touch the session it is given).
-/// Cache-served submissions (admission hits, in-flight followers, negative
-/// hits) execute nothing and therefore stream nothing: the final reply is
-/// their only frame.
+/// Cache hits execute nothing and therefore stream nothing: the final reply
+/// is their only frame.
 struct SessionProgress {
   std::function<void(const Session&, const ProgressSnapshot&)> callback;
   double interval_ms = 0.0;  // <= 0: one frame per drained layer
@@ -220,9 +210,8 @@ struct SessionManagerOptions {
   /// Admitted-but-not-yet-running bound; beyond it SUBMIT is rejected
   /// with kUnavailable (backpressure instead of unbounded memory).
   size_t max_queued = 64;
-  /// Result-cache byte limit. 0 (the default) disables both the cache and
-  /// the in-flight deduplication of identical tasks, preserving the
-  /// pre-cache serving behavior exactly.
+  /// Result-cache byte limit. 0 (the default) disables the cache,
+  /// preserving the pre-cache serving behavior exactly.
   uint64_t cache_bytes = 0;
   /// Session-id prefix ("s-" yields the historical ids; tenants use
   /// "<tenant>-s-"), so ids stay unique — and routable — across managers.
@@ -256,17 +245,15 @@ struct SessionManagerOptions {
 /// exclusively, so it serializes against every catalog-reading section
 /// (admission fingerprinting and run bodies, which hold the lock shared).
 /// Each successful append bumps the catalog generation, so fingerprinted
-/// cache entries and negative plan-cache entries from before the append
-/// can never be served afterwards.
+/// cache entries from before the append can never be served afterwards.
 ///
 /// With cache_bytes > 0 admission additionally consults a fingerprinted
 /// result cache: a submission matching a completed run finishes immediately
-/// from the cached reply (no slot, no queue), and one matching a task still
-/// in flight joins it as a follower, waiting on the leader's session
-/// instead of re-running. Only completed runs are inserted; when a leader
-/// ends any other way (failed / cancelled / truncated / exhausted) its
-/// oldest follower is promoted to run fresh on the same slot, so a poisoned
-/// leader never poisons its duplicates.
+/// from the cached reply (no slot, no queue). Every other submission runs,
+/// including an identical one submitted while the first is still in
+/// flight. Only completed runs on a current catalog generation are
+/// inserted, before their terminal publish, so a repeat sent after the
+/// reply hits.
 class SessionManager {
  public:
   SessionManager(const Catalog* catalog, SessionManagerOptions options);
@@ -302,11 +289,8 @@ class SessionManager {
   /// Client-driven early stop by id ("good enough"): a running session is
   /// interrupted at its next poll and finishes kDone with termination
   /// "client_satisfied" and its best-so-far report; a queued one resolves
-  /// the same way with an empty report, without running. Unlike Cancel, an
-  /// in-flight follower is left attached: its leader keeps running and the
-  /// follower still gets the full result (a strictly better answer than any
-  /// partial). NotFound for unknown ids; a terminal session is returned
-  /// unchanged.
+  /// the same way with an empty report, without running. NotFound for
+  /// unknown ids; a terminal session is returned unchanged.
   Result<SessionPtr> Stop(const std::string& id);
 
   /// Cancels every non-terminal session and blocks until no session is
@@ -335,7 +319,7 @@ class SessionManager {
   /// batch) and, on success, bumps the appends / append_rows counters.
   /// Running sessions finish against the snapshot they started from; the
   /// generation bump makes their cached renders unseedable (stale) and
-  /// invalidates prior cache/negative entries for future submissions.
+  /// invalidates prior cache entries for future submissions.
   Status AppendRows(const std::string& table,
                     const std::vector<std::vector<Value>>& rows);
 
@@ -345,13 +329,6 @@ class SessionManager {
   ResultCache& cache() { return cache_; }
 
  private:
-  /// One fingerprint's in-flight task: the session executing it and the
-  /// duplicate submissions waiting on its result. Guarded by mu_.
-  struct Inflight {
-    SessionPtr leader;
-    std::vector<SessionPtr> followers;
-  };
-
   /// Requires mu_. Mints the next session id under options_.session_prefix.
   std::string NextIdLocked();
 
@@ -366,21 +343,6 @@ class SessionManager {
   /// adopted, waiters notified). Touches only the session.
   void PublishFromCache(const SessionPtr& session,
                         const CachedResultPtr& cached);
-  /// Publishes kCancelled if not already terminal. Touches only the session.
-  void PublishCancelled(const SessionPtr& session);
-
-  /// Requires mu_. Resolves the in-flight entry led by `session`:
-  /// completed (cached != null) -> insert into the cache and return the
-  /// followers to serve from it; otherwise promote the oldest follower as
-  /// the new leader via *promoted (it takes over the caller's runner slot)
-  /// — unless shutting down, in which case every follower is returned in
-  /// *cancel with its `cancelled` counter already bumped (after the slot
-  /// release the manager may be destroyed, so counters must move here).
-  void ResolveInflightLocked(const SessionPtr& session,
-                             const CachedResultPtr& cached,
-                             SessionPtr* promoted,
-                             std::vector<SessionPtr>* serve,
-                             std::vector<SessionPtr>* cancel);
 
   /// Submits a runner-loop pool task for `session`; the runner keeps its
   /// running slot and drains the queue before releasing it.
@@ -392,17 +354,14 @@ class SessionManager {
   void RunSession(const SessionPtr& session, SessionPtr* next);
 
   /// Hands the slot bookkeeping of a finishing (or enqueue-failed) runner
-  /// to the next owner: a promoted follower wins the slot directly;
-  /// otherwise an ungoverned manager pulls its own queue head or releases
-  /// the slot, while a governed one returns the slot to the governor —
-  /// which re-dispatches across every tenant — and then decrements
-  /// running_. Takes mu_ (and, governed, calls the governor, so mu_ must
-  /// not be held on entry). After it returns with *next == nullptr the
-  /// manager may be destroyed by Shutdown: callers may touch only
+  /// to the next owner: an ungoverned manager pulls its own queue head into
+  /// *next or releases the slot, while a governed one returns the slot to
+  /// the governor — which re-dispatches across every tenant — and then
+  /// decrements running_. Takes mu_ (and, governed, calls the governor, so
+  /// mu_ must not be held on entry). After it returns with *next == nullptr
+  /// the manager may be destroyed by Shutdown: callers may touch only
   /// sessions past that point.
-  void FinishSlot(const SessionPtr& session, const CachedResultPtr& cached,
-                  SessionPtr* next, std::vector<SessionPtr>* serve,
-                  std::vector<SessionPtr>* cancel);
+  void FinishSlot(SessionPtr* next);
 
   /// Requires data_mu_ (shared). True, with the layout key, when a run of
   /// `task` may use a kept prepared layer: its relation is the catalog's
@@ -430,7 +389,7 @@ class SessionManager {
   ResourceGovernor* const governor_;
 
   /// Reader/writer gate between catalog readers and AppendRows. Shared:
-  /// Submit's fingerprint/negative-lookup section and RunSession's
+  /// Submit's fingerprint section and RunSession's
   /// plan/run/render section. Exclusive: AppendRows. Lock order: data_mu_
   /// strictly before mu_ / counters_mu_; nothing acquires data_mu_ while
   /// holding either.
@@ -445,8 +404,6 @@ class SessionManager {
   bool shutdown_ = false;
   std::deque<SessionPtr> queue_;
   std::map<std::string, SessionPtr> sessions_;
-  std::unordered_map<TaskFingerprint, Inflight, TaskFingerprintHash>
-      inflight_;  // under mu_
 
   mutable std::mutex counters_mu_;
   ServerCounters counters_;

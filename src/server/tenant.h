@@ -39,9 +39,9 @@ class TenantDurability;
 ///   ever tightens an explicit per-request budget, never loosens it.
 ///
 ///   Cache. Partitioning needs no arbitration: each tenant's manager owns
-///   a private ResultCache with its own byte limit and GDSF clock, so one
-///   tenant's working set cannot evict another's and a reply can never be
-///   served across tenant ids.
+///   a private ResultCache with its own byte limit and recency lists, so
+///   one tenant's working set cannot evict another's and a reply can never
+///   be served across tenant ids.
 ///
 /// Lock discipline: the governor's mutex is a leaf with one exception —
 /// the dispatch loop releases it around SessionManager::DispatchOneQueued

@@ -40,8 +40,8 @@ class Catalog {
 
   /// Appends `rows` to table `name` atomically (Table::AppendRows) and bumps
   /// the generation on success — live ingestion through this entry point
-  /// therefore self-invalidates fingerprinted result-cache entries and
-  /// negative plan-cache entries keyed on the old generation.
+  /// therefore self-invalidates fingerprinted result-cache entries keyed on
+  /// the old generation.
   Status AppendRows(const std::string& name,
                     const std::vector<std::vector<Value>>& rows);
 

@@ -367,7 +367,7 @@ double CacheStat(AcqServer* server, const char* field) {
 }
 
 // Chaos with the result cache in the hot path: clients resubmit a small set
-// of tasks (so hits and in-flight joins actually occur) while every fault
+// of tasks (so hits and concurrent duplicate runs occur) while every fault
 // site fires at p=0.05, including injected run failures. The cache must
 // never absorb a degraded run — after the chaos, a cleared cache re-seeded
 // by a fresh run serves the repeat byte-identically.
@@ -412,7 +412,7 @@ TEST(ChaosTest, CacheStaysBitExactUnderChaos) {
         JsonValue request = JsonValue::Object();
         request.Set("cmd", JsonValue::Str("SUBMIT"));
         // Only 3 distinct tasks across all clients: repeats exercise cache
-        // hits and concurrent duplicates exercise in-flight joins.
+        // hits, and concurrent duplicates each run and insert one entry.
         request.Set("sql", JsonValue::Str(ChaosSql(i % 3, 0)));
         request.Set("wait", JsonValue::Bool(true));
         request.Set("timeout_ms", JsonValue::Number(30000.0));

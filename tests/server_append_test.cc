@@ -8,9 +8,11 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "gtest/gtest.h"
 #include "server/result_cache.h"
 #include "server/server.h"
+#include "storage/wal.h"
 #include "workload/users_gen.h"
 
 namespace acquire {
@@ -227,7 +229,6 @@ CachedResultPtr MakeEntry(size_t bytes, uint64_t generation,
   entry->queries_explored = 42;
   entry->cell_queries = 7;
   entry->bytes = bytes;
-  entry->cost_ms = 3.5;
   entry->generation = generation;
   return entry;
 }
@@ -262,7 +263,6 @@ TEST(ResultCachePersistenceTest, RoundTripsAndDropsStaleGenerations) {
   EXPECT_EQ(a->queries_explored, 42u);
   EXPECT_EQ(a->cell_queries, 7u);
   EXPECT_EQ(a->bytes, 400u);
-  EXPECT_EQ(a->cost_ms, 3.5);
   EXPECT_EQ(a->generation, 5u);
   EXPECT_NE(restored.Lookup(Fp(2)), nullptr);
   EXPECT_EQ(restored.Lookup(Fp(3)), nullptr);  // stale: dropped on load
@@ -295,6 +295,19 @@ TEST(ResultCachePersistenceTest, CorruptFileIsRejectedWithoutPartialLoad) {
     out << "acq-cache-v1\nnot numbers at all\n{}\n";
   }
   EXPECT_FALSE(cache.LoadFromFile(path, 0).ok());
+
+  // A well-formed snapshot of the previous format (v2, whose metadata line
+  // carried a cost field) with a valid checksum: the version alone rejects
+  // it, so the server starts cold.
+  {
+    const std::string body = "8 1 0 42 7 400 3.5\n{\"tag\":\"v2\"}\n";
+    std::ofstream out(path);
+    out << "acq-cache-v2\n"
+        << body
+        << StringFormat("crc %08x\n", Crc32c(body.data(), body.size()));
+  }
+  EXPECT_FALSE(cache.LoadFromFile(path, 0).ok());
+  EXPECT_EQ(cache.stats().entries, 0u);
   std::remove(path.c_str());
 }
 

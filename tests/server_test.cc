@@ -138,6 +138,23 @@ TEST(ServerProtocolTest, RejectsMalformedRequests) {
        "InvalidArgument"},
       {"{\"cmd\":\"STATUS\",\"id\":\"s-999\"}", "NotFound"},
       {"{\"cmd\":\"CANCEL\",\"id\":\"nope\"}", "NotFound"},
+      // Count fields: integral, non-negative, within the target type.
+      {"{\"cmd\":\"SUBMIT\",\"sql\":\"x\",\"max_explored\":-1}",
+       "InvalidArgument"},
+      {"{\"cmd\":\"SUBMIT\",\"sql\":\"x\",\"stall_limit\":1e300}",
+       "InvalidArgument"},
+      {"{\"cmd\":\"SUBMIT\",\"sql\":\"x\",\"repartition_iters\":2.5}",
+       "InvalidArgument"},
+      {"{\"cmd\":\"SUBMIT\",\"sql\":\"x\",\"divergence_patience\":1e12}",
+       "InvalidArgument"},
+      {"{\"cmd\":\"SUBMIT\",\"sql\":\"x\",\"memory_budget_bytes\":\"lots\"}",
+       "InvalidArgument"},
+      {"{\"cmd\":\"ATTACH\",\"tenant\":\"t-bad\",\"gen\":\"users\","
+       "\"rows\":100,\"max_queued\":1e300}",
+       "InvalidArgument"},
+      {"{\"cmd\":\"ATTACH\",\"tenant\":\"t-bad\",\"gen\":\"users\","
+       "\"rows\":100.5}",
+       "InvalidArgument"},
   };
   for (const Case& c : cases) {
     JsonValue response = MustParse(server.HandleRequestLine(c.line));
@@ -677,16 +694,6 @@ TEST(ClientTest, JitterDisabledStillRetriesDeterministically) {
   server.Stop();
 }
 
-// The wire reply minus the outer session "id" — the only field replies for
-// the same task may differ in when the result cache serves them.
-std::string DumpWithoutId(const JsonValue& response) {
-  JsonValue out = JsonValue::Object();
-  for (const auto& [key, value] : response.Members()) {
-    if (key != "id") out.Set(key, JsonValue(value));
-  }
-  return out.Dump();
-}
-
 double StatsNumber(AcqServer* server, const char* field) {
   Result<JsonValue> stats =
       JsonValue::Parse(server->HandleRequestLine("{\"cmd\":\"STATS\"}"));
@@ -695,104 +702,60 @@ double StatsNumber(AcqServer* server, const char* field) {
   return counters != nullptr ? counters->GetNumber(field, -1.0) : -1.0;
 }
 
-// N concurrent SUBMITs of the same task run it exactly once: a sleep:
-// failpoint holds the leader in flight while the followers arrive, join,
-// and all receive the leader's reply byte-identically.
-TEST(ServerTest, InFlightDuplicateSubmitsJoinTheLeader) {
+// With the cache on, identical SUBMITs that arrive while the first is still
+// running are not merged: a sleep: failpoint holds the first run in flight
+// while three duplicates arrive, and all four run. Their replies agree
+// modulo id and timing, they leave one cache entry, and a repeat sent after
+// the replies is answered from it.
+TEST(ServerTest, ConcurrentDuplicateSubmitsEachRunAndAgree) {
   if (!FailpointRegistry::compiled_in()) GTEST_SKIP();
   auto& registry = FailpointRegistry::Global();
   registry.DisarmAll();
   ServerOptions options;
   options.cache_bytes = 16ull << 20;
   AcqServer server(SharedCatalog(), options);
-  ASSERT_TRUE(registry.Configure("server.run", "sleep:600").ok());
+  ASSERT_TRUE(registry.Configure("server.run", "sleep:400").ok());
 
   JsonValue request = JsonValue::Object();
   request.Set("cmd", JsonValue::Str("SUBMIT"));
   request.Set("sql", JsonValue::Str(
                          "SELECT * FROM users CONSTRAINT COUNT(*) >= 300 "
                          "WHERE age <= 30 AND income >= 60000"));
-  // The leader registers its in-flight entry synchronously, so the
-  // followers below are guaranteed to find it while the leader sleeps.
-  JsonValue leader = MustParse(server.HandleRequestLine(request.Dump()));
-  ASSERT_TRUE(leader.GetBool("ok", false)) << leader.Dump();
-  const std::string leader_id = leader.GetString("id");
+  JsonValue first = MustParse(server.HandleRequestLine(request.Dump()));
+  ASSERT_TRUE(first.GetBool("ok", false)) << first.Dump();
+  const std::string first_id = first.GetString("id");
 
-  constexpr int kFollowers = 3;
+  constexpr int kDuplicates = 3;
   request.Set("wait", JsonValue::Bool(true));
-  std::vector<JsonValue> replies(kFollowers);
-  std::vector<std::thread> followers;
-  for (int i = 0; i < kFollowers; ++i) {
-    followers.emplace_back([&, i] {
+  std::vector<JsonValue> replies(kDuplicates);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kDuplicates; ++i) {
+    clients.emplace_back([&, i] {
       replies[i] = MustParse(server.HandleRequestLine(request.Dump()));
     });
   }
-  for (std::thread& t : followers) t.join();
+  for (std::thread& t : clients) t.join();
   registry.DisarmAll();
 
   JsonValue done = MustParse(server.HandleRequestLine(StringFormat(
-      "{\"cmd\":\"STATUS\",\"id\":\"%s\",\"wait\":true}", leader_id.c_str())));
+      "{\"cmd\":\"STATUS\",\"id\":\"%s\",\"wait\":true}", first_id.c_str())));
   ASSERT_EQ(done.GetString("state"), "done") << done.Dump();
+  const std::string want = test_util::StripIdAndTiming(done).Dump();
   for (const JsonValue& reply : replies) {
     ASSERT_TRUE(reply.GetBool("ok", false)) << reply.Dump();
     EXPECT_EQ(reply.GetString("state"), "done") << reply.Dump();
-    EXPECT_EQ(DumpWithoutId(reply), DumpWithoutId(done));
+    EXPECT_EQ(test_util::StripIdAndTiming(reply).Dump(), want);
   }
   EXPECT_EQ(StatsNumber(&server, "submitted"), 4.0);
-  EXPECT_EQ(StatsNumber(&server, "completed"), 1.0);
-  EXPECT_EQ(StatsNumber(&server, "cache_inflight_joins"), 3.0);
+  EXPECT_EQ(StatsNumber(&server, "completed"), 4.0);
   EXPECT_EQ(StatsNumber(&server, "cache_hits"), 0.0);
-}
+  EXPECT_EQ(StatsNumber(&server, "cache_entries"), 1.0);
 
-// Cancelling the leader must not poison its followers: one follower is
-// promoted onto the vacated slot, runs the task itself, and completes.
-TEST(ServerTest, CancelledLeaderPromotesFollower) {
-  if (!FailpointRegistry::compiled_in()) GTEST_SKIP();
-  auto& registry = FailpointRegistry::Global();
-  registry.DisarmAll();
-  ServerOptions options;
-  options.cache_bytes = 16ull << 20;
-  AcqServer server(SharedCatalog(), options);
-  ASSERT_TRUE(registry.Configure("server.run", "sleep:600").ok());
-
-  JsonValue request = JsonValue::Object();
-  request.Set("cmd", JsonValue::Str("SUBMIT"));
-  // Must NOT be satisfied at the origin: the cancel flag is polled per
-  // explored coordinate, so an original-satisfies task would complete
-  // before the pre-armed cancellation could land.
-  request.Set("sql", JsonValue::Str(
-                         "SELECT * FROM users CONSTRAINT COUNT(*) >= 1400 "
-                         "WHERE age <= 32 AND income >= 58000"));
-  JsonValue leader = MustParse(server.HandleRequestLine(request.Dump()));
-  ASSERT_TRUE(leader.GetBool("ok", false)) << leader.Dump();
-  const std::string leader_id = leader.GetString("id");
-
-  request.Set("wait", JsonValue::Bool(true));
-  JsonValue follower_reply;
-  std::thread follower([&] {
-    follower_reply = MustParse(server.HandleRequestLine(request.Dump()));
-  });
-  // The follower has demonstrably joined before the cancel lands.
-  for (int i = 0; i < 5000; ++i) {
-    if (StatsNumber(&server, "cache_inflight_joins") >= 1.0) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(StatsNumber(&server, "cache_inflight_joins"), 1.0);
-
-  JsonValue cancelled = MustParse(server.HandleRequestLine(StringFormat(
-      "{\"cmd\":\"CANCEL\",\"id\":\"%s\",\"wait\":true}", leader_id.c_str())));
-  registry.DisarmAll();  // the promoted follower reruns server.run
-  EXPECT_EQ(cancelled.GetString("state"), "cancelled") << cancelled.Dump();
-  follower.join();
-
-  ASSERT_TRUE(follower_reply.GetBool("ok", false)) << follower_reply.Dump();
-  EXPECT_EQ(follower_reply.GetString("state"), "done")
-      << follower_reply.Dump();
-  const JsonValue* report = follower_reply.Get("report");
-  ASSERT_NE(report, nullptr) << follower_reply.Dump();
-  EXPECT_EQ(report->GetString("termination"), "completed");
-  EXPECT_EQ(StatsNumber(&server, "completed"), 1.0);
-  EXPECT_EQ(StatsNumber(&server, "cancelled"), 1.0);
+  JsonValue repeat = MustParse(server.HandleRequestLine(request.Dump()));
+  ASSERT_EQ(repeat.GetString("state"), "done") << repeat.Dump();
+  EXPECT_EQ(test_util::StripIdAndTiming(repeat).Dump(), want);
+  EXPECT_EQ(StatsNumber(&server, "cache_hits"), 1.0);
+  EXPECT_EQ(StatsNumber(&server, "completed"), 4.0);
 }
 
 TEST(ServerProtocolTest, RejectsMalformedProgressFields) {

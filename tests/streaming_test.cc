@@ -193,6 +193,39 @@ TEST(StreamingTest, IntervalZeroEmitsOneFramePerDrainedLayer) {
   EXPECT_GE(streamed.frames.size(), 2u);
 }
 
+// A contracted ACQ streams as an expanded one does: the contraction walk
+// drains one layer of equal total contraction at a time, so at interval 0
+// each walked layer emits exactly one frame, the last of them (the hit
+// layer) saw every coordinate the report counts, and the final report
+// matches the unstreamed one.
+TEST(StreamingTest, ContractionStreamsOneFramePerWalkedLayer) {
+  AcqServer server(SharedCatalog());
+  const std::string sql =
+      "SELECT * FROM users CONSTRAINT COUNT(*) = 300 "
+      "WHERE age <= 50 AND income <= 90000";
+  StreamedRun baseline =
+      RunStreamed(server, SubmitRequest(sql, "auto", 0.0, false));
+  ASSERT_EQ(baseline.reply.GetString("state"), "done")
+      << baseline.reply.Dump();
+  const JsonValue* report = baseline.reply.Get("report");
+  ASSERT_NE(report, nullptr) << baseline.reply.Dump();
+  ASSERT_EQ(report->GetString("mode"), "contracted") << report->Dump();
+
+  StreamedRun streamed =
+      RunStreamed(server, SubmitRequest(sql, "auto", 0.0, true));
+  ASSERT_TRUE(streamed.reply.GetBool("ok", false)) << streamed.reply.Dump();
+  EXPECT_EQ(StripIdAndTiming(streamed.reply).Dump(),
+            StripIdAndTiming(baseline.reply).Dump());
+  ASSERT_GE(streamed.frames.size(), 2u);
+  ExpectFramesMonotone(streamed);
+  for (size_t i = 0; i < streamed.frames.size(); ++i) {
+    EXPECT_EQ(streamed.frames[i].GetNumber("layers_drained", -1.0),
+              static_cast<double>(i + 1));
+  }
+  EXPECT_EQ(streamed.frames.back().GetNumber("queries_explored", -1.0),
+            report->GetNumber("queries_explored", -2.0));
+}
+
 // STOP mid-run: a client that is satisfied by an early frame stops the
 // run and still gets a well-formed best-so-far report with termination
 // "client_satisfied". The STOP is issued from inside the frame callback —
