@@ -368,9 +368,6 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
     }
     total_cell_queries = batch.explorer().cell_queries();
     result.store_replayed = batch.explorer().replayed();
-    // Stopping on a hit layer leaves the following layer's prefetch
-    // running, and it adds to the expand timer.
-    batch.JoinPrefetch();
     expand_ms += batch.expand_ms();
     explore_ms += batch.batch_ms();
   }

@@ -1,12 +1,10 @@
 #include "core/explore.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/failpoint.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "exec/thread_pool.h"
 
 namespace acquire {
 
@@ -395,57 +393,14 @@ BatchExplorer::BatchExplorer(const RefinedSpace* space, EvaluationLayer* layer,
                 store),
       replay_end_(explorer_.store().size()) {}
 
-BatchExplorer::~BatchExplorer() { JoinPrefetch(); }
-
-void BatchExplorer::JoinPrefetch() {
-  if (!prefetch_.valid()) return;
-  try {
-    ThreadPool::Shared().HelpWhileWaiting(prefetch_);
-  } catch (...) {
-    prefetch_error_ = std::current_exception();
-  }
-}
-
-void BatchExplorer::GenerateLayer() {
-  Stopwatch sw;
-  // next_keys_ holds the layer handed out two swaps ago; the generator
-  // reuses its capacity, so steady-state layer turnover allocates only when
-  // a layer outgrows the previous ones.
-  next_valid_ = generator_->NextLayer(&next_keys_, &next_score_);
-  expand_ms_ += sw.ElapsedMillis();
-}
-
-void BatchExplorer::StartPrefetch() {
-  // A single-worker pool has nothing to overlap the prefetch with: the
-  // generator work would just move to another thread and come back with
-  // hand-off latency and cold caches. Leave the future invalid there and
-  // let NextLayer generate inline. Tiny layers (best-first order between
-  // score ties hands out near-singletons) get the same treatment — the
-  // pool hand-off costs more than the generator work it would overlap.
-  constexpr size_t kMinPrefetchLayer = 4;
-  ThreadPool& pool = ThreadPool::Shared();
-  if (pool.num_threads() > 1 && layer_size() >= kMinPrefetchLayer) {
-    prefetch_ = pool.Submit([this] { GenerateLayer(); });
-  }
-}
-
 bool BatchExplorer::NextLayer() {
-  JoinPrefetch();  // hand-over: a prefetch wrote next_* before the join
-  if (prefetch_error_) {
-    std::rethrow_exception(std::exchange(prefetch_error_, nullptr));
-  }
-  // First layer (or no prefetch started): generate inline.
-  if (!next_valid_) GenerateLayer();
-  if (!next_valid_) return false;
-  next_valid_ = false;
-  layer_keys_.swap(next_keys_);
+  Stopwatch sw;
+  // The generator reuses layer_keys_' capacity, so steady-state layer
+  // turnover allocates only when a layer outgrows the previous ones.
+  const bool more = generator_->NextLayer(&layer_keys_, &layer_score_);
+  expand_ms_ += sw.ElapsedMillis();
   layer_executed_ = false;
-  layer_score_ = next_score_;
-  // Generate the following layer while the caller evaluates, merges and
-  // investigates this one. The generator only depends on the space, never
-  // on the store, so it can run ahead of the investigation.
-  StartPrefetch();
-  return true;
+  return more;
 }
 
 Status BatchExplorer::ExecuteLayer() {

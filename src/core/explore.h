@@ -2,8 +2,6 @@
 #define ACQUIRE_CORE_EXPLORE_H_
 
 #include <cstdint>
-#include <exception>
-#include <future>
 #include <vector>
 
 #include "core/expand.h"
@@ -288,13 +286,6 @@ class Explorer {
 /// and those are independent), and at every layer boundary so is the
 /// cell-query count.
 ///
-/// NextLayer additionally pipelines the generator: after handing out layer
-/// k it prefetches layer k+1 on the shared pool, so Expand runs concurrently
-/// with the caller's evaluation/merge/investigation of layer k. The
-/// generator emits the same layers in the same order either way, and it is
-/// touched by exactly one thread at a time (JoinPrefetch is the hand-over),
-/// so results are unchanged.
-///
 /// A store kept from an earlier run on the same layout and rows is replayed
 /// instead of recomputed: every entry depends only on the layout, and runs in
 /// one search order drain the same coordinate sequence, each stopping at a
@@ -315,24 +306,12 @@ class BatchExplorer {
                 QueryGenerator* generator, RunContext* ctx = nullptr,
                 AggregateStore* store = nullptr);
 
-  /// Joins an in-flight layer prefetch (JoinPrefetch).
-  ~BatchExplorer();
-
   BatchExplorer(const BatchExplorer&) = delete;
   BatchExplorer& operator=(const BatchExplorer&) = delete;
 
-  /// Hands out the generator's next equi-score layer. False once the space
-  /// is exhausted. Does not execute anything. Rethrows a generator failure
-  /// raised while prefetching the layer it hands out.
+  /// Has the generator build its next equi-score layer and hands it out.
+  /// False once the space is exhausted. Does not execute anything.
   bool NextLayer();
-
-  /// Waits for an in-flight layer prefetch. A helping join: this run may
-  /// itself occupy a pool worker (the server schedules whole runs onto the
-  /// shared pool) while its prefetch task is still queued. The prefetched
-  /// layer, or its failure, stays pending for the next NextLayer. Call it
-  /// before reading expand_ms() once the drive stops: the prefetch adds to
-  /// that timer on the worker.
-  void JoinPrefetch();
 
   /// Score shared by every coordinate of the current layer.
   double layer_score() const { return layer_score_; }
@@ -357,18 +336,11 @@ class BatchExplorer {
   Explorer& explorer() { return explorer_; }
 
   /// Cumulative generator time (NextLayer) and batch execution time
-  /// (ExecuteLayer), for per-phase driver stats. Prefetched generator time
-  /// overlaps the caller's work, so phase times can sum past wall time.
-  /// Read them only with no prefetch in flight (see JoinPrefetch).
+  /// (ExecuteLayer), for per-phase driver stats.
   double expand_ms() const { return expand_ms_; }
   double batch_ms() const { return batch_ms_; }
 
  private:
-  /// Has the generator write its next layer into next_*. Runs either inline
-  /// (first layer) or on a pool worker; never both at once.
-  void GenerateLayer();
-  void StartPrefetch();
-
   const RefinedSpace* space_;
   EvaluationLayer* layer_;
   QueryGenerator* generator_;
@@ -376,13 +348,6 @@ class BatchExplorer {
   std::vector<int32_t> layer_keys_;  // d-strided, generation order
   bool layer_executed_ = false;      // ExecuteLayer ran on this layer
   double layer_score_ = 0.0;
-  // The prefetched layer. Owned by the prefetch task between
-  // StartPrefetch() and JoinPrefetch().
-  std::vector<int32_t> next_keys_;
-  double next_score_ = 0.0;
-  bool next_valid_ = false;    // next_* holds a layer not yet handed out
-  std::future<void> prefetch_;
-  std::exception_ptr prefetch_error_;  // joined, not yet rethrown
   std::vector<int32_t> batch_;         // scratch: keys needing execution
   std::vector<double> batch_states_;   // scratch: their O_1 states
   size_t drained_total_ = 0;      // coords handed out in previous layers

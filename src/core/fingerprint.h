@@ -77,7 +77,7 @@ Result<TaskFingerprint> FingerprintTask(const Catalog& catalog,
 /// and what each cell folds:
 ///
 ///   - the relation object itself (rows appended to it since the layer's
-///     last use are staged by delta maintenance, so row counts stay out),
+///     last use are folded in by delta maintenance, so row counts stay out),
 ///   - each dimension's RefinementDim::CanonicalForm, in order,
 ///   - the aggregate kind and column, and
 ///   - the grid step gamma / d.

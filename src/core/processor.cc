@@ -19,8 +19,8 @@ BackendOptions BackendOptionsFor(const AcqTask& task,
 }
 
 // Adds `layer`'s index-build tallies to `stats`: the layer that answered
-// the origin query did index work (a build, or on a reused layer staging and
-// merging appended rows) even when the search ran on another layer or not
+// the origin query did index work (a build, or on a reused layer folding
+// appended rows in) even when the search ran on another layer or not
 // at all.
 void AddBuildStats(const EvaluationLayer& layer,
                    EvaluationLayer::ExecStats* stats) {

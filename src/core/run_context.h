@@ -70,10 +70,9 @@ struct ProgressSnapshot {
 /// through one ACQUIRE run (RunAcquire / RunAcquireContract / ProcessAcq via
 /// AcquireOptions::run_ctx).
 ///
-/// Threading model: one thread drives the run and is the only writer of
-/// the progress counters; ShouldStop may additionally be polled by the
-/// run's layer-prefetch worker, and any number of other threads may call
-/// RequestCancel and read the progress counters concurrently. Deadline
+/// Threading model: one thread drives the run, polls ShouldStop and is the
+/// only writer of the progress counters; any number of other threads may
+/// call RequestCancel and read the progress counters concurrently. Deadline
 /// setters are not thread-safe — arm them before the run starts. The
 /// drivers poll once per layer (and the Expand generators once per 256
 /// coordinates they generate), reading the clock every time, so an
@@ -125,8 +124,7 @@ class RunContext {
   /// The driver's poll: the cancellation and stop flags, the budget and, if
   /// armed, the deadline, with one clock read per call. The drivers poll per
   /// layer and the generators per 256 coordinates, so the read is cheap next
-  /// to the work between polls. Safe to call from the run thread and its
-  /// layer prefetch worker (which runs the generator) concurrently.
+  /// to the work between polls.
   bool ShouldStop() const {
     if (cancel_requested()) return true;
     if (client_stop_requested()) return true;

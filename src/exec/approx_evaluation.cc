@@ -28,10 +28,7 @@ Status SamplingEvaluationLayer::Prepare() {
   for (size_t row = 0; row < n; ++row) {
     if (rng.NextBool(rate_)) sampled_rows_.push_back(static_cast<uint32_t>(row));
   }
-  matrix_.rows = sampled_rows_.size();
-  matrix_.dims = d;
-  matrix_.needed.resize(matrix_.rows * d);
-  matrix_.agg_values.resize(matrix_.rows);
+  matrix_.Resize(sampled_rows_.size(), d);
   for (size_t i = 0; i < d; ++i) {
     const RefinementDim& dim = *task_->dims[i];
     double* col = matrix_.mutable_dim(i);

@@ -26,10 +26,7 @@ Status BuildNeededMatrixRows(const AcqTask& task, size_t begin, size_t end,
   }
   const size_t n = end - begin;
   const size_t d = task.d();
-  out->rows = n;
-  out->dims = d;
-  out->needed.resize(n * d);
-  out->agg_values.resize(n);
+  out->Resize(n, d);
   for (const RefinementDimPtr& dim : task.dims) {
     ACQ_RETURN_IF_ERROR(dim->PrecomputeNeeded(rel));
   }

@@ -221,8 +221,7 @@ Status CachedEvaluationLayer::Prepare() {
   if (prepared_) return Status::OK();
   Stopwatch prepare_sw;
   ACQ_RETURN_IF_ERROR(BuildNeededMatrix(*task_, /*pool=*/nullptr, &matrix_));
-  ChargeBudget((matrix_.needed.size() + matrix_.agg_values.size()) *
-               sizeof(double));
+  ChargeBudget(matrix_.bytes());
   prepare_ms_ += prepare_sw.ElapsedMillis();
   prepared_ = true;
   return Status::OK();

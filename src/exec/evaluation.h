@@ -54,16 +54,40 @@ struct PScoreRange {
 /// sits on: a dimension-major (structure-of-arrays) tuple x dimension
 /// matrix plus the per-row aggregate input. Dimension-major because every
 /// box-query kernel walks one dimension across all rows at a time, so each
-/// dimension is one contiguous stream. Built by BuildNeededMatrix
-/// (exec/eval_kernel.h), optionally in parallel.
+/// dimension is one contiguous stream, held in its own vector so appended
+/// rows extend every stream in amortized O(rows). Built by
+/// BuildNeededMatrix (exec/eval_kernel.h), optionally in parallel.
 struct NeededMatrix {
   size_t rows = 0;
   size_t dims = 0;
-  std::vector<double> needed;      // dims * rows, dimension-major
-  std::vector<double> agg_values;  // rows
+  std::vector<std::vector<double>> needed;  // dims streams of rows each
+  std::vector<double> agg_values;           // rows
 
-  const double* dim(size_t i) const { return needed.data() + i * rows; }
-  double* mutable_dim(size_t i) { return needed.data() + i * rows; }
+  /// Sizes the matrix to `r` rows of `d` dimensions.
+  void Resize(size_t r, size_t d) {
+    rows = r;
+    dims = d;
+    needed.resize(d);
+    for (std::vector<double>& stream : needed) stream.resize(r);
+    agg_values.resize(r);
+  }
+
+  /// Appends `tail`'s rows (same dims) after this matrix's, in order.
+  void Append(const NeededMatrix& tail) {
+    for (size_t i = 0; i < dims; ++i) {
+      needed[i].insert(needed[i].end(), tail.needed[i].begin(),
+                       tail.needed[i].end());
+    }
+    agg_values.insert(agg_values.end(), tail.agg_values.begin(),
+                      tail.agg_values.end());
+    rows += tail.rows;
+  }
+
+  /// The bytes held: rows x (dims + 1) doubles.
+  uint64_t bytes() const { return rows * (dims + 1) * sizeof(double); }
+
+  const double* dim(size_t i) const { return needed[i].data(); }
+  double* mutable_dim(size_t i) { return needed[i].data(); }
 };
 
 /// The paper's modular evaluation layer (Section 3): the component that
@@ -93,20 +117,19 @@ class EvaluationLayer {
     /// Per-phase driver timings, filled by RunAcquire / RunAcquireContract
     /// (never by the layer itself): generator time, cell/box execution
     /// time, and the per-coordinate drain (Eq. 17 merges plus the search's
-    /// bookkeeping). Explore overlaps expand with the other phases (layer
-    /// prefetch), so the three can sum past elapsed_ms.
+    /// bookkeeping). The phases run one after another on the run thread.
     double expand_ms = 0.0;
     double explore_ms = 0.0;
     double merge_ms = 0.0;
 
     /// Index build cost, filled by the layer itself: wall time spent
-    /// building, staging and merging the index (0 for layers with a no-op
-    /// Prepare), appended rows staged into the incremental-maintenance delta
-    /// buffer, and how many times the staged deltas were absorbed into the
-    /// main layout (index/cell_sorted). All three count work done since the
-    /// layer was built or last Rebind()-ed, so a reused layer reports only
-    /// its current run's work. Survives ResetStats — Prepare happens before
-    /// RunAcquire resets the per-run query counters.
+    /// building the index and folding appended rows into it (0 for layers
+    /// with a no-op Prepare), the reachable appended rows folded in, and
+    /// how many syncs folded appended rows in (index/cell_sorted). All three
+    /// count work done since the layer was built or last Rebind()-ed, so a
+    /// reused layer reports only its current run's work. Survives
+    /// ResetStats — Prepare happens before RunAcquire resets the per-run
+    /// query counters.
     double prepare_ms = 0.0;
     uint64_t delta_rows = 0;
     uint64_t delta_merges = 0;
@@ -254,7 +277,7 @@ class EvaluationLayer {
   MemoryBudget* budget_ = nullptr;
   uint64_t pending_budget_bytes_ = 0;
   /// Build-cost observability (see ExecStats): written by Prepare / the
-  /// delta-staging paths, which run before or between (never during)
+  /// delta sync, which run before or between (never during)
   /// concurrent evaluation, so plain fields suffice.
   double prepare_ms_ = 0.0;
   uint64_t delta_rows_ = 0;

@@ -52,19 +52,9 @@ class ThreadPool {
   /// Enqueues one task for a worker and returns immediately; the future
   /// becomes ready (rethrowing any exception) when the task finishes.
   /// Unlike ParallelFor the calling thread does not participate — this is
-  /// for overlapping independent work with the caller's own (e.g. the
-  /// batched explorer prefetching the next expand layer).
+  /// for work that runs beside the caller's own (the server schedules each
+  /// ACQ run this way).
   std::future<void> Submit(std::function<void()> task);
-
-  /// Deadlock-safe join for code that may itself be running on a pool
-  /// worker (the ACQ server schedules whole runs onto this pool, and a run
-  /// blocks on its layer-prefetch future): while `future` is not ready, the
-  /// calling thread drains queued tasks instead of sleeping, so a future
-  /// whose task is still queued behind other submissions cannot wait on a
-  /// worker that is itself waiting. Once the queue is empty the wait
-  /// degrades to a plain timed wait (the task is running on another
-  /// thread). Rethrows the task's exception like future.get().
-  void HelpWhileWaiting(std::future<void>& future);
 
   /// Process-wide default pool (hardware-sized, created on first use and
   /// intentionally never destroyed so late static destructors can use it).

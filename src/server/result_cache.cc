@@ -1,5 +1,6 @@
 #include "server/result_cache.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -132,6 +133,7 @@ void ResultCache::Clear() {
 }
 
 namespace {
+constexpr const char kCacheFileFormat[] = "acq-cache-v";
 constexpr const char kCacheFileHeader[] = "acq-cache-v3";
 constexpr const char kCacheCrcPrefix[] = "crc ";
 }  // namespace
@@ -190,6 +192,15 @@ Status ResultCache::LoadFromFile(const std::string& path,
   // trailing "crc %08x" line last, checksum over everything in between.
   const std::string header_line = std::string(kCacheFileHeader) + "\n";
   if (contents.compare(0, header_line.size(), header_line) != 0) {
+    // Another version's snapshot is named as such, not called headerless.
+    if (contents.compare(0, std::strlen(kCacheFileFormat), kCacheFileFormat) ==
+        0) {
+      const std::string found =
+          contents.substr(0, std::min<size_t>(contents.find('\n'), 32));
+      return Status::ParseError(StringFormat(
+          "cache file %s: format '%s', this build reads '%s'", path.c_str(),
+          found.c_str(), kCacheFileHeader));
+    }
     return Status::ParseError(StringFormat(
         "cache file %s: missing '%s' header", path.c_str(),
         kCacheFileHeader));

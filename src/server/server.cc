@@ -732,8 +732,8 @@ JsonValue AcqServer::HandleStats(const JsonValue& request) {
   set("tuples_scanned", counters.tuples_scanned);
   // Index-build and live-ingestion tallies, folded across finished runs.
   // STATS-only: reports/envelopes never carry them, so cached replies stay
-  // byte-identical. Cumulative prepare wall time, rows staged into index
-  // delta buffers, delta-into-base merges, and APPEND activity.
+  // byte-identical. Cumulative prepare wall time, appended rows folded into
+  // reused indexes, the syncs that folded them, and APPEND activity.
   stats.Set("prepare_ms",
             JsonValue::Number(static_cast<double>(counters.prepare_micros) /
                               1000.0));

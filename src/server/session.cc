@@ -100,6 +100,7 @@ Session::View Session::Snapshot() const {
 }
 
 SessionManager::SessionManager(const Catalog* catalog,
+                               ResourceGovernor* governor,
                                SessionManagerOptions options)
     : catalog_(catalog),
       options_(options),
@@ -107,11 +108,13 @@ SessionManager::SessionManager(const Catalog* catalog,
                        ? options.max_running
                        : std::max<size_t>(
                              1, ThreadPool::Shared().num_threads() / 2)),
-      governor_(options.governor),
+      governor_(governor),
       cache_(options.cache_bytes) {}
 
-SessionManager::SessionManager(Catalog* catalog, SessionManagerOptions options)
-    : SessionManager(static_cast<const Catalog*>(catalog), options) {
+SessionManager::SessionManager(Catalog* catalog, ResourceGovernor* governor,
+                               SessionManagerOptions options)
+    : SessionManager(static_cast<const Catalog*>(catalog), governor,
+                     options) {
   mutable_catalog_ = catalog;
 }
 
@@ -170,9 +173,9 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
         "injected admission rejection (failpoint server.admit)");
   }
   // Injected fair-share admission rejection: models the governor denying a
-  // tenant under cross-tenant pressure. Only meaningful for governed
-  // managers; the reply surfaces as a well-formed ResourceExhausted error.
-  if (governor_ != nullptr && ACQ_FAILPOINT("server.tenant_admission")) {
+  // tenant under cross-tenant pressure; the reply surfaces as a well-formed
+  // ResourceExhausted error.
+  if (ACQ_FAILPOINT("server.tenant_admission")) {
     std::lock_guard<std::mutex> clock(counters_mu_);
     ++counters_.rejected;
     return Status::ResourceExhausted(
@@ -225,19 +228,16 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
   // Governed memory carve-up: clamp this run's budget to the tenant's
   // share before the session captures its options. Fingerprints exclude
   // budgets, so the clamp never perturbs cache keys.
-  if (governor_ != nullptr) {
-    options.memory_budget_bytes =
-        governor_->GovernMemoryBudget(this, options.memory_budget_bytes);
-  }
+  options.memory_budget_bytes =
+      governor_->GovernMemoryBudget(this, options.memory_budget_bytes);
 
-  // Governed slot acquisition happens before mu_ (the governor lock is
-  // taken while holding no manager lock, never the other way around) and
-  // strictly after the cache-hit path above, so cache hits keep consuming
-  // no slot. A slot granted here implies running_ < max_running_:
-  // the governor caps this manager's outstanding grants at max_running_ and
-  // only slot-holding paths increment running_.
-  bool slot = false;
-  if (governor_ != nullptr) slot = governor_->TryAcquireRunSlot(this);
+  // Slot acquisition happens before mu_ (the governor lock is taken while
+  // holding no manager lock, never the other way around) and strictly after
+  // the cache-hit path above, so cache hits keep consuming no slot. A slot
+  // granted here implies running_ < max_running_: the governor caps this
+  // manager's outstanding grants at max_running_ and only slot-holding
+  // paths increment running_.
+  const bool slot = governor_->TryAcquireRunSlot(this);
 
   SessionPtr session;
   bool launch = false;
@@ -248,9 +248,7 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
     if (shutdown_) {
       reject = Status::Unavailable("session manager shut down");
     } else {
-      const bool can_run =
-          governor_ != nullptr ? slot : running_ < max_running_;
-      if (!can_run && queue_.size() >= options_.max_queued) {
+      if (!slot && queue_.size() >= options_.max_queued) {
         std::lock_guard<std::mutex> clock(counters_mu_);
         ++counters_.rejected;
         reject = Status::Unavailable(
@@ -290,7 +288,7 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
               progress.interval_ms);
         }
         sessions_.emplace(session->id(), session);
-        if (can_run) {
+        if (slot) {
           ++running_;
           launch = true;
         } else {
@@ -303,7 +301,7 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
   // An acquired slot that didn't launch (shutdown, or a reject — impossible
   // with a slot, but harmless) goes back to the governor, which may hand it
   // straight to a queued tenant.
-  if (governor_ != nullptr && slot && !launch) governor_->ReleaseRunSlot(this);
+  if (slot && !launch) governor_->ReleaseRunSlot(this);
   if (!reject.ok()) return reject;
   {
     std::lock_guard<std::mutex> clock(counters_mu_);
@@ -311,7 +309,7 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
   }
   if (launch) {
     Launch(session);
-  } else if (queued && governor_ != nullptr) {
+  } else if (queued) {
     // Closes the enqueue/dispatch race: a slot freed between our failed
     // TryAcquire and the push_back above would have scanned an empty queue.
     governor_->NotifyQueued(this);
@@ -369,32 +367,16 @@ void SessionManager::PublishFromCache(const SessionPtr& session,
   session->cv_.notify_all();
 }
 
-void SessionManager::FinishSlot(SessionPtr* next) {
-  bool release_slot = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (governor_ == nullptr && !queue_.empty()) {
-      *next = queue_.front();
-      queue_.pop_front();
-    } else if (governor_ == nullptr) {
-      --running_;
-      idle_cv_.notify_all();
-    } else {
-      release_slot = true;
-    }
-  }
-  if (release_slot) {
-    // Governed: hand the slot back first — the governor's dispatch may
-    // deal it to any tenant's queue (including this one) — and only then
-    // decrement running_. Shutdown (and therefore manager destruction)
-    // waits on running_ == 0, so the governor call lands strictly before
-    // teardown can begin; after the decrement only sessions may be
-    // touched.
-    governor_->ReleaseRunSlot(this);
-    std::lock_guard<std::mutex> lock(mu_);
-    --running_;
-    idle_cv_.notify_all();
-  }
+void SessionManager::FinishSlot() {
+  // Hand the slot back first — the governor's dispatch may deal it to any
+  // tenant's queue (including this one) — and only then decrement
+  // running_. Shutdown (and therefore manager destruction) waits on
+  // running_ == 0, so the governor call lands strictly before teardown can
+  // begin; after the decrement only sessions may be touched.
+  governor_->ReleaseRunSlot(this);
+  std::lock_guard<std::mutex> lock(mu_);
+  --running_;
+  idle_cv_.notify_all();
 }
 
 Result<SessionPtr> SessionManager::Find(const std::string& id) const {
@@ -427,10 +409,10 @@ void SessionManager::Shutdown() {
     for (const auto& [id, session] : sessions_) to_cancel.push_back(session);
   }
   for (const SessionPtr& session : to_cancel) session->RequestCancel();
-  // Governed managers drain their queue through governor dispatch (each
-  // dispatched session observes its cancel immediately). Nudge once in
-  // case every slot was idle when the last request queued.
-  if (governor_ != nullptr) governor_->NotifyQueued(this);
+  // The queue drains through governor dispatch (each dispatched session
+  // observes its cancel immediately). Nudge once in case every slot was
+  // idle when the last request queued.
+  governor_->NotifyQueued(this);
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return running_ == 0 && queue_.empty(); });
   // Nothing runs any more, so no frame can be emitted. Drop the progress
@@ -464,47 +446,28 @@ size_t SessionManager::num_queued() const {
 }
 
 void SessionManager::Launch(SessionPtr session) {
-  // The runner owns one of the max_running_ slots for its whole lifetime:
-  // after finishing a session it pulls the next queued one directly instead
-  // of resubmitting to the pool, so a burst of queued requests costs one
-  // pool task, and the slot is released (with idle_cv_ notified) only when
-  // the queue is empty.
-  // Injected enqueue failure: the pool refused the runner task, so the
-  // session fails terminally without running — with the same bookkeeping
-  // order as RunSession's tail (counters, then slot handoff, then terminal
-  // publish). The loop keeps the slot and retries the enqueue for the next
-  // queued session; each retry re-evaluates the failpoint.
-  while (ACQ_FAILPOINT("server.pool_enqueue")) {
+  // Injected enqueue failure: the pool refused the run task, so the session
+  // fails terminally without running — with the same bookkeeping order as
+  // RunSession's tail (counters, then slot release, then terminal publish).
+  if (ACQ_FAILPOINT("server.pool_enqueue")) {
     {
       std::lock_guard<std::mutex> clock(counters_mu_);
       ++counters_.failed;
     }
-    SessionPtr next;
-    FinishSlot(&next);
-    // After releasing the slot, Shutdown may destroy the manager: only
-    // sessions may be touched past this point on the next == nullptr path.
-    {
-      std::lock_guard<std::mutex> lock(session->mu_);
-      session->state_ = SessionState::kFailed;
-      session->error_ = Status::Unavailable(
-          "injected thread-pool enqueue failure "
-          "(failpoint server.pool_enqueue)");
-      session->wall_ms_ = MillisSince(session->submitted_at_);
-      session->cv_.notify_all();
-    }
-    if (next == nullptr) return;
-    session = std::move(next);
+    // After releasing the slot, Shutdown may destroy the manager: only the
+    // session may be touched past this point.
+    FinishSlot();
+    std::lock_guard<std::mutex> lock(session->mu_);
+    session->state_ = SessionState::kFailed;
+    session->error_ = Status::Unavailable(
+        "injected thread-pool enqueue failure "
+        "(failpoint server.pool_enqueue)");
+    session->wall_ms_ = MillisSince(session->submitted_at_);
+    session->cv_.notify_all();
+    return;
   }
-  ThreadPool::Shared().Submit([this, session = std::move(session)]() mutable {
-    while (session != nullptr) {
-      SessionPtr next;
-      RunSession(session, &next);
-      // Once RunSession released the slot (next == nullptr and the queue
-      // was empty), Shutdown may return and destroy the manager, so the
-      // loop must not touch `this` again on that path.
-      session = std::move(next);
-    }
-  });
+  ThreadPool::Shared().Submit(
+      [this, session = std::move(session)] { RunSession(session); });
 }
 
 bool SessionManager::ReusableLayout(const AcqTask& task,
@@ -512,7 +475,7 @@ bool SessionManager::ReusableLayout(const AcqTask& task,
                                     LayoutKey* key) const {
   // A joined or filtered relation is materialized per plan, so only the
   // catalog's own table can match a kept layer. Cached and Direct never
-  // stage appended rows. A warm run charges no prepare footprint, so with a
+  // fold appended rows in. A warm run charges no prepare footprint, so with a
   // memory limit set its budget verdict could differ from a cold run's.
   if (task.table_names.size() != 1 || options.memory_budget_bytes > 0 ||
       (task.eval_backend != EvalBackend::kAuto &&
@@ -569,7 +532,7 @@ Result<AcqOutcome> SessionManager::ProcessReusingLayer(
   }
   Result<AcqOutcome> ran = ProcessAcq(*task, layer.get(), options, &store);
   // The budget lives in this run's RunContext; the next run's origin query
-  // must not charge its staging to it. (The run's explorer already detached
+  // must not charge its sync to it. (The run's explorer already detached
   // it from the store.)
   layer->set_memory_budget(nullptr);
   if (ran.ok()) {
@@ -583,7 +546,7 @@ Result<AcqOutcome> SessionManager::ProcessReusingLayer(
   return ran;
 }
 
-void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
+void SessionManager::RunSession(const SessionPtr& session) {
   const Clock::time_point start = session->submitted_at_;
 
   SessionState state = SessionState::kFailed;
@@ -740,13 +703,12 @@ void SessionManager::RunSession(const SessionPtr& session, SessionPtr* next) {
   }
   if (data_lock.owns_lock()) data_lock.unlock();
 
-  // Slot bookkeeping before the terminal publish: a waiter released by the
-  // notify below must see the slot already handed to the next queued
-  // session (or the governor) or released in num_running()/num_queued().
-  // The idle_cv_ notify inside FinishSlot can let Shutdown (and the
-  // manager destructor) proceed, so from here on only sessions themselves
-  // may be touched.
-  FinishSlot(next);
+  // Slot release before the terminal publish: a waiter released by the
+  // notify below must see the slot already back with the governor in
+  // num_running()/num_queued(). The idle_cv_ notify inside FinishSlot can
+  // let Shutdown (and the manager destructor) proceed, so from here on only
+  // sessions themselves may be touched.
+  FinishSlot();
 
   {
     std::lock_guard<std::mutex> lock(session->mu_);

@@ -134,10 +134,10 @@ struct ServerCounters {
   uint64_t tuples_scanned = 0;
   uint64_t run_micros = 0;      // summed AcquireResult::elapsed_ms
   /// Index-build work folded across finished runs (ExecStats::prepare_ms in
-  /// microseconds) plus delta-maintenance activity (rows staged into index
-  /// delta buffers and buffer-into-base merges), each counting only work
-  /// done during the run — a reused layer's earlier build is not re-counted.
-  /// STATS-only.
+  /// microseconds) plus delta-maintenance activity (reachable appended rows
+  /// folded into a reused layer's index, and the syncs that folded rows
+  /// in), each counting only work done during the run — a reused layer's
+  /// earlier build is not re-counted. STATS-only.
   uint64_t prepare_micros = 0;
   uint64_t delta_rows = 0;
   uint64_t delta_merges = 0;
@@ -216,15 +216,6 @@ struct SessionManagerOptions {
   /// Session-id prefix ("s-" yields the historical ids; tenants use
   /// "<tenant>-s-"), so ids stay unique — and routable — across managers.
   std::string session_prefix = "s-";
-  /// When set, run slots are granted by this governor (global fair-share
-  /// across all managers registered with it) instead of the local
-  /// running_ < max_running check, queued sessions are dispatched by its
-  /// weighted schedule rather than pulled directly by the finishing
-  /// runner, and per-run memory budgets are clamped to the tenant's carved
-  /// share. The governor must outlive the manager and the manager must be
-  /// Register()ed before serving. Null (the default) preserves the
-  /// standalone single-manager behavior exactly.
-  ResourceGovernor* governor = nullptr;
   /// When set, AppendRows follows write-ahead discipline: validate, log
   /// through the hook (fsynced per its policy), apply, ack — so every acked
   /// batch is recoverable and a rejected one leaves the log byte-identical.
@@ -234,8 +225,11 @@ struct SessionManagerOptions {
 
 /// Binds sessions against a shared Catalog and schedules them
 /// onto the process-wide persistent ThreadPool with bounded admission:
-/// at most `max_running` run bodies occupy pool tasks at once, at most
-/// `max_queued` admitted requests wait behind them, and everything beyond
+/// run slots are granted by the ResourceGovernor (global fair-share across
+/// every manager registered with it, at most `max_running` for this one),
+/// queued sessions are dispatched by its weighted schedule, and per-run
+/// memory budgets are clamped to the tenant's carved share. At most
+/// `max_queued` admitted requests wait for a slot, and everything beyond
 /// that is rejected immediately.
 ///
 /// Catalog mutation: with the const-catalog constructor the catalog must
@@ -256,11 +250,15 @@ struct SessionManagerOptions {
 /// reply hits.
 class SessionManager {
  public:
-  SessionManager(const Catalog* catalog, SessionManagerOptions options);
+  /// `governor` must outlive the manager, and the manager must be
+  /// Register()ed with it before serving.
+  SessionManager(const Catalog* catalog, ResourceGovernor* governor,
+                 SessionManagerOptions options);
 
   /// Mutable-catalog overload: identical serving behavior, plus AppendRows
   /// becomes available.
-  SessionManager(Catalog* catalog, SessionManagerOptions options);
+  SessionManager(Catalog* catalog, ResourceGovernor* governor,
+                 SessionManagerOptions options);
 
   /// Cancels everything and waits for in-flight runs to drain.
   ~SessionManager();
@@ -301,8 +299,8 @@ class SessionManager {
   size_t num_running() const;
   size_t num_queued() const;
   /// The resolved concurrent-run bound (options.max_running with 0
-  /// expanded to half the pool); under a governor this also caps the
-  /// tenant's share of the global slots.
+  /// expanded to half the pool): the cap on this tenant's share of the
+  /// governor's slots.
   size_t max_running() const { return max_running_; }
 
   /// Governed dispatch (called by the ResourceGovernor only, never with
@@ -344,24 +342,20 @@ class SessionManager {
   void PublishFromCache(const SessionPtr& session,
                         const CachedResultPtr& cached);
 
-  /// Submits a runner-loop pool task for `session`; the runner keeps its
-  /// running slot and drains the queue before releasing it.
+  /// Submits a pool task that runs `session` on the slot it was granted.
   void Launch(SessionPtr session);
-  /// Runs one session to its terminal state. Hands back the next queued
-  /// session (or releases the running slot) in `*next` BEFORE publishing
-  /// the terminal state, so a waiter released by the notify observes the
-  /// slot already accounted for in num_running()/num_queued().
-  void RunSession(const SessionPtr& session, SessionPtr* next);
+  /// Runs one session to its terminal state. Releases the run slot BEFORE
+  /// publishing the terminal state, so a waiter released by the notify
+  /// observes it already accounted for in num_running()/num_queued().
+  void RunSession(const SessionPtr& session);
 
-  /// Hands the slot bookkeeping of a finishing (or enqueue-failed) runner
-  /// to the next owner: an ungoverned manager pulls its own queue head into
-  /// *next or releases the slot, while a governed one returns the slot to
-  /// the governor — which re-dispatches across every tenant — and then
-  /// decrements running_. Takes mu_ (and, governed, calls the governor, so
-  /// mu_ must not be held on entry). After it returns with *next == nullptr
-  /// the manager may be destroyed by Shutdown: callers may touch only
-  /// sessions past that point.
-  void FinishSlot(SessionPtr* next);
+  /// Releases the run slot of a finishing (or enqueue-failed) session: it
+  /// goes back to the governor — which re-dispatches across every tenant —
+  /// and then running_ is decremented. Takes mu_ and calls the governor, so
+  /// mu_ must not be held on entry. After it returns the manager may be
+  /// destroyed by Shutdown: callers may touch only sessions past that
+  /// point.
+  void FinishSlot();
 
   /// Requires data_mu_ (shared). True, with the layout key, when a run of
   /// `task` may use a kept prepared layer: its relation is the catalog's
@@ -371,7 +365,7 @@ class SessionManager {
                       LayoutKey* key) const;
   /// Requires data_mu_ (shared). ProcessAcq for `task`, on the idle
   /// prepared layer when its key matches (a hit skips Prepare; rows appended
-  /// since its last use are staged by delta maintenance), else on a fresh
+  /// since its last use are folded in by delta maintenance), else on a fresh
   /// layer — built after the stale idle one is dropped — that a successful
   /// run hands back as the new idle layer. A hit over unchanged rows also
   /// takes the idle Eq. 17 store, which the run replays and extends and a
@@ -385,7 +379,6 @@ class SessionManager {
   Catalog* mutable_catalog_ = nullptr;
   const SessionManagerOptions options_;
   const size_t max_running_;
-  /// Aliases options_.governor; null = standalone (ungoverned) manager.
   ResourceGovernor* const governor_;
 
   /// Reader/writer gate between catalog readers and AppendRows. Shared:

@@ -247,10 +247,10 @@ TenantPtr TenantRegistry::MakeTenantLocked(
   options.durability = tenant->durability_.get();
   if (mutable_catalog != nullptr) {
     tenant->manager_ =
-        std::make_unique<SessionManager>(mutable_catalog, options);
+        std::make_unique<SessionManager>(mutable_catalog, governor_, options);
   } else {
     tenant->manager_ =
-        std::make_unique<SessionManager>(const_catalog, options);
+        std::make_unique<SessionManager>(const_catalog, governor_, options);
   }
   // Register before publishing: once the tenant is findable, every Submit
   // expects the governor to know its manager.
@@ -279,7 +279,6 @@ TenantPtr TenantRegistry::AdoptDefault(Catalog* catalog, double weight) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   SessionManagerOptions options = base_options_;
-  options.governor = governor_;
   options.session_prefix = "s-";  // historical bare ids: wire compatibility
   return MakeTenantLocked(kDefaultId, weight, nullptr, catalog, catalog,
                           std::move(durability), options);
@@ -288,7 +287,6 @@ TenantPtr TenantRegistry::AdoptDefault(Catalog* catalog, double weight) {
 TenantPtr TenantRegistry::AdoptDefault(const Catalog* catalog, double weight) {
   std::lock_guard<std::mutex> lock(mu_);
   SessionManagerOptions options = base_options_;
-  options.governor = governor_;
   options.session_prefix = "s-";
   // A read-only catalog accepts no appends, so there is nothing to log or
   // recover: no TenantDurability.
@@ -400,7 +398,6 @@ Result<TenantPtr> TenantRegistry::Attach(const AttachParams& params,
   // releases it, so no duplicate re-check is needed under the lock.
   std::lock_guard<std::mutex> lock(mu_);
   SessionManagerOptions options = base_options_;
-  options.governor = governor_;
   options.session_prefix = params.id + "-s-";
   if (params.max_queued != 0) options.max_queued = params.max_queued;
   if (params.cache_bytes >= 0) {

@@ -224,8 +224,8 @@ class TenantRegistry {
 
   /// `governor` must outlive the registry and every TenantPtr handed out.
   /// `base_options` seeds per-tenant SessionManagerOptions (max_running,
-  /// max_queued, cache_bytes); the governor field of the base is ignored
-  /// and replaced with `governor`. `durability` (optional; must outlive
+  /// max_queued, cache_bytes); every tenant's manager is governed by
+  /// `governor`. `durability` (optional; must outlive
   /// the registry) adds write-ahead logging: each mutable-catalog tenant
   /// gets its own recovered TenantDurability and ATTACH/DETACH hit the
   /// server manifest.

@@ -1,13 +1,16 @@
 // Structural tests for the cell-sorted backend: the one-pass layout build
-// against a row-by-row reference, the three query paths (cell probe,
-// aligned box walk, off-grid scan), the native batched cell path,
-// unreachable-row exclusion, and the backend factory that constructs it.
+// against a row-by-row reference and against itself folding the relation
+// in slices, the three query paths (cell probe, aligned box walk, off-grid
+// scan), the native batched cell path, unreachable-row exclusion, and the
+// backend factory that constructs it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <tuple>
+#include <vector>
 
 #include "acquire.h"
 #include "exec/eval_kernel.h"
@@ -93,10 +96,10 @@ class CellSortedLayoutTest
     : public ::testing::TestWithParam<
           std::tuple<size_t, AggregateKind, Relation>> {};
 
-// The one-pass build must equal the row-by-row reference byte for byte:
-// the same sorted keys, memcmp-equal states and the same unreachable count.
-TEST_P(CellSortedLayoutTest, MatchesReferenceByteForByte) {
-  auto [d, agg, relation] = GetParam();
+// The task of one layout case: rows uniform in [0, 100] under the case's
+// dimensionality and aggregate, the relation shaped as the case asks.
+void MakeLayoutFixture(size_t d, AggregateKind agg, Relation relation,
+                       std::unique_ptr<test_util::SyntheticTask>* out) {
   ASSERT_TRUE(RegisterLayoutUda());
   SyntheticOptions options;
   options.d = d;
@@ -121,8 +124,20 @@ TEST_P(CellSortedLayoutTest, MatchesReferenceByteForByte) {
   ASSERT_NE(dim0, nullptr);
   dim0->set_max_refinement(relation == Relation::kAllUnreachable ? 0.0
                                                                   : 50.0);
-  // Coarser cells at higher d keep several rows per cell to fold.
-  const double step = 4.0 * static_cast<double>(d);
+  *out = std::move(fixture);
+}
+
+// Coarser cells at higher d keep several rows per cell to fold.
+double LayoutStep(size_t d) { return 4.0 * static_cast<double>(d); }
+
+// The one-pass build must equal the row-by-row reference byte for byte:
+// the same sorted keys, memcmp-equal states and the same unreachable count.
+TEST_P(CellSortedLayoutTest, MatchesReferenceByteForByte) {
+  auto [d, agg, relation] = GetParam();
+  std::unique_ptr<test_util::SyntheticTask> fixture;
+  ASSERT_NO_FATAL_FAILURE(MakeLayoutFixture(d, agg, relation, &fixture));
+  const size_t rows = fixture->task.relation->num_rows();
+  const double step = LayoutStep(d);
 
   NeededMatrix raw;
   ASSERT_TRUE(BuildNeededMatrix(fixture->task, nullptr, &raw).ok());
@@ -136,15 +151,14 @@ TEST_P(CellSortedLayoutTest, MatchesReferenceByteForByte) {
     case Relation::kUniform:
       EXPECT_GT(reference.unreachable_rows, 0u);
       // Some cell holds several rows, so fold order is exercised.
-      EXPECT_LT(reference.cells.size(),
-                options.rows - reference.unreachable_rows);
+      EXPECT_LT(reference.cells.size(), rows - reference.unreachable_rows);
       break;
     case Relation::kEmpty:
       EXPECT_EQ(raw.rows, 0u);
       EXPECT_TRUE(reference.cells.empty());
       break;
     case Relation::kAllUnreachable:
-      EXPECT_EQ(reference.unreachable_rows, options.rows);
+      EXPECT_EQ(reference.unreachable_rows, rows);
       break;
   }
   EXPECT_EQ(layout.unreachable_rows, reference.unreachable_rows);
@@ -164,6 +178,84 @@ TEST_P(CellSortedLayoutTest, MatchesReferenceByteForByte) {
         << "cell " << s;
     ++s;
   }
+}
+
+// Rows `rows` of `raw`, in that order.
+NeededMatrix SelectRows(const NeededMatrix& raw,
+                        const std::vector<size_t>& rows) {
+  NeededMatrix out;
+  out.Resize(rows.size(), raw.dims);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    for (size_t i = 0; i < raw.dims; ++i) {
+      out.mutable_dim(i)[k] = raw.dim(i)[rows[k]];
+    }
+    out.agg_values[k] = raw.agg_values[rows[k]];
+  }
+  return out;
+}
+
+// Folding a relation into one live layout in consecutive slices — one row,
+// none, only unreachable rows, then slices whose cells land below, between
+// and above the cells already held — must leave the bytes one fold of the
+// whole relation leaves: the keys, the states and the unreachable count.
+TEST_P(CellSortedLayoutTest, SliceFoldsMatchOneFold) {
+  auto [d, agg, relation] = GetParam();
+  std::unique_ptr<test_util::SyntheticTask> fixture;
+  ASSERT_NO_FATAL_FAILURE(MakeLayoutFixture(d, agg, relation, &fixture));
+  const double step = LayoutStep(d);
+  const AggregateOps& ops = *fixture->task.agg.ops;
+  NeededMatrix raw;
+  ASSERT_TRUE(BuildNeededMatrix(fixture->task, nullptr, &raw).ok());
+
+  // The relation's rows, reordered so that every kind of slice occurs: the
+  // first row, the unreachable rows, then the reachable rows whose
+  // dimension-0 level is odd, then those whose level is even, so the even
+  // cells arrive between the odd ones already held.
+  std::vector<size_t> unreachable, odd, even;
+  for (size_t row = 1; row < raw.rows; ++row) {
+    int64_t level0 = PScoreLevel(raw.dim(0)[row], step);
+    for (size_t i = 1; i < d && level0 >= 0; ++i) {
+      if (PScoreLevel(raw.dim(i)[row], step) < 0) level0 = -1;
+    }
+    (level0 < 0 ? unreachable : level0 % 2 == 1 ? odd : even).push_back(row);
+  }
+  std::vector<std::vector<size_t>> slices;
+  if (raw.rows > 0) slices.push_back({0});
+  slices.push_back({});
+  slices.push_back(unreachable);
+  for (const std::vector<size_t>* part : {&odd, &even}) {
+    // Growing slices: 1, 2, 4, ... rows.
+    for (size_t begin = 0, size = 1; begin < part->size(); size *= 2) {
+      const size_t end = std::min(part->size(), begin + size);
+      slices.emplace_back(part->begin() + begin, part->begin() + end);
+      begin = end;
+    }
+  }
+
+  std::vector<size_t> order;
+  for (const std::vector<size_t>& slice : slices) {
+    order.insert(order.end(), slice.begin(), slice.end());
+  }
+  ASSERT_EQ(order.size(), raw.rows);
+  CellSortedLayout one;
+  ASSERT_TRUE(BuildCellSortedLayout(SelectRows(raw, order), step, ops, &one)
+                  .ok());
+
+  CellSortedLayout live;
+  size_t growing_slices = 0;  // slices after the first that added cells
+  for (const std::vector<size_t>& slice : slices) {
+    const size_t held = live.cell_keys.size();
+    ASSERT_TRUE(
+        BuildCellSortedLayout(SelectRows(raw, slice), step, ops, &live).ok());
+    if (held > 0 && live.cell_keys.size() > held) ++growing_slices;
+  }
+  if (relation == Relation::kUniform) {
+    EXPECT_GT(growing_slices, 0u);
+  }
+  EXPECT_EQ(live.unreachable_rows, one.unreachable_rows);
+  EXPECT_EQ(live.state_width, one.state_width);
+  EXPECT_TRUE(test_util::SameBytes(live.cell_keys, one.cell_keys));
+  EXPECT_TRUE(test_util::SameBytes(live.cell_states, one.cell_states));
 }
 
 const AggregateKind kLayoutAggregates[] = {

@@ -1,12 +1,14 @@
 // Incremental delta maintenance of the cell-sorted index: rows appended to
-// the relation after Prepare() must be answered bit-identically to a full
-// rebuild over the grown relation — on every query shape (cell probe,
-// aligned box, off-grid scan, batched cells) and whether the rows are
-// still staged in the delta buffer or already merged into the base layout.
+// the relation after Prepare() are folded into the live layout by the next
+// evaluate call's sync. After every sync the layer's keys, states,
+// unreachable count and matrix must be byte-identical to a fresh Prepare
+// over the grown relation, and so must every answer, on every query shape
+// (cell probe, aligned box, off-grid scan, batched cells).
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "acquire.h"
@@ -18,6 +20,7 @@ namespace acquire {
 namespace {
 
 using test_util::MakeSyntheticTask;
+using test_util::SameBytes;
 using test_util::SyntheticOptions;
 
 std::vector<std::vector<Value>> MakeAppendRows(size_t count, uint64_t seed) {
@@ -41,6 +44,43 @@ Status AppendToFixture(test_util::SyntheticTask* fixture, size_t count,
   return fixture->catalog.AppendRows("data", MakeAppendRows(count, seed));
 }
 
+// A cell probe: the evaluate call that syncs appended rows in.
+Status Probe(CellSortedEvaluationLayer* layer, double step) {
+  return layer
+      ->EvaluateBox({CellRangeForLevel(2, step), CellRangeForLevel(3, step)})
+      .status();
+}
+
+// The layer's layout and matrix must equal `fresh`'s (a layer freshly
+// prepared over the grown relation) byte for byte.
+void ExpectSameBytes(const CellSortedEvaluationLayer& layer,
+                     const CellSortedEvaluationLayer& fresh) {
+  EXPECT_EQ(layer.consumed_rows(), fresh.consumed_rows());
+  const CellSortedLayout& got = layer.layout();
+  const CellSortedLayout& want = fresh.layout();
+  EXPECT_EQ(got.unreachable_rows, want.unreachable_rows);
+  EXPECT_EQ(got.state_width, want.state_width);
+  EXPECT_TRUE(SameBytes(got.cell_keys, want.cell_keys));
+  EXPECT_TRUE(SameBytes(got.cell_states, want.cell_states));
+  const NeededMatrix& matrix = layer.matrix();
+  const NeededMatrix& fresh_matrix = fresh.matrix();
+  ASSERT_EQ(matrix.rows, fresh_matrix.rows);
+  ASSERT_EQ(matrix.dims, fresh_matrix.dims);
+  for (size_t i = 0; i < matrix.dims; ++i) {
+    EXPECT_TRUE(SameBytes(matrix.needed[i], fresh_matrix.needed[i]))
+        << "dimension " << i;
+  }
+  EXPECT_TRUE(SameBytes(matrix.agg_values, fresh_matrix.agg_values));
+}
+
+// ExpectSameBytes against a layer prepared now over the task's relation.
+void ExpectSameBytesAsFreshPrepare(const CellSortedEvaluationLayer& layer,
+                                   const AcqTask* task, double step) {
+  CellSortedEvaluationLayer fresh(task, step);
+  ASSERT_TRUE(fresh.Prepare().ok());
+  ExpectSameBytes(layer, fresh);
+}
+
 // The query shapes Algorithm 3 (and the repartition probes) actually issue.
 std::vector<std::vector<PScoreRange>> QueryShapes(double step) {
   return {
@@ -57,9 +97,12 @@ std::vector<std::vector<PScoreRange>> QueryShapes(double step) {
 }
 
 // Every shape, answered by `layer`, must be bitwise equal to `reference`
-// (a layer freshly prepared over the grown relation).
-void ExpectBitIdenticalAnswers(EvaluationLayer* layer,
-                               EvaluationLayer* reference, double step) {
+// (a layer freshly prepared over the grown relation), and after the
+// answers — whose first call syncs any pending rows in — so must the
+// layer's layout and matrix.
+void ExpectBitIdenticalAnswers(CellSortedEvaluationLayer* layer,
+                               CellSortedEvaluationLayer* reference,
+                               double step) {
   for (const auto& box : QueryShapes(step)) {
     auto got = layer->EvaluateBox(box);
     auto expected = reference->EvaluateBox(box);
@@ -87,6 +130,7 @@ void ExpectBitIdenticalAnswers(EvaluationLayer* layer,
                              (*got)[i].size() * sizeof(double)))
         << "cell " << i;
   }
+  ExpectSameBytes(*layer, *reference);
 }
 
 TEST(DeltaMaintenanceTest, CellSortedStagedDeltasMatchFullRebuild) {
@@ -105,15 +149,12 @@ TEST(DeltaMaintenanceTest, CellSortedStagedDeltasMatchFullRebuild) {
     ASSERT_TRUE(layer.Prepare().ok());
     ASSERT_TRUE(AppendToFixture(fixture.get(), 500, 99).ok());
 
-    // Below the auto threshold (max(4096, rows/8)): the appended rows must
-    // stay staged, not trigger a rebuild/merge.
-    std::vector<PScoreRange> probe = {CellRangeForLevel(2, step),
-                                      CellRangeForLevel(3, step)};
-    ASSERT_TRUE(layer.EvaluateBox(probe).ok());
+    // One sync folds the appended rows in.
+    ASSERT_TRUE(Probe(&layer, step).ok());
     EXPECT_EQ(layer.consumed_rows(), options.rows + 500);
-    EXPECT_GT(layer.staged_delta_rows(), 0u);
     EXPECT_GT(layer.stats().delta_rows, 0u);
-    EXPECT_EQ(layer.stats().delta_merges, 0u);
+    EXPECT_EQ(layer.stats().delta_merges, 1u);
+    ExpectSameBytesAsFreshPrepare(layer, &fixture->task, step);
 
     CellSortedEvaluationLayer rebuilt(&fixture->task, step);
     ASSERT_TRUE(rebuilt.Prepare().ok());
@@ -133,8 +174,8 @@ TEST(DeltaMaintenanceTest, CellSortedMergeMatchesFullRebuild) {
   CellSortedEvaluationLayer layer(&fixture->task, step);
   ASSERT_TRUE(layer.Prepare().ok());
   ASSERT_TRUE(AppendToFixture(fixture.get(), 700, 7).ok());
-  ASSERT_TRUE(layer.MergeDeltas().ok());
-  EXPECT_EQ(layer.staged_delta_rows(), 0u);
+  ASSERT_TRUE(Probe(&layer, step).ok());
+  ExpectSameBytesAsFreshPrepare(layer, &fixture->task, step);
   EXPECT_EQ(layer.consumed_rows(), options.rows + 700);
   EXPECT_EQ(layer.stats().delta_merges, 1u);
   EXPECT_TRUE(layer.SupportsConcurrentEvaluate());
@@ -143,13 +184,16 @@ TEST(DeltaMaintenanceTest, CellSortedMergeMatchesFullRebuild) {
   ASSERT_TRUE(rebuilt.Prepare().ok());
   ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
 
-  // A second append round on the already-merged layer must keep matching.
+  // A second append round on the already-folded layer must keep matching.
   ASSERT_TRUE(AppendToFixture(fixture.get(), 300, 8).ok());
   CellSortedEvaluationLayer rebuilt2(&fixture->task, step);
   ASSERT_TRUE(rebuilt2.Prepare().ok());
   ExpectBitIdenticalAnswers(&layer, &rebuilt2, step);
+  EXPECT_EQ(layer.stats().delta_merges, 2u);
 }
 
+// Every sync that finds appended rows folds them in, whatever their
+// number, and fan-out is withheld only while rows are pending.
 TEST(DeltaMaintenanceTest, CellSortedThresholdTriggersMerge) {
   SyntheticOptions options;
   options.d = 2;
@@ -160,24 +204,21 @@ TEST(DeltaMaintenanceTest, CellSortedThresholdTriggersMerge) {
 
   CellSortedEvaluationLayer layer(&fixture->task, step);
   ASSERT_TRUE(layer.Prepare().ok());
-  layer.set_delta_merge_threshold(100);
-  EXPECT_EQ(layer.delta_merge_threshold(), 100u);
 
-  // Below the threshold: staged.
   ASSERT_TRUE(AppendToFixture(fixture.get(), 50, 1).ok());
+  EXPECT_FALSE(layer.SupportsConcurrentEvaluate());  // rows pending
   std::vector<PScoreRange> probe = {CellRangeForLevel(1, step),
                                     CellRangeForLevel(1, step)};
   ASSERT_TRUE(layer.EvaluateBox(probe).ok());
-  EXPECT_GT(layer.staged_delta_rows(), 0u);
-  EXPECT_EQ(layer.stats().delta_merges, 0u);
-  EXPECT_FALSE(layer.SupportsConcurrentEvaluate());  // staging pending
-
-  // Crossing it: the next sync absorbs everything.
-  ASSERT_TRUE(AppendToFixture(fixture.get(), 100, 2).ok());
-  ASSERT_TRUE(layer.EvaluateBox(probe).ok());
-  EXPECT_EQ(layer.staged_delta_rows(), 0u);
   EXPECT_EQ(layer.stats().delta_merges, 1u);
   EXPECT_TRUE(layer.SupportsConcurrentEvaluate());
+  ExpectSameBytesAsFreshPrepare(layer, &fixture->task, step);
+
+  ASSERT_TRUE(AppendToFixture(fixture.get(), 100, 2).ok());
+  ASSERT_TRUE(layer.EvaluateBox(probe).ok());
+  EXPECT_EQ(layer.stats().delta_merges, 2u);
+  EXPECT_TRUE(layer.SupportsConcurrentEvaluate());
+  ExpectSameBytesAsFreshPrepare(layer, &fixture->task, step);
 
   CellSortedEvaluationLayer rebuilt(&fixture->task, step);
   ASSERT_TRUE(rebuilt.Prepare().ok());
@@ -196,13 +237,14 @@ TEST(DeltaMaintenanceTest, CellSortedOffGridProbeAbsorbsStagedRows) {
   ASSERT_TRUE(layer.Prepare().ok());
   ASSERT_TRUE(AppendToFixture(fixture.get(), 200, 3).ok());
 
-  // The off-grid fallback scans the contiguous permuted matrix, so it must
-  // absorb the staged rows first — and still match the rebuild exactly.
+  // The off-grid fallback scans the relation-order matrix, which the sync
+  // in front of it has grown by the appended rows — and still matches the
+  // rebuild exactly.
   std::vector<PScoreRange> off_grid = {PScoreRange{-1.0, 7.3},
                                        PScoreRange{2.1, 13.9}};
   auto got = layer.EvaluateBox(off_grid);
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(layer.staged_delta_rows(), 0u);
+  ExpectSameBytesAsFreshPrepare(layer, &fixture->task, step);
   EXPECT_EQ(layer.stats().delta_merges, 1u);
 
   CellSortedEvaluationLayer rebuilt(&fixture->task, step);
@@ -227,22 +269,26 @@ TEST(DeltaMaintenanceTest, CellSortedDeltaMergeFailpointRebuildIsIdentical) {
   ASSERT_TRUE(layer.Prepare().ok());
   ASSERT_TRUE(AppendToFixture(fixture.get(), 400, 4).ok());
 
+  // The failpoint turns the sync into a full rebuild, which still counts
+  // the sync and the reachable appended rows.
   auto& registry = FailpointRegistry::Global();
   ASSERT_TRUE(registry.Configure("index.delta_merge", "p:1").ok());
-  Status merged = layer.MergeDeltas();
+  Status synced = Probe(&layer, step);
   registry.DisarmAll();
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(layer.staged_delta_rows(), 0u);
+  ASSERT_TRUE(synced.ok());
+  ExpectSameBytesAsFreshPrepare(layer, &fixture->task, step);
   EXPECT_EQ(layer.consumed_rows(), options.rows + 400);
+  EXPECT_EQ(layer.stats().delta_merges, 1u);
+  EXPECT_GT(layer.stats().delta_rows, 0u);
 
   CellSortedEvaluationLayer rebuilt(&fixture->task, step);
   ASSERT_TRUE(rebuilt.Prepare().ok());
   ExpectBitIdenticalAnswers(&layer, &rebuilt, step);
 }
 
-// Each sync sorts only its new rows and merges them after the staged ones;
-// across many small batches, rows of one cell must stay in append order
-// (SUM folds are order-sensitive) and every answer must match a rebuild.
+// Many small batches, each folded in by its own sync: rows of one cell must
+// continue its state in append order (SUM folds are order-sensitive), new
+// cells must land in key order, and every sync must match a rebuild.
 TEST(DeltaMaintenanceTest, CellSortedManySmallStagingsMatchFullRebuild) {
   SyntheticOptions options;
   options.d = 2;
@@ -251,25 +297,26 @@ TEST(DeltaMaintenanceTest, CellSortedManySmallStagingsMatchFullRebuild) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   // A coarse grid puts rows of many batches into each cell, where a wrong
-  // tie order would change the SUM folds.
+  // fold order would change the SUM folds.
   const double step = 25.0;
   CellSortedEvaluationLayer layer(&fixture->task, step);
   ASSERT_TRUE(layer.Prepare().ok());
+  const size_t unreachable_before = layer.unreachable_rows();
 
-  std::vector<PScoreRange> probe = {CellRangeForLevel(2, step),
-                                    CellRangeForLevel(3, step)};
   size_t appended = 0;
   for (int round = 0; round < 80; ++round) {
     const size_t batch = 1 + round % 9;
     ASSERT_TRUE(AppendToFixture(fixture.get(), batch, 500 + round).ok());
     appended += batch;
-    ASSERT_TRUE(layer.EvaluateBox(probe).ok());
+    ASSERT_TRUE(Probe(&layer, step).ok());
+    ExpectSameBytesAsFreshPrepare(layer, &fixture->task, step);
   }
   EXPECT_EQ(layer.consumed_rows(), options.rows + appended);
-  EXPECT_EQ(layer.stats().delta_merges, 0u);
-  // delta_rows counts every reachable row staged, batch after batch.
-  EXPECT_EQ(layer.stats().delta_rows, layer.staged_delta_rows());
-  EXPECT_GT(layer.staged_delta_rows(), 0u);
+  EXPECT_EQ(layer.stats().delta_merges, 80u);
+  // delta_rows counts every reachable row folded in, batch after batch.
+  EXPECT_EQ(layer.stats().delta_rows,
+            appended - (layer.unreachable_rows() - unreachable_before));
+  EXPECT_GT(layer.stats().delta_rows, 0u);
 
   CellSortedEvaluationLayer rebuilt(&fixture->task, step);
   ASSERT_TRUE(rebuilt.Prepare().ok());
@@ -277,9 +324,9 @@ TEST(DeltaMaintenanceTest, CellSortedManySmallStagingsMatchFullRebuild) {
 }
 
 TEST(DeltaMaintenanceTest, AppendKeepsAmortizedCostLow) {
-  // Acceptance shape: appending k rows below the threshold must not run a
-  // rebuild — prepare_ms accrues only the staging cost, and delta_merges
-  // stays 0 across many small appends.
+  // Acceptance shape: appending k rows folds just those rows in, one fold
+  // per sync, never a rebuild — the charged footprint grows by the new
+  // rows and cells only, so it ends equal to a fresh layer's.
   SyntheticOptions options;
   options.d = 2;
   options.rows = 20000;
@@ -287,18 +334,72 @@ TEST(DeltaMaintenanceTest, AppendKeepsAmortizedCostLow) {
   ASSERT_NE(fixture, nullptr);
   const double step = 5.0;
   CellSortedEvaluationLayer layer(&fixture->task, step);
+  MemoryBudget budget;
+  layer.set_memory_budget(&budget);
   ASSERT_TRUE(layer.Prepare().ok());
 
-  std::vector<PScoreRange> probe = {CellRangeForLevel(2, step),
-                                    CellRangeForLevel(3, step)};
   for (int round = 0; round < 10; ++round) {
     ASSERT_TRUE(AppendToFixture(fixture.get(), 50, 100 + round).ok());
-    ASSERT_TRUE(layer.EvaluateBox(probe).ok());
+    ASSERT_TRUE(Probe(&layer, step).ok());
+    ExpectSameBytesAsFreshPrepare(layer, &fixture->task, step);
   }
-  // 500 rows < max(4096, 20000/8): no merge, all staged.
-  EXPECT_EQ(layer.stats().delta_merges, 0u);
-  EXPECT_GT(layer.staged_delta_rows(), 0u);
+  EXPECT_EQ(layer.stats().delta_merges, 10u);
+  EXPECT_GT(layer.stats().delta_rows, 0u);
   EXPECT_EQ(layer.consumed_rows(), options.rows + 500);
+
+  CellSortedEvaluationLayer fresh(&fixture->task, step);
+  MemoryBudget fresh_budget;
+  fresh.set_memory_budget(&fresh_budget);
+  ASSERT_TRUE(fresh.Prepare().ok());
+  EXPECT_EQ(budget.used(), fresh_budget.used());
+}
+
+// A sync whose fold fails leaves the layer unprepared: it never serves the
+// half-folded layout, and the next call rebuilds and reports the same error.
+TEST(DeltaMaintenanceTest, CellSortedFailedSyncLeavesLayerUnprepared) {
+  // A UDA whose state outgrows its flat slot on values above 1000, which
+  // only the appended row carries.
+  static const bool registered = [] {
+    using State = AggregateOps::State;
+    return UdaRegistry::Instance()
+        .Register(std::make_unique<LambdaAggregateOps>(
+            "GROWS_ABOVE_1000", State{0.0},
+            [](State* s, double v) {
+              if (v > 1000.0) {
+                s->push_back(v);
+              } else {
+                (*s)[0] += v;
+              }
+            },
+            [](State* s, const State& other) { (*s)[0] += other[0]; },
+            [](const State& s) { return s[0]; }))
+        .ok();
+  }();
+  ASSERT_TRUE(registered);
+  SyntheticOptions options;
+  options.d = 2;
+  options.agg = AggregateKind::kUda;
+  options.uda_name = "GROWS_ABOVE_1000";
+  auto fixture = MakeSyntheticTask(options);
+  ASSERT_NE(fixture, nullptr);
+  const double step = 5.0;
+  CellSortedEvaluationLayer layer(&fixture->task, step);
+  ASSERT_TRUE(layer.Prepare().ok());
+  ASSERT_TRUE(Probe(&layer, step).ok());
+
+  std::vector<Value> row(5, Value(10.0));
+  row.emplace_back(5000.0);
+  ASSERT_TRUE(fixture->catalog.AppendRows("data", {row}).ok());
+  for (int call = 0; call < 2; ++call) {
+    Status synced = Probe(&layer, step);
+    EXPECT_EQ(synced.code(), StatusCode::kInternal) << "call " << call;
+    EXPECT_EQ(synced.message(),
+              "aggregate state width differs from ops.Init()");
+    EXPECT_FALSE(layer.SupportsConcurrentEvaluate());
+    EXPECT_EQ(layer.consumed_rows(), 0u);
+    EXPECT_EQ(layer.num_cells(), 0u);
+    EXPECT_EQ(layer.matrix().rows, 0u);
+  }
 }
 
 TEST(DeltaMaintenanceTest, TableAppendRowsIsAtomicOnBadRow) {

@@ -398,6 +398,28 @@ TEST(ResultCacheUnitTest, TruncatedSnapshotIsRejectedWhole) {
     EXPECT_FALSE(cache.LoadFromFile(path, 0).ok());
     EXPECT_EQ(cache.stats().entries, 0u);
   }
+  // An older format's snapshot is rejected whole as well, and the error
+  // names both formats; only a file with no header is called headerless.
+  const std::string body = full.substr(full.find('\n') + 1);
+  for (const std::string head : {"acq-cache-v2\n", "1 2 3 4 5 6\n"}) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << head << body;
+    out.close();
+    ResultCache cache(1 << 20);
+    size_t loaded = 0;
+    Status status = cache.LoadFromFile(path, 0, &loaded);
+    EXPECT_TRUE(status.IsParseError()) << status.ToString();
+    EXPECT_EQ(loaded, 0u);
+    EXPECT_EQ(cache.stats().entries, 0u);
+    const bool older = head == "acq-cache-v2\n";
+    EXPECT_EQ(status.message().find("missing") == std::string::npos, older)
+        << status.ToString();
+    EXPECT_EQ(status.message().find("'acq-cache-v2'") != std::string::npos,
+              older)
+        << status.ToString();
+    EXPECT_NE(status.message().find("'acq-cache-v3'"), std::string::npos)
+        << status.ToString();
+  }
   std::remove(path.c_str());
   // SaveToFile staged through `path`.tmp; no residue may remain.
   EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);

@@ -3,9 +3,10 @@
 
 // Shared helpers for tests: small synthetic tasks with controllable
 // dimensionality, aggregate and constraint, a generator drain, the
-// reference Explore oracle, the reference cell grouping, and a comparator
-// for server replies.
+// reference Explore oracle, the reference cell grouping, a byte comparator
+// for flat arrays, and a comparator for server replies.
 
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -112,6 +113,9 @@ class ExploreOracle {
     return explorer_.ComputeAggregate(coord);
   }
 
+  /// Cell sub-queries the oracle has executed so far.
+  uint64_t cell_queries() const { return explorer_.cell_queries(); }
+
  private:
   RefinedSpace space_;
   DirectEvaluationLayer layer_;
@@ -151,6 +155,15 @@ inline ReferenceLayout ReferenceCellLayout(const AcqTask& task, double step) {
     ops.Add(&cell->second, task.AggValue(row));
   }
   return out;
+}
+
+/// True when `a` and `b` hold the same elements byte for byte (memcmp, so
+/// signed zeros and NaN payloads count).
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
 /// Recursively drops the fields that legitimately differ between two runs
