@@ -1,10 +1,17 @@
-// Index prepare: the one cell-sorted layout build, timed as its two
-// phases — the needed-PScore matrix, then the one-pass keying and fold
-// with the sort of the distinct cells — plus the per-batch cost of live
-// ingestion (the sync that folds an appended batch into the live layout)
-// against a full rebuild. The delta-maintained layout and matrix must be
-// byte-identical to a rebuilt layer's before any time is reported — a fast
-// wrong build is worthless.
+// Index prepare: one fresh cell-sorted layout build per task, timed as its
+// two phases — the needed-PScore matrix, then the one-pass grouping and fold
+// — plus the per-batch cost of live ingestion (the sync that folds an
+// appended batch into the live layout) against a full rebuild. The
+// delta-maintained layout and matrix must be byte-identical to a rebuilt
+// layer's before any time is reported — a fast wrong build is worthless.
+//
+// A fresh build groups rows by dense cell id when the ids span P <= 2n and
+// by first-seen id otherwise (index/cell_sorted.h). The three tasks are
+// chosen so both paths run at 2,000 rows and at 10^6: d = 2 (step 8) is
+// dense at both, d = 3 (step 4, prepare_bound's shape) is first-seen at
+// 2,000 and dense at 10^6, and d = 4 (step 3, search_bound's layout) is
+// first-seen at both. The bench prints n, P, the cell count and the path of
+// each build, and exits non-zero unless both paths ran.
 //
 // Emits one line of JSON on stdout (committed as BENCH_index_prepare.json),
 // with a host block; human-readable progress goes to stderr.
@@ -12,6 +19,7 @@
 // the paper-scale 10^6.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <numeric>
@@ -33,23 +41,38 @@ struct BuildTimes {
   double layout_ms = 1e300;
 };
 
-// Minimum over `reps` of each phase of one build, on the shared pool as
-// Prepare() runs it.
+// Minimum over `reps` of each phase of one fresh build, on the shared pool
+// as Prepare() runs it; `raw` keeps the last matrix.
 BuildTimes TimeBuild(const AcqTask& task, double step, int reps,
-                     CellSortedLayout* out) {
+                     NeededMatrix* raw, CellSortedLayout* out) {
   BuildTimes best;
   for (int r = 0; r < reps; ++r) {
-    NeededMatrix raw;
+    *raw = NeededMatrix{};
     Stopwatch matrix_sw;
-    ACQ_CHECK(BuildNeededMatrix(task, &ThreadPool::Shared(), &raw).ok());
+    ACQ_CHECK(BuildNeededMatrix(task, &ThreadPool::Shared(), raw).ok());
     best.matrix_ms = std::min(best.matrix_ms, matrix_sw.ElapsedMillis());
     *out = CellSortedLayout{};  // the build folds into what `out` holds
     Stopwatch layout_sw;
-    Status built = BuildCellSortedLayout(raw, step, *task.agg.ops, out);
+    Status built = BuildCellSortedLayout(*raw, step, *task.agg.ops, out);
     best.layout_ms = std::min(best.layout_ms, layout_sw.ElapsedMillis());
     ACQ_CHECK(built.ok()) << built.ToString();
   }
   return best;
+}
+
+// The span P of the cell ids a fresh build of `raw` at `step` keys by: the
+// product over dimensions of one more than the level of the largest finite
+// needed value. The build groups by dense id when P <= 2n.
+double DenseIdSpan(const NeededMatrix& raw, double step) {
+  double span = 1.0;
+  for (size_t i = 0; i < raw.dims; ++i) {
+    double top = 0.0;
+    for (size_t row = 0; row < raw.rows; ++row) {
+      if (std::isfinite(raw.dim(i)[row])) top = std::max(top, raw.dim(i)[row]);
+    }
+    span *= static_cast<double>(PScoreLevel(top, step) + 1);
+  }
+  return span;
 }
 
 // Schema-driven synthetic rows for the append path: values land inside the
@@ -84,26 +107,53 @@ std::vector<std::vector<Value>> MakeRows(const Schema& schema, size_t count,
 
 int Main() {
   const size_t rows = EnvRows(1000000);
-  const size_t d = 3;
-  const double gamma = 12.0;
-  const double step = gamma / static_cast<double>(d);
   const int reps = 3;
+  struct Shape {
+    size_t d;
+    double gamma;
+  };
+  const Shape shapes[] = {{2, 16.0}, {3, 12.0}, {4, 12.0}};
+  const size_t delta_shape = 1;  // d = 3 also times syncs against a rebuild
 
   Catalog catalog = MakeLineitemCatalog(rows);
+  fprintf(stderr, "index_prepare_bench rows=%zu\n", rows);
+  TablePrinter table({"build", "P", "cells", "path", "matrix ms", "layout ms"});
+  std::vector<std::string> builds;
+  bool dense_ran = false;
+  bool first_seen_ran = false;
+  for (const Shape& shape : shapes) {
+    RatioTask ratio = MakeLineitemTask(catalog, shape.d, 0.3);
+    const double step = shape.gamma / static_cast<double>(shape.d);
+    NeededMatrix raw;
+    CellSortedLayout layout;
+    const BuildTimes build =
+        TimeBuild(ratio.task, step, reps, &raw, &layout);
+    const double span = DenseIdSpan(raw, step);
+    const bool dense = span <= 2.0 * static_cast<double>(raw.rows);
+    (dense ? dense_ran : first_seen_ran) = true;
+    const char* path = dense ? "dense" : "first_seen";
+    const size_t cells = layout.cell_keys.size() / shape.d;
+    fprintf(stderr,
+            "d=%zu step=%.2f n=%zu P=%.0f cells=%zu unreachable=%zu "
+            "path=%s matrix=%.1fms layout=%.1fms\n",
+            shape.d, step, raw.rows, span, cells, layout.unreachable_rows,
+            path, build.matrix_ms, build.layout_ms);
+    table.AddRow({StringFormat("d=%zu step=%.2f", shape.d, step),
+                  StringFormat("%.0f", span), std::to_string(cells), path,
+                  Ms(build.matrix_ms), Ms(build.layout_ms)});
+    builds.push_back(StringFormat(
+        "{\"d\":%zu,\"step\":%.3f,\"n\":%zu,\"span\":%.0f,\"cells\":%zu,"
+        "\"unreachable_rows\":%zu,\"path\":\"%s\",\"matrix_ms\":%.3f,"
+        "\"layout_ms\":%.3f}",
+        shape.d, step, raw.rows, span, cells, layout.unreachable_rows, path,
+        build.matrix_ms, build.layout_ms));
+  }
+  table.Print();
+
+  const size_t d = shapes[delta_shape].d;
+  const double step = shapes[delta_shape].gamma / static_cast<double>(d);
   RatioTask ratio = MakeLineitemTask(catalog, d, 0.3);
   const AcqTask& task = ratio.task;
-
-  fprintf(stderr, "index_prepare_bench rows=%zu d=%zu step=%.2f\n", rows, d,
-          step);
-
-  CellSortedLayout layout;
-  const BuildTimes build = TimeBuild(task, step, reps, &layout);
-  const size_t cells = layout.cell_keys.size() / d;
-  fprintf(stderr, "cells=%zu unreachable=%zu matrix=%.1fms layout=%.1fms\n",
-          cells, layout.unreachable_rows, build.matrix_ms, build.layout_ms);
-  TablePrinter table({"phase", "ms"});
-  table.AddRow({"needed matrix", Ms(build.matrix_ms)});
-  table.AddRow({"layout (key + fold + sort)", Ms(build.layout_ms)});
 
   // --- live ingestion: per-batch sync vs full rebuild ---------------------
   // N small batches appended to the relation; the next query's sync folds
@@ -170,21 +220,26 @@ int Main() {
           "rebuild=%.2fms speedup=%.1f\n",
           batches, batch_rows, sync_ms_per_batch, sync_ms_p50, rebuild_ms,
           speedup);
-  table.AddRow({"sync (one batch)", Ms(sync_ms_per_batch)});
-  table.AddRow({"rebuild (one batch)", Ms(rebuild_ms)});
+  TablePrinter delta({"phase", "ms"});
+  delta.AddRow({StringFormat("sync (one batch, d=%zu)", d),
+                Ms(sync_ms_per_batch)});
+  delta.AddRow({"rebuild (one batch)", Ms(rebuild_ms)});
+  delta.Print();
 
   const std::string json = StringFormat(
-      "{\"bench\":\"index_prepare\",\"rows\":%zu,\"d\":%zu,\"cells\":%zu,"
-      "\"unreachable_rows\":%zu,\"matrix_ms\":%.3f,\"layout_ms\":%.3f,"
-      "\"delta\":{\"batches\":%zu,\"rows_per_batch\":%zu,"
+      "{\"bench\":\"index_prepare\",\"rows\":%zu,\"builds\":[%s],"
+      "\"delta\":{\"d\":%zu,\"batches\":%zu,\"rows_per_batch\":%zu,"
       "\"sync_ms_per_batch\":%.3f,\"sync_ms_p50\":%.3f,\"rebuild_ms\":%.3f,"
       "\"speedup\":%.2f},\"host\":%s}",
-      rows, d, cells, layout.unreachable_rows, build.matrix_ms,
-      build.layout_ms, batches, batch_rows, sync_ms_per_batch, sync_ms_p50,
-      rebuild_ms, speedup, HostJson().c_str());
-
-  table.Print();
+      rows, Join(builds, ",").c_str(), d, batches, batch_rows,
+      sync_ms_per_batch, sync_ms_p50, rebuild_ms, speedup,
+      HostJson().c_str());
   printf("%s\n", json.c_str());
+  if (!dense_ran || !first_seen_ran) {
+    fprintf(stderr, "index_prepare_bench: only the %s path ran at %zu rows\n",
+            dense_ran ? "dense" : "first-seen", rows);
+    return 1;
+  }
   return 0;
 }
 

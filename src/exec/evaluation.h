@@ -1,8 +1,11 @@
 #ifndef ACQUIRE_EXEC_EVALUATION_H_
 #define ACQUIRE_EXEC_EVALUATION_H_
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -324,10 +327,27 @@ class CachedEvaluationLayer final : public EvaluationLayer {
 /// by evaluation layers, baselines and tests).
 void ComputeNeeded(const AcqTask& task, size_t row, std::vector<double>* out);
 
-/// Grid level of a needed PScore at step `step`: level 0 admits exactly the
-/// tuples the original predicate admits (needed == 0); level u > 0 covers
-/// needed in ((u-1)*step, u*step]. Returns -1 for unreachable tuples.
-int64_t PScoreLevel(double needed, double step);
+/// Grid level of a needed PScore at step `step` (> 0): level 0 admits
+/// exactly the tuples the original predicate admits (needed <= 0); level
+/// u > 0 covers needed in ((u-1)*step, u*step], so u = ceil(needed / step),
+/// saturated to 2^62 for quotients at or above it. Returns -1 for
+/// unreachable tuples: needed infinite or NaN, which no PScoreRange admits.
+/// Inline and without a libm call: every layout build calls it d times per
+/// row.
+inline int64_t PScoreLevel(double needed, double step) {
+  constexpr int64_t kSaturated = int64_t{1} << 62;
+  if (!(std::fabs(needed) < std::numeric_limits<double>::infinity())) {
+    return -1;
+  }
+  // Clamping needed <= 0 to 0 (level 0) instead of branching on it keeps
+  // the common mix of zero and positive values free of mispredictions.
+  const double q = std::max(needed, 0.0) / step;
+  if (!(q < static_cast<double>(kSaturated))) return kSaturated;
+  // ceil(q) for 0 <= q < 2^62: truncation is exact in range, and rounds up
+  // when it dropped a fraction.
+  const int64_t level = static_cast<int64_t>(q);
+  return level + (static_cast<double>(level) < q ? 1 : 0);
+}
 
 /// The cell box of grid level `level` at step `step` on one dimension
 /// (the inverse of PScoreLevel).

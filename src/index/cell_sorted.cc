@@ -1,10 +1,12 @@
 #include "index/cell_sorted.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/failpoint.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "exec/eval_kernel.h"
 
 namespace acquire {
@@ -84,24 +86,114 @@ size_t LowerBoundKey(const int32_t* keys, size_t d, size_t count,
   return lo;
 }
 
-}  // namespace
+/// A reachable row's level must fit its int32 key slot.
+Status LevelOverflow(size_t dim, double step) {
+  return Status::InvalidArgument(StringFormat(
+      "grid level on dimension %zu exceeds the int32 key range at step %g "
+      "(gamma too small for the domain)",
+      dim, step));
+}
 
-Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
-                             const AggregateOps& ops, CellSortedLayout* out) {
-  if (step <= 0.0) {
-    return Status::InvalidArgument("cell-sorted layout requires a positive "
-                                   "step");
+/// Each dimension's radix for dense cell ids: one more than its top level,
+/// the level of the stream's largest finite needed value (PScoreLevel is
+/// monotone, so no row's level exceeds it). Dimension 0 is most significant,
+/// so id order is lexicographic key order. Returns the ids' span, the
+/// product of the radixes, or 0 once that product passes `limit`;
+/// multiplying stops there, so it never overflows.
+uint64_t DenseRadix(const NeededMatrix& raw, double step, uint64_t limit,
+                    std::vector<uint32_t>* radix) {
+  radix->resize(raw.dims);
+  uint64_t span = 1;
+  for (size_t i = 0; i < raw.dims; ++i) {
+    const double* needed = raw.dim(i);
+    double top = 0.0;
+    for (size_t row = 0; row < raw.rows; ++row) {
+      const double v = needed[row];
+      if (v > top && v < std::numeric_limits<double>::infinity()) top = v;
+    }
+    const uint64_t levels = static_cast<uint64_t>(PScoreLevel(top, step)) + 1;
+    if (levels > limit / span) return 0;
+    span *= levels;
+    (*radix)[i] = static_cast<uint32_t>(levels);
   }
+  return span;
+}
+
+/// A fresh build whose cell ids span at most twice the rows: keys every
+/// reachable row by its mixed-radix id, marks the ids in a dense table,
+/// numbers the marked ids in ascending order (the cells, already sorted;
+/// each key decoded from its id) and folds every row in relation order into
+/// its cell's state. Both temporaries are sized by the slice: 4n bytes of
+/// ids and a table of at most 8n.
+Status GroupByDenseId(const NeededMatrix& raw, double step,
+                      const std::vector<uint32_t>& radix, size_t span,
+                      const FlatAggregate& flat, CellSortedLayout* out) {
+  constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
   const size_t d = raw.dims;
-  const FlatAggregate flat(ops);
+  const size_t w = flat.width();
+
+  std::vector<uint32_t> ids(raw.rows);
+  std::vector<uint32_t> cell_of(span, 0);  // marks, then cell numbers
+  size_t m = 0;
+  size_t unreachable = 0;
+  for (size_t row = 0; row < raw.rows; ++row) {
+    uint32_t id = 0;
+    for (size_t i = 0; i < d; ++i) {
+      const int64_t level = PScoreLevel(raw.dim(i)[row], step);
+      if (level < 0) {
+        id = kUnreachable;
+        break;
+      }
+      id = id * radix[i] + static_cast<uint32_t>(level);
+    }
+    ids[row] = id;
+    if (id == kUnreachable) {
+      ++unreachable;
+    } else if (cell_of[id] == 0) {
+      cell_of[id] = 1;
+      ++m;
+    }
+  }
+  out->unreachable_rows += unreachable;
+
+  // Walk the ids in order with their digits (an odometer over the radixes),
+  // so each marked id's key is copied, not divided out.
+  out->cell_keys.resize(m * d);
+  int32_t* key = out->cell_keys.data();
+  std::vector<int32_t> digits(d, 0);
+  uint32_t cell = 0;
+  for (size_t id = 0; id < span; ++id) {
+    if (cell_of[id] != 0) {
+      cell_of[id] = cell++;
+      key = std::copy(digits.begin(), digits.end(), key);
+    }
+    for (size_t i = d; i-- > 0;) {
+      if (static_cast<uint32_t>(++digits[i]) < radix[i]) break;
+      digits[i] = 0;
+    }
+  }
+
+  out->cell_states.resize(m * w);
+  double* states = out->cell_states.data();
+  for (size_t c = 0; c < m; ++c) flat.Init(states + c * w);
+  for (size_t row = 0; row < raw.rows; ++row) {
+    if (ids[row] == kUnreachable) continue;
+    if (!flat.FoldRange(states + size_t{cell_of[ids[row]]} * w,
+                        &raw.agg_values[row], 1)) {
+      return FlatAggregate::WidthError();
+    }
+  }
+  return Status::OK();
+}
+
+/// Every other fold: a row of a cell `out` holds continues that cell's state;
+/// any other row is keyed by first-seen id and folded into its new cell's
+/// state in the same pass. The new cells are then sorted and merged in.
+Status GroupByFirstSeen(const NeededMatrix& raw, double step,
+                        const FlatAggregate& flat, CellSortedLayout* out) {
+  const size_t d = raw.dims;
   const size_t w = flat.width();
   const size_t m = out->cell_keys.size() / d;
-  out->state_width = w;
-
-  // Key every row. A row of a cell the layout holds continues that cell's
-  // state; any other row is keyed by first-seen id and folded into its new
-  // cell's state in the same pass. Unreachable rows (needed == inf on some
-  // dimension) are only counted: no PScoreRange admits infinity.
   const int32_t* held_keys = out->cell_keys.data();
   double* held_states = out->cell_states.data();
   FirstSeenCells cells(d);
@@ -110,17 +202,27 @@ Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
   size_t unreachable = 0;
   for (size_t row = 0; row < raw.rows; ++row) {
     bool reachable = true;
+    bool too_high = false;
     for (size_t i = 0; i < d; ++i) {
       const int64_t level = PScoreLevel(raw.dim(i)[row], step);
       if (level < 0) {
         reachable = false;
         break;
       }
+      too_high |= level > std::numeric_limits<int32_t>::max();
       coord[i] = static_cast<int32_t>(level);
     }
     if (!reachable) {
       ++unreachable;
       continue;
+    }
+    if (too_high) {
+      size_t i = 0;
+      while (PScoreLevel(raw.dim(i)[row], step) <=
+             std::numeric_limits<int32_t>::max()) {
+        ++i;
+      }
+      return LevelOverflow(i, step);
     }
     // A fresh build holds no cells, so it skips the search: its per-row
     // cost stays that of the first-seen table alone.
@@ -167,6 +269,33 @@ Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
     below = pos;
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
+                             const AggregateOps& ops, CellSortedLayout* out) {
+  if (!(step > 0.0)) {
+    return Status::InvalidArgument("cell-sorted layout requires a positive "
+                                   "step");
+  }
+  const FlatAggregate flat(ops);
+  out->state_width = flat.width();
+  // Unreachable rows (needed == inf on some dimension) are only counted: no
+  // PScoreRange admits infinity. A build into an empty layout groups by
+  // dense cell id when the ids span at most 2n (n = the slice's rows): the
+  // table is then no larger than one needed-matrix stream, and every id
+  // fits an int32 level. Every other fold takes the first-seen path.
+  if (out->cell_keys.empty()) {
+    const uint64_t limit =
+        std::min<uint64_t>(2 * static_cast<uint64_t>(raw.rows),
+                           std::numeric_limits<int32_t>::max());
+    std::vector<uint32_t> radix;
+    if (const uint64_t span = DenseRadix(raw, step, limit, &radix)) {
+      return GroupByDenseId(raw, step, radix, span, flat, out);
+    }
+  }
+  return GroupByFirstSeen(raw, step, flat, out);
 }
 
 CellSortedEvaluationLayer::CellSortedEvaluationLayer(const AcqTask* task,

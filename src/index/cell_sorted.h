@@ -22,19 +22,31 @@ struct CellSortedLayout {
 
 /// Folds the rows of `raw` (a needed-PScore matrix, in relation row order)
 /// into `out`, the cell-sorted layout at grid step `step` of the rows before
-/// them: empty for a fresh build, the live layout for appended rows. A row
-/// whose cell `out` already holds continues that cell's state; every other
-/// reachable row is keyed through an open-addressed first-seen table over
-/// flat d-int32 keys and folded into its new cell's flat state on the spot.
-/// The new cells are then sorted lexicographically and merged in from the
-/// back, so each run of existing cells moves once.
+/// them: empty for a fresh build, the live layout for appended rows. It
+/// groups the slice's reachable rows one of two ways, chosen from the data:
 ///
-/// The layout is canonical: rows reach their cell in relation order, so
-/// each cell's state is Init() followed by ops.Add over its rows in
+///  * Dense ids, for a fold into an empty layout whose cell ids span at most
+///    2n (n = the slice's rows). Each dimension's radix is one more than the
+///    level of its largest finite needed value, dimension 0 most
+///    significant, so id order is lexicographic key order. Every reachable
+///    row is keyed by its id, the ids are marked in a table of that span and
+///    numbered in ascending order (the cells, sorted without a comparison),
+///    and every row is folded into its cell's state in relation order.
+///  * First-seen, for every other fold: a row whose cell `out` already holds
+///    continues that cell's state; every other reachable row is keyed
+///    through an open-addressed first-seen table over flat d-int32 keys and
+///    folded into its new cell's flat state on the spot. The new cells are
+///    then sorted lexicographically and merged in from the back, so each run
+///    of existing cells moves once.
+///
+/// Both paths allocate their temporaries inside the call, sized by the
+/// slice. The layout is canonical: rows reach their cell in relation order,
+/// so each cell's state is Init() followed by ops.Add over its rows in
 /// relation order — the fold a GROUP BY cell ORDER BY cell over the
-/// relation computes, however the relation is sliced into calls. A UDA whose
-/// fold changes the state's width fails with Internal and leaves `out`
-/// half-folded.
+/// relation computes, whichever path runs and however the relation is
+/// sliced into calls. A reachable row whose level exceeds the int32 key
+/// range fails with InvalidArgument, and a UDA whose fold changes the
+/// state's width with Internal; either may leave `out` half-folded.
 Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
                              const AggregateOps& ops, CellSortedLayout* out);
 

@@ -1,13 +1,15 @@
-// Structural tests for the cell-sorted backend: the one-pass layout build
-// against a row-by-row reference and against itself folding the relation
-// in slices, the three query paths (cell probe, aligned box walk, off-grid
-// scan), the native batched cell path, unreachable-row exclusion, and the
-// backend factory that constructs it.
+// Structural tests for the cell-sorted backend: the one-pass layout build,
+// on both its grouping paths, against a row-by-row reference and against
+// itself folding the relation in slices, the three query paths (cell probe,
+// aligned box walk, off-grid scan), the native batched cell path,
+// unreachable-row exclusion, and the backend factory that constructs it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -130,39 +132,44 @@ void MakeLayoutFixture(size_t d, AggregateKind agg, Relation relation,
 // Coarser cells at higher d keep several rows per cell to fold.
 double LayoutStep(size_t d) { return 4.0 * static_cast<double>(d); }
 
-// The one-pass build must equal the row-by-row reference byte for byte:
-// the same sorted keys, memcmp-equal states and the same unreachable count.
-TEST_P(CellSortedLayoutTest, MatchesReferenceByteForByte) {
-  auto [d, agg, relation] = GetParam();
-  std::unique_ptr<test_util::SyntheticTask> fixture;
-  ASSERT_NO_FATAL_FAILURE(MakeLayoutFixture(d, agg, relation, &fixture));
-  const size_t rows = fixture->task.relation->num_rows();
-  const double step = LayoutStep(d);
+// Twice LayoutStep(d): coarse enough that every fixture relation here with
+// rows spans at most 2n cell ids, so a fresh build groups by dense id.
+// LayoutStep(d) itself does so only up to d = 3.
+double DenseStep(size_t d) { return 2.0 * LayoutStep(d); }
 
-  NeededMatrix raw;
-  ASSERT_TRUE(BuildNeededMatrix(fixture->task, nullptr, &raw).ok());
-  CellSortedLayout layout;
-  ASSERT_TRUE(
-      BuildCellSortedLayout(raw, step, *fixture->task.agg.ops, &layout).ok());
-  const test_util::ReferenceLayout reference =
-      test_util::ReferenceCellLayout(fixture->task, step);
+// A step fine enough that every fixture relation here spans more than 2n
+// cell ids, so a fresh build takes the first-seen path.
+constexpr double kFirstSeenStep = 1e-3;
 
-  switch (relation) {
-    case Relation::kUniform:
-      EXPECT_GT(reference.unreachable_rows, 0u);
-      // Some cell holds several rows, so fold order is exercised.
-      EXPECT_LT(reference.cells.size(), rows - reference.unreachable_rows);
-      break;
-    case Relation::kEmpty:
-      EXPECT_EQ(raw.rows, 0u);
-      EXPECT_TRUE(reference.cells.empty());
-      break;
-    case Relation::kAllUnreachable:
-      EXPECT_EQ(reference.unreachable_rows, rows);
-      break;
+// The span P of the cell ids a fresh build of `raw` at `step` would key by:
+// the product over dimensions of one more than the level of the largest
+// finite needed value (level 0 when there is none). The build groups by
+// dense id when P <= 2n and by first-seen id otherwise; computed here on
+// its own, in doubles, so it cannot overflow.
+double DenseIdSpan(const NeededMatrix& raw, double step) {
+  double span = 1.0;
+  for (size_t i = 0; i < raw.dims; ++i) {
+    double top = 0.0;
+    for (size_t row = 0; row < raw.rows; ++row) {
+      if (std::isfinite(raw.dim(i)[row])) top = std::max(top, raw.dim(i)[row]);
+    }
+    span *= static_cast<double>(PScoreLevel(top, step) + 1);
   }
+  return span;
+}
+
+// A fresh build of `raw` at `step` must equal the row-by-row reference byte
+// for byte: the same sorted keys, memcmp-equal states and the same
+// unreachable count.
+void ExpectBuildMatchesReference(const AcqTask& task, const NeededMatrix& raw,
+                                 double step) {
+  const size_t d = task.d();
+  CellSortedLayout layout;
+  ASSERT_TRUE(BuildCellSortedLayout(raw, step, *task.agg.ops, &layout).ok());
+  const test_util::ReferenceLayout reference =
+      test_util::ReferenceCellLayout(task, step);
   EXPECT_EQ(layout.unreachable_rows, reference.unreachable_rows);
-  const size_t w = fixture->task.agg.ops->Init().size();
+  const size_t w = task.agg.ops->Init().size();
   ASSERT_EQ(layout.state_width, w);
   ASSERT_EQ(layout.cell_keys.size(), reference.cells.size() * d);
   ASSERT_EQ(layout.cell_states.size(), reference.cells.size() * w);
@@ -180,6 +187,137 @@ TEST_P(CellSortedLayoutTest, MatchesReferenceByteForByte) {
   }
 }
 
+// The one-pass build must equal the row-by-row reference byte for byte on
+// both grouping paths: at LayoutStep(d), at DenseStep(d), where P <= 2n,
+// and at kFirstSeenStep, where P > 2n. An empty relation has no dense path
+// (P is 1 and 2n is 0), so it is run at every step all the same.
+TEST_P(CellSortedLayoutTest, MatchesReferenceByteForByte) {
+  auto [d, agg, relation] = GetParam();
+  std::unique_ptr<test_util::SyntheticTask> fixture;
+  ASSERT_NO_FATAL_FAILURE(MakeLayoutFixture(d, agg, relation, &fixture));
+  const size_t rows = fixture->task.relation->num_rows();
+  const double step = LayoutStep(d);
+
+  NeededMatrix raw;
+  ASSERT_TRUE(BuildNeededMatrix(fixture->task, nullptr, &raw).ok());
+  const test_util::ReferenceLayout reference =
+      test_util::ReferenceCellLayout(fixture->task, step);
+
+  switch (relation) {
+    case Relation::kUniform:
+      EXPECT_GT(reference.unreachable_rows, 0u);
+      // Some cell holds several rows, so fold order is exercised.
+      EXPECT_LT(reference.cells.size(), rows - reference.unreachable_rows);
+      break;
+    case Relation::kEmpty:
+      EXPECT_EQ(raw.rows, 0u);
+      EXPECT_TRUE(reference.cells.empty());
+      break;
+    case Relation::kAllUnreachable:
+      EXPECT_EQ(reference.unreachable_rows, rows);
+      break;
+  }
+  const double n2 = 2.0 * static_cast<double>(rows);
+  if (rows > 0) {
+    EXPECT_LE(DenseIdSpan(raw, DenseStep(d)), n2);
+  }
+  EXPECT_GT(DenseIdSpan(raw, kFirstSeenStep), n2);
+  for (const double path_step : {step, DenseStep(d), kFirstSeenStep}) {
+    SCOPED_TRACE(testing::Message() << "step " << path_step);
+    ExpectBuildMatchesReference(fixture->task, raw, path_step);
+  }
+}
+
+// Both paths at the boundary between them: a one-dimensional relation
+// whose top level makes P exactly 2n (the largest dense table, so its last
+// id is used) and exactly 2n + 1 (the first first-seen build).
+TEST(CellSortedLayoutBoundaryTest, DenseSpanAtAndPastTwiceTheRows) {
+  for (const AggregateKind agg : {AggregateKind::kCount, AggregateKind::kSum,
+                                  AggregateKind::kMin}) {
+    SyntheticOptions options;
+    options.d = 1;
+    options.rows = 3000;
+    options.agg = agg;
+    auto fixture = MakeSyntheticTask(options);
+    ASSERT_NE(fixture, nullptr);
+    NeededMatrix raw;
+    ASSERT_TRUE(BuildNeededMatrix(fixture->task, nullptr, &raw).ok());
+    double top = 0.0;
+    for (size_t row = 0; row < raw.rows; ++row) {
+      if (std::isfinite(raw.dim(0)[row])) top = std::max(top, raw.dim(0)[row]);
+    }
+    const double n2 = 2.0 * static_cast<double>(raw.rows);
+    for (const double span : {n2, n2 + 1.0}) {
+      // The top value's quotient is span - 1.5, so its level is span - 1.
+      const double step = top / (span - 1.5);
+      SCOPED_TRACE(testing::Message()
+                   << AggregateKindToString(agg) << " P " << span);
+      ASSERT_EQ(DenseIdSpan(raw, step), span);
+      ExpectBuildMatchesReference(fixture->task, raw, step);
+    }
+  }
+}
+
+// A relation of d = 1 whose needed values are `needed`, folded at `step`.
+Status BuildOneDimensional(const std::vector<double>& needed, double step,
+                           CellSortedLayout* out) {
+  NeededMatrix raw;
+  raw.Resize(needed.size(), 1);
+  std::copy(needed.begin(), needed.end(), raw.mutable_dim(0));
+  std::fill(raw.agg_values.begin(), raw.agg_values.end(), 1.0);
+  return BuildCellSortedLayout(raw, step, CountOps(), out);
+}
+
+// The largest level a key holds builds; one past the int32 range fails
+// instead of wrapping into a small key, on a fresh build and on a fold into
+// a layout that holds cells. Unreachable rows never fail, whatever their
+// other levels.
+TEST(CellSortedLayoutBoundaryTest, LevelPastInt32RangeFails) {
+  CellSortedLayout top;
+  ASSERT_TRUE(BuildOneDimensional({2147483647.0, 1.0}, 1.0, &top).ok());
+  EXPECT_EQ(top.cell_keys, (std::vector<int32_t>{1, 2147483647}));
+
+  // (2^32 + 0.5) * 1e-3 wrapped to level 1, beside the row of level 1.
+  CellSortedLayout wrapped;
+  const Status fresh =
+      BuildOneDimensional({0.5e-3, (4294967296.0 + 0.5) * 1e-3}, 1e-3,
+                          &wrapped);
+  EXPECT_EQ(fresh.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(fresh.message().find("dimension 0"), std::string::npos)
+      << fresh.message();
+  EXPECT_NE(fresh.message().find("step 0.001"), std::string::npos)
+      << fresh.message();
+
+  CellSortedLayout live;
+  ASSERT_TRUE(BuildOneDimensional({0.5e-3}, 1e-3, &live).ok());
+  ASSERT_FALSE(live.cell_keys.empty());
+  EXPECT_EQ(BuildOneDimensional({4294967297.0}, 1.0, &live).code(),
+            StatusCode::kInvalidArgument);
+
+  // Through the layer: the failed build leaves it unprepared, and the next
+  // call builds again and fails the same way.
+  SyntheticOptions options;
+  auto fixture = MakeSyntheticTask(options);
+  ASSERT_NE(fixture, nullptr);
+  CellSortedEvaluationLayer layer(&fixture->task, 1e-9);
+  EXPECT_EQ(layer.Prepare().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(layer.SupportsConcurrentEvaluate());
+  EXPECT_EQ(layer.num_cells(), 0u);
+  EXPECT_EQ(layer.EvaluateBox({PScoreRange{-1.0, 1.0}, PScoreRange{-1.0, 1.0}})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  NeededMatrix raw;
+  raw.Resize(1, 2);
+  raw.mutable_dim(0)[0] = 4294967297.0;
+  raw.mutable_dim(1)[0] = std::numeric_limits<double>::infinity();
+  CellSortedLayout unreachable;
+  ASSERT_TRUE(BuildCellSortedLayout(raw, 1.0, CountOps(), &unreachable).ok());
+  EXPECT_EQ(unreachable.unreachable_rows, 1u);
+  EXPECT_TRUE(unreachable.cell_keys.empty());
+}
+
 // Rows `rows` of `raw`, in that order.
 NeededMatrix SelectRows(const NeededMatrix& raw,
                         const std::vector<size_t>& rows) {
@@ -194,10 +332,11 @@ NeededMatrix SelectRows(const NeededMatrix& raw,
   return out;
 }
 
-// Folding a relation into one live layout in consecutive slices — one row,
-// none, only unreachable rows, then slices whose cells land below, between
-// and above the cells already held — must leave the bytes one fold of the
-// whole relation leaves: the keys, the states and the unreachable count.
+// Folding a relation into one live layout in consecutive slices — a first
+// slice grouped by dense id, then one row, none, only unreachable rows, then
+// slices whose cells land below, between and above the cells already held —
+// must leave the bytes one fold of the whole relation leaves: the keys, the
+// states and the unreachable count.
 TEST_P(CellSortedLayoutTest, SliceFoldsMatchOneFold) {
   auto [d, agg, relation] = GetParam();
   std::unique_ptr<test_util::SyntheticTask> fixture;
@@ -208,19 +347,35 @@ TEST_P(CellSortedLayoutTest, SliceFoldsMatchOneFold) {
   ASSERT_TRUE(BuildNeededMatrix(fixture->task, nullptr, &raw).ok());
 
   // The relation's rows, reordered so that every kind of slice occurs: the
-  // first row, the unreachable rows, then the reachable rows whose
-  // dimension-0 level is odd, then those whose level is even, so the even
-  // cells arrive between the odd ones already held.
-  std::vector<size_t> unreachable, odd, even;
-  for (size_t row = 1; row < raw.rows; ++row) {
+  // rows whose every finite level is at most 1 (a fold into the empty
+  // layout whose ids span at most 2^d, so it takes the dense path; the edge
+  // relations have no such row), one row, none, the other unreachable rows,
+  // then the reachable rows whose dimension-0 level is odd, then those whose
+  // level is even, so the even cells arrive between the odd ones already
+  // held.
+  std::vector<size_t> low, rest, unreachable, odd, even;
+  for (size_t row = 0; row < raw.rows; ++row) {
+    bool is_low = true;
+    for (size_t i = 0; i < d; ++i) {
+      is_low = is_low && PScoreLevel(raw.dim(i)[row], step) <= 1;
+    }
+    (is_low ? low : rest).push_back(row);
+  }
+  for (size_t k = 1; k < rest.size(); ++k) {
+    const size_t row = rest[k];
     int64_t level0 = PScoreLevel(raw.dim(0)[row], step);
     for (size_t i = 1; i < d && level0 >= 0; ++i) {
       if (PScoreLevel(raw.dim(i)[row], step) < 0) level0 = -1;
     }
     (level0 < 0 ? unreachable : level0 % 2 == 1 ? odd : even).push_back(row);
   }
-  std::vector<std::vector<size_t>> slices;
-  if (raw.rows > 0) slices.push_back({0});
+  if (relation == Relation::kUniform) {
+    ASSERT_FALSE(low.empty());
+    EXPECT_LE(DenseIdSpan(SelectRows(raw, low), step),
+              2.0 * static_cast<double>(low.size()));
+  }
+  std::vector<std::vector<size_t>> slices = {low};
+  if (!rest.empty()) slices.push_back({rest[0]});
   slices.push_back({});
   slices.push_back(unreachable);
   for (const std::vector<size_t>* part : {&odd, &even}) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
 #include "exec/planner.h"
@@ -22,6 +23,62 @@ TEST(PScoreLevelTest, ZeroAndPositive) {
 
 TEST(PScoreLevelTest, UnreachableIsMinusOne) {
   EXPECT_EQ(PScoreLevel(std::numeric_limits<double>::infinity(), 3.0), -1);
+}
+
+// The inline level against an independent std::ceil of the quotient, for
+// every finite positive quotient below the 2^62 saturation point.
+TEST(PScoreLevelTest, MatchesCeilOfQuotient) {
+  auto ceil_level = [](double needed, double step) {
+    return static_cast<int64_t>(std::ceil(needed / step));
+  };
+  Rng rng(23);
+  for (int k = 0; k < 200000; ++k) {
+    const double step = std::ldexp(rng.NextDouble(1.0, 2.0),
+                                   static_cast<int>(rng.NextInt(-30, 10)));
+    const double needed = std::ldexp(rng.NextDouble(1.0, 2.0),
+                                     static_cast<int>(rng.NextInt(-40, 40)));
+    if (!(needed / step < 0x1p62)) continue;
+    ASSERT_EQ(PScoreLevel(needed, step), ceil_level(needed, step))
+        << needed << " / " << step;
+  }
+  // Exact multiples of the step, and their neighbours one ulp either side.
+  for (const double step : {0.1, 0.3, 1.0 / 3.0, 4.0, 1e-3, 12.0 / 7.0}) {
+    for (int64_t u = 1; u <= 5000; ++u) {
+      const double v = static_cast<double>(u) * step;
+      for (const double needed :
+           {v, std::nextafter(v, 0.0), std::nextafter(v, 1e300)}) {
+        ASSERT_EQ(PScoreLevel(needed, step), ceil_level(needed, step))
+            << needed << " / " << step;
+      }
+    }
+  }
+  const double denormal = std::numeric_limits<double>::denorm_min();
+  for (const double step : {1e-9, 1.0, 3.0, 1e300}) {
+    for (const double needed : {1e-9, denormal, 1000.0 * denormal,
+                                std::numeric_limits<double>::min()}) {
+      EXPECT_EQ(PScoreLevel(needed, step), ceil_level(needed, step))
+          << needed << " / " << step;
+    }
+  }
+  EXPECT_EQ(PScoreLevel(-0.0, 3.0), 0);
+  EXPECT_EQ(PScoreLevel(std::numeric_limits<double>::infinity(), 3.0), -1);
+  EXPECT_EQ(PScoreLevel(-std::numeric_limits<double>::infinity(), 3.0), -1);
+  EXPECT_EQ(PScoreLevel(std::nan(""), 3.0), -1);
+  // NaN is unreachable because no box admits it.
+  EXPECT_FALSE((PScoreRange{-1.0, 1e300}.Admits(std::nan(""))));
+}
+
+// Quotients at or above 2^62, finite or overflowed, saturate there instead
+// of taking an undefined conversion.
+TEST(PScoreLevelTest, SaturatesHugeQuotients) {
+  constexpr int64_t kSaturated = int64_t{1} << 62;
+  EXPECT_EQ(PScoreLevel(1e20, 3.0), kSaturated);
+  EXPECT_EQ(PScoreLevel(0x1p62, 1.0), kSaturated);
+  EXPECT_EQ(PScoreLevel(std::numeric_limits<double>::max(), 1e-300),
+            kSaturated);
+  EXPECT_EQ(PScoreLevel(std::nextafter(0x1p62, 0.0), 1.0),
+            static_cast<int64_t>(std::nextafter(0x1p62, 0.0)));
+  EXPECT_EQ(PScoreLevel(4294967296.5, 1.0), int64_t{4294967297});
 }
 
 TEST(CellRangeTest, InverseOfLevel) {

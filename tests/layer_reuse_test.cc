@@ -1,6 +1,6 @@
 // Prepared-layer reuse across served runs: a SUBMIT whose layout matches the
 // tenant's idle cell-sorted layer runs on it (rebound, not re-prepared; rows
-// appended since its last use are staged by delta maintenance) instead of
+// appended since its last use are folded into it by the next sync) instead of
 // building a fresh one, and replays the Eq. 17 store the last run left with
 // it while no APPEND intervened. Every warm reply must equal, after
 // StripIdAndTiming, the report a cold ProcessAcq renders on a mirror catalog
@@ -226,8 +226,8 @@ class LayerReuseTest : public ::testing::Test {
 
 // The battery: per aggregate, a seeded sequence of SUBMITs on one layout
 // (targets, delta and search order vary; none of them is in the key)
-// interleaved with APPENDs whose sizes cross the delta-merge threshold
-// (4096 rows at this table size). Every aggregate switch changes the layout,
+// interleaved with APPENDs of 1 to 3500 rows, each folded into the reused
+// layer by the next run's sync. Every aggregate switch changes the layout,
 // so each sequence starts with one miss; everything after it is a hit.
 TEST_F(LayerReuseTest, WarmRepliesMatchColdAcrossAggregatesAndOrders) {
   struct Template {
@@ -268,11 +268,10 @@ TEST_F(LayerReuseTest, WarmRepliesMatchColdAcrossAggregatesAndOrders) {
   EXPECT_EQ(Stat("layer_misses"), layouts);
   EXPECT_EQ(Stat("layer_hits"), static_cast<double>(submits) - layouts);
   EXPECT_EQ(Stat("layer_bypassed"), 0.0);
-  // Each layout's appends cross the threshold once, so a staged buffer was
-  // merged into the base layout at least once per layout.
+  // Every layout's appends were folded in by at least one sync.
   EXPECT_GE(Stat("delta_merges"), layouts);
-  // Every appended row is staged by exactly one warm run: counted once per
-  // run that staged it, never re-counted while the layer carries it.
+  // Every appended row is folded in by exactly one warm run's sync: counted
+  // once, never re-counted while the layer carries it.
   EXPECT_EQ(Stat("delta_rows"), static_cast<double>(staged));
 }
 
@@ -399,8 +398,8 @@ TEST_F(LayerReuseTest, KeptStoreRepliesMatchColdAcrossOrdersAndNorms) {
     run(query_at(rng_.NextDouble(t.lo, t.hi), SearchOrder::kShell,
                  Norm::LInf()));
 
-    // Past the merge threshold under the failpoint: the layer is rebuilt,
-    // not merged, and the store is dropped all the same.
+    // Under the failpoint the sync of these rows rebuilds the layer instead
+    // of folding them in, and the store is dropped all the same.
     if (FailpointRegistry::compiled_in()) {
       AppendInRange(4200);
       FailpointRegistry& registry = FailpointRegistry::Global();
@@ -427,7 +426,8 @@ TEST_F(LayerReuseTest, KeptStoreRepliesMatchColdAcrossOrdersAndNorms) {
 
 // Equality targets on a coarse grid overshoot inside a cell, so the search
 // repartitions it with off-grid probes; an off-grid probe scans the
-// contiguous matrix and so first absorbs the rows the warm layer has staged.
+// relation-order matrix, so the layer first syncs the rows appended since
+// its last use.
 TEST_F(LayerReuseTest, RepartitionProbeAbsorbsStagedRows) {
   for (int i = 0; i < 8; ++i) {
     Query query;
@@ -441,8 +441,8 @@ TEST_F(LayerReuseTest, RepartitionProbeAbsorbsStagedRows) {
     AppendInRange(40);
   }
   EXPECT_EQ(Stat("layer_hits"), 7.0);
-  // 280 staged rows are far below the merge threshold: only the off-grid
-  // probes can have merged them.
+  // The warm runs synced the appended rows in before answering, off-grid
+  // probes included.
   EXPECT_GE(Stat("delta_merges"), 1.0);
 }
 
@@ -473,8 +473,8 @@ TEST_F(LayerReuseTest, AppendExtendingAPredicateDomainMisses) {
   EXPECT_EQ(Stat("layer_hits"), 2.0);
 }
 
-// Under the index.delta_merge failpoint the threshold merge degrades to a
-// full rebuild of the reused layer, which must be just as exact.
+// Under the index.delta_merge failpoint a sync degrades to a full rebuild of
+// the reused layer, which must be just as exact.
 TEST_F(LayerReuseTest, DeltaMergeFailpointKeepsWarmRepliesExact) {
   if (!FailpointRegistry::compiled_in()) {
     GTEST_SKIP() << "failpoints compiled out";
@@ -484,7 +484,7 @@ TEST_F(LayerReuseTest, DeltaMergeFailpointKeepsWarmRepliesExact) {
       "SELECT * FROM users CONSTRAINT SUM(income) >= 100000000 WHERE age "
       "<= 30 AND income <= 80000";
   ExpectWarmMatchesCold(query);
-  AppendInRange(4200);  // past the 4096-row threshold: the next sync merges
+  AppendInRange(4200);  // the next sync folds these in, or rebuilds
   FailpointRegistry& registry = FailpointRegistry::Global();
   ASSERT_TRUE(registry.Configure("index.delta_merge", "p:1").ok());
   const uint64_t hits_before = registry.TotalHits();
@@ -561,7 +561,7 @@ TEST_F(LayerReuseTest, ConcurrentClientsOnOneLayout) {
 
 // Runs whose layer reuse cannot keep exact stay on their own per-run build:
 // a NOREFINE filter and a join (relations materialized per plan), the
-// cached backend (it never stages appended rows) and a memory limit (a warm
+// cached backend (it never syncs appended rows) and a memory limit (a warm
 // run would charge no prepare), which a server with a global memory budget
 // sets on every run. Two of each must leave layer_hits at 0; the plain
 // control on the same table shows reuse was available.

@@ -207,6 +207,28 @@ TEST(ServerTest, SubmitWaitMatchesDirectRun) {
   ExpectReportMatchesDirect(response, *direct, *task);
 }
 
+// SUBMIT accepts any positive gamma, and one small enough puts a reachable
+// row's grid level past the int32 key range. The layout build refuses it, so
+// the run fails like any failed session instead of filing the row under a
+// wrapped key and answering from the wrong cell.
+TEST(ServerTest, GammaPastTheKeyRangeFailsTheRun) {
+  AcqServer server(SharedCatalog());
+  JsonValue request = JsonValue::Object();
+  request.Set("cmd", JsonValue::Str("SUBMIT"));
+  request.Set("sql", JsonValue::Str(
+                         "SELECT * FROM users CONSTRAINT COUNT(*) >= 2000 "
+                         "WHERE age <= 30 AND income <= 40000"));
+  request.Set("gamma", JsonValue::Number(1e-8));
+  request.Set("wait", JsonValue::Bool(true));
+  JsonValue response = MustParse(server.HandleRequestLine(request.Dump()));
+  EXPECT_EQ(response.GetString("state"), "failed") << response.Dump();
+  EXPECT_EQ(response.GetString("code"), "InvalidArgument");
+  EXPECT_NE(response.GetString("error").find("int32 key range"),
+            std::string::npos)
+      << response.Dump();
+  EXPECT_EQ(response.Get("report"), nullptr);
+}
+
 TEST(ServerTest, EightConcurrentClientsBitIdenticalOverTcp) {
   constexpr int kClients = 8;
   // Distinct queries per client, solved directly first (serially).
