@@ -1,7 +1,7 @@
 // Layer-batched Explore, end to end: RunAcquire on the cell-sorted backend
 // across dimensionalities and table sizes. The driver drains each expand
-// layer and answers all of its cell sub-queries in one merged CSR sweep (or
-// one thread-pool fan-out on layers without a native batch path); the
+// layer and answers all of its cell sub-queries in one merged sweep over
+// the sorted cells, on the run thread; the
 // Eq. 17 merges stay sequential in generation order. Before a config's time
 // is reported, its best answer is checked bit-exact against an unseeded,
 // one-coordinate-at-a-time Explorer. Each config then runs again on the

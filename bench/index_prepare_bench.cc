@@ -29,7 +29,6 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "exec/eval_kernel.h"
-#include "exec/thread_pool.h"
 #include "index/cell_sorted.h"
 
 namespace acquire {
@@ -49,7 +48,7 @@ BuildTimes TimeBuild(const AcqTask& task, double step, int reps,
   for (int r = 0; r < reps; ++r) {
     *raw = NeededMatrix{};
     Stopwatch matrix_sw;
-    ACQ_CHECK(BuildNeededMatrix(task, &ThreadPool::Shared(), raw).ok());
+    ACQ_CHECK(BuildNeededMatrix(task, raw).ok());
     best.matrix_ms = std::min(best.matrix_ms, matrix_sw.ElapsedMillis());
     *out = CellSortedLayout{};  // the build folds into what `out` holds
     Stopwatch layout_sw;

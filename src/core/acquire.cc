@@ -323,8 +323,8 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
         break;
       }
 
-      // Execute the whole layer's sub-queries up front (one parallel or
-      // natively merged batch), then drain in generation order.
+      // Execute the whole layer's sub-queries up front (one batch), then
+      // drain in generation order.
       if (options.use_incremental) {
         ACQ_RETURN_IF_ERROR(batch.ExecuteLayer());
       } else {

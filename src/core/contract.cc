@@ -275,9 +275,8 @@ Result<AcquireResult> RunAcquireContract(const AcqTask& task,
   // Walk layers from the original query (p' sum = max) toward Q'_min,
   // i.e. in order of increasing total contraction; stop with the first
   // layer that contains an answer. Each layer is enumerated, its full-query
-  // boxes evaluated in one batch (parallel when the layer supports
-  // concurrent evaluation), and the hit/repartition logic applied in
-  // enumeration order.
+  // boxes evaluated in one EvaluateBoxes batch, and the hit/repartition
+  // logic applied in enumeration order.
   GridCoord coord(d);
   double expand_ms = 0.0;
   double explore_ms = 0.0;

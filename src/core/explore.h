@@ -277,8 +277,8 @@ class Explorer {
 
 /// The Explore driver: takes one equi-score layer at a time from the
 /// Expand generator (QueryGenerator::NextLayer), executes all of the layer's
-/// outstanding cell sub-queries in one EvaluateCellKeys batch (parallel or
-/// natively merged, per the evaluation layer), then lets the caller run
+/// outstanding cell sub-queries in one EvaluateCellKeys batch (natively
+/// merged or box by box, per the evaluation layer), then lets the caller run
 /// Algorithm 3 over the layer's coordinates in generation order. The Eq. 17
 /// predecessor merges stay sequential in that order, so aggregates are
 /// bit-identical to an unseeded, one-coordinate-at-a-time Explorer

@@ -47,9 +47,8 @@ Result<AggregateOps::State> SamplingEvaluationLayer::EvaluateBox(
     const std::vector<PScoreRange>& box) {
   if (!prepared_) ACQ_RETURN_IF_ERROR(Prepare());
   ACQ_RETURN_IF_ERROR(CheckBox(box));
-  stats_.queries.fetch_add(1, std::memory_order_relaxed);
-  stats_.tuples_scanned.fetch_add(sampled_rows_.size(),
-                                 std::memory_order_relaxed);
+  ++stats_.queries;
+  stats_.tuples_scanned += sampled_rows_.size();
   ACQ_ASSIGN_OR_RETURN(AggregateOps::State state,
                        ScanBoxOverMatrix(*task_->agg.ops, matrix_, box));
   // Horvitz-Thompson scale-up for extrapolatable aggregates. AVG scales
@@ -144,9 +143,8 @@ Result<AggregateOps::State> HistogramEvaluationLayer::EvaluateBox(
         StringFormat("box has %zu ranges, task has %zu dimensions",
                      box.size(), task_->d()));
   }
-  stats_.queries.fetch_add(1, std::memory_order_relaxed);
-  stats_.tuples_scanned.fetch_add(buckets_ * task_->d(),  // bucket reads
-                                 std::memory_order_relaxed);
+  ++stats_.queries;
+  stats_.tuples_scanned += buckets_ * task_->d();  // bucket reads
   double fraction = 1.0;
   for (size_t i = 0; i < task_->d(); ++i) {
     fraction *= Selectivity(i, box[i]);

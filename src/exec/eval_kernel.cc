@@ -1,6 +1,7 @@
 #include "exec/eval_kernel.h"
 
 #include "common/string_util.h"
+#include "exec/thread_pool.h"
 
 namespace acquire {
 
@@ -11,13 +12,12 @@ constexpr size_t kMinRowsPerChunk = 4096;
 
 }  // namespace
 
-Status BuildNeededMatrix(const AcqTask& task, ThreadPool* pool,
-                         NeededMatrix* out) {
-  return BuildNeededMatrixRows(task, 0, task.relation->num_rows(), pool, out);
+Status BuildNeededMatrix(const AcqTask& task, NeededMatrix* out) {
+  return BuildNeededMatrixRows(task, 0, task.relation->num_rows(), out);
 }
 
 Status BuildNeededMatrixRows(const AcqTask& task, size_t begin, size_t end,
-                             ThreadPool* pool, NeededMatrix* out) {
+                             NeededMatrix* out) {
   const Table& rel = *task.relation;
   if (begin > end || end > rel.num_rows()) {
     return Status::InvalidArgument(
@@ -42,11 +42,7 @@ Status BuildNeededMatrixRows(const AcqTask& task, size_t begin, size_t end,
       out->agg_values[row] = task.AggValue(begin + row);
     }
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(n, kMinRowsPerChunk, fill);
-  } else {
-    fill(0, 0, n);
-  }
+  ThreadPool::Shared().ParallelFor(n, kMinRowsPerChunk, fill);
   return Status::OK();
 }
 

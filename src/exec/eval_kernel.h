@@ -7,16 +7,17 @@
 #include "common/result.h"
 #include "exec/acq_task.h"
 #include "exec/evaluation.h"
-#include "exec/thread_pool.h"
 
 namespace acquire {
 
-/// Builds the matrix for `task` in one pass over the relation. With a pool
-/// the row range is built in parallel; each dimension's internal
-/// memoization is pre-resolved first (RefinementDim::PrecomputeNeeded), so
-/// the concurrent NeededPScore calls are read-only.
-Status BuildNeededMatrix(const AcqTask& task, ThreadPool* pool,
-                         NeededMatrix* out);
+/// Builds the matrix for `task` in one pass over the relation. This fill is
+/// the one evaluation step that runs on the shared pool: row chunks of at
+/// least 4,096 rows are filled in parallel, so a slice under 8,192 rows runs
+/// inline on the calling thread. Each dimension's internal memoization is
+/// pre-resolved first (RefinementDim::PrecomputeNeeded), so the concurrent
+/// NeededPScore calls are read-only. Every row's values are the same bytes
+/// at every pool width.
+Status BuildNeededMatrix(const AcqTask& task, NeededMatrix* out);
 
 /// Row-range variant for incremental index maintenance: builds the matrix of
 /// relation rows [begin, end) only (out->rows == end - begin, row r of the
@@ -25,7 +26,7 @@ Status BuildNeededMatrix(const AcqTask& task, ThreadPool* pool,
 /// is re-run first, so dimensions whose memoization depends on the relation
 /// see the appended rows too.
 Status BuildNeededMatrixRows(const AcqTask& task, size_t begin, size_t end,
-                             ThreadPool* pool, NeededMatrix* out);
+                             NeededMatrix* out);
 
 /// The one branchless predicate kernel behind every scanning layer.
 /// Narrows a selection vector by one dimension: select[k] &= range admits

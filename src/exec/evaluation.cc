@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "exec/eval_kernel.h"
-#include "exec/thread_pool.h"
 
 namespace acquire {
 
@@ -74,31 +72,9 @@ Status EvaluationLayer::CheckBox(const std::vector<PScoreRange>& box) const {
 Result<std::vector<AggregateOps::State>> EvaluationLayer::EvaluateBoxes(
     const std::vector<std::vector<PScoreRange>>& boxes) {
   std::vector<AggregateOps::State> states(boxes.size());
-  if (boxes.empty()) return states;
-  if (boxes.size() == 1 || !SupportsConcurrentEvaluate()) {
-    for (size_t q = 0; q < boxes.size(); ++q) {
-      ACQ_ASSIGN_OR_RETURN(states[q], EvaluateBox(boxes[q]));
-    }
-    return states;
+  for (size_t q = 0; q < boxes.size(); ++q) {
+    ACQ_ASSIGN_OR_RETURN(states[q], EvaluateBox(boxes[q]));
   }
-  // Each box is evaluated exactly as in the serial path — only the order
-  // the independent calls run in changes, so results stay bit-identical.
-  std::mutex mu;
-  Status first_error;
-  ThreadPool::Shared().ParallelFor(
-      boxes.size(), /*min_chunk=*/1,
-      [&](size_t, size_t begin, size_t end) {
-        for (size_t q = begin; q < end; ++q) {
-          auto state = EvaluateBox(boxes[q]);
-          if (!state.ok()) {
-            std::lock_guard<std::mutex> lock(mu);
-            if (first_error.ok()) first_error = state.status();
-            return;
-          }
-          states[q] = std::move(state).value();
-        }
-      });
-  ACQ_RETURN_IF_ERROR(first_error);
   return states;
 }
 
@@ -178,12 +154,12 @@ Result<double> EvaluationLayer::EvaluateQueryValue(
 Result<AggregateOps::State> DirectEvaluationLayer::EvaluateBox(
     const std::vector<PScoreRange>& box) {
   ACQ_RETURN_IF_ERROR(CheckBox(box));
-  stats_.queries.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.queries;
   const Table& rel = *task_->relation;
   const AggregateOps& ops = *task_->agg.ops;
   const size_t n = rel.num_rows();
   const size_t d = task_->d();
-  stats_.tuples_scanned.fetch_add(n, std::memory_order_relaxed);
+  stats_.tuples_scanned += n;
   // The selection vector and needed/aggregate stream are reallocated per
   // call but bounded by one row-sized pair, so their footprint is charged
   // once, not per query.
@@ -214,9 +190,9 @@ Result<AggregateOps::State> DirectEvaluationLayer::EvaluateBox(
 Status CachedEvaluationLayer::Prepare() {
   if (prepared_) return Status::OK();
   Stopwatch prepare_sw;
-  ACQ_RETURN_IF_ERROR(BuildNeededMatrix(*task_, /*pool=*/nullptr, &matrix_));
+  ACQ_RETURN_IF_ERROR(BuildNeededMatrix(*task_, &matrix_));
   ChargeBudget(matrix_.bytes());
-  prepare_ms_ += prepare_sw.ElapsedMillis();
+  stats_.prepare_ms += prepare_sw.ElapsedMillis();
   prepared_ = true;
   return Status::OK();
 }
@@ -225,8 +201,8 @@ Result<AggregateOps::State> CachedEvaluationLayer::EvaluateBox(
     const std::vector<PScoreRange>& box) {
   if (!prepared_) ACQ_RETURN_IF_ERROR(Prepare());
   ACQ_RETURN_IF_ERROR(CheckBox(box));
-  stats_.queries.fetch_add(1, std::memory_order_relaxed);
-  stats_.tuples_scanned.fetch_add(matrix_.rows, std::memory_order_relaxed);
+  ++stats_.queries;
+  stats_.tuples_scanned += matrix_.rows;
   return ScanBoxOverMatrix(*task_->agg.ops, matrix_, box);
 }
 

@@ -2,7 +2,6 @@
 #define ACQUIRE_EXEC_EVALUATION_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -59,7 +58,7 @@ struct PScoreRange {
 /// box-query kernel walks one dimension across all rows at a time, so each
 /// dimension is one contiguous stream, held in its own vector so appended
 /// rows extend every stream in amortized O(rows). Built by
-/// BuildNeededMatrix (exec/eval_kernel.h), optionally in parallel.
+/// BuildNeededMatrix (exec/eval_kernel.h), filled on the shared pool.
 struct NeededMatrix {
   size_t rows = 0;
   size_t dims = 0;
@@ -111,6 +110,10 @@ struct NeededMatrix {
 ///    an aligned box merges per-cell states in sorted key order, and an
 ///    off-grid box scans the same relation-order matrix the cached layer
 ///    holds.
+///
+/// Every layer answers on the calling thread, one call at a time: a cell
+/// query on a prepared index is a copy of a stored state, so there is
+/// nothing to spread. Only Prepare's needed-matrix fill runs on the pool.
 class EvaluationLayer {
  public:
   struct ExecStats {
@@ -156,11 +159,10 @@ class EvaluationLayer {
   /// `count` grid cells at grid step `step`, where cell `u` covers
   /// ((u_i - 1) * step, u_i * step] on every dimension (CellRangeForLevel;
   /// identical to RefinedSpace::CellBox). Results are in input order and
-  /// bit-identical to calling EvaluateBox on each cell box. The base
-  /// implementation fans the per-cell calls out on the shared thread pool
-  /// when the layer permits concurrent evaluation, else answers serially;
-  /// indexed backends override it to answer the whole batch natively
-  /// (CellSortedEvaluationLayer sweeps its sorted key array once).
+  /// bit-identical to calling EvaluateBox on each cell box, which is what
+  /// the base implementation does; indexed backends override it to answer
+  /// the whole batch natively (CellSortedEvaluationLayer sweeps its sorted
+  /// key array once).
   virtual Result<std::vector<AggregateOps::State>> EvaluateCells(
       const GridCoord* coords, size_t count, double step);
 
@@ -175,16 +177,15 @@ class EvaluationLayer {
   virtual Status EvaluateCellKeys(const int32_t* keys, size_t count,
                                   double step, std::vector<double>* states);
 
-  /// Evaluates independent box queries, results in input order; fans out
-  /// across the shared pool when SupportsConcurrentEvaluate() allows it,
-  /// else evaluates serially. Per-box results are bit-identical to
-  /// EvaluateBox either way.
+  /// Evaluates independent box queries one EvaluateBox call after another,
+  /// results in input order (contraction walks and non-incremental runs
+  /// evaluate a whole layer this way before they visit it).
   Result<std::vector<AggregateOps::State>> EvaluateBoxes(
       const std::vector<std::vector<PScoreRange>>& boxes);
 
-  /// True when EvaluateBox may be called from several threads at once —
-  /// in practice: the layer is prepared and everything behind EvaluateBox
-  /// is read-only except the atomic counters.
+  /// Always false, and nothing in the engine asks: every layer answers on
+  /// the calling thread. Declared only because perfbench/trace.h's
+  /// TimedLayer overrides it; it goes when that wrapper does.
   virtual bool SupportsConcurrentEvaluate() const { return false; }
 
   /// Full refined query at per-dimension PScores `pscores`: box
@@ -206,18 +207,10 @@ class EvaluationLayer {
   }
 
   const AcqTask& task() const { return *task_; }
-  ExecStats stats() const {
-    ExecStats s;
-    s.queries = stats_.queries.load(std::memory_order_relaxed);
-    s.tuples_scanned = stats_.tuples_scanned.load(std::memory_order_relaxed);
-    s.prepare_ms = prepare_ms_;
-    s.delta_rows = delta_rows_;
-    s.delta_merges = delta_merges_;
-    return s;
-  }
+  ExecStats stats() const { return stats_; }
   void ResetStats() {
-    stats_.queries.store(0, std::memory_order_relaxed);
-    stats_.tuples_scanned.store(0, std::memory_order_relaxed);
+    stats_.queries = 0;
+    stats_.tuples_scanned = 0;
   }
 
   /// Re-points this layer at `task` for another run (prepared-layer reuse,
@@ -230,21 +223,10 @@ class EvaluationLayer {
   /// the finished run's budget with set_memory_budget(nullptr).
   void Rebind(const AcqTask* task) {
     task_ = task;
-    ResetStats();
-    prepare_ms_ = 0.0;
-    delta_rows_ = 0;
-    delta_merges_ = 0;
+    stats_ = ExecStats{};
   }
 
  protected:
-  /// Counters updated while answering queries. Atomic (relaxed) because
-  /// EvaluateCells / EvaluateBoxes run concurrent EvaluateBox calls on the
-  /// pool for layers that opt in via SupportsConcurrentEvaluate().
-  struct AtomicExecStats {
-    std::atomic<uint64_t> queries{0};
-    std::atomic<uint64_t> tuples_scanned{0};
-  };
-
   /// Shared argument check for EvaluateBox implementations.
   Status CheckBox(const std::vector<PScoreRange>& box) const;
 
@@ -276,15 +258,11 @@ class EvaluationLayer {
   }
 
   const AcqTask* task_;
-  AtomicExecStats stats_;
+  /// The layer's own counters: queries, tuples_scanned and the build
+  /// tallies (the driver's phase timings stay 0 here).
+  ExecStats stats_;
   MemoryBudget* budget_ = nullptr;
   uint64_t pending_budget_bytes_ = 0;
-  /// Build-cost observability (see ExecStats): written by Prepare / the
-  /// delta sync, which run before or between (never during)
-  /// concurrent evaluation, so plain fields suffice.
-  double prepare_ms_ = 0.0;
-  uint64_t delta_rows_ = 0;
-  uint64_t delta_merges_ = 0;
 };
 
 /// Scan-per-call layer; see EvaluationLayer docs.
@@ -310,9 +288,6 @@ class CachedEvaluationLayer final : public EvaluationLayer {
 
   Result<AggregateOps::State> EvaluateBox(
       const std::vector<PScoreRange>& box) override;
-
-  /// Once the matrix is materialized, EvaluateBox only reads it.
-  bool SupportsConcurrentEvaluate() const override { return prepared_; }
 
   /// The materialized tuple x dimension matrix (exposed for layers and
   /// benches that build on the same materialization).

@@ -83,7 +83,7 @@ void ThreadPool::ParallelFor(
 
   auto run_chunks = [](const std::shared_ptr<Job>& j) {
     for (;;) {
-      const size_t c = j->next.fetch_add(1);
+      const size_t c = j->next++;
       if (c >= j->chunks) return;
       const size_t begin = c * j->chunk_size;
       const size_t end = std::min(j->n, begin + j->chunk_size);
@@ -93,7 +93,7 @@ void ThreadPool::ParallelFor(
         std::lock_guard<std::mutex> lock(j->mu);
         if (!j->error) j->error = std::current_exception();
       }
-      if (j->finished.fetch_add(1) + 1 == j->chunks) {
+      if (++j->finished == j->chunks) {
         // Lock so the waiter cannot miss the notify between its predicate
         // check and its wait.
         std::lock_guard<std::mutex> lock(j->mu);
@@ -139,7 +139,7 @@ ThreadPool& ThreadPool::Shared() {
   // useful for pinning scaling measurements and for capping the pool in
   // oversubscribed CI containers. Clamped to [1, 256]; unset, empty or
   // unparsable values keep the default.
-  static ThreadPool* shared = [] {
+  static ThreadPool& shared = *[] {
     size_t threads = 0;
     if (const char* env = std::getenv("ACQUIRE_POOL_THREADS")) {
       const long parsed = std::atol(env);
@@ -149,7 +149,7 @@ ThreadPool& ThreadPool::Shared() {
     }
     return new ThreadPool(threads);
   }();
-  return *shared;
+  return shared;
 }
 
 }  // namespace acquire

@@ -12,17 +12,17 @@
 
 namespace acquire {
 
-/// Persistent worker pool for the evaluation layers. Threads are spawned
-/// once and reused across every ParallelFor submission: a box query on a
-/// prepared layer is microseconds of work, so per-query thread creation
-/// would dominate it.
+/// Persistent worker pool. Threads are spawned once and reused: the server
+/// runs each ACQ as one Submit task, and the needed-matrix fill
+/// (BuildNeededMatrixRows, the engine's one ParallelFor caller) splits its
+/// rows across the workers. Evaluation layers answer queries on the calling
+/// thread and never use the pool.
 ///
 /// Determinism contract: chunk boundaries depend only on (n, min_chunk,
-/// num_threads), never on scheduling. Every engine caller writes per-element
-/// results that do not depend on the chunking (BuildNeededMatrix's rows,
-/// the cell-sorted layer's batched cell sweep), so its answers are the same
-/// bytes at every pool width; merging per-chunk partial aggregates would
-/// tie a result to the width, which is why no box scan is chunked.
+/// num_threads), never on scheduling. The fill writes per-row values that
+/// do not depend on the chunking, so the matrix is the same bytes at every
+/// pool width; merging per-chunk partial aggregates would tie a result to
+/// the width, which is why no box scan or cell sweep is chunked.
 class ThreadPool {
  public:
   /// `num_threads` = 0 sizes the pool to the hardware concurrency

@@ -298,13 +298,6 @@ Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
   return GroupByFirstSeen(raw, step, flat, out);
 }
 
-CellSortedEvaluationLayer::CellSortedEvaluationLayer(const AcqTask* task,
-                                                     double step,
-                                                     ThreadPool* pool)
-    : EvaluationLayer(task),
-      step_(step),
-      pool_(pool != nullptr ? pool : &ThreadPool::Shared()) {}
-
 Status CellSortedEvaluationLayer::Prepare() {
   if (prepared_) return Status::OK();
   if (step_ <= 0.0) {
@@ -312,13 +305,13 @@ Status CellSortedEvaluationLayer::Prepare() {
   }
   // Snapshot the row count first: rows appended between here and the first
   // evaluate call are folded in by the next sync, never double-counted.
-  Status built = FoldRows(task_->relation->num_rows(), pool_);
+  Status built = FoldRows(task_->relation->num_rows());
   if (!built.ok()) Reset();
   prepared_ = built.ok();
   return built;
 }
 
-Status CellSortedEvaluationLayer::FoldRows(size_t end, ThreadPool* pool) {
+Status CellSortedEvaluationLayer::FoldRows(size_t end) {
   Stopwatch fold_sw;
   const size_t d = task_->d();
   const size_t cells_before = num_cells();
@@ -326,8 +319,7 @@ Status CellSortedEvaluationLayer::FoldRows(size_t end, ThreadPool* pool) {
   // computes (BuildNeededMatrixRows re-runs PrecomputeNeeded, so
   // value-memoizing dimensions see appended rows too).
   NeededMatrix rows;
-  ACQ_RETURN_IF_ERROR(
-      BuildNeededMatrixRows(*task_, consumed_rows_, end, pool, &rows));
+  ACQ_RETURN_IF_ERROR(BuildNeededMatrixRows(*task_, consumed_rows_, end, &rows));
   ACQ_RETURN_IF_ERROR(
       BuildCellSortedLayout(rows, step_, *task_->agg.ops, &layout_));
   // Retained footprint: the rows' matrix bytes, and the new cells' keys and
@@ -341,7 +333,7 @@ Status CellSortedEvaluationLayer::FoldRows(size_t end, ThreadPool* pool) {
     matrix_.Append(rows);
   }
   consumed_rows_ = end;
-  prepare_ms_ += fold_sw.ElapsedMillis();
+  stats_.prepare_ms += fold_sw.ElapsedMillis();
   return Status::OK();
 }
 
@@ -351,7 +343,7 @@ Status CellSortedEvaluationLayer::Sync() {
   if (relation_rows <= consumed_rows_) return Status::OK();
   const size_t appended = relation_rows - consumed_rows_;
   const size_t unreachable_before = layout_.unreachable_rows;
-  ++delta_merges_;
+  ++stats_.delta_merges;
   Status synced;
   if (ACQ_FAILPOINT("index.delta_merge")) {
     // Result-preserving fault: fall back to the full rebuild the fold
@@ -360,13 +352,14 @@ Status CellSortedEvaluationLayer::Sync() {
     Reset();
     synced = Prepare();
   } else {
-    synced = FoldRows(relation_rows, /*pool=*/nullptr);
+    synced = FoldRows(relation_rows);
   }
   if (!synced.ok()) {
     Reset();
     return synced;
   }
-  delta_rows_ += appended - (layout_.unreachable_rows - unreachable_before);
+  stats_.delta_rows +=
+      appended - (layout_.unreachable_rows - unreachable_before);
   return Status::OK();
 }
 
@@ -440,16 +433,13 @@ Status CellSortedEvaluationLayer::EvaluateCellKeys(
   const size_t w = flat.width();
   states->resize(count * w);
   if (count == 0) return Status::OK();
-  stats_.queries.fetch_add(count, std::memory_order_relaxed);
-  stats_.tuples_scanned.fetch_add(count, std::memory_order_relaxed);
+  stats_.queries += count;
+  stats_.tuples_scanned += count;
 
-  // Answer the whole batch in merged sweeps: visit the requests in sorted
+  // Answer the whole batch in one merged sweep: visit the requests in sorted
   // key order, advancing a cursor over the sorted keys with galloping
   // lower bounds (never rewinding, never restarting the binary search from
-  // the top). Large batches split into deterministic contiguous chunks of
-  // the sorted order across the pool — each chunk sweeps independently with
-  // its own cursor, and every answer is a copy of the per-cell fold, so the
-  // result is bit-identical to a single sweep.
+  // the top).
   auto key_of = [&](uint32_t q) { return keys + size_t{q} * d; };
   auto key_less = [&](uint32_t a, uint32_t b) {
     return std::lexicographical_compare(key_of(a), key_of(a) + d, key_of(b),
@@ -475,35 +465,21 @@ Status CellSortedEvaluationLayer::EvaluateCellKeys(
     std::sort(req.begin(), req.end(), key_less);
   }
   double* out = states->data();
-  auto sweep = [&](size_t, size_t begin, size_t end) {
-    if (begin >= end) return;
-    // Seed this worker's cursor at its own slice of the key array with one
-    // binary search, instead of galloping across the whole prefix that
-    // earlier chunks own.
-    size_t cursor = begin == 0 ? 0 : LowerBoundCell(key_of(req[begin]));
-    const int32_t* prev_key = nullptr;
-    uint32_t prev_qi = 0;
-    for (size_t r = begin; r < end; ++r) {
-      const uint32_t qi = req[r];
-      const int32_t* key = key_of(qi);
-      double* state = out + size_t{qi} * w;
-      if (prev_key != nullptr && std::equal(key, key + d, prev_key)) {
-        // Duplicate request: reuse the previous answer.
-        std::copy_n(out + size_t{prev_qi} * w, w, state);
-      } else {
-        cursor = GallopLowerBound(cursor, key);
-        CellStateAt(flat, cursor, key, state);
-        prev_key = key;
-      }
-      prev_qi = qi;
+  size_t cursor = 0;
+  const int32_t* prev_key = nullptr;
+  uint32_t prev_qi = 0;
+  for (const uint32_t qi : req) {
+    const int32_t* key = key_of(qi);
+    double* state = out + size_t{qi} * w;
+    if (prev_key != nullptr && std::equal(key, key + d, prev_key)) {
+      // Duplicate request: reuse the previous answer.
+      std::copy_n(out + size_t{prev_qi} * w, w, state);
+    } else {
+      cursor = GallopLowerBound(cursor, key);
+      CellStateAt(flat, cursor, key, state);
+      prev_key = key;
     }
-  };
-  // A single-worker pool would still split the sweep in two and pay the
-  // queue hand-off for no concurrency; one full sweep is strictly cheaper.
-  if (pool_->num_threads() > 1) {
-    pool_->ParallelFor(count, /*min_chunk=*/128, sweep);
-  } else {
-    sweep(0, 0, count);
+    prev_qi = qi;
   }
   return Status::OK();
 }
@@ -540,7 +516,7 @@ Result<AggregateOps::State> CellSortedEvaluationLayer::EvaluateBox(
     const std::vector<PScoreRange>& box) {
   ACQ_RETURN_IF_ERROR(Sync());
   ACQ_RETURN_IF_ERROR(CheckBox(box));
-  stats_.queries.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.queries;
   const AggregateOps& ops = *task_->agg.ops;
   const FlatAggregate flat(ops);
   const size_t w = flat.width();
@@ -562,7 +538,7 @@ Result<AggregateOps::State> CellSortedEvaluationLayer::EvaluateBox(
     if (single_cell) {
       // One binary search; the payload fold happened when the rows were
       // folded in.
-      stats_.tuples_scanned.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.tuples_scanned;
       AggregateOps::State state(w);
       CellStateAt(flat, LowerBoundCell(lo32.data()), lo32.data(),
                   state.data());
@@ -590,14 +566,14 @@ Result<AggregateOps::State> CellSortedEvaluationLayer::EvaluateBox(
             flat.Merge(state.data(), layout_.cell_states.data() + s * w);
       }
     }
-    stats_.tuples_scanned.fetch_add(cells_walked, std::memory_order_relaxed);
+    stats_.tuples_scanned += cells_walked;
     if (!width_ok) return FlatAggregate::WidthError();
     return state;
   }
 
   // Off-grid box: the kernel scan over the relation-order matrix, the call
   // CachedEvaluationLayer makes, so both answer bit for bit alike.
-  stats_.tuples_scanned.fetch_add(matrix_.rows, std::memory_order_relaxed);
+  stats_.tuples_scanned += matrix_.rows;
   return ScanBoxOverMatrix(ops, matrix_, box);
 }
 

@@ -6,7 +6,6 @@
 
 #include "common/result.h"
 #include "exec/evaluation.h"
-#include "exec/thread_pool.h"
 
 namespace acquire {
 
@@ -51,8 +50,8 @@ Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
                              const AggregateOps& ops, CellSortedLayout* out);
 
 /// Cell-sorted evaluation backend: the needed-PScore matrix is built once
-/// (in parallel, dimension-major) and kept in relation order, and the
-/// reachable rows are grouped into refined-space grid cells —
+/// (filled on the shared pool, dimension-major) and kept in relation order,
+/// and the reachable rows are grouped into refined-space grid cells —
 ///
 ///   layout_.cell_keys    m x d grid coordinates, lexicographically sorted
 ///   layout_.cell_states  m x w flat per-cell OSP aggregate states (w
@@ -72,6 +71,9 @@ Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
 ///    scan over the matrix — the call CachedEvaluationLayer makes, so the
 ///    answer equals the cached and direct answers bit for bit.
 ///
+/// Every query is answered on the calling thread; only the matrix fill of a
+/// build or sync runs on the pool.
+///
 /// Incremental maintenance: rows appended to the task's relation after
 /// Prepare() are discovered at the next evaluate call, which syncs them in
 /// before it answers: BuildCellSortedLayout folds them into the live layout
@@ -85,9 +87,8 @@ Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
 /// aligned fast paths to fire; any other step is still correct, just slow.
 class CellSortedEvaluationLayer final : public EvaluationLayer {
  public:
-  /// `pool` = nullptr uses the process-wide shared pool.
-  CellSortedEvaluationLayer(const AcqTask* task, double step,
-                            ThreadPool* pool = nullptr);
+  CellSortedEvaluationLayer(const AcqTask* task, double step)
+      : EvaluationLayer(task), step_(step) {}
 
   /// Builds the matrix, then the cell layout over it.
   Status Prepare() override;
@@ -96,26 +97,17 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
       const std::vector<PScoreRange>& box) override;
 
   /// Native batched cell queries: the requested keys are sorted and
-  /// answered in forward sweeps over the sorted key array — a
-  /// binary-search start, then galloping advances, so a layer of k cells
-  /// costs O(k log(m/k)) key comparisons instead of k independent O(log m)
-  /// searches. Large batches sweep deterministic contiguous chunks of the
-  /// sorted order in parallel on the pool (bit-identical results; every
-  /// answer is a copy of the precomputed flat per-cell state). Falls back to
-  /// the generic path when `step` differs from the layout step.
+  /// answered in one forward sweep over the sorted key array with galloping
+  /// advances, so a layer of k cells costs O(k log(m/k)) key comparisons
+  /// instead of k independent O(log m) searches. Every answer is a copy of
+  /// the precomputed flat per-cell state. Falls back to the generic path
+  /// when `step` differs from the layout step.
   Status EvaluateCellKeys(const int32_t* keys, size_t count, double step,
                           std::vector<double>* states) override;
 
   /// EvaluateCellKeys behind the per-coordinate interface.
   Result<std::vector<AggregateOps::State>> EvaluateCells(
       const GridCoord* coords, size_t count, double step) override;
-
-  /// Keys, states and matrix are read-only once built — but only while no
-  /// appended rows are pending: a sync mutates the layer, so concurrent
-  /// fan-out is withheld until the next serial evaluate call has synced.
-  bool SupportsConcurrentEvaluate() const override {
-    return prepared_ && task_->relation->num_rows() == consumed_rows_;
-  }
 
   double step() const { return step_; }
   size_t num_cells() const { return layout_.cell_keys.size() / task_->d(); }
@@ -154,16 +146,15 @@ class CellSortedEvaluationLayer final : public EvaluationLayer {
 
   /// Folds relation rows [consumed_rows_, end) into the layout and appends
   /// them to the matrix, charging their footprint.
-  Status FoldRows(size_t end, ThreadPool* pool);
+  Status FoldRows(size_t end);
   /// Prepares the layer, or folds in the rows appended since the last sync
   /// (a full rebuild under the `index.delta_merge` failpoint, which the
-  /// canonical layout makes result-preserving); serial-entry only.
+  /// canonical layout makes result-preserving).
   Status Sync();
   /// Drops everything built: the layer is unprepared.
   void Reset();
 
   double step_;
-  ThreadPool* pool_;
   bool prepared_ = false;
   size_t consumed_rows_ = 0;
   NeededMatrix matrix_;  // relation order, unreachable rows too

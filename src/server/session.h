@@ -203,9 +203,9 @@ struct SessionProgress {
 
 struct SessionManagerOptions {
   /// Runs executing concurrently on the shared thread pool. 0 sizes to
-  /// half the pool (at least 1): each run fans its own layer batches out
-  /// across the same pool, so saturating it with run bodies would leave no
-  /// headroom for the data-parallel leaves.
+  /// half the pool (at least 1): a run's index build fills its needed
+  /// matrix across the same pool, so saturating it with run bodies would
+  /// leave no workers for that fill.
   size_t max_running = 0;
   /// Admitted-but-not-yet-running bound; beyond it SUBMIT is rejected
   /// with kUnavailable (backpressure instead of unbounded memory).

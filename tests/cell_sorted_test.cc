@@ -39,7 +39,7 @@ TEST(ParallelPrepareTest, RejectsNonPositiveStep) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   NeededMatrix raw;
-  ASSERT_TRUE(BuildNeededMatrix(fixture->task, nullptr, &raw).ok());
+  ASSERT_TRUE(BuildNeededMatrix(fixture->task, &raw).ok());
   CellSortedLayout out;
   EXPECT_FALSE(
       BuildCellSortedLayout(raw, 0.0, *fixture->task.agg.ops, &out).ok());
@@ -199,7 +199,7 @@ TEST_P(CellSortedLayoutTest, MatchesReferenceByteForByte) {
   const double step = LayoutStep(d);
 
   NeededMatrix raw;
-  ASSERT_TRUE(BuildNeededMatrix(fixture->task, nullptr, &raw).ok());
+  ASSERT_TRUE(BuildNeededMatrix(fixture->task, &raw).ok());
   const test_util::ReferenceLayout reference =
       test_util::ReferenceCellLayout(fixture->task, step);
 
@@ -241,7 +241,7 @@ TEST(CellSortedLayoutBoundaryTest, DenseSpanAtAndPastTwiceTheRows) {
     auto fixture = MakeSyntheticTask(options);
     ASSERT_NE(fixture, nullptr);
     NeededMatrix raw;
-    ASSERT_TRUE(BuildNeededMatrix(fixture->task, nullptr, &raw).ok());
+    ASSERT_TRUE(BuildNeededMatrix(fixture->task, &raw).ok());
     double top = 0.0;
     for (size_t row = 0; row < raw.rows; ++row) {
       if (std::isfinite(raw.dim(0)[row])) top = std::max(top, raw.dim(0)[row]);
@@ -301,7 +301,7 @@ TEST(CellSortedLayoutBoundaryTest, LevelPastInt32RangeFails) {
   ASSERT_NE(fixture, nullptr);
   CellSortedEvaluationLayer layer(&fixture->task, 1e-9);
   EXPECT_EQ(layer.Prepare().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(layer.SupportsConcurrentEvaluate());
+  EXPECT_EQ(layer.consumed_rows(), 0u);
   EXPECT_EQ(layer.num_cells(), 0u);
   EXPECT_EQ(layer.EvaluateBox({PScoreRange{-1.0, 1.0}, PScoreRange{-1.0, 1.0}})
                 .status()
@@ -344,7 +344,7 @@ TEST_P(CellSortedLayoutTest, SliceFoldsMatchOneFold) {
   const double step = LayoutStep(d);
   const AggregateOps& ops = *fixture->task.agg.ops;
   NeededMatrix raw;
-  ASSERT_TRUE(BuildNeededMatrix(fixture->task, nullptr, &raw).ok());
+  ASSERT_TRUE(BuildNeededMatrix(fixture->task, &raw).ok());
 
   // The relation's rows, reordered so that every kind of slice occurs: the
   // rows whose every finite level is at most 1 (a fold into the empty
@@ -531,8 +531,7 @@ TEST(CellSortedTest, EvaluateCellsLargeBatchMatchesPerCellBoxes) {
   ASSERT_TRUE(layer.Prepare().ok());
 
   // ~10k requests in an unsorted arrival order: long runs of duplicate
-  // coordinates that straddle the pool's sweep chunks once sorted, plus
-  // far-out cells that no row populates.
+  // coordinates once sorted, plus far-out cells that no row populates.
   std::vector<GridCoord> coords;
   coords.reserve(10000);
   for (int32_t i = 0; i < 10000; ++i) {

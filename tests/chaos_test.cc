@@ -16,9 +16,11 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/random.h"
 #include "common/string_util.h"
 #include "core/processor.h"
 #include "gtest/gtest.h"
+#include "index/cell_sorted.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "sql/binder.h"
@@ -311,31 +313,74 @@ TEST(ChaosTest, SingleInjectedArenaFaultDoesNotPoisonLaterRuns) {
   EXPECT_EQ(clean_report->GetString("termination"), "completed");
 }
 
-// The strategy failpoints (serial ParallelFor fallback, generic batch
-// evaluation fallback, per-layer sequential merge fallback) change only how
-// work is executed, never what it computes: a run with them firing half the
-// time is bit-identical to a clean run.
+uint64_t FailpointHits(const std::string& name) {
+  for (const FailpointRegistry::SiteInfo& site :
+       FailpointRegistry::Global().List()) {
+    if (site.name == name) return site.hits;
+  }
+  return 0;
+}
+
+// The strategy failpoints (serial needed-matrix fill, generic batch
+// evaluation fallback, full rebuild instead of the delta fold) change only
+// how work is executed, never what it computes. The degraded run uses a
+// layer prepared before an APPEND, so its first sync reaches
+// index.delta_merge, and the rebuild that site forces fills over 8,192 rows,
+// the least that splits into two chunks and so reaches exec.parallel_for.
+// Every armed site must fire, and the reply must equal a clean run on a
+// fresh layer over the grown table.
 TEST(ChaosTest, StrategyFailpointsNeverChangeResults) {
   if (!FailpointRegistry::compiled_in()) {
     GTEST_SKIP() << "failpoints compiled out";
   }
   auto& registry = FailpointRegistry::Global();
   registry.DisarmAll();
-  Binder binder(SharedCatalog());
-  Result<AcqTask> planned = binder.PlanSql(ChaosSql(2, 3));
+  Catalog catalog;
+  UsersOptions users;
+  users.users = 10000;
+  ASSERT_TRUE(GenerateUsers(users, &catalog).ok());
+  Binder binder(&catalog);
+  Result<AcqTask> planned = binder.PlanSql(
+      "SELECT * FROM users CONSTRAINT COUNT(*) >= 6500 "
+      "WHERE age <= 26 AND income >= 56000");
   ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  Result<AcqOutcome> clean = ProcessAcq(*planned, AcquireOptions{});
-  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  const AcquireOptions options;
+  CellSortedEvaluationLayer layer(&*planned, GridStepFor(*planned, options));
+  ASSERT_TRUE(layer.Prepare().ok());
 
+  std::vector<std::vector<Value>> rows;
+  Rng rng(17);
+  for (int64_t id = 20001; id <= 20400; ++id) {
+    rows.push_back({Value(id), Value(rng.NextInt(20, 40)),
+                    Value(rng.NextDouble(30000.0, 90000.0)),
+                    Value(rng.NextDouble(0.0, 100.0)),
+                    Value(rng.NextInt(0, 5000)), Value("nyc"), Value("f"),
+                    Value("msc"), Value("gadgets")});
+  }
+  ASSERT_TRUE(catalog.AppendRows("users", rows).ok());
+
+  const std::vector<std::string> sites = {
+      "exec.parallel_for", "index.batch_eval", "index.delta_merge"};
+  std::vector<uint64_t> hits_before;
+  for (const std::string& site : sites) {
+    hits_before.push_back(FailpointHits(site));
+  }
   ASSERT_TRUE(registry
                   .ConfigureFromSpec(
-                      "exec.parallel_for=p:0.5;index.batch_eval=p:0.5;"
-                      "index.delta_merge=p:0.5")
+                      "exec.parallel_for=count:1;index.batch_eval=every:2;"
+                      "index.delta_merge=count:1")
                   .ok());
-  Result<AcqOutcome> degraded = ProcessAcq(*planned, AcquireOptions{});
+  Result<AcqOutcome> degraded = ProcessAcq(*planned, &layer, options);
   registry.DisarmAll();
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  for (size_t i = 0; i < sites.size(); ++i) {
+    EXPECT_GT(FailpointHits(sites[i]), hits_before[i]) << sites[i];
+  }
 
+  Result<AcqOutcome> clean = ProcessAcq(*planned, options);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_EQ(degraded->mode, clean->mode);
+  EXPECT_EQ(degraded->original_aggregate, clean->original_aggregate);
   EXPECT_EQ(degraded->result.termination, clean->result.termination);
   EXPECT_EQ(degraded->result.satisfied, clean->result.satisfied);
   EXPECT_EQ(degraded->result.queries_explored, clean->result.queries_explored);

@@ -178,7 +178,7 @@ TEST(DeltaMaintenanceTest, CellSortedMergeMatchesFullRebuild) {
   ExpectSameBytesAsFreshPrepare(layer, &fixture->task, step);
   EXPECT_EQ(layer.consumed_rows(), options.rows + 700);
   EXPECT_EQ(layer.stats().delta_merges, 1u);
-  EXPECT_TRUE(layer.SupportsConcurrentEvaluate());
+  EXPECT_EQ(layer.consumed_rows(), fixture->task.relation->num_rows());
 
   CellSortedEvaluationLayer rebuilt(&fixture->task, step);
   ASSERT_TRUE(rebuilt.Prepare().ok());
@@ -193,7 +193,7 @@ TEST(DeltaMaintenanceTest, CellSortedMergeMatchesFullRebuild) {
 }
 
 // Every sync that finds appended rows folds them in, whatever their
-// number, and fan-out is withheld only while rows are pending.
+// number: rows stay pending only until the next evaluate call.
 TEST(DeltaMaintenanceTest, CellSortedThresholdTriggersMerge) {
   SyntheticOptions options;
   options.d = 2;
@@ -206,18 +206,18 @@ TEST(DeltaMaintenanceTest, CellSortedThresholdTriggersMerge) {
   ASSERT_TRUE(layer.Prepare().ok());
 
   ASSERT_TRUE(AppendToFixture(fixture.get(), 50, 1).ok());
-  EXPECT_FALSE(layer.SupportsConcurrentEvaluate());  // rows pending
+  EXPECT_EQ(layer.consumed_rows(), options.rows);  // rows pending
   std::vector<PScoreRange> probe = {CellRangeForLevel(1, step),
                                     CellRangeForLevel(1, step)};
   ASSERT_TRUE(layer.EvaluateBox(probe).ok());
   EXPECT_EQ(layer.stats().delta_merges, 1u);
-  EXPECT_TRUE(layer.SupportsConcurrentEvaluate());
+  EXPECT_EQ(layer.consumed_rows(), fixture->task.relation->num_rows());
   ExpectSameBytesAsFreshPrepare(layer, &fixture->task, step);
 
   ASSERT_TRUE(AppendToFixture(fixture.get(), 100, 2).ok());
   ASSERT_TRUE(layer.EvaluateBox(probe).ok());
   EXPECT_EQ(layer.stats().delta_merges, 2u);
-  EXPECT_TRUE(layer.SupportsConcurrentEvaluate());
+  EXPECT_EQ(layer.consumed_rows(), fixture->task.relation->num_rows());
   ExpectSameBytesAsFreshPrepare(layer, &fixture->task, step);
 
   CellSortedEvaluationLayer rebuilt(&fixture->task, step);
@@ -395,7 +395,7 @@ TEST(DeltaMaintenanceTest, CellSortedFailedSyncLeavesLayerUnprepared) {
     EXPECT_EQ(synced.code(), StatusCode::kInternal) << "call " << call;
     EXPECT_EQ(synced.message(),
               "aggregate state width differs from ops.Init()");
-    EXPECT_FALSE(layer.SupportsConcurrentEvaluate());
+    EXPECT_LT(layer.consumed_rows(), fixture->task.relation->num_rows());
     EXPECT_EQ(layer.consumed_rows(), 0u);
     EXPECT_EQ(layer.num_cells(), 0u);
     EXPECT_EQ(layer.matrix().rows, 0u);

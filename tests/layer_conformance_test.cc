@@ -6,7 +6,7 @@
 // with a tight relative tolerance because the cell-sorted layer's aligned
 // boxes merge per-cell states, which re-associates the additions. Off-grid
 // boxes are exact: every layer folds the selected rows in relation order,
-// and the cell-sorted layer does so at every pool width.
+// and the cell-sorted layer does so whatever the shared pool's width.
 
 #include <gtest/gtest.h>
 #include <cmath>
@@ -195,8 +195,8 @@ TEST_P(LayerConformanceTest, EvaluateCellsMatchesPerCellBoxes) {
 TEST_P(LayerConformanceTest, EvaluateBoxesMatchesPerBoxEvaluateBox) {
   // The batch box API, which the contraction walk and the non-incremental
   // ablation drive with full-query boxes, must be bit-identical to calling
-  // EvaluateBox per box, whether it fans out across the pool or not. The
-  // boxes end off the grid, so no cell-aligned fast path answers them.
+  // EvaluateBox per box. The boxes end off the grid, so no cell-aligned
+  // fast path answers them.
   auto [kind, agg] = GetParam();
   SyntheticOptions options;
   options.d = 3;
@@ -251,9 +251,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(LayerConformancePoolWidthTest, CellSortedOffGridMatchesCached) {
   // An off-grid box is one scan of the relation-order matrix, never split
   // across the pool, so the cell-sorted layer answers it with the cached
-  // layer's bytes at any pool width. 40k rows are enough for a pooled scan
-  // to split into chunks even on a one-worker pool, and a chunk-order merge
-  // re-associates SUM and AVG.
+  // layer's bytes whatever the shared pool's width (the single-worker CI
+  // step runs this at width 1). 40k rows are enough for both layers' matrix
+  // fills to split into chunks even on a one-worker pool, and a chunk-order
+  // merge would re-associate SUM and AVG.
   for (AggregateKind agg : {AggregateKind::kSum, AggregateKind::kAvg}) {
     SyntheticOptions options;
     options.d = 3;
@@ -262,10 +263,7 @@ TEST(LayerConformancePoolWidthTest, CellSortedOffGridMatchesCached) {
     auto fixture = MakeSyntheticTask(options);
     ASSERT_NE(fixture, nullptr);
     CachedEvaluationLayer cached(&fixture->task);
-    ThreadPool one_worker(1);
-    ThreadPool four_workers(4);
-    CellSortedEvaluationLayer narrow(&fixture->task, 5.0, &one_worker);
-    CellSortedEvaluationLayer wide(&fixture->task, 5.0, &four_workers);
+    CellSortedEvaluationLayer cell_sorted(&fixture->task, 5.0);
 
     Rng rng(41);
     for (int trial = 0; trial < 6; ++trial) {
@@ -276,17 +274,15 @@ TEST(LayerConformancePoolWidthTest, CellSortedOffGridMatchesCached) {
       }
       auto expected = cached.EvaluateBox(box);
       ASSERT_TRUE(expected.ok());
-      for (CellSortedEvaluationLayer* layer : {&narrow, &wide}) {
-        GridCoord coord;
-        ASSERT_FALSE(layer->IsCellAligned(box, &coord));
-        auto got = layer->EvaluateBox(box);
-        ASSERT_TRUE(got.ok());
-        ASSERT_EQ(got->size(), expected->size());
-        EXPECT_EQ(0, std::memcmp(got->data(), expected->data(),
-                                 got->size() * sizeof(double)))
-            << AggregateKindToString(agg) << " trial " << trial << " pool "
-            << (layer == &narrow ? 1 : 4);
-      }
+      GridCoord coord;
+      ASSERT_FALSE(cell_sorted.IsCellAligned(box, &coord));
+      auto got = cell_sorted.EvaluateBox(box);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->size(), expected->size());
+      EXPECT_EQ(0, std::memcmp(got->data(), expected->data(),
+                               got->size() * sizeof(double)))
+          << AggregateKindToString(agg) << " trial " << trial << " pool "
+          << ThreadPool::Shared().num_threads();
     }
   }
 }
