@@ -45,6 +45,11 @@ struct AcqTask {
                      .GetDouble(row);
   }
 
+  /// AggValue of rows [begin, end) written to out[0, end - begin), the same
+  /// bytes, as one typed loop over the aggregate column (zeros for
+  /// COUNT(*)).
+  void AggValues(size_t begin, size_t end, double* out) const;
+
   /// Human-readable description of the original (unrefined) query.
   std::string ToString() const;
 };

@@ -32,15 +32,10 @@ Status BuildNeededMatrixRows(const AcqTask& task, size_t begin, size_t end,
   }
   auto fill = [&](size_t /*chunk*/, size_t lo, size_t hi) {
     for (size_t i = 0; i < d; ++i) {
-      const RefinementDim& dim = *task.dims[i];
-      double* col = out->mutable_dim(i);
-      for (size_t row = lo; row < hi; ++row) {
-        col[row] = dim.NeededPScore(rel, begin + row);
-      }
+      task.dims[i]->NeededPScores(rel, begin + lo, begin + hi,
+                                  out->mutable_dim(i) + lo);
     }
-    for (size_t row = lo; row < hi; ++row) {
-      out->agg_values[row] = task.AggValue(begin + row);
-    }
+    task.AggValues(begin + lo, begin + hi, out->agg_values.data() + lo);
   };
   ThreadPool::Shared().ParallelFor(n, kMinRowsPerChunk, fill);
   return Status::OK();

@@ -13,10 +13,11 @@ namespace acquire {
 /// Builds the matrix for `task` in one pass over the relation. This fill is
 /// the one evaluation step that runs on the shared pool: row chunks of at
 /// least 4,096 rows are filled in parallel, so a slice under 8,192 rows runs
-/// inline on the calling thread. Each dimension's internal memoization is
-/// pre-resolved first (RefinementDim::PrecomputeNeeded), so the concurrent
-/// NeededPScore calls are read-only. Every row's values are the same bytes
-/// at every pool width.
+/// inline on the calling thread. A chunk is one RefinementDim::NeededPScores
+/// call per dimension stream and one AcqTask::AggValues call. Each
+/// dimension's internal memoization is pre-resolved first
+/// (RefinementDim::PrecomputeNeeded), so the concurrent calls are
+/// read-only. Every row's values are the same bytes at every pool width.
 Status BuildNeededMatrix(const AcqTask& task, NeededMatrix* out);
 
 /// Row-range variant for incremental index maintenance: builds the matrix of

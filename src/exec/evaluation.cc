@@ -168,20 +168,15 @@ Result<AggregateOps::State> DirectEvaluationLayer::EvaluateBox(
     ChargeBudget(n * (sizeof(uint8_t) + sizeof(double)));
   }
   // Same selection kernel as the prepared layers, but the per-dimension
-  // needed stream is recomputed on every call — that is this layer's cost
-  // model (one full SQL execution per box).
+  // needed stream is recomputed on every call, one NeededPScores column call
+  // each — that is this layer's cost model (one full SQL execution per box).
   std::vector<uint8_t> select(n, uint8_t{1});
   std::vector<double> stream(n);
   for (size_t i = 0; i < d; ++i) {
-    const RefinementDim& dim = *task_->dims[i];
-    for (size_t row = 0; row < n; ++row) {
-      stream[row] = dim.NeededPScore(rel, row);
-    }
+    task_->dims[i]->NeededPScores(rel, 0, n, stream.data());
     RefineSelection(stream.data(), n, box[i], select.data());
   }
-  for (size_t row = 0; row < n; ++row) {
-    stream[row] = task_->AggValue(row);
-  }
+  task_->AggValues(0, n, stream.data());
   AggregateOps::State state = ops.Init();
   FoldSelected(ops, stream.data(), select.data(), n, &state);
   return state;

@@ -11,6 +11,51 @@ namespace {
 // Smallest positive PScore; assigned to tuples sitting exactly on a strict
 // bound, which need *some* (arbitrarily small) refinement to be admitted.
 constexpr double kEpsilonPScore = 1e-9;
+
+// A NumericDim's needed PScore for column value `v` (Eq. 1): 0 when the
+// predicate admits v, kEpsilonPScore exactly on a strict bound, the percent
+// refinement violation / width * 100 otherwise, and kUnreachable above
+// `max_pscore`. A NaN value fails every comparison and yields NaN. Written
+// as selects, not early returns, so the column loop below runs without a
+// data-dependent branch; NeededPScore and NeededPScores both evaluate it.
+template <bool kUpper, bool kStrict>
+inline double NumericNeeded(double v, double bound, double width,
+                            double max_pscore) {
+  const bool admitted = kUpper ? (kStrict ? v < bound : v <= bound)
+                               : (kStrict ? v > bound : v >= bound);
+  const double violation = kUpper ? v - bound : bound - v;
+  const double pscore = violation / width * 100.0;
+  const double capped =
+      pscore > max_pscore ? RefinementDim::kUnreachable : pscore;
+  const double refined = violation == 0.0 ? kEpsilonPScore : capped;
+  return admitted ? 0.0 : refined;
+}
+
+template <bool kUpper, bool kStrict, typename T>
+void NumericNeededLoop(const T* values, size_t count, double bound,
+                       double width, double max_pscore, double* out) {
+  for (size_t k = 0; k < count; ++k) {
+    out[k] = NumericNeeded<kUpper, kStrict>(static_cast<double>(values[k]),
+                                            bound, width, max_pscore);
+  }
+}
+
+template <typename T>
+void NumericNeededLoop(const T* values, size_t count, bool upper, bool strict,
+                       double bound, double width, double max_pscore,
+                       double* out) {
+  if (upper) {
+    strict ? NumericNeededLoop<true, true>(values, count, bound, width,
+                                           max_pscore, out)
+           : NumericNeededLoop<true, false>(values, count, bound, width,
+                                            max_pscore, out);
+  } else {
+    strict ? NumericNeededLoop<false, true>(values, count, bound, width,
+                                            max_pscore, out)
+           : NumericNeededLoop<false, false>(values, count, bound, width,
+                                             max_pscore, out);
+  }
+}
 }  // namespace
 
 NumericDim::NumericDim(std::string column, bool is_upper, double bound,
@@ -42,18 +87,29 @@ Status NumericDim::Bind(const Schema& schema) {
 }
 
 double NumericDim::NeededPScore(const Table& table, size_t row) const {
-  double v = table.column(static_cast<size_t>(col_index_)).GetDouble(row);
-  double violation;
+  const double v =
+      table.column(static_cast<size_t>(col_index_)).GetDouble(row);
+  const double cap = MaxPScore();
   if (is_upper_) {
-    if (strict_ ? v < bound_ : v <= bound_) return 0.0;
-    violation = v - bound_;
-  } else {
-    if (strict_ ? v > bound_ : v >= bound_) return 0.0;
-    violation = bound_ - v;
+    return strict_ ? NumericNeeded<true, true>(v, bound_, width_, cap)
+                   : NumericNeeded<true, false>(v, bound_, width_, cap);
   }
-  if (violation == 0.0) return kEpsilonPScore;  // exactly on a strict bound
-  double pscore = violation / width_ * 100.0;
-  return pscore > MaxPScore() ? kUnreachable : pscore;
+  return strict_ ? NumericNeeded<false, true>(v, bound_, width_, cap)
+                 : NumericNeeded<false, false>(v, bound_, width_, cap);
+}
+
+void NumericDim::NeededPScores(const Table& table, size_t begin, size_t end,
+                               double* out) const {
+  if (begin >= end) return;
+  const Column& column = table.column(static_cast<size_t>(col_index_));
+  const double cap = MaxPScore();
+  if (column.type() == DataType::kInt64) {
+    NumericNeededLoop(column.int64_data().data() + begin, end - begin,
+                      is_upper_, strict_, bound_, width_, cap, out);
+  } else {
+    NumericNeededLoop(column.double_data().data() + begin, end - begin,
+                      is_upper_, strict_, bound_, width_, cap, out);
+  }
 }
 
 double NumericDim::MaxPScore() const {

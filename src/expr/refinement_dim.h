@@ -35,10 +35,23 @@ class RefinementDim {
   /// the refined predicate; 0 when the original predicate already holds.
   virtual double NeededPScore(const Table& table, size_t row) const = 0;
 
+  /// Writes the needed PScores of rows [begin, end) to out[0, end - begin):
+  /// the same bytes as one NeededPScore call per row. The needed-matrix fill
+  /// and the direct layer's scan make one call per dimension and row range.
+  /// Default: that per-row loop. NumericDim overrides it with a typed loop
+  /// over its column's storage.
+  virtual void NeededPScores(const Table& table, size_t begin, size_t end,
+                             double* out) const {
+    for (size_t row = begin; row < end; ++row) {
+      *out++ = NeededPScore(table, row);
+    }
+  }
+
   /// Pre-resolves any internal memoization for every row of `table` so that
-  /// subsequent NeededPScore calls over those rows are read-only and safe
-  /// to issue from multiple threads (the parallel needed-matrix build does
-  /// exactly that). Default: no-op — the numeric dimensions are stateless.
+  /// subsequent NeededPScore and NeededPScores calls over those rows are
+  /// read-only and safe to issue from multiple threads (the needed-matrix
+  /// fill calls NeededPScores on concurrent row chunks). Default: no-op —
+  /// the numeric dimensions are stateless.
   virtual Status PrecomputeNeeded(const Table& table) const {
     (void)table;
     return Status::OK();
@@ -88,6 +101,10 @@ class NumericDim final : public RefinementDim {
 
   Status Bind(const Schema& schema) override;
   double NeededPScore(const Table& table, size_t row) const override;
+  /// One typed loop over the column's int64 or double storage per
+  /// (upper, strict) combination, with MaxPScore() hoisted.
+  void NeededPScores(const Table& table, size_t begin, size_t end,
+                     double* out) const override;
   double MaxPScore() const override;
   std::string DescribeAt(double pscore) const override;
   std::string label() const override;

@@ -94,24 +94,40 @@ Status LevelOverflow(size_t dim, double step) {
       dim, step));
 }
 
-/// Each dimension's radix for dense cell ids: one more than its top level,
-/// the level of the stream's largest finite needed value (PScoreLevel is
-/// monotone, so no row's level exceeds it). Dimension 0 is most significant,
-/// so id order is lexicographic key order. Returns the ids' span, the
-/// product of the radixes, or 0 once that product passes `limit`;
-/// multiplying stops there, so it never overflows.
-uint64_t DenseRadix(const NeededMatrix& raw, double step, uint64_t limit,
-                    std::vector<uint32_t>* radix) {
+/// The dense id of a row no cell holds (needed == inf or NaN on some
+/// dimension). Dense ids of reachable rows stay below 2^31.
+constexpr uint32_t kUnreachableId = std::numeric_limits<uint32_t>::max();
+
+/// Keys every row of a fresh build by its mixed-radix cell id, one dimension
+/// stream at a time, least significant first: the pass over dimension i adds
+/// level_i * (radix_{i+1} * ... * radix_{d-1}) to each row's id (Horner's
+/// rule expanded) and takes the stream's top level in the same read, so
+/// radix_i, one more than that level, is known when the pass ends
+/// (PScoreLevel is monotone, so no row's level exceeds it). Dimension 0 is
+/// most significant, so id order is lexicographic key order. A row
+/// unreachable on any dimension is set to kUnreachableId, which later passes
+/// keep. Returns the ids' span P, the product of the radixes, or 0 as soon
+/// as that product passes `limit`: a pass whose 32-bit arithmetic wrapped
+/// always does, so a wrapped id is never used.
+uint64_t DenseCellIds(const NeededMatrix& raw, double step, uint64_t limit,
+                      std::vector<uint32_t>* ids,
+                      std::vector<uint32_t>* radix) {
+  ids->assign(raw.rows, 0);
   radix->resize(raw.dims);
+  uint32_t* id = ids->data();
   uint64_t span = 1;
-  for (size_t i = 0; i < raw.dims; ++i) {
+  for (size_t i = raw.dims; i-- > 0;) {
     const double* needed = raw.dim(i);
-    double top = 0.0;
+    const uint32_t weight = static_cast<uint32_t>(span);
+    int64_t top = 0;
     for (size_t row = 0; row < raw.rows; ++row) {
-      const double v = needed[row];
-      if (v > top && v < std::numeric_limits<double>::infinity()) top = v;
+      const int64_t level = PScoreLevel(needed[row], step);
+      top = std::max(top, level);
+      const uint32_t keyed = id[row] + static_cast<uint32_t>(level) * weight;
+      id[row] = (level < 0) | (id[row] == kUnreachableId) ? kUnreachableId
+                                                          : keyed;
     }
-    const uint64_t levels = static_cast<uint64_t>(PScoreLevel(top, step)) + 1;
+    const uint64_t levels = static_cast<uint64_t>(top) + 1;
     if (levels > limit / span) return 0;
     span *= levels;
     (*radix)[i] = static_cast<uint32_t>(levels);
@@ -119,42 +135,30 @@ uint64_t DenseRadix(const NeededMatrix& raw, double step, uint64_t limit,
   return span;
 }
 
-/// A fresh build whose cell ids span at most twice the rows: keys every
-/// reachable row by its mixed-radix id, marks the ids in a dense table,
-/// numbers the marked ids in ascending order (the cells, already sorted;
-/// each key decoded from its id) and folds every row in relation order into
-/// its cell's state. Both temporaries are sized by the slice: 4n bytes of
-/// ids and a table of at most 8n.
-Status GroupByDenseId(const NeededMatrix& raw, double step,
+/// A fresh build whose cell ids span at most twice the rows: marks every
+/// row's id in a table of span + 1 slots (an unreachable row marks the sink
+/// slot at `span`, so marking takes no branch), numbers the marked ids in
+/// ascending order (the cells, already sorted; each key decoded from its id)
+/// and folds every reachable row in relation order into its cell's state.
+/// Both temporaries are sized by the slice: the caller's 4n bytes of ids and
+/// a table of at most 8n + 4 bytes.
+Status GroupByDenseId(const NeededMatrix& raw,
+                      const std::vector<uint32_t>& ids,
                       const std::vector<uint32_t>& radix, size_t span,
                       const FlatAggregate& flat, CellSortedLayout* out) {
-  constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
   const size_t d = raw.dims;
   const size_t w = flat.width();
 
-  std::vector<uint32_t> ids(raw.rows);
-  std::vector<uint32_t> cell_of(span, 0);  // marks, then cell numbers
-  size_t m = 0;
+  std::vector<uint32_t> cell_of(span + 1, 0);  // marks, then cell numbers
   size_t unreachable = 0;
-  for (size_t row = 0; row < raw.rows; ++row) {
-    uint32_t id = 0;
-    for (size_t i = 0; i < d; ++i) {
-      const int64_t level = PScoreLevel(raw.dim(i)[row], step);
-      if (level < 0) {
-        id = kUnreachable;
-        break;
-      }
-      id = id * radix[i] + static_cast<uint32_t>(level);
-    }
-    ids[row] = id;
-    if (id == kUnreachable) {
-      ++unreachable;
-    } else if (cell_of[id] == 0) {
-      cell_of[id] = 1;
-      ++m;
-    }
+  for (const uint32_t id : ids) {
+    const bool sink = id == kUnreachableId;
+    cell_of[sink ? span : id] = 1;
+    unreachable += sink;
   }
   out->unreachable_rows += unreachable;
+  const size_t m = static_cast<size_t>(
+      std::count(cell_of.begin(), cell_of.begin() + span, 1u));
 
   // Walk the ids in order with their digits (an odometer over the radixes),
   // so each marked id's key is copied, not divided out.
@@ -177,7 +181,7 @@ Status GroupByDenseId(const NeededMatrix& raw, double step,
   double* states = out->cell_states.data();
   for (size_t c = 0; c < m; ++c) flat.Init(states + c * w);
   for (size_t row = 0; row < raw.rows; ++row) {
-    if (ids[row] == kUnreachable) continue;
+    if (ids[row] == kUnreachableId) continue;
     if (!flat.FoldRange(states + size_t{cell_of[ids[row]]} * w,
                         &raw.agg_values[row], 1)) {
       return FlatAggregate::WidthError();
@@ -285,14 +289,16 @@ Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
   // PScoreRange admits infinity. A build into an empty layout groups by
   // dense cell id when the ids span at most 2n (n = the slice's rows): the
   // table is then no larger than one needed-matrix stream, and every id
-  // fits an int32 level. Every other fold takes the first-seen path.
+  // fits an int32 level. Every other fold takes the first-seen path, a
+  // sparse fresh build after the keying passes that found it sparse.
   if (out->cell_keys.empty()) {
     const uint64_t limit =
         std::min<uint64_t>(2 * static_cast<uint64_t>(raw.rows),
                            std::numeric_limits<int32_t>::max());
+    std::vector<uint32_t> ids;
     std::vector<uint32_t> radix;
-    if (const uint64_t span = DenseRadix(raw, step, limit, &radix)) {
-      return GroupByDenseId(raw, step, radix, span, flat, out);
+    if (const uint64_t span = DenseCellIds(raw, step, limit, &ids, &radix)) {
+      return GroupByDenseId(raw, ids, radix, span, flat, out);
     }
   }
   return GroupByFirstSeen(raw, step, flat, out);

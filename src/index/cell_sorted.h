@@ -27,10 +27,13 @@ struct CellSortedLayout {
 ///  * Dense ids, for a fold into an empty layout whose cell ids span at most
 ///    2n (n = the slice's rows). Each dimension's radix is one more than the
 ///    level of its largest finite needed value, dimension 0 most
-///    significant, so id order is lexicographic key order. Every reachable
-///    row is keyed by its id, the ids are marked in a table of that span and
-///    numbered in ascending order (the cells, sorted without a comparison),
-///    and every row is folded into its cell's state in relation order.
+///    significant, so id order is lexicographic key order. The ids are
+///    built one dimension stream at a time, least significant first, and
+///    each pass takes its stream's radix too; once the radixes' product
+///    passes 2n the build stops keying and groups by first-seen id. The
+///    ids are marked in a table of that span and numbered in ascending
+///    order (the cells, sorted without a comparison), and every reachable
+///    row is folded into its cell's state in relation order.
 ///  * First-seen, for every other fold: a row whose cell `out` already holds
 ///    continues that cell's state; every other reachable row is keyed
 ///    through an open-addressed first-seen table over flat d-int32 keys and

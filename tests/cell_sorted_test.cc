@@ -141,20 +141,23 @@ double DenseStep(size_t d) { return 2.0 * LayoutStep(d); }
 // cell ids, so a fresh build takes the first-seen path.
 constexpr double kFirstSeenStep = 1e-3;
 
+// Dimension i's radix in a fresh build of `raw` at `step`: one more than
+// the level of its largest finite needed value (level 0 when there is none).
+double DimRadix(const NeededMatrix& raw, size_t i, double step) {
+  double top = 0.0;
+  for (size_t row = 0; row < raw.rows; ++row) {
+    if (std::isfinite(raw.dim(i)[row])) top = std::max(top, raw.dim(i)[row]);
+  }
+  return static_cast<double>(PScoreLevel(top, step) + 1);
+}
+
 // The span P of the cell ids a fresh build of `raw` at `step` would key by:
-// the product over dimensions of one more than the level of the largest
-// finite needed value (level 0 when there is none). The build groups by
-// dense id when P <= 2n and by first-seen id otherwise; computed here on
-// its own, in doubles, so it cannot overflow.
+// the product of the dimensions' radixes. The build groups by dense id when
+// P <= 2n and by first-seen id otherwise; computed here on its own, in
+// doubles, so it cannot overflow.
 double DenseIdSpan(const NeededMatrix& raw, double step) {
   double span = 1.0;
-  for (size_t i = 0; i < raw.dims; ++i) {
-    double top = 0.0;
-    for (size_t row = 0; row < raw.rows; ++row) {
-      if (std::isfinite(raw.dim(i)[row])) top = std::max(top, raw.dim(i)[row]);
-    }
-    span *= static_cast<double>(PScoreLevel(top, step) + 1);
-  }
+  for (size_t i = 0; i < raw.dims; ++i) span *= DimRadix(raw, i, step);
   return span;
 }
 
@@ -253,6 +256,86 @@ TEST(CellSortedLayoutBoundaryTest, DenseSpanAtAndPastTwiceTheRows) {
       SCOPED_TRACE(testing::Message()
                    << AggregateKindToString(agg) << " P " << span);
       ASSERT_EQ(DenseIdSpan(raw, step), span);
+      ExpectBuildMatchesReference(fixture->task, raw, step);
+    }
+  }
+}
+
+// A d = 3 task over 3,000 uniform rows (needed values in [0, 233.3] on each
+// dimension), with dimension `capped` capped at `cap` when it is below d.
+std::unique_ptr<test_util::SyntheticTask> MakeKeyingFixture(AggregateKind agg,
+                                                            size_t capped,
+                                                            double cap) {
+  SyntheticOptions options;
+  options.d = 3;
+  options.rows = 3000;
+  options.agg = agg;
+  auto fixture = MakeSyntheticTask(options);
+  if (fixture == nullptr || capped >= options.d) return fixture;
+  auto* dim = dynamic_cast<NumericDim*>(fixture->task.dims[capped].get());
+  if (dim == nullptr) return nullptr;
+  dim->set_max_refinement(cap);
+  return fixture;
+}
+
+// A fresh build keys rows one dimension stream at a time, least significant
+// (the last dimension) first, and gives up on dense ids once the radixes
+// seen so far span more than 2n. Both ways of turning sparse must still
+// build the reference layout: on the first pass, where the last dimension's
+// radix alone passes 2n, and on the last pass (dimension 0), where the other
+// dimensions' radixes span at most 2n.
+TEST(CellSortedLayoutBoundaryTest, SparseOnTheFirstOrTheLastKeyingPass) {
+  for (const AggregateKind agg : {AggregateKind::kCount, AggregateKind::kSum}) {
+    SCOPED_TRACE(AggregateKindToString(agg));
+    auto fixture = MakeKeyingFixture(agg, /*capped=*/3, 0.0);
+    ASSERT_NE(fixture, nullptr);
+    NeededMatrix raw;
+    ASSERT_TRUE(BuildNeededMatrix(fixture->task, &raw).ok());
+    const double n2 = 2.0 * static_cast<double>(raw.rows);
+
+    // First pass: the last dimension alone spans more than 2n ids.
+    const double fine = 0.03;
+    EXPECT_GT(DimRadix(raw, 2, fine), n2);
+    ExpectBuildMatchesReference(fixture->task, raw, fine);
+
+    // Last pass: dimensions 2 and 1 span at most 2n ids, dimension 0 takes
+    // the product past it.
+    const double coarse = 3.4;
+    EXPECT_LE(DimRadix(raw, 2, coarse) * DimRadix(raw, 1, coarse), n2);
+    EXPECT_GT(DenseIdSpan(raw, coarse), n2);
+    ExpectBuildMatchesReference(fixture->task, raw, coarse);
+  }
+}
+
+// A dense build over rows unreachable on one dimension only: dimension 0,
+// whose keying pass runs last, and the last dimension, whose pass runs
+// first, so the rows it marks unreachable must stay so through the passes
+// that follow.
+TEST(CellSortedLayoutBoundaryTest, RowsUnreachableOnOneDimensionOnly) {
+  const double step = 40.0;
+  for (const AggregateKind agg : {AggregateKind::kCount, AggregateKind::kSum}) {
+    for (const size_t capped : {size_t{0}, size_t{2}}) {
+      SCOPED_TRACE(testing::Message() << AggregateKindToString(agg)
+                                      << " unreachable on dimension "
+                                      << capped);
+      // A cap of 100 leaves rows with c > 60 (about 40%) unreachable there;
+      // no other dimension has an unreachable row.
+      auto fixture = MakeKeyingFixture(agg, capped, 100.0);
+      ASSERT_NE(fixture, nullptr);
+      NeededMatrix raw;
+      ASSERT_TRUE(BuildNeededMatrix(fixture->task, &raw).ok());
+      for (size_t i = 0; i < raw.dims; ++i) {
+        size_t unreachable = 0;
+        for (size_t row = 0; row < raw.rows; ++row) {
+          unreachable += PScoreLevel(raw.dim(i)[row], step) < 0;
+        }
+        if (i == capped) {
+          EXPECT_GT(unreachable, raw.rows / 4) << "dimension " << i;
+        } else {
+          EXPECT_EQ(unreachable, 0u) << "dimension " << i;
+        }
+      }
+      EXPECT_LE(DenseIdSpan(raw, step), 2.0 * static_cast<double>(raw.rows));
       ExpectBuildMatchesReference(fixture->task, raw, step);
     }
   }
