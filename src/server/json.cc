@@ -30,6 +30,13 @@ JsonValue JsonValue::Str(std::string s) {
   return v;
 }
 
+JsonValue JsonValue::Raw(std::string dumped) {
+  JsonValue v;
+  v.kind_ = Kind::kRaw;
+  v.string_ = std::move(dumped);
+  return v;
+}
+
 JsonValue JsonValue::Array() {
   JsonValue v;
   v.kind_ = Kind::kArray;
@@ -165,6 +172,9 @@ void JsonValue::DumpTo(std::string* out) const {
       break;
     case Kind::kString:
       AppendEscaped(string_, out);
+      break;
+    case Kind::kRaw:
+      *out += string_;
       break;
     case Kind::kArray: {
       out->push_back('[');

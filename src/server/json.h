@@ -19,7 +19,7 @@ namespace acquire {
 /// readably.
 class JsonValue {
  public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject, kRaw };
 
   JsonValue() : kind_(Kind::kNull) {}
   static JsonValue Null() { return JsonValue(); }
@@ -28,6 +28,9 @@ class JsonValue {
   static JsonValue Str(std::string s);
   static JsonValue Array();
   static JsonValue Object();
+  /// Already-serialized JSON (one Dump() line), spliced into Dump() output
+  /// verbatim. Parse never produces one.
+  static JsonValue Raw(std::string dumped);
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }

@@ -9,6 +9,7 @@
 #include <iterator>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/string_util.h"
 #include "sql/printer.h"
@@ -146,7 +147,7 @@ Status ResultCache::SaveToFile(const std::string& path) const {
   std::string body;
   // Two lines per entry: a metadata line of exact decimal u64 fields (JSON
   // numbers are doubles and would corrupt 64-bit fingerprints), then the
-  // report re-dumped — Dump() is single-line by contract, so the format
+  // report as held — a Dump() line, single-line by contract, so the format
   // stays newline-framed.
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -160,7 +161,7 @@ Status ResultCache::SaveToFile(const std::string& path) const {
                     r.queries_explored, r.cell_queries, r.bytes);
       body += meta;
       body += '\n';
-      body += r.report.Dump();
+      body += r.report;
       body += '\n';
     }
   }
@@ -237,6 +238,9 @@ Status ResultCache::LoadFromFile(const std::string& path,
   std::istringstream body_in(std::string(body_begin, body_size));
   std::string line;
   size_t entry_no = 0;
+  // Nothing is inserted until every entry parsed: one bad line rejects the
+  // whole file.
+  std::vector<std::pair<TaskFingerprint, CachedResultPtr>> entries;
   while (std::getline(body_in, line)) {
     if (line.empty()) continue;
     ++entry_no;
@@ -270,14 +274,16 @@ Status ResultCache::LoadFromFile(const std::string& path,
     }
     fp.hi = static_cast<uint64_t>(hi);
     fp.lo = static_cast<uint64_t>(lo);
-    result->report = std::move(*report);
+    // Re-dumped once here, so every spliced report is Dump() output.
+    result->report = report->Dump();
     result->queries_explored = static_cast<uint64_t>(explored);
     result->cell_queries = static_cast<uint64_t>(cells);
     result->bytes = static_cast<size_t>(bytes);
     result->generation = static_cast<uint64_t>(gen);
-    Insert(fp, std::move(result));
-    if (loaded != nullptr) ++(*loaded);
+    entries.emplace_back(fp, std::move(result));
   }
+  for (auto& [fp, result] : entries) Insert(fp, std::move(result));
+  if (loaded != nullptr) *loaded = entries.size();
   return Status::OK();
 }
 

@@ -15,26 +15,26 @@
 
 namespace acquire {
 
-/// Renders the protocol "report" object for a terminal outcome — the shared
-/// serializer behind STATUS/SUBMIT replies and the result cache, so a cached
-/// reply is byte-identical to the reply the seeding run produced. `task` is
+/// Renders the protocol "report" object for a terminal outcome — the one
+/// serializer behind every reply's report and the result cache. `task` is
 /// the session's planned task (may be null when planning never ran);
 /// contracted outcomes render against their contraction task so the answer
 /// SQL is runnable.
 JsonValue BuildReportJson(const AcqOutcome& outcome, const AcqTask* task,
                           double wall_ms);
 
-/// One completed run's reply, shared by the run's own session and every
-/// later cache hit. The report is rendered exactly once (wall_ms and
-/// elapsed_ms included), which is what makes cached replies bit-exact.
-/// Immutable after construction.
+/// One finished run's report, rendered once on the run thread and shared
+/// by its session's every reply and, for a completed cacheable run, by the
+/// cache and every later hit: the shared bytes (wall_ms and elapsed_ms
+/// included) make cached replies bit-exact. Immutable after construction.
 struct CachedResult {
-  JsonValue report;
+  std::string report;  // one Dump() line, spliced into replies verbatim
   /// The seeding run's RunContext progress counters — cache-served sessions
   /// adopt them so the reply envelope matches the fresh one too.
   uint64_t queries_explored = 0;
   uint64_t cell_queries = 0;
-  /// Approximate retained footprint, charged against the byte limit.
+  /// Retained footprint (the report's length + 64), charged against the
+  /// byte limit.
   size_t bytes = 0;
   /// Catalog generation the seeding run planned against. The fingerprint
   /// already folds the generation in, so lookups can never cross
@@ -99,10 +99,10 @@ class ResultCache {
   Status SaveToFile(const std::string& path) const;
 
   /// Loads a SaveToFile snapshot, inserting entries via the normal Insert
-  /// path (so the byte limit applies). The header and trailing CRC are
-  /// verified before anything is inserted — a truncated, torn or corrupted
-  /// snapshot, or one in an older format version, is rejected whole
-  /// (ParseError), never half-loaded. Entries recorded under a catalog
+  /// path (so the byte limit applies). The header, the trailing CRC and
+  /// every entry are checked before anything is inserted — a truncated,
+  /// torn or corrupted snapshot, or one in an older format version, is
+  /// rejected whole (ParseError), never half-loaded. Entries recorded under a catalog
   /// generation other than `current_generation` are stale — the data they
   /// answered for has changed identity — and are dropped. Returns the count
   /// of loaded entries via `loaded`/`dropped` when non-null. NotFound when

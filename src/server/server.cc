@@ -88,16 +88,12 @@ JsonValue SessionToJson(const Session& session) {
     out.Set("error", JsonValue::Str(view.error.message()));
     return out;
   }
-  // Cache-served sessions (and the seeding leader itself) reply with the
-  // report rendered once at the leader's completion — byte-identical across
+  // The report bytes rendered once at the run's end, spliced verbatim: the
+  // same for every reply about the run and, when it seeded the cache, for
   // every hit; only the outer "id" differs.
-  if (view.cached != nullptr) {
-    out.Set("report", JsonValue(view.cached->report));
-    return out;
+  if (view.reply != nullptr) {
+    out.Set("report", JsonValue::Raw(view.reply->report));
   }
-  if (!view.has_outcome) return out;
-  out.Set("report", BuildReportJson(view.outcome, view.task.get(),
-                                    view.wall_ms));
   return out;
 }
 

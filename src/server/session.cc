@@ -88,11 +88,7 @@ Session::View Session::Snapshot() const {
     std::lock_guard<std::mutex> lock(mu_);
     view.state = state_;
     view.error = error_;
-    view.has_outcome = has_outcome_;
-    if (has_outcome_) view.outcome = outcome_;
-    view.task = task_;
-    view.cached = cached_;
-    view.wall_ms = wall_ms_;
+    view.reply = reply_;
   }
   view.queries_explored = ctx_.queries_explored.load(std::memory_order_relaxed);
   view.cell_queries = ctx_.cell_queries.load(std::memory_order_relaxed);
@@ -362,8 +358,7 @@ void SessionManager::PublishFromCache(const SessionPtr& session,
   std::lock_guard<std::mutex> lock(session->mu_);
   if (IsTerminal(session->state_)) return;
   session->state_ = SessionState::kDone;
-  session->cached_ = cached;
-  session->wall_ms_ = MillisSince(session->submitted_at_);
+  session->reply_ = cached;
   session->cv_.notify_all();
 }
 
@@ -462,7 +457,6 @@ void SessionManager::Launch(SessionPtr session) {
     session->error_ = Status::Unavailable(
         "injected thread-pool enqueue failure "
         "(failpoint server.pool_enqueue)");
-    session->wall_ms_ = MillisSince(session->submitted_at_);
     session->cv_.notify_all();
     return;
   }
@@ -599,9 +593,9 @@ void SessionManager::RunSession(const SessionPtr& session) {
     }
     data_lock.lock();
 
-    // Bind + plan against the shared catalog, then run. The task
-    // outlives the outcome (answer rendering needs its dimensions), so it
-    // lives in a shared_ptr on the session. The failpoint sits in front of
+    // Bind + plan against the shared catalog, then run. The task lives only
+    // until the report below is rendered: it goes when this run ends, with
+    // any relation its plan materialized. The failpoint sits in front of
     // the whole body: a `sleep:` spec stretches the run (holding it in
     // flight while tests race other requests against it) and a failure spec
     // fails it.
@@ -673,13 +667,24 @@ void SessionManager::RunSession(const SessionPtr& session) {
     }
   }
 
-  // One wall-clock reading and (for completed cacheable runs) one report
-  // render, inserted BEFORE the terminal publish: the run itself and every
-  // later cache hit reply with this exact JSON, which is what makes cached
-  // replies byte-identical to the fresh one, and a repeat sent after the
-  // reply finds the entry.
+  // One wall-clock reading and, for every run with an outcome, one report
+  // render to bytes that every reply about the run splices. A completed
+  // cacheable run inserts the same entry BEFORE the terminal publish, so
+  // each later hit replies with these exact bytes and a repeat sent after
+  // the reply finds it.
   const double wall_ms = MillisSince(start);
-  CachedResultPtr cached;
+  CachedResultPtr reply;
+  if (has_outcome) {
+    auto entry = std::make_shared<CachedResult>();
+    entry->report = BuildReportJson(outcome, task.get(), wall_ms).Dump();
+    entry->queries_explored =
+        session->ctx_.queries_explored.load(std::memory_order_relaxed);
+    entry->cell_queries =
+        session->ctx_.cell_queries.load(std::memory_order_relaxed);
+    entry->bytes = entry->report.size() + 64;
+    entry->generation = session->fp_generation_;
+    reply = std::move(entry);
+  }
   // Stale-generation guard: a session fingerprinted at generation G but run
   // after an APPEND moved the catalog to G' computed its answer on data the
   // fingerprint does not describe. Its reply is correct for the caller, but
@@ -690,16 +695,7 @@ void SessionManager::RunSession(const SessionPtr& session) {
   if (session->has_fp_ && state == SessionState::kDone && has_outcome &&
       outcome.result.termination == RunTermination::kCompleted &&
       generation_current) {
-    auto entry = std::make_shared<CachedResult>();
-    entry->report = BuildReportJson(outcome, task.get(), wall_ms);
-    entry->queries_explored =
-        session->ctx_.queries_explored.load(std::memory_order_relaxed);
-    entry->cell_queries =
-        session->ctx_.cell_queries.load(std::memory_order_relaxed);
-    entry->bytes = entry->report.Dump().size() + 64;
-    entry->generation = session->fp_generation_;
-    cached = std::move(entry);
-    cache_.Insert(session->fp_, cached);
+    cache_.Insert(session->fp_, reply);
   }
   if (data_lock.owns_lock()) data_lock.unlock();
 
@@ -714,15 +710,7 @@ void SessionManager::RunSession(const SessionPtr& session) {
     std::lock_guard<std::mutex> lock(session->mu_);
     session->state_ = state;
     session->error_ = error;
-    if (has_outcome) {
-      session->outcome_ = std::move(outcome);
-      session->has_outcome_ = true;
-      session->task_ = std::move(task);
-    }
-    // The seeding run itself replies from the cached render too, so its own
-    // reply matches every hit that follows.
-    session->cached_ = cached;
-    session->wall_ms_ = wall_ms;
+    session->reply_ = std::move(reply);
     session->cv_.notify_all();
   }
 }

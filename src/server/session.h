@@ -31,7 +31,7 @@ enum class SessionState { kQueued, kRunning, kDone, kCancelled, kFailed };
 const char* SessionStateToString(SessionState state);
 
 /// One admitted ACQ request: the SQL text, the per-run options, the
-/// RunContext the drivers poll, and — once terminal — the outcome.
+/// RunContext the drivers poll, and — once terminal — the rendered reply.
 /// State transitions happen under `mu` and are announced on `cv`.
 class Session {
  public:
@@ -56,19 +56,15 @@ class Session {
   bool RequestClientStop();
 
   /// Consistent copy for protocol rendering: terminal details (error /
-  /// outcome / task for answer rendering) plus live progress counters, which
-  /// are meaningful for running sessions too.
+  /// reply) plus live progress counters, which are meaningful for running
+  /// sessions too.
   struct View {
     SessionState state = SessionState::kQueued;
     Status error;
-    bool has_outcome = false;
-    AcqOutcome outcome;
-    std::shared_ptr<const AcqTask> task;
-    /// Set when this session was served from the result cache (an admission
-    /// hit) or seeded it: the pre-rendered report to reply with,
-    /// byte-identical across all of them.
-    CachedResultPtr cached;
-    double wall_ms = 0.0;
+    /// The report rendered once at the run's end (or the entry a cache hit
+    /// was served from), shared by every reply about the run. Null until
+    /// then, and for failed runs and cancels that won while queued.
+    CachedResultPtr reply;
     uint64_t queries_explored = 0;
     uint64_t cell_queries = 0;
   };
@@ -99,12 +95,8 @@ class Session {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   SessionState state_ = SessionState::kQueued;
-  Status error_;                            // when kFailed
-  AcqOutcome outcome_;                      // when kDone / mid-run kCancelled
-  bool has_outcome_ = false;                // outcome_ is meaningful
-  std::shared_ptr<AcqTask> task_;           // keeps rendering inputs alive
-  CachedResultPtr cached_;                  // cache-served reply (see View)
-  double wall_ms_ = 0.0;                    // submit -> terminal
+  Status error_;           // when kFailed
+  CachedResultPtr reply_;  // rendered report (see View)
 };
 
 using SessionPtr = std::shared_ptr<Session>;

@@ -125,6 +125,32 @@ TEST(JsonTest, RoundTripThroughDump) {
   EXPECT_EQ(MustParse(v.Dump()).Dump(), v.Dump());
 }
 
+// A Raw value is an already-dumped line that Dump splices in verbatim, so a
+// reply that splices a stored report carries the bytes the report tree
+// itself dumps to.
+TEST(JsonTest, RawValuesDumpVerbatim) {
+  JsonValue object = JsonValue::Object();
+  object.Set("a", JsonValue::Number(1.0));
+  object.Set("r", JsonValue::Raw("{\"x\":[1,2.5,\"y\"]}"));
+  EXPECT_EQ(object.Dump(), "{\"a\":1,\"r\":{\"x\":[1,2.5,\"y\"]}}");
+  JsonValue array = JsonValue::Array();
+  array.Append(JsonValue::Raw("null"));
+  array.Append(JsonValue::Str("s"));
+  array.Append(JsonValue::Raw("[true]"));
+  EXPECT_EQ(array.Dump(), "[null,\"s\",[true]]");
+
+  const JsonValue tree = MustParse(
+      "{\"mode\":\"expanded\",\"best\":{\"sql\":\"a <= \\\"b\\\"\\n\","
+      "\"qscore\":0.1,\"error\":1e-300},\"answers\":[{},[]],\"n\":null}");
+  JsonValue with_tree = JsonValue::Object();
+  with_tree.Set("ok", JsonValue::Bool(true));
+  with_tree.Set("report", tree);
+  JsonValue with_raw = JsonValue::Object();
+  with_raw.Set("ok", JsonValue::Bool(true));
+  with_raw.Set("report", JsonValue::Raw(tree.Dump()));
+  EXPECT_EQ(with_raw.Dump(), with_tree.Dump());
+}
+
 // A representative PROGRESS frame — the streaming protocol's second line
 // kind — survives Parse(Dump) with every field intact, including the
 // exact doubles a client keys its early-stop rules on.

@@ -184,11 +184,22 @@ class LayerReuseTest : public ::testing::Test {
 
   double Stat(const char* field) { return acquire::Stat(server_.get(), field); }
 
+  // A served run as its reply reports it. The fixture serves one run at a
+  // time, so the run's store_replayed is the STATS delta around it.
+  struct Served {
+    JsonValue report;  // null when the run rendered none
+    std::string mode;
+    std::string termination;
+    uint64_t queries_explored = 0;
+    uint64_t cell_queries = 0;
+    uint64_t store_replayed = 0;
+  };
+
   // A served run of `query` through the tenant's session manager, which
-  // takes every option of it; the wire renders its outcome with the same
-  // BuildReportJson.
-  Session::View Serve(const Query& query, double timeout_ms = 0.0,
-                      SessionProgress progress = {}) {
+  // takes every option of it; the wire splices the report it rendered.
+  Served Serve(const Query& query, double timeout_ms = 0.0,
+               SessionProgress progress = {}) {
+    const double replayed_before = Stat("store_replayed");
     Result<SessionPtr> session = server_->sessions().Submit(
         query.sql, query.Options(), timeout_ms, EvalBackend::kAuto,
         std::move(progress));
@@ -197,24 +208,33 @@ class LayerReuseTest : public ::testing::Test {
     (*session)->WaitDone();
     Session::View view = (*session)->Snapshot();
     EXPECT_EQ(view.state, SessionState::kDone) << view.error.ToString();
-    return view;
+    Served served;
+    served.store_replayed =
+        static_cast<uint64_t>(Stat("store_replayed") - replayed_before);
+    if (view.reply == nullptr) return served;
+    served.report = MustParse(view.reply->report);
+    served.mode = served.report.GetString("mode");
+    served.termination = served.report.GetString("termination");
+    served.queries_explored = static_cast<uint64_t>(
+        served.report.GetNumber("queries_explored", 0.0));
+    served.cell_queries =
+        static_cast<uint64_t>(served.report.GetNumber("cell_queries", 0.0));
+    return served;
   }
 
   // Serves `query`, expects its report to equal the cold one, and returns
-  // the served outcome.
-  AcqOutcome ExpectServedMatchesCold(const Query& query) {
-    Session::View view = Serve(query);
-    if (!view.has_outcome) {
-      ADD_FAILURE() << query.sql << ": no outcome";
-      return {};
+  // the served run.
+  Served ExpectServedMatchesCold(const Query& query) {
+    Served served = Serve(query);
+    if (!served.report.is_object()) {
+      ADD_FAILURE() << query.sql << ": no report";
+      return served;
     }
-    EXPECT_EQ(test_util::StripIdAndTiming(
-                  BuildReportJson(view.outcome, view.task.get(), 0.0))
-                  .Dump(),
+    EXPECT_EQ(test_util::StripIdAndTiming(served.report).Dump(),
               ColdReport(query))
         << query.sql << " order=" << OrderName(query.order)
         << " norm=" << query.norm.ToString();
-    return view.outcome;
+    return served;
   }
 
   Catalog served_;
@@ -318,13 +338,13 @@ TEST_F(LayerReuseTest, KeptStoreRepliesMatchColdAcrossOrdersAndNorms) {
       return query;
     };
     auto run = [&](const Query& query) {
-      AcqOutcome outcome = ExpectServedMatchesCold(query);
-      EXPECT_LE(outcome.result.store_replayed, outcome.result.cell_queries);
-      replayed += outcome.result.store_replayed;
-      return outcome;
+      Served served = ExpectServedMatchesCold(query);
+      EXPECT_LE(served.store_replayed, served.cell_queries);
+      replayed += served.store_replayed;
+      return served;
     };
-    auto expanded = [](const AcqOutcome& outcome) {
-      return outcome.mode == AcqMode::kExpanded;
+    auto expanded = [](const Served& served) {
+      return served.mode == AcqModeToString(AcqMode::kExpanded);
     };
 
     // Rising targets extend the store; falling ones then find every layer
@@ -332,19 +352,17 @@ TEST_F(LayerReuseTest, KeptStoreRepliesMatchColdAcrossOrdersAndNorms) {
     std::vector<double> targets;
     for (int i = 0; i < 4; ++i) targets.push_back(rng_.NextDouble(t.lo, t.hi));
     std::sort(targets.begin(), targets.end());
-    AcqOutcome deepest;
+    Served deepest;
     for (double target : targets) {
       deepest = run(query_at(target, SearchOrder::kBfs, Norm::L1()));
     }
     for (int i = 0; i < 2; ++i) {
-      const AcqOutcome shallower = run(query_at(
+      const Served shallower = run(query_at(
           rng_.NextDouble(t.lo, targets.front()), SearchOrder::kBfs,
           Norm::L1()));
       if (expanded(shallower) && expanded(deepest) &&
-          shallower.result.queries_explored <=
-              deepest.result.queries_explored) {
-        EXPECT_EQ(shallower.result.store_replayed,
-                  shallower.result.cell_queries);
+          shallower.queries_explored <= deepest.queries_explored) {
+        EXPECT_EQ(shallower.store_replayed, shallower.cell_queries);
       }
     }
 
@@ -355,10 +373,10 @@ TEST_F(LayerReuseTest, KeptStoreRepliesMatchColdAcrossOrdersAndNorms) {
         run(query_at(rng_.NextDouble(t.lo, t.hi), order, norm));
       }
     }
-    const AcqOutcome repeat = run(query_at(rng_.NextDouble(t.lo, t.hi),
-                                           orders[2], norms[2]));
+    const Served repeat = run(query_at(rng_.NextDouble(t.lo, t.hi),
+                                       orders[2], norms[2]));
     if (expanded(repeat)) {
-      EXPECT_GT(repeat.result.store_replayed, 0u);
+      EXPECT_GT(repeat.store_replayed, 0u);
     }
 
     // An APPEND drops the store; a max_explored stop then leaves a partial
@@ -367,13 +385,13 @@ TEST_F(LayerReuseTest, KeptStoreRepliesMatchColdAcrossOrdersAndNorms) {
     AppendInRange(20);
     Query partial = query_at(t.hi, SearchOrder::kBfs, Norm::L1());
     partial.max_explored = kPartialStop;
-    const AcqOutcome stopped = run(partial);
-    EXPECT_EQ(stopped.result.store_replayed, 0u);
-    const AcqOutcome deeper =
-        run(query_at(t.hi, SearchOrder::kBfs, Norm::L1()));
-    if (stopped.result.termination == RunTermination::kTruncated &&
-        deeper.result.queries_explored > kPartialStop) {
-      EXPECT_EQ(deeper.result.store_replayed, kPartialStop);
+    const Served stopped = run(partial);
+    EXPECT_EQ(stopped.store_replayed, 0u);
+    const Served deeper = run(query_at(t.hi, SearchOrder::kBfs, Norm::L1()));
+    if (stopped.termination ==
+            RunTerminationToString(RunTermination::kTruncated) &&
+        deeper.queries_explored > kPartialStop) {
+      EXPECT_EQ(deeper.store_replayed, kPartialStop);
     }
 
     // A deadline that passes while the second layer's frame is handled:
@@ -386,15 +404,15 @@ TEST_F(LayerReuseTest, KeptStoreRepliesMatchColdAcrossOrdersAndNorms) {
         std::this_thread::sleep_for(std::chrono::milliseconds(300));
       }
     };
-    const Session::View cut =
+    const Served cut =
         Serve(query_at(t.hi, SearchOrder::kShell, Norm::LInf()), 200.0,
               std::move(progress));
-    ASSERT_TRUE(cut.has_outcome);
-    if (cut.outcome.result.termination != RunTermination::kCompleted) {
-      EXPECT_EQ(cut.outcome.result.termination,
-                RunTermination::kDeadlineExceeded);
+    ASSERT_TRUE(cut.report.is_object());
+    if (cut.termination != RunTerminationToString(RunTermination::kCompleted)) {
+      EXPECT_EQ(cut.termination,
+                RunTerminationToString(RunTermination::kDeadlineExceeded));
     }
-    replayed += cut.outcome.result.store_replayed;
+    replayed += cut.store_replayed;
     run(query_at(rng_.NextDouble(t.lo, t.hi), SearchOrder::kShell,
                  Norm::LInf()));
 
@@ -404,14 +422,14 @@ TEST_F(LayerReuseTest, KeptStoreRepliesMatchColdAcrossOrdersAndNorms) {
       AppendInRange(4200);
       FailpointRegistry& registry = FailpointRegistry::Global();
       ASSERT_TRUE(registry.Configure("index.delta_merge", "p:1").ok());
-      const AcqOutcome rebuilt =
+      const Served rebuilt =
           run(query_at(t.hi, SearchOrder::kBfs, Norm::L2()));
       registry.DisarmAll();
-      EXPECT_EQ(rebuilt.result.store_replayed, 0u);
-      const AcqOutcome after = run(query_at(rng_.NextDouble(t.lo, t.hi),
-                                            SearchOrder::kBfs, Norm::L2()));
+      EXPECT_EQ(rebuilt.store_replayed, 0u);
+      const Served after = run(query_at(rng_.NextDouble(t.lo, t.hi),
+                                        SearchOrder::kBfs, Norm::L2()));
       if (expanded(rebuilt) && expanded(after)) {
-        EXPECT_GT(after.result.store_replayed, 0u);
+        EXPECT_GT(after.store_replayed, 0u);
       }
     }
   }

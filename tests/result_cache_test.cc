@@ -223,7 +223,7 @@ CachedResultPtr MakeEntry(size_t bytes) {
   auto entry = std::make_shared<CachedResult>();
   JsonValue report = JsonValue::Object();
   report.Set("bytes", JsonValue::Number(static_cast<double>(bytes)));
-  entry->report = std::move(report);
+  entry->report = report.Dump();
   entry->bytes = bytes;
   return entry;
 }

@@ -225,7 +225,7 @@ CachedResultPtr MakeEntry(size_t bytes, uint64_t generation,
   JsonValue report = JsonValue::Object();
   report.Set("tag", JsonValue::Str(tag));
   report.Set("wall_ms", JsonValue::Number(12.25));
-  entry->report = std::move(report);
+  entry->report = report.Dump();
   entry->queries_explored = 42;
   entry->cell_queries = 7;
   entry->bytes = bytes;
@@ -258,8 +258,10 @@ TEST(ResultCachePersistenceTest, RoundTripsAndDropsStaleGenerations) {
 
   CachedResultPtr a = restored.Lookup(Fp(1));
   ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->report.GetString("tag"), "current-a");
-  EXPECT_EQ(a->report.GetNumber("wall_ms", -1.0), 12.25);
+  Result<JsonValue> report = JsonValue::Parse(a->report);
+  ASSERT_TRUE(report.ok()) << a->report;
+  EXPECT_EQ(report->GetString("tag"), "current-a");
+  EXPECT_EQ(report->GetNumber("wall_ms", -1.0), 12.25);
   EXPECT_EQ(a->queries_explored, 42u);
   EXPECT_EQ(a->cell_queries, 7u);
   EXPECT_EQ(a->bytes, 400u);
@@ -308,6 +310,30 @@ TEST(ResultCachePersistenceTest, CorruptFileIsRejectedWithoutPartialLoad) {
   }
   EXPECT_FALSE(cache.LoadFromFile(path, 0).ok());
   EXPECT_EQ(cache.stats().entries, 0u);
+  std::remove(path.c_str());
+}
+
+// A snapshot whose checksum holds but whose second entry does not parse is
+// rejected whole: the first entry, read before the bad one, is not kept.
+TEST(ResultCachePersistenceTest, BadEntryAfterGoodOnesLoadsNothing) {
+  const std::string path = TempPath("acq_cache_bad_entry.snapshot");
+  for (const char* second : {"16 2 0 42 7 400\n{\"tag\":\n",
+                             "16 2 0 42\n{\"tag\":\"b\"}\n"}) {
+    const std::string body =
+        std::string("8 1 0 42 7 400\n{\"tag\":\"a\"}\n") + second;
+    {
+      std::ofstream out(path);
+      out << "acq-cache-v3\n"
+          << body
+          << StringFormat("crc %08x\n", Crc32c(body.data(), body.size()));
+    }
+    ResultCache cache(1 << 20);
+    size_t loaded = 7;
+    Status status = cache.LoadFromFile(path, 0, &loaded);
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << second;
+    EXPECT_EQ(loaded, 0u) << second;
+    EXPECT_EQ(cache.stats().entries, 0u) << second;
+  }
   std::remove(path.c_str());
 }
 

@@ -922,5 +922,43 @@ TEST(ServerTest, SubmitRetiredBackendNamesAreRejected) {
   }
 }
 
+// A finished session keeps its rendered reply, not its outcome or planned
+// task, so once a run ends nothing it planned still holds the relation.
+// Direct never parks a layer (and its task) in the tenant's idle slot.
+TEST(ServerTest, FinishedSessionsDoNotPinTheirRelation) {
+  Catalog catalog;
+  UsersOptions users;
+  users.users = 500;
+  ASSERT_TRUE(GenerateUsers(users, &catalog).ok());
+  Result<TablePtr> table = catalog.GetTable("users");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  const long baseline = table->use_count();
+
+  AcqServer server(&catalog);
+  for (int i = 0; i < 4; ++i) {
+    JsonValue request = JsonValue::Object();
+    request.Set("cmd", JsonValue::Str("SUBMIT"));
+    request.Set("sql", JsonValue::Str(StringFormat(
+                           "SELECT * FROM users CONSTRAINT COUNT(*) >= %d "
+                           "WHERE age <= 30 AND income <= 40000",
+                           100 + 50 * i)));
+    request.Set("backend", JsonValue::Str("direct"));
+    request.Set("wait", JsonValue::Bool(true));
+    const JsonValue reply =
+        MustParse(server.HandleRequestLine(request.Dump()));
+    ASSERT_EQ(reply.GetString("state"), "done") << reply.Dump();
+    ASSERT_NE(reply.Get("report"), nullptr) << reply.Dump();
+  }
+  // The run thread drops its own reference just after the terminal publish
+  // that released the waiting SUBMIT.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (table->use_count() != baseline &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(table->use_count(), baseline);
+}
+
 }  // namespace
 }  // namespace acquire
