@@ -1,10 +1,9 @@
 // Ablation: the modular evaluation layer (Section 3). The same ACQUIRE
 // search on (1) the direct layer — every cell query is a fresh relation
 // scan, the faithful model of delegating execution to a DBMS without
-// indexes; (2) the cached layer — per-tuple refinement distances are
-// materialized once; (3) the Section 7.4 grid index in CSR form (the
-// cell-sorted layer) — a cell query is one binary search over the sorted
-// cell keys, and empty cells are answered without touching data.
+// indexes; (2) the Section 7.4 grid index in CSR form (the cell-sorted
+// layer) — a cell query is one binary search over the sorted cell keys,
+// and empty cells are answered without touching data.
 
 #include <cstdio>
 
@@ -43,8 +42,6 @@ void Run() {
 
     DirectEvaluationLayer direct(&rt.task);
     run("direct-scan", &direct);
-    CachedEvaluationLayer cached(&rt.task);
-    run("cached-distances", &cached);
     CellSortedEvaluationLayer indexed(&rt.task, space.step());
     run("cell-sorted", &indexed);
   }

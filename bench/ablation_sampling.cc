@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "core/processor.h"
 #include "exec/approx_evaluation.h"
 
 namespace acquire {
@@ -45,8 +46,8 @@ void Run() {
                   result->satisfied ? "yes" : "no"});
   };
 
-  CachedEvaluationLayer exact(&rt.task);
-  run("exact (cached)", &exact);
+  CellSortedEvaluationLayer exact(&rt.task, GridStepFor(rt.task, options));
+  run("exact (cell-sorted)", &exact);
   for (double rate : {0.2, 0.05, 0.01}) {
     SamplingEvaluationLayer sampled(&rt.task, rate);
     run(StringFormat("sample %.0f%%", rate * 100).c_str(), &sampled);

@@ -1,4 +1,4 @@
-// Evaluation-backend shootout: Direct / Cached / CellSorted over
+// Evaluation-backend shootout: Direct / CellSorted over
 // TPC-H-shaped lineitem data, across table sizes and dimensionalities, on
 // the three workloads ACQUIRE actually issues (cell queries, aligned
 // boxes, off-grid repartition probes).
@@ -62,9 +62,7 @@ double TimePerQueryMs(EvaluationLayer* layer,
 
 size_t RepsFor(EvalBackend backend, const std::string& workload, size_t n) {
   if (backend == EvalBackend::kDirect) return 4;  // scans + recomputes
-  if (backend == EvalBackend::kCellSorted && workload != "unaligned_box") {
-    return n >= 500000 ? 500 : 200;
-  }
+  if (workload != "unaligned_box") return n >= 500000 ? 500 : 200;
   return n >= 500000 ? 12 : 40;  // matrix-scan cost per query
 }
 
@@ -82,12 +80,12 @@ int Main() {
   const std::vector<size_t> dims = {1, 2, 3, 4};
   const std::vector<std::string> workloads = {"aligned_cell", "aligned_box",
                                               "unaligned_box"};
-  const std::vector<EvalBackend> backends = {
-      EvalBackend::kDirect, EvalBackend::kCached, EvalBackend::kCellSorted};
+  const std::vector<EvalBackend> backends = {EvalBackend::kDirect,
+                                             EvalBackend::kCellSorted};
 
   std::string json = "{\"bench\":\"eval_backend\",\"configs\":[";
   bool first_config = true;
-  double cached_cell_ms = 0.0, cached_box_ms = 0.0;
+  double direct_cell_ms = 0.0, direct_box_ms = 0.0;
   double sorted_cell_ms = 0.0, sorted_box_ms = 0.0;
 
   for (size_t n : sizes) {
@@ -119,9 +117,9 @@ int Main() {
           run.per_query_ms[workload] = TimePerQueryMs(layer->get(), boxes);
         }
         if (n == sizes.back() && d == 3) {
-          if (backend == EvalBackend::kCached) {
-            cached_cell_ms = run.per_query_ms["aligned_cell"];
-            cached_box_ms = run.per_query_ms["aligned_box"];
+          if (backend == EvalBackend::kDirect) {
+            direct_cell_ms = run.per_query_ms["aligned_cell"];
+            direct_box_ms = run.per_query_ms["aligned_box"];
           } else if (backend == EvalBackend::kCellSorted) {
             sorted_cell_ms = run.per_query_ms["aligned_cell"];
             sorted_box_ms = run.per_query_ms["aligned_box"];
@@ -141,13 +139,13 @@ int Main() {
   }
 
   const double cell_speedup =
-      sorted_cell_ms > 0.0 ? cached_cell_ms / sorted_cell_ms : 0.0;
+      sorted_cell_ms > 0.0 ? direct_cell_ms / sorted_cell_ms : 0.0;
   const double box_speedup =
-      sorted_box_ms > 0.0 ? cached_box_ms / sorted_box_ms : 0.0;
+      sorted_box_ms > 0.0 ? direct_box_ms / sorted_box_ms : 0.0;
   json += StringFormat(
-      "],\"speedup_cellsorted_vs_cached_cell\":%.2f,"
-      "\"speedup_cellsorted_vs_cached_box\":%.2f,"
-      "\"speedup_cellsorted_vs_cached\":%.2f,\"host\":%s}",
+      "],\"speedup_cellsorted_vs_direct_cell\":%.2f,"
+      "\"speedup_cellsorted_vs_direct_box\":%.2f,"
+      "\"speedup_cellsorted_vs_direct\":%.2f,\"host\":%s}",
       cell_speedup, box_speedup, std::min(cell_speedup, box_speedup),
       HostJson().c_str());
   printf("%s\n", json.c_str());

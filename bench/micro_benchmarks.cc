@@ -63,20 +63,6 @@ void BM_DirectBoxQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_DirectBoxQuery);
 
-void BM_CachedBoxQuery(benchmark::State& state) {
-  const AcqTask& task = SharedTask();
-  CachedEvaluationLayer layer(&task);
-  benchmark::DoNotOptimize(layer.Prepare());
-  std::vector<PScoreRange> box(task.d(), PScoreRange{-1.0, 10.0});
-  for (auto _ : state) {
-    auto result = layer.EvaluateBox(box);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(task.relation->num_rows()));
-}
-BENCHMARK(BM_CachedBoxQuery);
-
 void BM_CellSortedCellProbe(benchmark::State& state) {
   const AcqTask& task = SharedTask();
   RefinedSpace space(&task, 10.0, Norm::L1());

@@ -10,6 +10,8 @@
 #include <cstdio>
 
 #include "core/acquire.h"
+#include "core/processor.h"
+#include "index/cell_sorted.h"
 #include "sql/binder.h"
 #include "sql/printer.h"
 #include "workload/users_gen.h"
@@ -79,18 +81,18 @@ int main() {
   }
   printf("Campaign ACQ:\n%s\n\n", RenderOriginalSql(*task).c_str());
 
-  CachedEvaluationLayer layer(&*task);
+  AcquireOptions options;
+  options.delta = 0.05;
+  // One city roll-up costs 50 PScore units (tree height 2), so a coarser
+  // grid keeps the 4-dimensional search snappy.
+  options.gamma = 20.0;
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, options));
   double audience =
       layer.EvaluateQueryValue(std::vector<double>(task->d(), 0.0))
           .value_or(0.0);
   printf("Estimated audience of the original query: %.0f users "
          "(budget covers 8000)\n\n", audience);
 
-  AcquireOptions options;
-  options.delta = 0.05;
-  // One city roll-up costs 50 PScore units (tree height 2), so a coarser
-  // grid keeps the 4-dimensional search snappy.
-  options.gamma = 20.0;
   auto result = RunAcquire(*task, &layer, options);
   if (!result.ok()) {
     fprintf(stderr, "ACQUIRE failed: %s\n",

@@ -36,11 +36,11 @@ void RunWith(const char* label, const AcqTask& task_template,
   }
   task->constraint.target = task_template.constraint.target;
 
-  CachedEvaluationLayer layer(&*task);
   AcquireOptions options;
   options.norm = norm;
   options.order = SearchOrder::kBestFirst;  // exact order for every norm
   options.delta = 0.05;
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, options));
   auto result = RunAcquire(*task, &layer, options);
   if (!result.ok() || !result->satisfied) {
     printf("%s: no answer\n", label);

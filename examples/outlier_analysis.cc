@@ -12,6 +12,8 @@
 
 #include "core/acquire.h"
 #include "core/contract.h"
+#include "core/processor.h"
+#include "index/cell_sorted.h"
 #include "sql/binder.h"
 #include "sql/printer.h"
 #include "workload/users_gen.h"
@@ -39,7 +41,7 @@ int main() {
   }
   printf("Outlier cohort ACQ:\n%s\n\n", RenderOriginalSql(*task).c_str());
 
-  CachedEvaluationLayer layer(&*task);
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, {}));
   auto result = RunAcquire(*task, &layer, {});
   if (!result.ok()) {
     fprintf(stderr, "%s\n", result.status().ToString().c_str());
@@ -64,7 +66,10 @@ int main() {
     fprintf(stderr, "planning failed: %s\n", wide.status().ToString().c_str());
     return 1;
   }
-  CachedEvaluationLayer wide_layer(&*wide);
+  AcquireOptions copts;
+  copts.gamma = 16.0;
+  copts.delta = 0.05;
+  CellSortedEvaluationLayer wide_layer(&*wide, GridStepFor(*wide, copts));
   double matched =
       wide_layer.EvaluateQueryValue(std::vector<double>(wide->d(), 0.0))
           .value_or(0.0);
@@ -76,10 +81,8 @@ int main() {
     fprintf(stderr, "%s\n", contract_task.status().ToString().c_str());
     return 1;
   }
-  CachedEvaluationLayer contract_layer(&*contract_task);
-  AcquireOptions copts;
-  copts.gamma = 16.0;
-  copts.delta = 0.05;
+  CellSortedEvaluationLayer contract_layer(&*contract_task,
+                                           GridStepFor(*contract_task, copts));
   auto contracted = RunAcquireContract(*contract_task, &contract_layer, copts);
   if (!contracted.ok()) {
     fprintf(stderr, "%s\n", contracted.status().ToString().c_str());

@@ -12,6 +12,8 @@
 
 #include "common/random.h"
 #include "core/acquire.h"
+#include "core/processor.h"
+#include "index/cell_sorted.h"
 #include "sql/binder.h"
 #include "sql/printer.h"
 #include "storage/catalog.h"
@@ -61,10 +63,11 @@ int main() {
   }
   printf("Original ACQ:\n%s\n\n", RenderOriginalSql(*task).c_str());
 
-  CachedEvaluationLayer layer(&*task);
   AcquireOptions options;
   options.gamma = 10.0;  // proximity threshold (Definition 1b)
   options.delta = 0.05;  // aggregate error threshold (Definition 1a)
+  // Section 7.4's grid index, cut at the search's grid step.
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, options));
   auto result = RunAcquire(*task, &layer, options);
   if (!result.ok()) {
     fprintf(stderr, "ACQUIRE failed: %s\n",

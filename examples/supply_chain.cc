@@ -8,6 +8,8 @@
 #include <cstdio>
 
 #include "core/acquire.h"
+#include "core/processor.h"
+#include "index/cell_sorted.h"
 #include "sql/binder.h"
 #include "sql/printer.h"
 #include "workload/tpch_gen.h"
@@ -44,15 +46,15 @@ int main() {
   }
   printf("Procurement ACQ:\n%s\n\n", RenderOriginalSql(*task).c_str());
 
-  CachedEvaluationLayer layer(&*task);
+  AcquireOptions acq;
+  acq.delta = 0.05;
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, acq));
   double available =
       layer.EvaluateQueryValue(std::vector<double>(task->d(), 0.0))
           .value_or(0.0);
   printf("Units available under the original query: %.0f "
          "(need 500000)\n\n", available);
 
-  AcquireOptions acq;
-  acq.delta = 0.05;
   auto result = RunAcquire(*task, &layer, acq);
   if (!result.ok()) {
     fprintf(stderr, "ACQUIRE failed: %s\n",

@@ -9,8 +9,7 @@
 ///   acquire::Catalog catalog;                  // data
 ///   acquire::Binder binder(&catalog);          // ACQ SQL front end
 ///   auto task = binder.PlanSql("SELECT * ...CONSTRAINT...NOREFINE...");
-///   acquire::CachedEvaluationLayer layer(&*task);
-///   auto outcome = acquire::ProcessAcq(*task, &layer);
+///   auto outcome = acquire::ProcessAcq(*task);  // CellSorted layer
 ///
 /// Individual subsystem headers remain includable on their own.
 

@@ -74,6 +74,16 @@ Result<std::optional<RefinedQuery>> RepartitionCell(
 
 }  // namespace
 
+Status CheckAcquireOptions(const AcquireOptions& options) {
+  if (!std::isfinite(options.gamma) || options.gamma <= 0.0) {
+    return Status::InvalidArgument("gamma must be finite and positive");
+  }
+  if (!std::isfinite(options.delta) || options.delta < 0.0) {
+    return Status::InvalidArgument("delta must be finite and non-negative");
+  }
+  return Status::OK();
+}
+
 SearchOrder ResolveSearchOrder(const AcquireOptions& options) {
   if (options.order != SearchOrder::kAuto) return options.order;
   return options.norm.kind() == NormKind::kLInf ? SearchOrder::kShell
@@ -98,18 +108,13 @@ std::unique_ptr<QueryGenerator> MakeQueryGenerator(
 Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
                                  const AcquireOptions& options,
                                  AggregateStore* store) {
+  ACQ_RETURN_IF_ERROR(CheckAcquireOptions(options));
   if (task.d() == 0) {
     return Status::InvalidArgument("task has no refinable predicates");
   }
   if (layer == nullptr || &layer->task() != &task) {
     return Status::InvalidArgument(
         "evaluation layer must wrap the same AcqTask");
-  }
-  if (options.gamma <= 0.0) {
-    return Status::InvalidArgument("gamma must be positive");
-  }
-  if (options.delta < 0.0) {
-    return Status::InvalidArgument("delta must be non-negative");
   }
 
   const ErrorFn error_fn =

@@ -85,6 +85,12 @@ struct AcquireOptions {
   RunContext* run_ctx = nullptr;
 };
 
+/// InvalidArgument unless gamma is finite and positive and delta is finite
+/// and non-negative. ProcessAcq, RunAcquire and RunAcquireContract check
+/// this before anything else, and so does the server before it admits a
+/// SUBMIT.
+Status CheckAcquireOptions(const AcquireOptions& options);
+
 /// The order `options` searches in: kAuto resolved to shells for the
 /// L-infinity norm and BFS otherwise; never kAuto.
 SearchOrder ResolveSearchOrder(const AcquireOptions& options);
@@ -147,8 +153,7 @@ struct AcquireResult {
 /// Runs ACQUIRE (Algorithm 4) for `task` against `layer`.
 ///
 /// The evaluation layer is modular (Section 3): pass a
-/// DirectEvaluationLayer to model per-query DBMS execution, a
-/// CachedEvaluationLayer for the materialized-distances variant, or a
+/// DirectEvaluationLayer to model per-query DBMS execution, or a
 /// CellSortedEvaluationLayer (Section 7.4's grid index) for O(log cells)
 /// cell queries. The layer must wrap the same task.
 ///

@@ -105,6 +105,7 @@ void EnumerateLayer(const std::vector<int32_t>& caps,
 Result<AcquireResult> RunAcquireContract(const AcqTask& task,
                                          EvaluationLayer* layer,
                                          const AcquireOptions& options) {
+  ACQ_RETURN_IF_ERROR(CheckAcquireOptions(options));
   if (task.d() == 0) {
     return Status::InvalidArgument("task has no refinable predicates");
   }

@@ -51,6 +51,7 @@ const char* AcqModeToString(AcqMode mode) {
 Result<AcqOutcome> ProcessAcq(const AcqTask& task, EvaluationLayer* layer,
                               const AcquireOptions& options,
                               AggregateStore* store) {
+  ACQ_RETURN_IF_ERROR(CheckAcquireOptions(options));
   if (layer == nullptr || &layer->task() != &task) {
     return Status::InvalidArgument(
         "evaluation layer must wrap the same AcqTask");

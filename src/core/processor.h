@@ -38,8 +38,9 @@ double GridStepFor(const AcqTask& task, const AcquireOptions& options);
 /// aggregate value; if it already meets the constraint within
 /// options.delta, return it; if it undershoots, run ACQUIRE expansion on
 /// `layer`; if it overshoots an equality target, build the contraction
-/// task (Section 7.2) and search contractions instead (over an internally
-/// constructed cached layer, since `layer` wraps the expansion task).
+/// task (Section 7.2) and search contractions instead (over a layer of the
+/// task's backend built for the contraction task, since `layer` wraps the
+/// expansion task).
 /// The result's build tallies (ExecStats prepare_ms, delta_rows,
 /// delta_merges) include `layer`'s in every mode, since it answered the
 /// origin query. `store` (optional, in/out) is handed to RunAcquire on

@@ -11,8 +11,6 @@ const char* EvalBackendToString(EvalBackend backend) {
       return "auto";
     case EvalBackend::kDirect:
       return "direct";
-    case EvalBackend::kCached:
-      return "cached";
     case EvalBackend::kCellSorted:
       return "cellsorted";
   }
@@ -23,8 +21,8 @@ Result<EvalBackend> EvalBackendFromString(const std::string& name) {
   std::string lower = name;
   std::transform(lower.begin(), lower.end(), lower.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  for (EvalBackend b : {EvalBackend::kAuto, EvalBackend::kDirect,
-                        EvalBackend::kCached, EvalBackend::kCellSorted}) {
+  for (EvalBackend b :
+       {EvalBackend::kAuto, EvalBackend::kDirect, EvalBackend::kCellSorted}) {
     if (lower == EvalBackendToString(b)) return b;
   }
   return Status::InvalidArgument("unknown evaluation backend: " + name);

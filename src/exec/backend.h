@@ -15,7 +15,6 @@ namespace acquire {
 enum class EvalBackend {
   kAuto,
   kDirect,     // scan + recompute per call ("Postgres mode")
-  kCached,     // materialized needed matrix, serial scan per call
   kCellSorted, // Section 7.4 grid index: binary search + per-cell state
 };
 

@@ -53,8 +53,9 @@ inline void FoldSelected(const AggregateOps& ops, const double* values,
 
 /// Evaluates one box query over the whole matrix: the selection kernel over
 /// each dimension stream, then a fold of the selected rows in row order.
-/// Cached and cell-sorted layers both answer off-grid boxes with this call
-/// over the same relation-order matrix, so their answers agree bit for bit.
+/// The cell-sorted layer answers off-grid boxes with this call; the direct
+/// layer runs the same kernel over freshly computed streams, so their
+/// answers agree bit for bit.
 Result<AggregateOps::State> ScanBoxOverMatrix(
     const AggregateOps& ops, const NeededMatrix& matrix,
     const std::vector<PScoreRange>& box);

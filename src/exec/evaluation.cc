@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "exec/eval_kernel.h"
 
@@ -180,25 +179,6 @@ Result<AggregateOps::State> DirectEvaluationLayer::EvaluateBox(
   AggregateOps::State state = ops.Init();
   FoldSelected(ops, stream.data(), select.data(), n, &state);
   return state;
-}
-
-Status CachedEvaluationLayer::Prepare() {
-  if (prepared_) return Status::OK();
-  Stopwatch prepare_sw;
-  ACQ_RETURN_IF_ERROR(BuildNeededMatrix(*task_, &matrix_));
-  ChargeBudget(matrix_.bytes());
-  stats_.prepare_ms += prepare_sw.ElapsedMillis();
-  prepared_ = true;
-  return Status::OK();
-}
-
-Result<AggregateOps::State> CachedEvaluationLayer::EvaluateBox(
-    const std::vector<PScoreRange>& box) {
-  if (!prepared_) ACQ_RETURN_IF_ERROR(Prepare());
-  ACQ_RETURN_IF_ERROR(CheckBox(box));
-  ++stats_.queries;
-  stats_.tuples_scanned += matrix_.rows;
-  return ScanBoxOverMatrix(*task_->agg.ops, matrix_, box);
 }
 
 }  // namespace acquire

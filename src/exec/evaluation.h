@@ -100,16 +100,12 @@ struct NeededMatrix {
 ///  * DirectEvaluationLayer — recomputes per-tuple refinement distances on
 ///    every call; each call models one SQL execution in the paper's
 ///    Postgres back end (cost: one full scan of the base relation).
-///  * CachedEvaluationLayer — materializes the tuple x dimension
-///    needed-PScore matrix once in Prepare(); calls still scan all tuples
-///    but skip predicate-function evaluation. Models a DBMS with a
-///    specialized access path.
 ///  * CellSortedEvaluationLayer (index/cell_sorted.h) — Section 7.4's grid
 ///    index: rows grouped into grid cells in one pass, so a cell query is
 ///    one binary search over sorted keys plus a precomputed per-cell state,
 ///    an aligned box merges per-cell states in sorted key order, and an
-///    off-grid box scans the same relation-order matrix the cached layer
-///    holds.
+///    off-grid box runs the direct layer's selection kernel over a
+///    relation-order needed matrix built once.
 ///
 /// Every layer answers on the calling thread, one call at a time: a cell
 /// query on a prepared index is a copy of a stored state, so there is
@@ -276,26 +272,6 @@ class DirectEvaluationLayer final : public EvaluationLayer {
 
  private:
   bool scratch_charged_ = false;  // per-call vectors, charged once
-};
-
-/// Needed-PScore-matrix layer; see EvaluationLayer docs.
-class CachedEvaluationLayer final : public EvaluationLayer {
- public:
-  explicit CachedEvaluationLayer(const AcqTask* task)
-      : EvaluationLayer(task) {}
-
-  Status Prepare() override;
-
-  Result<AggregateOps::State> EvaluateBox(
-      const std::vector<PScoreRange>& box) override;
-
-  /// The materialized tuple x dimension matrix (exposed for layers and
-  /// benches that build on the same materialization).
-  const NeededMatrix& matrix() const { return matrix_; }
-
- private:
-  bool prepared_ = false;
-  NeededMatrix matrix_;
 };
 
 /// Computes the needed-PScore vector of `row` under `task` (helper shared

@@ -24,9 +24,6 @@ Result<std::unique_ptr<EvaluationLayer>> MakeEvaluationLayer(
     case EvalBackend::kDirect:
       return std::unique_ptr<EvaluationLayer>(
           new DirectEvaluationLayer(task));
-    case EvalBackend::kCached:
-      return std::unique_ptr<EvaluationLayer>(
-          new CachedEvaluationLayer(task));
     case EvalBackend::kAuto:
     case EvalBackend::kCellSorted:
       return std::unique_ptr<EvaluationLayer>(new CellSortedEvaluationLayer(

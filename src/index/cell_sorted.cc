@@ -577,8 +577,8 @@ Result<AggregateOps::State> CellSortedEvaluationLayer::EvaluateBox(
     return state;
   }
 
-  // Off-grid box: the kernel scan over the relation-order matrix, the call
-  // CachedEvaluationLayer makes, so both answer bit for bit alike.
+  // Off-grid box: the kernel scan over the relation-order matrix, the
+  // kernel DirectEvaluationLayer runs, so both answer bit for bit alike.
   stats_.tuples_scanned += matrix_.rows;
   return ScanBoxOverMatrix(ops, matrix_, box);
 }

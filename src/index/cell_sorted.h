@@ -61,8 +61,7 @@ Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
 ///                        doubles each, the fold of the cell's rows in
 ///                        relation order)
 ///   matrix_              needed matrix + aggregate inputs in relation
-///                        order, unreachable rows included (what
-///                        CachedEvaluationLayer holds)
+///                        order, unreachable rows included
 ///
 /// so the queries Algorithm 3 actually issues are no longer scans:
 ///  * a cell query is one binary search over the sorted keys plus a
@@ -71,8 +70,9 @@ Status BuildCellSortedLayout(const NeededMatrix& raw, double step,
 ///    coordinate overlaps the box, merging per-cell states in sorted key
 ///    order (deterministic), instead of visiting every populated cell,
 ///  * an off-grid box (repartition probes) is the shared branchless kernel
-///    scan over the matrix — the call CachedEvaluationLayer makes, so the
-///    answer equals the cached and direct answers bit for bit.
+///    scan over the matrix — the kernel DirectEvaluationLayer runs over
+///    the same needed values, so the answer equals the direct answer bit
+///    for bit.
 ///
 /// Every query is answered on the calling thread; only the matrix fill of a
 /// build or sync runs on the pool.

@@ -71,66 +71,57 @@ void ResultCache::set_limit_bytes(uint64_t bytes) {
     Clear();
     return;
   }
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    EvictLocked(&shard);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  EvictLocked();
 }
 
 CachedResultPtr ResultCache::Lookup(const TaskFingerprint& fp) {
   if (!enabled()) return nullptr;
-  Shard& shard = ShardFor(fp);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(fp);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second->result;
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(fp);
+  if (it == index_.end()) {
+    ++misses_;
+    return nullptr;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  ++hits_;
+  return it->second->result;
 }
 
 void ResultCache::Insert(const TaskFingerprint& fp, CachedResultPtr result) {
   if (!enabled() || result == nullptr) return;
-  Shard& shard = ShardFor(fp);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(fp);
-  if (it != shard.index.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(fp);
+  if (it != index_.end()) {
     Entry& entry = *it->second;
-    shard.bytes -= entry.result->bytes;
-    shard.bytes += result->bytes;
+    bytes_ -= entry.result->bytes;
+    bytes_ += result->bytes;
     entry.result = std::move(result);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    shard.bytes += result->bytes;
-    shard.lru.push_front(Entry{fp, std::move(result)});
-    shard.index.emplace(fp, shard.lru.begin());
+    bytes_ += result->bytes;
+    lru_.push_front(Entry{fp, std::move(result)});
+    index_.emplace(fp, lru_.begin());
   }
-  EvictLocked(&shard);
+  EvictLocked();
 }
 
-void ResultCache::EvictLocked(Shard* shard) {
-  const uint64_t shard_limit =
-      limit_.load(std::memory_order_relaxed) / kShards;
-  while (!shard->lru.empty() && shard->bytes > shard_limit) {
-    const Entry& victim = shard->lru.back();
-    shard->bytes -= victim.result->bytes;
-    shard->index.erase(victim.fp);
-    shard->lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+void ResultCache::EvictLocked() {
+  const uint64_t limit = limit_.load(std::memory_order_relaxed);
+  while (!lru_.empty() && bytes_ > limit) {
+    const Entry& victim = lru_.back();
+    bytes_ -= victim.result->bytes;
+    index_.erase(victim.fp);
+    lru_.pop_back();
+    ++evictions_;
   }
 }
 
 void ResultCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
-    shard.bytes = 0;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  lru_.clear();
+  index_.clear();
+  bytes_ = 0;
 }
 
 namespace {
@@ -148,17 +139,18 @@ Status ResultCache::SaveToFile(const std::string& path) const {
   // Two lines per entry: a metadata line of exact decimal u64 fields (JSON
   // numbers are doubles and would corrupt 64-bit fingerprints), then the
   // report as held — a Dump() line, single-line by contract, so the format
-  // stays newline-framed.
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const Entry& entry : shard.lru) {
-      const CachedResult& r = *entry.result;
+  // stays newline-framed. Least recently used first: LoadFromFile inserts
+  // in file order, which leaves the most recent entry at the front.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+      const CachedResult& r = *it->result;
       char meta[256];
       std::snprintf(meta, sizeof(meta),
                     "%" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
                     " %" PRIu64 " %zu",
-                    entry.fp.hi, entry.fp.lo, r.generation,
-                    r.queries_explored, r.cell_queries, r.bytes);
+                    it->fp.hi, it->fp.lo, r.generation, r.queries_explored,
+                    r.cell_queries, r.bytes);
       body += meta;
       body += '\n';
       body += r.report;
@@ -289,15 +281,13 @@ Status ResultCache::LoadFromFile(const std::string& path,
 
 ResultCacheStats ResultCache::stats() const {
   ResultCacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.limit_bytes = limit_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    stats.entries += shard.lru.size();
-    stats.bytes += shard.bytes;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  stats.hits = hits_;
+  stats.misses = misses_;
+  stats.evictions = evictions_;
+  stats.entries = lru_.size();
+  stats.bytes = bytes_;
   return stats;
 }
 

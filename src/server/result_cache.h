@@ -53,12 +53,13 @@ struct ResultCacheStats {
   uint64_t limit_bytes = 0;
 };
 
-/// Sharded, byte-bounded LRU cache over completed-run replies, keyed by the
-/// 128-bit task fingerprint (core/fingerprint.h). Thread-safe: each shard
-/// has its own mutex and recency list, hit/miss/eviction counters are
-/// atomics, and entries are immutable shared_ptrs, so a Lookup winner keeps
-/// its result alive across a concurrent Clear or eviction. A shard over its
-/// share of the byte limit evicts its least recently used entries.
+/// Byte-bounded LRU cache over completed-run replies, keyed by the 128-bit
+/// task fingerprint (core/fingerprint.h). Thread-safe: one mutex guards the
+/// recency list, its index and the counters, and entries are immutable
+/// shared_ptrs, so a Lookup winner keeps its result alive across a
+/// concurrent Clear or eviction. While the entries' bytes exceed the limit,
+/// the least recently used entry is evicted, so any entry that fits the
+/// limit is kept until newer ones crowd it out.
 ///
 /// A limit of 0 disables the cache entirely: Lookup always misses (without
 /// counting), Insert is a no-op, and nothing is retained. Shrinking the
@@ -76,13 +77,11 @@ class ResultCache {
   /// 0 clears and disables. Shrinking evicts down to the new limit.
   void set_limit_bytes(uint64_t bytes);
 
-  /// Counted hit (entry moved to the front of its shard's recency list) or
-  /// miss.
+  /// Counted hit (entry moved to the front of the recency list) or miss.
   CachedResultPtr Lookup(const TaskFingerprint& fp);
 
   /// Inserts/refreshes at the front of the recency list, then evicts from
-  /// its tail while the shard is over its share of the byte limit. No-op
-  /// when disabled.
+  /// its tail while over the byte limit. No-op when disabled.
   void Insert(const TaskFingerprint& fp, CachedResultPtr result);
 
   /// Drops every entry. Monotonic counters (hits/misses/evictions) survive;
@@ -94,8 +93,10 @@ class ResultCache {
   /// Writes every entry to `path` in the versioned "acq-cache-v3" text
   /// format. Crash-safe: the snapshot is staged at `path`.tmp, fsynced and
   /// renamed into place, and carries a trailing CRC line over the body so
-  /// LoadFromFile can reject a torn or bit-rotted file outright. Snapshot
-  /// semantics per shard; concurrent inserts may or may not land.
+  /// LoadFromFile can reject a torn or bit-rotted file outright. Entries are
+  /// written least recently used first, so a reload that inserts them in
+  /// file order restores the recency order. Concurrent inserts may or may
+  /// not land.
   Status SaveToFile(const std::string& path) const;
 
   /// Loads a SaveToFile snapshot, inserting entries via the normal Insert
@@ -115,29 +116,19 @@ class ResultCache {
     TaskFingerprint fp;
     CachedResultPtr result;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<TaskFingerprint, std::list<Entry>::iterator,
-                       TaskFingerprintHash>
-        index;
-    uint64_t bytes = 0;
-  };
-  static constexpr size_t kShards = 8;
-
-  Shard& ShardFor(const TaskFingerprint& fp) {
-    // hi is already avalanche-mixed; its low bits pick the shard.
-    return shards_[fp.hi & (kShards - 1)];
-  }
-  /// Requires shard.mu. Evicts least recently used entries while over
-  /// budget.
-  void EvictLocked(Shard* shard);
+  /// Requires mu_. Evicts least recently used entries while over budget.
+  void EvictLocked();
 
   std::atomic<uint64_t> limit_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  Shard shards_[kShards];
+  mutable std::mutex mu_;
+  std::list<Entry> lru_;  // front = most recently used
+  std::unordered_map<TaskFingerprint, std::list<Entry>::iterator,
+                     TaskFingerprintHash>
+      index_;
+  uint64_t bytes_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t evictions_ = 0;
 };
 
 }  // namespace acquire

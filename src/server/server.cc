@@ -556,12 +556,8 @@ JsonValue AcqServer::HandleSubmit(const JsonValue& request,
                   &options.divergence_patience, kMaxInt)}) {
     if (!status.ok()) return ErrorResponse(status);
   }
-  if (options.gamma <= 0.0) {
-    return ErrorResponse(Status::InvalidArgument, "gamma must be positive");
-  }
-  if (options.delta < 0.0) {
-    return ErrorResponse(Status::InvalidArgument,
-                         "delta must be non-negative");
+  if (Status checked = CheckAcquireOptions(options); !checked.ok()) {
+    return ErrorResponse(checked);
   }
   if (const JsonValue* order = request.Get("order"); order != nullptr) {
     if (!order->is_string()) {

@@ -69,7 +69,7 @@ struct ServerOptions {
 ///
 ///   SUBMIT  {"cmd":"SUBMIT","sql":"...ACQ SQL...",
 ///            "gamma":?, "delta":?, "order":"auto|bfs|shell|best_first",
-///            "backend":"auto|direct|cached|cellsorted",
+///            "backend":"auto|direct|cellsorted",
 ///            "max_explored":?, "timeout_ms":?, "wait":bool,
 ///            "progress":{"interval_ms":N} | true}
 ///           -> {"ok":true,"id":"s-1","state":...}; with "wait":true the
@@ -119,8 +119,8 @@ struct ServerOptions {
 ///           evictions, entries, bytes, limit_bytes); {"cmd":"CACHE",
 ///           "clear":true} drops every entry, {"cmd":"CACHE","limit":N}
 ///           resizes the byte limit (an integral N in [0, 2^53]; 0 clears
-///           and disables). A full shard evicts its least recently used
-///           entry.
+///           and disables). A cache over its limit evicts its least
+///           recently used entries.
 ///   APPEND  {"cmd":"APPEND","table":"t","rows":[[v,...],...]} -> appends
 ///           rows to a catalog table (live ingestion). Values are coerced
 ///           against the table schema (int64 columns require integral JSON

@@ -468,12 +468,11 @@ bool SessionManager::ReusableLayout(const AcqTask& task,
                                     const AcquireOptions& options,
                                     LayoutKey* key) const {
   // A joined or filtered relation is materialized per plan, so only the
-  // catalog's own table can match a kept layer. Cached and Direct never
-  // fold appended rows in. A warm run charges no prepare footprint, so with a
-  // memory limit set its budget verdict could differ from a cold run's.
+  // catalog's own table can match a kept layer. Direct keeps no layout to
+  // fold appended rows into. A warm run charges no prepare footprint, so with
+  // a memory limit set its budget verdict could differ from a cold run's.
   if (task.table_names.size() != 1 || options.memory_budget_bytes > 0 ||
-      (task.eval_backend != EvalBackend::kAuto &&
-       task.eval_backend != EvalBackend::kCellSorted)) {
+      task.eval_backend == EvalBackend::kDirect) {
     return false;
   }
   Result<TablePtr> live = catalog_->GetTable(task.table_names.front());

@@ -7,6 +7,13 @@ namespace acquire {
 
 namespace {
 
+// The deepest an expression may nest: every '(' and unary '-' descends one
+// level, and so does every further term of a '+'/'-' or '*'/'/' chain,
+// which builds a left-deep tree as tall as the chain is long. The parser
+// recurses and the binder walks the built tree at that depth, so SQL from
+// the wire must not choose it.
+constexpr int kMaxExprDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -44,6 +51,15 @@ class Parser {
     return Status::ParseError(StringFormat(
         "%s at offset %zu (near '%s')", message.c_str(), Peek().offset,
         Peek().text.c_str()));
+  }
+
+  // Enters one more expression level; callers restore depth_ on success.
+  Status Descend() {
+    if (++depth_ > kMaxExprDepth) {
+      return Error(StringFormat("expression nested deeper than %d levels",
+                                kMaxExprDepth));
+    }
+    return Status::OK();
   }
 
   bool PeekIsCompareOp() const {
@@ -122,7 +138,9 @@ class Parser {
   Result<AstOperand> ParseFactor() {
     if (Peek().IsSymbol("-")) {
       Advance();
+      ACQ_RETURN_IF_ERROR(Descend());
       ACQ_ASSIGN_OR_RETURN(AstOperand inner, ParseFactor());
+      --depth_;
       if (inner.is_literal() && inner.literal.is_number) {
         inner.literal.number = -inner.literal.number;
         return inner;
@@ -135,7 +153,9 @@ class Parser {
     }
     if (Peek().IsSymbol("(")) {
       Advance();
+      ACQ_RETURN_IF_ERROR(Descend());
       ACQ_ASSIGN_OR_RETURN(AstOperand inner, ParseOperand());
+      --depth_;
       ACQ_RETURN_IF_ERROR(ExpectSymbol(")"));
       // Parenthesized operands are always expression operands so the
       // chained-range detection never misreads them.
@@ -163,25 +183,31 @@ class Parser {
 
   // term := factor (('*' | '/') factor)*
   Result<AstOperand> ParseTerm() {
+    const int depth = depth_;
     ACQ_ASSIGN_OR_RETURN(AstOperand lhs, ParseFactor());
     while (Peek().IsSymbol("*") || Peek().IsSymbol("/")) {
       ArithOp op = Peek().IsSymbol("*") ? ArithOp::kMul : ArithOp::kDiv;
       Advance();
+      ACQ_RETURN_IF_ERROR(Descend());
       ACQ_ASSIGN_OR_RETURN(AstOperand rhs, ParseFactor());
       lhs = Combine(op, lhs, rhs);
     }
+    depth_ = depth;
     return lhs;
   }
 
   // operand := term (('+' | '-') term)*
   Result<AstOperand> ParseOperand() {
+    const int depth = depth_;
     ACQ_ASSIGN_OR_RETURN(AstOperand lhs, ParseTerm());
     while (Peek().IsSymbol("+") || Peek().IsSymbol("-")) {
       ArithOp op = Peek().IsSymbol("+") ? ArithOp::kAdd : ArithOp::kSub;
       Advance();
+      ACQ_RETURN_IF_ERROR(Descend());
       ACQ_ASSIGN_OR_RETURN(AstOperand rhs, ParseTerm());
       lhs = Combine(op, lhs, rhs);
     }
+    depth_ = depth;
     return lhs;
   }
 
@@ -190,6 +216,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // expression levels enclosing the current token
 };
 
 Result<AstPredicate> Parser::ParsePredicate() {
@@ -201,6 +228,7 @@ Result<AstPredicate> Parser::ParsePredicate() {
     Result<AstPredicate> attempt = ParsePredicateImpl(/*parenthesized=*/true);
     if (attempt.ok()) return attempt;
     pos_ = saved;
+    depth_ = 0;  // a failed attempt leaves it wherever it stopped
   }
   return ParsePredicateImpl(/*parenthesized=*/false);
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/acquire.h"
+#include "core/processor.h"
 #include "index/cell_sorted.h"
 #include "workload/tpch_gen.h"
 #include "workload/workload.h"
@@ -35,9 +36,9 @@ TEST_F(AcquireSmokeTest, CountConstraintIsMetWithinDelta) {
   EXPECT_GT(ratio_task->base_aggregate, 0.0);
   EXPECT_NEAR(task.constraint.target, ratio_task->base_aggregate / 0.4, 1e-6);
 
-  CachedEvaluationLayer layer(&task);
   AcquireOptions opts;
   opts.delta = 0.05;
+  CellSortedEvaluationLayer layer(&task, GridStepFor(task, opts));
   auto result = RunAcquire(task, &layer, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_TRUE(result->satisfied);
@@ -64,22 +65,17 @@ TEST_F(AcquireSmokeTest, AllEvaluationLayersAgree) {
 
   AcquireOptions opts;
   DirectEvaluationLayer direct(&task);
-  CachedEvaluationLayer cached(&task);
   RefinedSpace space(&task, opts.gamma, opts.norm);
   CellSortedEvaluationLayer indexed(&task, space.step());
 
   auto r1 = RunAcquire(task, &direct, opts);
-  auto r2 = RunAcquire(task, &cached, opts);
-  auto r3 = RunAcquire(task, &indexed, opts);
-  ASSERT_TRUE(r1.ok() && r2.ok() && r3.ok());
-  ASSERT_TRUE(r1->satisfied && r2->satisfied && r3->satisfied);
+  auto r2 = RunAcquire(task, &indexed, opts);
+  ASSERT_TRUE(r1.ok() && r2.ok());
+  ASSERT_TRUE(r1->satisfied && r2->satisfied);
   ASSERT_EQ(r1->queries.size(), r2->queries.size());
-  ASSERT_EQ(r1->queries.size(), r3->queries.size());
   for (size_t i = 0; i < r1->queries.size(); ++i) {
     EXPECT_EQ(r1->queries[i].coord, r2->queries[i].coord);
-    EXPECT_EQ(r1->queries[i].coord, r3->queries[i].coord);
     EXPECT_DOUBLE_EQ(r1->queries[i].aggregate, r2->queries[i].aggregate);
-    EXPECT_DOUBLE_EQ(r1->queries[i].aggregate, r3->queries[i].aggregate);
   }
 }
 
@@ -92,11 +88,11 @@ TEST_F(AcquireSmokeTest, IncrementalMatchesNaiveReexecution) {
   ASSERT_TRUE(ratio_task.ok());
   AcqTask& task = ratio_task->task;
 
-  CachedEvaluationLayer layer1(&task);
-  CachedEvaluationLayer layer2(&task);
   AcquireOptions incremental;
   AcquireOptions naive;
   naive.use_incremental = false;
+  CellSortedEvaluationLayer layer1(&task, GridStepFor(task, incremental));
+  DirectEvaluationLayer layer2(&task);
 
   auto r1 = RunAcquire(task, &layer1, incremental);
   auto r2 = RunAcquire(task, &layer2, naive);

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 #include <cmath>
+#include <limits>
 
+#include "core/processor.h"
+#include "index/cell_sorted.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -32,7 +35,8 @@ std::unique_ptr<test_util::SyntheticTask> CountFixture(size_t d,
 TEST(AcquireDriverTest, OriginAlreadySatisfiesTarget) {
   auto fixture = CountFixture(2, /*ratio=*/1.0);  // target == base aggregate
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, {}));
   auto result = RunAcquire(fixture->task, &layer, {});
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);
@@ -44,9 +48,10 @@ TEST(AcquireDriverTest, OriginAlreadySatisfiesTarget) {
 TEST(AcquireDriverTest, HitLayerIsFullyCollected) {
   auto fixture = CountFixture(2, 0.5);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions options;
   options.delta = 0.2;  // generous so several same-layer queries qualify
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, options));
   auto result = RunAcquire(fixture->task, &layer, options);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);
@@ -73,7 +78,8 @@ TEST(AcquireDriverTest, GreaterEqualConstraintUsesHinge) {
   double base = probe.EvaluateQueryValue({0.0, 0.0}).value();
   fixture->task.constraint.target = base * 1.8;
 
-  CachedEvaluationLayer layer(&fixture->task);
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, {}));
   auto result = RunAcquire(fixture->task, &layer, {});
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);
@@ -92,11 +98,12 @@ TEST(AcquireDriverTest, RepartitionRecoversFromCoarseGrid) {
   // repartitioning must bisect inside the overshooting cell.
   auto fixture = CountFixture(1, 0.7);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions options;
   options.gamma = 200.0;  // step 200 in 1-D: absurdly coarse
   options.delta = 0.02;
   options.repartition_iters = 20;
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, options));
   auto result = RunAcquire(fixture->task, &layer, options);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);
@@ -111,12 +118,13 @@ TEST(AcquireDriverTest, RepartitionRecoversFromCoarseGrid) {
 TEST(AcquireDriverTest, RepartitionDisabledFailsGracefully) {
   auto fixture = CountFixture(1, 0.7);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions options;
   options.gamma = 200.0;
   options.delta = 0.02;
   options.repartition_iters = 0;
   options.divergence_patience = 2;
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, options));
   auto result = RunAcquire(fixture->task, &layer, options);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->satisfied);
@@ -129,7 +137,8 @@ TEST(AcquireDriverTest, UnreachableTargetReturnsBestEffort) {
   // More tuples than the relation holds can never be reached.
   fixture->task.constraint.target =
       static_cast<double>(fixture->task.relation->num_rows()) * 10.0;
-  CachedEvaluationLayer layer(&fixture->task);
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, {}));
   auto result = RunAcquire(fixture->task, &layer, {});
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->satisfied);
@@ -146,9 +155,10 @@ TEST(AcquireDriverTest, WeightedDimRefinesLess) {
     auto fixture = CountFixture(2, 0.4);
     EXPECT_NE(fixture, nullptr);
     fixture->task.dims[0]->set_weight(w0);
-    CachedEvaluationLayer layer(&fixture->task);
     AcquireOptions options;
     options.order = SearchOrder::kBestFirst;  // exact weighted order
+    CellSortedEvaluationLayer layer(&fixture->task,
+                                    GridStepFor(fixture->task, options));
     auto result = RunAcquire(fixture->task, &layer, options);
     EXPECT_TRUE(result.ok() && result->satisfied);
     return result->queries[0];
@@ -166,8 +176,10 @@ TEST(AcquireDriverTest, CollectWithinGammaReturnsMoreAnswers) {
   narrow.delta = 0.1;
   AcquireOptions wide = narrow;
   wide.collect_within_gamma = true;
-  CachedEvaluationLayer l1(&fixture->task);
-  CachedEvaluationLayer l2(&fixture->task);
+  CellSortedEvaluationLayer l1(&fixture->task,
+                               GridStepFor(fixture->task, narrow));
+  CellSortedEvaluationLayer l2(&fixture->task,
+                               GridStepFor(fixture->task, wide));
   auto r1 = RunAcquire(fixture->task, &l1, narrow);
   auto r2 = RunAcquire(fixture->task, &l2, wide);
   ASSERT_TRUE(r1.ok() && r2.ok());
@@ -178,9 +190,10 @@ TEST(AcquireDriverTest, CollectWithinGammaReturnsMoreAnswers) {
 TEST(AcquireDriverTest, LInfNormUsesShellSearch) {
   auto fixture = CountFixture(2, 0.6);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions options;
   options.norm = Norm::LInf();
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, options));
   auto result = RunAcquire(fixture->task, &layer, options);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);
@@ -192,11 +205,12 @@ TEST(AcquireDriverTest, LInfNormUsesShellSearch) {
 TEST(AcquireDriverTest, BestFirstFindsSameQualityAsBfsForL1) {
   auto fixture = CountFixture(3, 0.5);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer l1(&fixture->task);
-  CachedEvaluationLayer l2(&fixture->task);
   AcquireOptions bfs;
   AcquireOptions best_first;
   best_first.order = SearchOrder::kBestFirst;
+  CellSortedEvaluationLayer l1(&fixture->task, GridStepFor(fixture->task, bfs));
+  CellSortedEvaluationLayer l2(&fixture->task,
+                               GridStepFor(fixture->task, best_first));
   auto r1 = RunAcquire(fixture->task, &l1, bfs);
   auto r2 = RunAcquire(fixture->task, &l2, best_first);
   ASSERT_TRUE(r1.ok() && r2.ok());
@@ -207,8 +221,9 @@ TEST(AcquireDriverTest, BestFirstFindsSameQualityAsBfsForL1) {
 TEST(AcquireDriverTest, CustomErrorFunctionIsHonored) {
   auto fixture = CountFixture(1, 0.5);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions options;
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, options));
   int calls = 0;
   options.error_fn = [&calls](const Constraint& c, double actual) {
     ++calls;
@@ -222,9 +237,10 @@ TEST(AcquireDriverTest, CustomErrorFunctionIsHonored) {
 TEST(AcquireDriverTest, MaxExploredCapsTheSearch) {
   auto fixture = CountFixture(3, 0.2);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions options;
   options.max_explored = 5;
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, options));
   auto result = RunAcquire(fixture->task, &layer, options);
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result->queries_explored, 5u);
@@ -233,13 +249,26 @@ TEST(AcquireDriverTest, MaxExploredCapsTheSearch) {
 TEST(AcquireDriverTest, InvalidOptionsRejected) {
   auto fixture = CountFixture(1, 0.5);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
-  AcquireOptions bad_gamma;
-  bad_gamma.gamma = 0.0;
-  EXPECT_FALSE(RunAcquire(fixture->task, &layer, bad_gamma).ok());
-  AcquireOptions bad_delta;
-  bad_delta.delta = -0.1;
-  EXPECT_FALSE(RunAcquire(fixture->task, &layer, bad_delta).ok());
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, {}));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double gamma : {0.0, -1.0, nan, inf}) {
+    AcquireOptions bad_gamma;
+    bad_gamma.gamma = gamma;
+    EXPECT_TRUE(RunAcquire(fixture->task, &layer, bad_gamma)
+                    .status()
+                    .IsInvalidArgument())
+        << gamma;
+  }
+  for (double delta : {-0.1, nan, inf}) {
+    AcquireOptions bad_delta;
+    bad_delta.delta = delta;
+    EXPECT_TRUE(RunAcquire(fixture->task, &layer, bad_delta)
+                    .status()
+                    .IsInvalidArgument())
+        << delta;
+  }
   EXPECT_FALSE(RunAcquire(fixture->task, nullptr, {}).ok());
 }
 
@@ -248,7 +277,7 @@ TEST(AcquireDriverTest, MismatchedLayerRejected) {
   auto f2 = CountFixture(1, 0.5);
   ASSERT_NE(f1, nullptr);
   ASSERT_NE(f2, nullptr);
-  CachedEvaluationLayer layer(&f2->task);
+  CellSortedEvaluationLayer layer(&f2->task, GridStepFor(f2->task, {}));
   EXPECT_FALSE(RunAcquire(f1->task, &layer, {}).ok());
 }
 

@@ -4,7 +4,9 @@
 #include <cmath>
 
 #include "core/acquire.h"
+#include "core/processor.h"
 #include "exec/materialize.h"
+#include "index/cell_sorted.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -157,7 +159,8 @@ TEST(MaterializeTest, TuplesMatchReportedAggregate) {
   DirectEvaluationLayer probe(&fixture->task);
   double base = probe.EvaluateQueryValue({0.0, 0.0}).value();
   fixture->task.constraint.target = base * 1.7;
-  CachedEvaluationLayer layer(&fixture->task);
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, {}));
   auto result = RunAcquire(fixture->task, &layer, {});
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);

@@ -5,6 +5,8 @@
 #include "baselines/topk.h"
 #include "baselines/tqgen.h"
 #include "core/acquire.h"
+#include "core/processor.h"
+#include "index/cell_sorted.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -60,7 +62,8 @@ TEST(TopKTest, RefinementIsAtLeastAcquires) {
   ASSERT_NE(fixture, nullptr);
   auto topk = RunTopK(fixture->task, Norm::L1());
   ASSERT_TRUE(topk.ok());
-  CachedEvaluationLayer layer(&fixture->task);
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, {}));
   auto acq = RunAcquire(fixture->task, &layer, {});
   ASSERT_TRUE(acq.ok() && acq->satisfied);
   EXPECT_GE(topk->qscore, acq->queries[0].qscore * 0.5);
@@ -180,7 +183,8 @@ TEST(BaselineComparisonTest, AcquireRefinementIsCompetitive) {
   // Headline claim: ACQUIRE's refinement scores beat the baselines'.
   auto fixture = CountFixture(3, 0.4, /*seed=*/7);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer acq_layer(&fixture->task);
+  CellSortedEvaluationLayer acq_layer(&fixture->task,
+                                      GridStepFor(fixture->task, {}));
   auto acq = RunAcquire(fixture->task, &acq_layer, {});
   ASSERT_TRUE(acq.ok() && acq->satisfied);
   DirectEvaluationLayer tq_layer(&fixture->task);

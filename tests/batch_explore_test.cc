@@ -28,7 +28,6 @@ using test_util::SyntheticOptions;
 
 enum class LayerKind {
   kDirect,
-  kCached,
   kCellSorted,
 };
 
@@ -36,8 +35,6 @@ const char* LayerName(LayerKind kind) {
   switch (kind) {
     case LayerKind::kDirect:
       return "Direct";
-    case LayerKind::kCached:
-      return "Cached";
     case LayerKind::kCellSorted:
       return "CellSorted";
   }
@@ -49,8 +46,6 @@ std::unique_ptr<EvaluationLayer> MakeLayer(LayerKind kind, const AcqTask* task,
   switch (kind) {
     case LayerKind::kDirect:
       return std::make_unique<DirectEvaluationLayer>(task);
-    case LayerKind::kCached:
-      return std::make_unique<CachedEvaluationLayer>(task);
     case LayerKind::kCellSorted:
       return std::make_unique<CellSortedEvaluationLayer>(task, step);
   }
@@ -299,7 +294,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(SearchOrder::kAuto, SearchOrder::kBfs,
                                          SearchOrder::kShell,
                                          SearchOrder::kBestFirst),
-                       ::testing::Values(LayerKind::kDirect, LayerKind::kCached,
+                       ::testing::Values(LayerKind::kDirect,
                                          LayerKind::kCellSorted),
                        ::testing::Values(NormKind::kL1),
                        ::testing::Values(AggregateKind::kSum)),
@@ -572,12 +567,13 @@ TEST(BatchExploreTest, CollectWithinGammaMatches) {
   topt.target = 900.0;
   auto fixture = MakeSyntheticTask(topt);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
 
   AcquireOptions options;
   options.gamma = 10.0;
   options.delta = 0.03;
   options.collect_within_gamma = true;
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, options));
   auto run = RunAcquire(fixture->task, &layer, options);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   EXPECT_TRUE(run->satisfied);
@@ -595,7 +591,7 @@ TEST(BatchExploreTest, NonIncrementalAblationMatches) {
   topt.target = 480.0;
   auto fixture = MakeSyntheticTask(topt);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  DirectEvaluationLayer layer(&fixture->task);
 
   AcquireOptions options;
   options.gamma = 10.0;
@@ -627,7 +623,8 @@ TEST(BatchExploreTest, ContractionBatchedMatchesSequential) {
   AcquireOptions options;
   options.gamma = 10.0;
   options.delta = 0.02;
-  CachedEvaluationLayer layer(&fixture->task);
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, options));
   auto outcome = ProcessAcq(fixture->task, &layer, options);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ASSERT_EQ(outcome->mode, AcqMode::kContracted);
@@ -660,8 +657,9 @@ TEST(BatchExploreTest, PhaseTimingsAreReported) {
   topt.target = 900.0;
   auto fixture = MakeSyntheticTask(topt);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions options;
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, options));
   auto result = RunAcquire(fixture->task, &layer, options);
   ASSERT_TRUE(result.ok());
   EXPECT_GE(result->exec_stats.expand_ms, 0.0);

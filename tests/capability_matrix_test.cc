@@ -8,6 +8,8 @@
 #include "baselines/topk.h"
 #include "baselines/tqgen.h"
 #include "core/acquire.h"
+#include "core/processor.h"
+#include "index/cell_sorted.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -40,7 +42,8 @@ TEST(CapabilityMatrixTest, AcquireSupportsAllOspAggregates) {
         AggregateKind::kAvg}) {
     auto fixture = FixtureWithAggregate(agg, ConstraintOp::kGe);
     ASSERT_NE(fixture, nullptr);
-    CachedEvaluationLayer layer(&fixture->task);
+    CellSortedEvaluationLayer layer(&fixture->task,
+                                    GridStepFor(fixture->task, {}));
     auto result = RunAcquire(fixture->task, &layer, {});
     ASSERT_TRUE(result.ok()) << AggregateKindToString(agg);
     EXPECT_TRUE(result->satisfied || !result->queries.empty() ||
@@ -81,7 +84,7 @@ TEST(CapabilityMatrixTest, UdaPlansAndRuns) {
   ASSERT_GT(start, 0.0);
   task->constraint.target = start * 1.5;
 
-  CachedEvaluationLayer layer(&*task);
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, {}));
   auto result = RunAcquire(*task, &layer, {});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->satisfied);
@@ -105,7 +108,8 @@ TEST(CapabilityMatrixTest, QueryOrientedBaselinesHandleAnyTaskButIgnoreProximity
   // is never (meaningfully) farther from Q than theirs on the same task.
   auto fixture = FixtureWithAggregate(AggregateKind::kCount, ConstraintOp::kEq);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer acq_layer(&fixture->task);
+  CellSortedEvaluationLayer acq_layer(&fixture->task,
+                                      GridStepFor(fixture->task, {}));
   auto acq = RunAcquire(fixture->task, &acq_layer, {});
   ASSERT_TRUE(acq.ok());
   ASSERT_TRUE(acq->satisfied);
@@ -135,7 +139,8 @@ TEST(CapabilityMatrixTest, AcquireRefinesJoinsBaselinesDoNot) {
   fixture->task.dims.push_back(std::make_unique<JoinDim>("c1", "c2", 20.0));
   ASSERT_TRUE(
       fixture->task.dims.back()->Bind(fixture->task.relation->schema()).ok());
-  CachedEvaluationLayer layer(&fixture->task);
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, {}));
   auto result = RunAcquire(fixture->task, &layer, {});
   EXPECT_TRUE(result.ok());
 }

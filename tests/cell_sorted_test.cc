@@ -730,7 +730,7 @@ TEST(BackendFactoryTest, ResolvesEveryBackend) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   for (EvalBackend backend : {EvalBackend::kAuto, EvalBackend::kDirect,
-                              EvalBackend::kCached, EvalBackend::kCellSorted}) {
+                              EvalBackend::kCellSorted}) {
     auto layer = MakeEvaluationLayer(&fixture->task, backend);
     ASSERT_TRUE(layer.ok()) << EvalBackendToString(backend);
     ASSERT_NE(layer->get(), nullptr);
@@ -744,13 +744,14 @@ TEST(BackendFactoryTest, ResolvesEveryBackend) {
 
 TEST(BackendFactoryTest, NameRoundTrip) {
   for (EvalBackend backend : {EvalBackend::kAuto, EvalBackend::kDirect,
-                              EvalBackend::kCached, EvalBackend::kCellSorted}) {
+                              EvalBackend::kCellSorted}) {
     auto parsed = EvalBackendFromString(EvalBackendToString(backend));
     ASSERT_TRUE(parsed.ok());
     EXPECT_EQ(*parsed, backend);
   }
-  // Unknown names, including the retired "gridindex" and "parallel".
-  for (const char* name : {"postgres", "gridindex", "parallel"}) {
+  // Unknown names, including the retired "gridindex", "parallel" and
+  // "cached".
+  for (const char* name : {"postgres", "gridindex", "parallel", "cached"}) {
     EXPECT_FALSE(EvalBackendFromString(name).ok()) << name;
   }
 }
@@ -771,7 +772,7 @@ TEST(BackendFactoryTest, ProcessAcqRunsOnTaskSelectedBackend) {
   auto reference = ProcessAcq(fixture->task, acq);
   ASSERT_TRUE(reference.ok());
   for (EvalBackend backend :
-       {EvalBackend::kDirect, EvalBackend::kCached, EvalBackend::kCellSorted}) {
+       {EvalBackend::kDirect, EvalBackend::kCellSorted}) {
     fixture->task.eval_backend = backend;
     auto outcome = ProcessAcq(fixture->task, acq);
     ASSERT_TRUE(outcome.ok()) << EvalBackendToString(backend);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 #include <cmath>
 
+#include "core/processor.h"
+#include "index/cell_sorted.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -82,10 +84,10 @@ TEST(RunAcquireContractTest, ShrinksCountToTarget) {
   ASSERT_NE(fixture, nullptr);
   auto contract = MakeContractionTask(fixture->task);
   ASSERT_TRUE(contract.ok());
-  CachedEvaluationLayer layer(&*contract);
   AcquireOptions options;
   options.gamma = 16.0;  // step 8 keeps the bounded grid small
   options.delta = 0.1;
+  CellSortedEvaluationLayer layer(&*contract, GridStepFor(*contract, options));
   auto result = RunAcquireContract(*contract, &layer, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_TRUE(result->satisfied);
@@ -108,10 +110,10 @@ TEST(RunAcquireContractTest, MinimalContractionComesFirst) {
   ASSERT_NE(fixture, nullptr);
   auto contract = MakeContractionTask(fixture->task);
   ASSERT_TRUE(contract.ok());
-  CachedEvaluationLayer layer(&*contract);
   AcquireOptions options;
   options.gamma = 5.0;
   options.delta = 0.1;
+  CellSortedEvaluationLayer layer(&*contract, GridStepFor(*contract, options));
   auto result = RunAcquireContract(*contract, &layer, options);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);
@@ -130,11 +132,11 @@ TEST(RunAcquireContractTest, RepartitionRecoversFromCoarseGrid) {
   ASSERT_NE(fixture, nullptr);
   auto contract = MakeContractionTask(fixture->task);
   ASSERT_TRUE(contract.ok());
-  CachedEvaluationLayer layer(&*contract);
   AcquireOptions options;
   options.gamma = 25.0;  // step 25 in 1-D: guaranteed to overshoot
   options.delta = 0.02;
   options.repartition_iters = 20;
+  CellSortedEvaluationLayer layer(&*contract, GridStepFor(*contract, options));
   auto result = RunAcquireContract(*contract, &layer, options);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied) << result->best.ToString();
@@ -152,7 +154,7 @@ TEST(RunAcquireContractTest, RejectsNonEqualityConstraints) {
   auto contract = MakeContractionTask(fixture->task);
   ASSERT_TRUE(contract.ok());
   contract->constraint.op = ConstraintOp::kGe;
-  CachedEvaluationLayer layer(&*contract);
+  CellSortedEvaluationLayer layer(&*contract, GridStepFor(*contract, {}));
   EXPECT_TRUE(RunAcquireContract(*contract, &layer, {}).status().IsUnsupported());
 }
 

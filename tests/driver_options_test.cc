@@ -29,10 +29,11 @@ TEST(CollectWithinGammaTest, AnswersSpanMultipleLayers) {
   fixture->task.constraint.target =
       probe.EvaluateQueryValue({0.0, 0.0}).value() * 1.5;
 
-  CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions acq;
   acq.delta = 0.15;  // generous band: later layers also qualify
   acq.collect_within_gamma = true;
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, acq));
   auto result = RunAcquire(fixture->task, &layer, acq);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);
@@ -75,10 +76,11 @@ TEST(ContractionPrinterTest, RefinedSqlRendersContractedBounds) {
   fixture->task.constraint.target =
       probe.EvaluateQueryValue({0.0}).value() * 0.5;
 
-  CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions acq;
   acq.delta = 0.05;
   acq.repartition_iters = 20;
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, acq));
   auto outcome = ProcessAcq(fixture->task, &layer, acq);
   ASSERT_TRUE(outcome.ok());
   ASSERT_EQ(outcome->mode, AcqMode::kContracted);

@@ -163,10 +163,11 @@ TEST(DriverOptionEdgeTest, StallLimitStopsHopelessSearch) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   fixture->task.constraint.target = 1e9;  // unreachable COUNT
-  CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions acq;
   acq.stall_limit = 200;
   acq.divergence_patience = 1000000;  // isolate the stall guard
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, acq));
   auto result = RunAcquire(fixture->task, &layer, acq);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->satisfied);

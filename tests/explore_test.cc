@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/expand.h"
+#include "index/cell_sorted.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -30,7 +31,7 @@ TEST_P(ExploreTest, IncrementalEqualsFullReexecution) {
   AcqTask& task = fixture->task;
 
   RefinedSpace space(&task, 12.0, Norm::L1());
-  CachedEvaluationLayer layer(&task);
+  CellSortedEvaluationLayer layer(&task, space.step());
   ASSERT_TRUE(layer.Prepare().ok());
   Explorer explorer(&space, &layer);
 
@@ -69,7 +70,7 @@ TEST(ExplorerTest, OneCellExecutionPerCoordinate) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   RefinedSpace space(&fixture->task, 10.0, Norm::L1());
-  CachedEvaluationLayer layer(&fixture->task);
+  CellSortedEvaluationLayer layer(&fixture->task, space.step());
   Explorer explorer(&space, &layer);
 
   BfsGenerator gen(&space);
@@ -92,7 +93,7 @@ TEST(ExplorerTest, OutOfOrderRequestFillsPredecessorsOnce) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   RefinedSpace space(&fixture->task, 10.0, Norm::L1());
-  CachedEvaluationLayer layer(&fixture->task);
+  CellSortedEvaluationLayer layer(&fixture->task, space.step());
   Explorer explorer(&space, &layer);
 
   // Jump straight to (3, 2) without visiting anything below it.
@@ -114,7 +115,7 @@ TEST(ExplorerTest, ShellOrderWorksDespiteInShellDependencies) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   RefinedSpace space(&fixture->task, 10.0, Norm::LInf());
-  CachedEvaluationLayer layer(&fixture->task);
+  CellSortedEvaluationLayer layer(&fixture->task, space.step());
   Explorer explorer(&space, &layer);
   DirectEvaluationLayer reference(&fixture->task);
 

@@ -6,7 +6,9 @@
 #include <cmath>
 
 #include "core/acquire.h"
+#include "core/processor.h"
 #include "exec/join.h"
+#include "index/cell_sorted.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 #include "workload/tpch_gen.h"
@@ -175,12 +177,12 @@ TEST_F(NonEquiJoinSqlTest, RefinableNonEquiJoinEndToEnd) {
       if (2 * ax < 3 * bx) ++base;
     }
   }
-  CachedEvaluationLayer layer(&*task);
+  AcquireOptions options;
+  options.delta = 0.02;
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, options));
   double origin = layer.EvaluateQueryValue({0.0}).value();
   EXPECT_DOUBLE_EQ(origin, static_cast<double>(base));
 
-  AcquireOptions options;
-  options.delta = 0.02;
   auto result = RunAcquire(*task, &layer, options);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied) << result->best.ToString();
@@ -215,7 +217,7 @@ TEST_F(NonEquiJoinSqlTest, ArithmeticSelectPredicateViaSql) {
       "WHERE l_quantity * l_extendedprice < 100000");
   ASSERT_TRUE(task.ok()) << task.status().ToString();
   EXPECT_EQ(task->d(), 1u);
-  CachedEvaluationLayer layer(&*task);
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, {}));
   auto result = RunAcquire(*task, &layer, {});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->satisfied);
@@ -234,7 +236,7 @@ TEST_F(NonEquiJoinSqlTest, SameTableFunctionComparisonRefines) {
       "WHERE l_quantity < l_discount * 300");
   ASSERT_TRUE(task.ok()) << task.status().ToString();
   EXPECT_EQ(task->d(), 1u);
-  CachedEvaluationLayer layer(&*task);
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, {}));
   auto result = RunAcquire(*task, &layer, {});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->satisfied);

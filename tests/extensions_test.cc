@@ -7,7 +7,9 @@
 #include <filesystem>
 
 #include "core/acquire.h"
+#include "core/processor.h"
 #include "expr/custom_metric_dim.h"
+#include "index/cell_sorted.h"
 #include "storage/persistence.h"
 #include "test_util.h"
 #include "workload/tpch_gen.h"
@@ -68,9 +70,10 @@ TEST(CustomMetricDimTest, AcquireRunsOnCustomMetric) {
   // search should prefer dim 1.
   fixture->task.dims[0] = std::make_unique<CustomMetricDim>(
       std::move(fixture->task.dims[0]), [](double p) { return 5.0 * p; });
-  CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions acq;
   acq.order = SearchOrder::kBestFirst;
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, acq));
   auto result = RunAcquire(fixture->task, &layer, acq);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_TRUE(result->satisfied);

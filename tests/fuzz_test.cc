@@ -103,12 +103,11 @@ TEST_P(FuzzTest, RandomTaskInvariantsHold) {
   double factor = rng.NextDouble(0.5, 3.0);
   task.constraint.target = std::fabs(base) * factor + 1.0;
 
-  CachedEvaluationLayer layer(&task);
   AcquireOptions options;
   options.delta = rng.NextDouble(0.01, 0.1);
   options.gamma = rng.NextDouble(5.0, 30.0);
   options.max_explored = 40000;
-  auto outcome = ProcessAcq(task, &layer, options);
+  auto outcome = ProcessAcq(task, options);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
 
   const AcquireResult& result = outcome->result;

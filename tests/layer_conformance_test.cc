@@ -1,6 +1,6 @@
-// Conformance suite for every exact evaluation layer: direct, cached,
-// cell-sorted, and the sampling layer at rate 1.0 (a full "sample" must be
-// exact). All must return identical aggregate states for identical box
+// Conformance suite for every exact evaluation layer: direct, cell-sorted,
+// and the sampling layer at rate 1.0 (a full "sample" must be exact). All
+// must return identical aggregate states for identical box
 // queries, across aggregates and random boxes. COUNT/MIN/MAX must match
 // bit-for-bit (no FP reassociation can change them); SUM/AVG are compared
 // with a tight relative tolerance because the cell-sorted layer's aligned
@@ -25,7 +25,6 @@ using test_util::SyntheticOptions;
 // inputs do not change when another layer joins or leaves the grid.
 enum class LayerKind {
   kDirect = 0,
-  kCached = 1,
   kCellSorted = 4,
   kFullSample = 5,
 };
@@ -34,8 +33,6 @@ const char* LayerName(LayerKind kind) {
   switch (kind) {
     case LayerKind::kDirect:
       return "Direct";
-    case LayerKind::kCached:
-      return "Cached";
     case LayerKind::kCellSorted:
       return "CellSorted";
     case LayerKind::kFullSample:
@@ -49,8 +46,6 @@ std::unique_ptr<EvaluationLayer> MakeLayer(LayerKind kind,
   switch (kind) {
     case LayerKind::kDirect:
       return std::make_unique<DirectEvaluationLayer>(task);
-    case LayerKind::kCached:
-      return std::make_unique<CachedEvaluationLayer>(task);
     case LayerKind::kCellSorted:
       return std::make_unique<CellSortedEvaluationLayer>(task, 5.0);
     case LayerKind::kFullSample:
@@ -235,7 +230,6 @@ TEST_P(LayerConformanceTest, EvaluateBoxesMatchesPerBoxEvaluateBox) {
 INSTANTIATE_TEST_SUITE_P(
     AllLayersAllAggregates, LayerConformanceTest,
     ::testing::Combine(::testing::Values(LayerKind::kDirect,
-                                         LayerKind::kCached,
                                          LayerKind::kCellSorted,
                                          LayerKind::kFullSample),
                        ::testing::Values(AggregateKind::kCount,
@@ -248,13 +242,13 @@ INSTANTIATE_TEST_SUITE_P(
              AggregateKindToString(std::get<1>(info.param));
     });
 
-TEST(LayerConformancePoolWidthTest, CellSortedOffGridMatchesCached) {
+TEST(LayerConformancePoolWidthTest, CellSortedOffGridMatchesDirect) {
   // An off-grid box is one scan of the relation-order matrix, never split
-  // across the pool, so the cell-sorted layer answers it with the cached
+  // across the pool, so the cell-sorted layer answers it with the direct
   // layer's bytes whatever the shared pool's width (the single-worker CI
-  // step runs this at width 1). 40k rows are enough for both layers' matrix
-  // fills to split into chunks even on a one-worker pool, and a chunk-order
-  // merge would re-associate SUM and AVG.
+  // step runs this at width 1). 40k rows are enough for the cell-sorted
+  // matrix fill to split into chunks even on a one-worker pool, and a
+  // chunk-order merge would re-associate SUM and AVG.
   for (AggregateKind agg : {AggregateKind::kSum, AggregateKind::kAvg}) {
     SyntheticOptions options;
     options.d = 3;
@@ -262,7 +256,7 @@ TEST(LayerConformancePoolWidthTest, CellSortedOffGridMatchesCached) {
     options.agg = agg;
     auto fixture = MakeSyntheticTask(options);
     ASSERT_NE(fixture, nullptr);
-    CachedEvaluationLayer cached(&fixture->task);
+    DirectEvaluationLayer direct(&fixture->task);
     CellSortedEvaluationLayer cell_sorted(&fixture->task, 5.0);
 
     Rng rng(41);
@@ -272,7 +266,7 @@ TEST(LayerConformancePoolWidthTest, CellSortedOffGridMatchesCached) {
         const double hi = rng.NextDouble(20.0, 60.0);  // almost surely off-grid
         r = PScoreRange{rng.NextBool(0.5) ? -1.0 : hi / 3.0, hi};
       }
-      auto expected = cached.EvaluateBox(box);
+      auto expected = direct.EvaluateBox(box);
       ASSERT_TRUE(expected.ok());
       GridCoord coord;
       ASSERT_FALSE(cell_sorted.IsCellAligned(box, &coord));
@@ -298,7 +292,7 @@ TEST(MinAggregateTest, ExpansionNeverIncreasesMin) {
   options.target = 1.0;
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  DirectEvaluationLayer layer(&fixture->task);
   double prev = std::numeric_limits<double>::infinity();
   for (double p = 0.0; p <= 120.0; p += 15.0) {
     double value = layer.EvaluateQueryValue({p, p}).value();

@@ -579,7 +579,7 @@ TEST_F(LayerReuseTest, ConcurrentClientsOnOneLayout) {
 
 // Runs whose layer reuse cannot keep exact stay on their own per-run build:
 // a NOREFINE filter and a join (relations materialized per plan), the
-// cached backend (it never syncs appended rows) and a memory limit (a warm
+// direct backend (it never syncs appended rows) and a memory limit (a warm
 // run would charge no prepare), which a server with a global memory budget
 // sets on every run. Two of each must leave layer_hits at 0; the plain
 // control on the same table shows reuse was available.
@@ -615,7 +615,7 @@ TEST(LayerReuseBypassTest, BypassCasesNeverHit) {
         "SELECT * FROM supplier, partsupp CONSTRAINT COUNT(*) >= 100 WHERE "
         "s_suppkey = ps_suppkey NOREFINE AND s_acctbal < 2000",
         nullptr, JsonValue::Null());
-    submit(lineitem, "backend", JsonValue::Str("cached"));
+    submit(lineitem, "backend", JsonValue::Str("direct"));
     submit(lineitem, "memory_budget_bytes", JsonValue::Number(1 << 30));
   }
   EXPECT_EQ(Stat(&server, "layer_hits"), 0.0);

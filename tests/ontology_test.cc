@@ -4,7 +4,9 @@
 #include <cmath>
 
 #include "core/acquire.h"
+#include "core/processor.h"
 #include "exec/planner.h"
+#include "index/cell_sorted.h"
 
 namespace acquire {
 namespace {
@@ -149,10 +151,10 @@ TEST(CategoricalAcquireTest, EndToEndRollupRefinement) {
   auto task = PlanAcqTask(catalog, spec);
   ASSERT_TRUE(task.ok()) << task.status().ToString();
 
-  CachedEvaluationLayer layer(&*task);
   AcquireOptions options;
   options.gamma = 10.0;  // step 10 = one roll-up per layer
   options.delta = 0.0;
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, options));
   auto result = RunAcquire(*task, &layer, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_TRUE(result->satisfied);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/acquire.h"
+#include "core/processor.h"
+#include "index/cell_sorted.h"
 #include "sql/binder.h"
 #include "sql/printer.h"
 #include "workload/tpch_gen.h"
@@ -43,9 +45,9 @@ TEST_F(PaperExamplesTest, Q1AdCampaignCountConstraint) {
   ASSERT_TRUE(task.ok()) << task.status().ToString();
   EXPECT_EQ(task->d(), 3u);  // range splits into two dims + engagement
 
-  CachedEvaluationLayer layer(&*task);
   AcquireOptions options;
   options.delta = 0.05;
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, options));
   auto result = RunAcquire(*task, &layer, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_TRUE(result->satisfied);
@@ -73,9 +75,9 @@ TEST_F(PaperExamplesTest, Q2SupplyChainSumConstraint) {
   ASSERT_TRUE(task.ok()) << task.status().ToString();
   EXPECT_EQ(task->d(), 2u);
 
-  CachedEvaluationLayer layer(&*task);
   AcquireOptions options;
   options.delta = 0.05;
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, options));
   auto result = RunAcquire(*task, &layer, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_TRUE(result->satisfied) << "best " << result->best.ToString();
@@ -105,9 +107,9 @@ TEST_F(PaperExamplesTest, Q3JoinRefinementFromSection24) {
   ASSERT_TRUE(task.ok()) << task.status().ToString();
   EXPECT_EQ(task->d(), 2u);
 
-  CachedEvaluationLayer layer(&*task);
   AcquireOptions options;
   options.delta = 0.05;
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, options));
   auto result = RunAcquire(*task, &layer, options);
   ASSERT_TRUE(result.ok());
   // Exact equi-join matches nothing (keys offset by 0.4): only widening the
@@ -129,7 +131,7 @@ TEST_F(PaperExamplesTest, AvgOutlierAnalysisUseCase) {
       "WHERE age >= 60 AND systolic_bp >= 140");
   ASSERT_TRUE(task.ok()) << task.status().ToString();
 
-  CachedEvaluationLayer layer(&*task);
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, {}));
   auto result = RunAcquire(*task, &layer, {});
   ASSERT_TRUE(result.ok());
   // Either the original already exceeds the AVG floor or a refinement does.

@@ -78,6 +78,23 @@ TEST(ParserFuzzTest, DeeplyNestedParensAreHandled) {
   if (!result.ok()) {
     EXPECT_TRUE(result.status().IsParseError());
   }
+
+  // Past the depth bound, parentheses, unary minus signs and a '+' chain
+  // (a left-deep tree as tall as the chain is long) all fail cleanly.
+  const std::string where = "SELECT * FROM t WHERE a < ";
+  std::string parens =
+      where + std::string(100000, '(') + "1" + std::string(100000, ')');
+  std::string minus = where;
+  for (int i = 0; i < 100000; ++i) minus += "- ";
+  minus += "a";
+  std::string chain = where + "30";
+  for (int i = 1; i < 400000; ++i) chain += "+0";
+  for (const std::string* deep : {&parens, &minus, &chain}) {
+    auto deep_result = ParseAcqSql(*deep);
+    ASSERT_FALSE(deep_result.ok()) << deep->substr(0, 40);
+    EXPECT_TRUE(deep_result.status().IsParseError())
+        << deep_result.status().ToString();
+  }
 }
 
 }  // namespace

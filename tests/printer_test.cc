@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/acquire.h"
+#include "core/processor.h"
+#include "index/cell_sorted.h"
 #include "sql/binder.h"
 #include "workload/tpch_gen.h"
 
@@ -41,7 +43,7 @@ TEST_F(PrinterTest, RefinedSqlIsRunnablePlainSql) {
       "SELECT * FROM lineitem CONSTRAINT COUNT(*) = 900 "
       "WHERE l_quantity < 20 AND l_discount <= 0.05 NOREFINE");
   ASSERT_TRUE(task.ok());
-  CachedEvaluationLayer layer(&*task);
+  CellSortedEvaluationLayer layer(&*task, GridStepFor(*task, {}));
   auto result = RunAcquire(*task, &layer, {});
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);

@@ -1,7 +1,9 @@
 #include "core/processor.h"
 
 #include <gtest/gtest.h>
+#include <limits>
 
+#include "index/cell_sorted.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -28,7 +30,8 @@ std::unique_ptr<test_util::SyntheticTask> FixtureWithTargetFactor(
 TEST(ProcessAcqTest, OriginalSatisfiesShortCircuits) {
   auto fixture = FixtureWithTargetFactor(1.0);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, {}));
   auto outcome = ProcessAcq(fixture->task, &layer, {});
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->mode, AcqMode::kOriginalSatisfies);
@@ -41,7 +44,8 @@ TEST(ProcessAcqTest, OriginalSatisfiesShortCircuits) {
 TEST(ProcessAcqTest, UndershootDispatchesToExpansion) {
   auto fixture = FixtureWithTargetFactor(1.8);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, {}));
   auto outcome = ProcessAcq(fixture->task, &layer, {});
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->mode, AcqMode::kExpanded);
@@ -53,10 +57,11 @@ TEST(ProcessAcqTest, UndershootDispatchesToExpansion) {
 TEST(ProcessAcqTest, OvershootDispatchesToContraction) {
   auto fixture = FixtureWithTargetFactor(0.5);  // target = half the results
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions options;
   options.gamma = 16.0;
   options.delta = 0.1;
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, options));
   auto outcome = ProcessAcq(fixture->task, &layer, options);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->mode, AcqMode::kContracted);
@@ -71,10 +76,34 @@ TEST(ProcessAcqTest, OvershootOfInequalityIsAlreadySatisfied) {
   // ">= target" with an overshooting original is simply satisfied.
   auto fixture = FixtureWithTargetFactor(0.5, ConstraintOp::kGe);
   ASSERT_NE(fixture, nullptr);
-  CachedEvaluationLayer layer(&fixture->task);
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, {}));
   auto outcome = ProcessAcq(fixture->task, &layer, {});
   ASSERT_TRUE(outcome.ok());
   EXPECT_EQ(outcome->mode, AcqMode::kOriginalSatisfies);
+}
+
+// Both front doors check gamma and delta before the origin query, so a run
+// that would end at the origin (original-satisfies) or that would build a
+// contraction task still rejects them instead of building a grid on them.
+TEST(ProcessAcqTest, RejectsNonFiniteOrNonPositiveGammaInEveryMode) {
+  for (double factor : {1.0, 0.5}) {  // original-satisfies, contraction
+    auto fixture = FixtureWithTargetFactor(factor);
+    ASSERT_NE(fixture, nullptr);
+    for (double gamma : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+      AcquireOptions options;
+      options.gamma = gamma;
+      EXPECT_TRUE(
+          ProcessAcq(fixture->task, options).status().IsInvalidArgument())
+          << "factor " << factor << " gamma " << gamma;
+      CellSortedEvaluationLayer layer(&fixture->task, 5.0);
+      EXPECT_TRUE(ProcessAcq(fixture->task, &layer, options)
+                      .status()
+                      .IsInvalidArgument())
+          << "factor " << factor << " gamma " << gamma;
+    }
+  }
 }
 
 TEST(ProcessAcqTest, ModeNames) {
@@ -89,7 +118,7 @@ TEST(ProcessAcqTest, MismatchedLayerRejected) {
   auto f2 = FixtureWithTargetFactor(1.5);
   ASSERT_NE(f1, nullptr);
   ASSERT_NE(f2, nullptr);
-  CachedEvaluationLayer layer(&f2->task);
+  CellSortedEvaluationLayer layer(&f2->task, GridStepFor(f2->task, {}));
   EXPECT_FALSE(ProcessAcq(f1->task, &layer, {}).ok());
 }
 

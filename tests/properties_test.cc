@@ -55,30 +55,27 @@ TEST_P(AcquireSweepTest, GuaranteesHoldAcrossConfigurations) {
   acq.norm = MakeNorm(param.norm);
   acq.delta = 0.05;
 
-  // Run with all three evaluation layers and the naive ablation.
-  CachedEvaluationLayer cached(&fixture->task);
+  // Run with both evaluation layers and the naive ablation.
   DirectEvaluationLayer direct(&fixture->task);
   RefinedSpace space(&fixture->task, acq.gamma, acq.norm);
   CellSortedEvaluationLayer indexed(&fixture->task, space.step());
-  CachedEvaluationLayer naive_layer(&fixture->task);
+  DirectEvaluationLayer naive_layer(&fixture->task);
   AcquireOptions naive = acq;
   naive.use_incremental = false;
 
-  auto r_cached = RunAcquire(fixture->task, &cached, acq);
   auto r_direct = RunAcquire(fixture->task, &direct, acq);
   auto r_indexed = RunAcquire(fixture->task, &indexed, acq);
   auto r_naive = RunAcquire(fixture->task, &naive_layer, naive);
-  ASSERT_TRUE(r_cached.ok() && r_direct.ok() && r_indexed.ok() &&
-              r_naive.ok());
+  ASSERT_TRUE(r_direct.ok() && r_indexed.ok() && r_naive.ok());
 
   // Definition 1(a): every answer within delta.
-  ASSERT_TRUE(r_cached->satisfied);
-  for (const RefinedQuery& q : r_cached->queries) {
+  ASSERT_TRUE(r_direct->satisfied);
+  for (const RefinedQuery& q : r_direct->queries) {
     EXPECT_LE(q.error, acq.delta + 1e-12);
   }
   // Answers sorted by QScore and first answer is a minimum.
-  for (size_t i = 1; i < r_cached->queries.size(); ++i) {
-    EXPECT_LE(r_cached->queries[i - 1].qscore, r_cached->queries[i].qscore);
+  for (size_t i = 1; i < r_direct->queries.size(); ++i) {
+    EXPECT_LE(r_direct->queries[i - 1].qscore, r_direct->queries[i].qscore);
   }
 
   // Layer equivalence: same answers regardless of the evaluation back end.
@@ -87,11 +84,10 @@ TEST_P(AcquireSweepTest, GuaranteesHoldAcrossConfigurations) {
     for (const auto& q : r.queries) out.push_back(q.coord);
     return out;
   };
-  EXPECT_EQ(coords_of(*r_cached), coords_of(*r_direct));
-  EXPECT_EQ(coords_of(*r_cached), coords_of(*r_indexed));
-  EXPECT_EQ(coords_of(*r_cached), coords_of(*r_naive));
+  EXPECT_EQ(coords_of(*r_direct), coords_of(*r_indexed));
+  EXPECT_EQ(coords_of(*r_direct), coords_of(*r_naive));
   // Incremental computed each aggregate from one cell query; naive did not.
-  EXPECT_EQ(r_cached->cell_queries, r_cached->queries_explored);
+  EXPECT_EQ(r_direct->cell_queries, r_direct->queries_explored);
   EXPECT_EQ(r_naive->cell_queries, 0u);
 }
 
@@ -141,7 +137,7 @@ TEST_P(ContainmentTest, ContainedQueriesAreSubsets) {
   auto fixture = MakeSyntheticTask(options);
   ASSERT_NE(fixture, nullptr);
   RefinedSpace space(&fixture->task, 10.0, Norm::L1());
-  CachedEvaluationLayer layer(&fixture->task);
+  DirectEvaluationLayer layer(&fixture->task);
 
   Rng rng(31 + GetParam());
   for (int trial = 0; trial < 20; ++trial) {

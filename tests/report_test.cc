@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/processor.h"
+#include "index/cell_sorted.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -77,9 +79,10 @@ TEST(ParetoFilterTest, HitLayerAnswersAreAllTradeoffs) {
   DirectEvaluationLayer probe(&fixture->task);
   fixture->task.constraint.target =
       probe.EvaluateQueryValue({0.0, 0.0}).value() * 1.6;
-  CachedEvaluationLayer layer(&fixture->task);
   AcquireOptions acq;
   acq.delta = 0.2;  // generous: several same-layer hits
+  CellSortedEvaluationLayer layer(&fixture->task,
+                                  GridStepFor(fixture->task, acq));
   auto result = RunAcquire(fixture->task, &layer, acq);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);

@@ -228,9 +228,7 @@ CachedResultPtr MakeEntry(size_t bytes) {
   return entry;
 }
 
-// All fingerprints land in shard 0 (hi & 7 == 0) so the per-shard LRU and
-// its share of the byte limit are observable deterministically.
-TaskFingerprint Fp(uint64_t n) { return TaskFingerprint{n * 8, n}; }
+TaskFingerprint Fp(uint64_t n) { return TaskFingerprint{n, n}; }
 
 TEST(ResultCacheUnitTest, DisabledCacheStoresNothingAndCountsNothing) {
   ResultCache cache;  // limit 0
@@ -257,10 +255,9 @@ TEST(ResultCacheUnitTest, HitAndMissCountersTally) {
 }
 
 TEST(ResultCacheUnitTest, EvictionIsLeastRecentlyUsed) {
-  // Shard share = 1040 / 8 = 130 bytes: two 60-byte entries fit, a third
-  // forces one eviction — of the least recently *used*, not least recently
-  // inserted.
-  ResultCache cache(8 * 130);
+  // Two 60-byte entries fit in 130 bytes, a third forces one eviction — of
+  // the least recently *used*, not least recently inserted.
+  ResultCache cache(130);
   cache.Insert(Fp(1), MakeEntry(60));
   cache.Insert(Fp(2), MakeEntry(60));
   EXPECT_NE(cache.Lookup(Fp(1)), nullptr);  // refresh 1: now 2 is the tail
@@ -269,6 +266,20 @@ TEST(ResultCacheUnitTest, EvictionIsLeastRecentlyUsed) {
   EXPECT_NE(cache.Lookup(Fp(3)), nullptr);
   EXPECT_EQ(cache.Lookup(Fp(2)), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+// Any entry that fits the limit is kept: a reply a quarter of the limit's
+// size stays beside a second one.
+TEST(ResultCacheUnitTest, EntryWithinTheLimitIsKept) {
+  ResultCache cache(1000);
+  cache.Insert(Fp(1), MakeEntry(250));
+  cache.Insert(Fp(2), MakeEntry(100));
+  EXPECT_NE(cache.Lookup(Fp(1)), nullptr);
+  EXPECT_NE(cache.Lookup(Fp(2)), nullptr);
+  const ResultCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, 350u);
+  EXPECT_EQ(stats.evictions, 0u);
 }
 
 TEST(ResultCacheUnitTest, OversizedEntryIsEvictedImmediately) {
@@ -305,7 +316,7 @@ TEST(ResultCacheUnitTest, RepeatedHitsRaiseSurvivalPriority) {
   // Same size everywhere, but entry 1's hits move it to the front of the
   // recency list, so the untouched entry 2 is the victim despite 1 being
   // older.
-  ResultCache cache(8 * 130);
+  ResultCache cache(130);
   cache.Insert(Fp(1), MakeEntry(60));
   cache.Insert(Fp(2), MakeEntry(60));
   EXPECT_NE(cache.Lookup(Fp(1)), nullptr);
@@ -423,6 +434,30 @@ TEST(ResultCacheUnitTest, TruncatedSnapshotIsRejectedWhole) {
   std::remove(path.c_str());
   // SaveToFile staged through `path`.tmp; no residue may remain.
   EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
+}
+
+// A snapshot keeps the recency order: reloaded into a cache that holds only
+// two of its three entries, the two most recently used survive.
+TEST(ResultCacheUnitTest, ReloadKeepsRecencyOrder) {
+  const std::string path = testing::TempDir() + "/acq_cache_order.snapshot";
+  std::remove(path.c_str());
+  {
+    ResultCache cache(1 << 20);
+    cache.Insert(Fp(1), MakeEntry(60));
+    cache.Insert(Fp(2), MakeEntry(60));
+    cache.Insert(Fp(3), MakeEntry(60));
+    EXPECT_NE(cache.Lookup(Fp(1)), nullptr);  // recency: 1, 3, 2
+    ASSERT_TRUE(cache.SaveToFile(path).ok());
+  }
+  ResultCache restored(130);
+  size_t loaded = 0;
+  ASSERT_TRUE(restored.LoadFromFile(path, 0, &loaded).ok());
+  EXPECT_EQ(loaded, 3u);
+  EXPECT_EQ(restored.stats().entries, 2u);
+  EXPECT_EQ(restored.Lookup(Fp(2)), nullptr);
+  EXPECT_NE(restored.Lookup(Fp(3)), nullptr);
+  EXPECT_NE(restored.Lookup(Fp(1)), nullptr);
+  std::remove(path.c_str());
 }
 
 TEST(ResultCacheUnitTest, ZeroLimitClearsAndDisables) {

@@ -81,7 +81,7 @@ TEST(RunContextTest, ExpiredDeadlineStops) {
   EXPECT_EQ(ctx.Interruption(), RunTermination::kDeadlineExceeded);
 }
 
-// A Cached layer whose `sleeping_batch`-th EvaluateCells call sleeps until
+// A Direct layer whose `sleeping_batch`-th EvaluateCells call sleeps until
 // `wake`. The driver executes one cell batch per layer, so the batch count
 // tells how many layers ran.
 class SleepyCellsLayer final : public EvaluationLayer {
@@ -107,7 +107,7 @@ class SleepyCellsLayer final : public EvaluationLayer {
   int batches() const { return batches_; }
 
  private:
-  CachedEvaluationLayer inner_;
+  DirectEvaluationLayer inner_;
   const int sleeping_batch_;
   const RunContext::Clock::time_point wake_;
   int batches_ = 0;

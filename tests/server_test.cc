@@ -132,6 +132,13 @@ TEST(ServerProtocolTest, RejectsMalformedRequests) {
       {"{\"cmd\":\"SUBMIT\",\"sql\":\"SELECT * FROM users CONSTRAINT "
        "COUNT(*) >= 1 WHERE age <= 30\",\"gamma\":-1}",
        "InvalidArgument"},
+      // 1e999 parses to +inf.
+      {"{\"cmd\":\"SUBMIT\",\"sql\":\"SELECT * FROM users CONSTRAINT "
+       "COUNT(*) >= 1 WHERE age <= 30\",\"gamma\":1e999}",
+       "InvalidArgument"},
+      {"{\"cmd\":\"SUBMIT\",\"sql\":\"SELECT * FROM users CONSTRAINT "
+       "COUNT(*) >= 1 WHERE age <= 30\",\"delta\":1e999}",
+       "InvalidArgument"},
       {"{\"cmd\":\"SUBMIT\",\"sql\":\"x\",\"order\":\"sideways\"}",
        "InvalidArgument"},
       {"{\"cmd\":\"SUBMIT\",\"sql\":\"x\",\"backend\":\"abacus\"}",
@@ -176,6 +183,25 @@ TEST(ServerProtocolTest, PlanningErrorFailsSession) {
   EXPECT_TRUE(response.GetBool("ok", false));
   EXPECT_EQ(response.GetString("state"), "failed");
   EXPECT_FALSE(response.GetString("error").empty());
+}
+
+// One SUBMIT fits 20,000 nested parentheses in about 40 KB, far under the
+// line limit. The parser's depth bound fails the run with a ParseError
+// instead of recursing once per parenthesis, so the server keeps serving.
+TEST(ServerTest, DeeplyNestedSqlFailsTheRunAndServerKeepsServing) {
+  AcqServer server(SharedCatalog());
+  JsonValue request = JsonValue::Object();
+  request.Set("cmd", JsonValue::Str("SUBMIT"));
+  request.Set("sql", JsonValue::Str(
+                         "SELECT * FROM users CONSTRAINT COUNT(*) >= 2000 "
+                         "WHERE age <= " + std::string(20000, '(') + "30" +
+                         std::string(20000, ')')));
+  request.Set("wait", JsonValue::Bool(true));
+  JsonValue response = MustParse(server.HandleRequestLine(request.Dump()));
+  EXPECT_EQ(response.GetString("state"), "failed") << response.Dump();
+  EXPECT_EQ(response.GetString("code"), "ParseError") << response.Dump();
+  JsonValue stats = MustParse(server.HandleRequestLine("{\"cmd\":\"STATS\"}"));
+  EXPECT_TRUE(stats.GetBool("ok", false)) << stats.Dump();
 }
 
 TEST(ServerTest, SubmitWaitMatchesDirectRun) {
@@ -904,10 +930,11 @@ TEST(ServerTest, SubmitIgnoresRetiredFields) {
 }
 
 TEST(ServerTest, SubmitRetiredBackendNamesAreRejected) {
-  // "gridindex" and "parallel" name deleted backends. A SUBMIT naming one
-  // is rejected like any unknown name, not mapped to another backend.
+  // "gridindex", "parallel" and "cached" name deleted backends. A SUBMIT
+  // naming one is rejected like any unknown name, not mapped to another
+  // backend.
   AcqServer server(SharedCatalog());
-  for (const char* retired : {"gridindex", "parallel"}) {
+  for (const char* retired : {"gridindex", "parallel", "cached"}) {
     JsonValue request = JsonValue::Object();
     request.Set("cmd", JsonValue::Str("SUBMIT"));
     request.Set("sql", JsonValue::Str(

@@ -7,6 +7,8 @@
 #include <cmath>
 
 #include "core/acquire.h"
+#include "core/processor.h"
+#include "index/cell_sorted.h"
 #include "test_util.h"
 
 namespace acquire {
@@ -42,7 +44,7 @@ TEST_P(TheoremGuaranteeTest, AnswerWithinGammaOfBruteForceOptimum) {
   AcquireOptions acq;
   acq.gamma = 20.0;
   acq.delta = 0.05;
-  CachedEvaluationLayer layer(&task);
+  CellSortedEvaluationLayer layer(&task, GridStepFor(task, acq));
   auto result = RunAcquire(task, &layer, acq);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->satisfied);
@@ -51,7 +53,7 @@ TEST_P(TheoremGuaranteeTest, AnswerWithinGammaOfBruteForceOptimum) {
   // Brute force over an 8x finer grid: minimum L1 QScore whose refined
   // query satisfies the constraint within delta.
   const double fine_step = acq.gamma / static_cast<double>(param.d) / 8.0;
-  CachedEvaluationLayer fine_layer(&task);
+  DirectEvaluationLayer fine_layer(&task);
   double best = std::numeric_limits<double>::infinity();
   std::vector<int32_t> caps(param.d);
   for (size_t i = 0; i < param.d; ++i) {
