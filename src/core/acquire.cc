@@ -5,8 +5,10 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "common/stopwatch.h"
+#include "core/run_frame.h"
 
 namespace acquire {
 
@@ -14,62 +16,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-RefinedQuery MakeGridAnswer(const RefinedSpace& space, const GridCoord& coord,
-                            double aggregate, double error) {
-  RefinedQuery q;
-  q.coord = coord;
-  q.pscores = space.CoordPScores(coord);
-  q.qscore = space.QScoreOf(coord);
-  q.aggregate = aggregate;
-  q.error = error;
-  q.description = space.Describe(coord);
-  return q;
-}
-
 RefinedQuery MakeOffGridAnswer(const RefinedSpace& space,
-                               const std::vector<double>& pscores,
-                               double aggregate, double error) {
+                               const RunFrame::Probe& probe) {
   RefinedQuery q;
-  q.pscores = pscores;
-  q.qscore = space.QScoreOfPScores(pscores);
-  q.aggregate = aggregate;
-  q.error = error;
-  q.description = space.DescribePScores(pscores);
+  q.pscores = probe.pscores;
+  q.qscore = space.QScoreOfPScores(probe.pscores);
+  q.aggregate = probe.value;
+  q.error = probe.error;
+  q.description = space.DescribePScores(probe.pscores);
   return q;
-}
-
-// Repartitioning of an overshooting cell (Section 6): the previous grid
-// layer undershot and this one jumped past an equality target, so the
-// answer lies inside the cell. Diagonal bisection between the cell's lower
-// and upper corners, `b` full-query probes.
-Result<std::optional<RefinedQuery>> RepartitionCell(
-    const RefinedSpace& space, EvaluationLayer* layer, const GridCoord& coord,
-    const ErrorFn& error_fn, const AcquireOptions& options) {
-  const size_t d = coord.size();
-  std::vector<double> lo(d), hi(d);
-  for (size_t i = 0; i < d; ++i) {
-    hi[i] = static_cast<double>(coord[i]) * space.step();
-    lo[i] = coord[i] > 0 ? hi[i] - space.step() : 0.0;
-  }
-  const Constraint& constraint = space.task().constraint;
-  std::optional<RefinedQuery> best;
-  std::vector<double> mid(d);
-  for (int iter = 0; iter < options.repartition_iters; ++iter) {
-    for (size_t i = 0; i < d; ++i) mid[i] = 0.5 * (lo[i] + hi[i]);
-    ACQ_ASSIGN_OR_RETURN(double value, layer->EvaluateQueryValue(mid));
-    double err = error_fn(constraint, value);
-    if (!best.has_value() || err < best->error) {
-      best = MakeOffGridAnswer(space, mid, value, err);
-    }
-    if (err <= options.delta) break;
-    if (value < constraint.target) {
-      lo = mid;  // undershoots: move toward the cell's upper corner
-    } else {
-      hi = mid;
-    }
-  }
-  if (best.has_value() && best->error <= options.delta) return best;
-  return std::optional<RefinedQuery>();
 }
 
 }  // namespace
@@ -82,6 +37,111 @@ Status CheckAcquireOptions(const AcquireOptions& options) {
     return Status::InvalidArgument("delta must be finite and non-negative");
   }
   return Status::OK();
+}
+
+RunFrame::RunFrame(const AcqTask& task, EvaluationLayer* layer,
+                   const AcquireOptions& options)
+    : task_(task),
+      layer_(layer),
+      options_(options),
+      error_fn_(options.error_fn ? options.error_fn
+                                 : ErrorFn(DefaultAggregateError)) {}
+
+Status RunFrame::Begin() {
+  ACQ_RETURN_IF_ERROR(CheckAcquireOptions(options_));
+  if (task_.d() == 0) {
+    return Status::InvalidArgument("task has no refinable predicates");
+  }
+  if (layer_ == nullptr || &layer_->task() != &task_) {
+    return Status::InvalidArgument(
+        "evaluation layer must wrap the same AcqTask");
+  }
+  space_.emplace(&task_, options_.gamma, options_.norm);
+  // The layer charges its materialization (and any charges deferred from a
+  // lazy Prepare the processor triggered earlier) to the budget attached
+  // when it prepares. A memory budget needs a context to latch exhaustion
+  // into, so budget-only runs get a local one.
+  ctx_ = options_.run_ctx;
+  if (ctx_ == nullptr && options_.memory_budget_bytes > 0) ctx_ = &local_ctx_;
+  if (ctx_ != nullptr && options_.memory_budget_bytes > 0 &&
+      ctx_->budget().limit() == 0) {
+    ctx_->budget().set_limit(options_.memory_budget_bytes);
+  }
+  if (ctx_ != nullptr) layer_->set_memory_budget(&ctx_->budget());
+  ACQ_RETURN_IF_ERROR(layer_->Prepare());
+  layer_->ResetStats();
+  sw_.Restart();
+  return Status::OK();
+}
+
+bool RunFrame::Interrupted() {
+  if (ctx_ == nullptr || !ctx_->ShouldStop()) return false;
+  result_.termination = ctx_->Interruption();
+  return result_.termination != RunTermination::kCompleted;
+}
+
+Result<std::vector<AggregateOps::State>> RunFrame::EvaluateQueries(
+    const int32_t* keys, size_t count) {
+  Stopwatch sw;
+  const size_t d = task_.d();
+  std::vector<std::vector<PScoreRange>> boxes;
+  boxes.reserve(count);
+  GridCoord coord;
+  for (size_t q = 0; q < count; ++q) {
+    coord.assign(keys + q * d, keys + (q + 1) * d);
+    boxes.push_back(space_->QueryBox(coord));
+  }
+  Result<std::vector<AggregateOps::State>> states =
+      layer_->EvaluateBoxes(boxes);
+  explore_ms += sw.ElapsedMillis();
+  return states;
+}
+
+Result<std::optional<RunFrame::Probe>> RunFrame::RepartitionCell(
+    std::vector<double> lo, std::vector<double> hi) {
+  const Constraint& constraint = task_.constraint;
+  std::optional<Probe> best;
+  std::vector<double> mid(lo.size());
+  for (int iter = 0; iter < options_.repartition_iters; ++iter) {
+    for (size_t i = 0; i < mid.size(); ++i) mid[i] = 0.5 * (lo[i] + hi[i]);
+    ACQ_ASSIGN_OR_RETURN(double value, layer_->EvaluateQueryValue(mid));
+    const double err = error_fn_(constraint, value);
+    if (!best.has_value() || err < best->error) best = Probe{mid, value, err};
+    if (err <= options_.delta) break;
+    if (value < constraint.target) {
+      lo = mid;  // too few: move toward the cell's upper corner
+    } else {
+      hi = mid;
+    }
+  }
+  if (best.has_value() && best->error <= options_.delta) return best;
+  return std::optional<Probe>();
+}
+
+AcquireResult RunFrame::Finish() {
+  result_.satisfied = !result_.queries.empty();
+  std::sort(result_.queries.begin(), result_.queries.end(),
+            [](const RefinedQuery& a, const RefinedQuery& b) {
+              return a.qscore < b.qscore;
+            });
+  result_.exec_stats = layer_->stats();
+  result_.exec_stats.expand_ms = expand_ms;
+  result_.exec_stats.explore_ms = explore_ms;
+  result_.exec_stats.merge_ms = merge_ms;
+  result_.elapsed_ms = sw_.ElapsedMillis();
+  return std::move(result_);
+}
+
+RefinedQuery MakeGridAnswer(const RefinedSpace& space, const GridCoord& coord,
+                            double aggregate, double error) {
+  RefinedQuery q;
+  q.coord = coord;
+  q.pscores = space.CoordPScores(coord);
+  q.qscore = space.QScoreOf(coord);
+  q.aggregate = aggregate;
+  q.error = error;
+  q.description = space.Describe(coord);
+  return q;
 }
 
 SearchOrder ResolveSearchOrder(const AcquireOptions& options) {
@@ -108,37 +168,12 @@ std::unique_ptr<QueryGenerator> MakeQueryGenerator(
 Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
                                  const AcquireOptions& options,
                                  AggregateStore* store) {
-  ACQ_RETURN_IF_ERROR(CheckAcquireOptions(options));
-  if (task.d() == 0) {
-    return Status::InvalidArgument("task has no refinable predicates");
-  }
-  if (layer == nullptr || &layer->task() != &task) {
-    return Status::InvalidArgument(
-        "evaluation layer must wrap the same AcqTask");
-  }
-
-  const ErrorFn error_fn =
-      options.error_fn ? options.error_fn : ErrorFn(DefaultAggregateError);
-  RefinedSpace space(&task, options.gamma, options.norm);
-
-  // Resolve the interruption context BEFORE Prepare: the evaluation layer
-  // charges its materialization (and any charges deferred from a lazy
-  // Prepare the processor triggered earlier) against the run's budget, so
-  // the budget must be attached first. A memory budget needs a context to
-  // latch exhaustion into, so budget-only runs get a local one.
-  RunContext local_ctx;
-  RunContext* ctx = options.run_ctx;
-  if (ctx == nullptr && options.memory_budget_bytes > 0) ctx = &local_ctx;
-  if (ctx != nullptr && options.memory_budget_bytes > 0 &&
-      ctx->budget().limit() == 0) {
-    ctx->budget().set_limit(options.memory_budget_bytes);
-  }
-  MemoryBudget* budget = ctx != nullptr ? &ctx->budget() : nullptr;
-  if (budget != nullptr) layer->set_memory_budget(budget);
-
-  ACQ_RETURN_IF_ERROR(layer->Prepare());
-  layer->ResetStats();
-  Stopwatch sw;  // after Prepare: elapsed_ms times the search itself
+  RunFrame frame(task, layer, options);
+  ACQ_RETURN_IF_ERROR(frame.Begin());
+  const ErrorFn& error_fn = frame.error_fn();
+  const RefinedSpace& space = frame.space();
+  RunContext* const ctx = frame.ctx();
+  AcquireResult& result = frame.result();
 
   const SearchOrder order = ResolveSearchOrder(options);
   std::unique_ptr<QueryGenerator> generator =
@@ -146,7 +181,6 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   // Per-layer divergence detection only makes sense when the generator
   // emits discrete layers; best-first scores are (nearly) unique per coord.
   const bool discrete_layers = order != SearchOrder::kBestFirst;
-  AcquireResult result;
 
   // Algorithm 4's minRefLayer, in generator-score units. Once a hit occurs,
   // the rest of its layer is examined and the search stops — or, with
@@ -172,13 +206,6 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
   bool best_is_offgrid = false;
   RefinedQuery best_offgrid;
   uint64_t stall = 0;  // queries since the best error last improved
-
-  // Per-phase driver timings (ExecStats doc): generator, sub-query
-  // execution, Eq. 17 merges + per-coordinate bookkeeping.
-  double expand_ms = 0.0;
-  double explore_ms = 0.0;
-  double merge_ms = 0.0;
-  uint64_t total_cell_queries = 0;
 
   // Layer-boundary bookkeeping (divergence detection across completed
   // layers; see AcquireOptions). False stops the search.
@@ -230,17 +257,23 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
     } else if (options.repartition_iters > 0 &&
                OvershootsBeyondDelta(task.constraint, aggregate,
                                      options.delta)) {
-      ACQ_ASSIGN_OR_RETURN(std::optional<RefinedQuery> repartitioned,
-                           RepartitionCell(space, layer,
-                                           GridCoord(key, key + task.d()),
-                                           error_fn, options));
-      if (repartitioned.has_value()) {
-        if (repartitioned->error < best_error) {
-          best_error = repartitioned->error;
-          best_offgrid = *repartitioned;
+      // The cell ((u - 1) * step, u * step], with 0 as its lower corner at
+      // level 0.
+      std::vector<double> lo(task.d()), hi(task.d());
+      for (size_t i = 0; i < task.d(); ++i) {
+        hi[i] = static_cast<double>(key[i]) * space.step();
+        lo[i] = key[i] > 0 ? hi[i] - space.step() : 0.0;
+      }
+      ACQ_ASSIGN_OR_RETURN(std::optional<RunFrame::Probe> probe,
+                           frame.RepartitionCell(std::move(lo), std::move(hi)));
+      if (probe.has_value()) {
+        RefinedQuery repartitioned = MakeOffGridAnswer(space, *probe);
+        if (repartitioned.error < best_error) {
+          best_error = repartitioned.error;
+          best_offgrid = repartitioned;
           best_is_offgrid = true;
         }
-        result.queries.push_back(*std::move(repartitioned));
+        result.queries.push_back(std::move(repartitioned));
         if (stop_score == kInf) {
           stop_score =
               options.collect_within_gamma ? score + gamma_bonus : score;
@@ -257,53 +290,32 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
     return true;
   };
 
-  // Cooperative interruption poll. True stops the search, recording why;
-  // the partial best-so-far is still returned.
-  auto interrupted = [&]() {
-    if (ctx == nullptr || !ctx->ShouldStop()) return false;
-    result.termination = ctx->Interruption();
-    return result.termination != RunTermination::kCompleted;
-  };
-
-  // Layer-drain progress hook (RunContext::LayerDrained): counts the layer
-  // and, when a throttled ProgressSink is armed, completes the snapshot with
-  // the best-so-far and the evaluation layer's counters. The fill lambda
-  // only runs for frames that actually emit, so the Describe() rendering
-  // costs nothing on throttle-coalesced drains.
-  auto layer_drained = [&]() {
-    if (ctx == nullptr) return;
-    ctx->LayerDrained([&](ProgressSnapshot* snap) {
-      snap->elapsed_ms = sw.ElapsedMillis();
-      if (best_is_offgrid) {
-        snap->has_best = true;
-        snap->best_error = best_offgrid.error;
-        snap->best_qscore = best_offgrid.qscore;
-        snap->best_aggregate = best_offgrid.aggregate;
-        snap->best_description = best_offgrid.description;
-      } else if (!best_coord.empty() || result.queries_explored > 0) {
-        const GridCoord bc =
-            best_coord.empty() ? GridCoord(task.d(), 0) : best_coord;
-        snap->has_best = true;
-        snap->best_error = best_error;
-        snap->best_qscore = space.QScoreOf(bc);
-        snap->best_aggregate = best_aggregate;
-        snap->best_description = space.Describe(bc);
-      }
-      const EvaluationLayer::ExecStats stats = layer->stats();
-      snap->eval_queries = stats.queries;
-      snap->tuples_scanned = stats.tuples_scanned;
-      snap->prepare_ms = stats.prepare_ms;
-      snap->delta_rows = stats.delta_rows;
-      snap->delta_merges = stats.delta_merges;
-    });
+  // The progress frame's best-so-far. It only runs for frames that actually
+  // emit, so the Describe() rendering costs nothing on throttle-coalesced
+  // drains.
+  auto fill_best = [&](ProgressSnapshot* snap) {
+    if (best_is_offgrid) {
+      snap->has_best = true;
+      snap->best_error = best_offgrid.error;
+      snap->best_qscore = best_offgrid.qscore;
+      snap->best_aggregate = best_offgrid.aggregate;
+      snap->best_description = best_offgrid.description;
+    } else if (!best_coord.empty() || result.queries_explored > 0) {
+      const GridCoord bc =
+          best_coord.empty() ? GridCoord(task.d(), 0) : best_coord;
+      snap->has_best = true;
+      snap->best_error = best_error;
+      snap->best_qscore = space.QScoreOf(bc);
+      snap->best_aggregate = best_aggregate;
+      snap->best_description = space.Describe(bc);
+    }
   };
 
   // Prepare alone can exhaust a tight budget (the materialized matrix is
   // charged there). Still answer the origin — the original query, one box —
   // so the caller gets a meaningful best-so-far instead of an empty report,
   // then stop with the budget verdict.
-  const bool pre_exhausted = budget != nullptr && budget->exhausted();
-  if (pre_exhausted) {
+  if (ctx != nullptr && ctx->budget().exhausted()) {
     const GridCoord origin(task.d(), 0);
     ACQ_ASSIGN_OR_RETURN(AggregateOps::State state,
                          layer->EvaluateBox(space.QueryBox(origin)));
@@ -319,9 +331,8 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
     // previous-layer window.
     batch.set_shell_drain_hint(order == SearchOrder::kShell);
     std::vector<AggregateOps::State> layer_states;  // non-incremental mode
-    GridCoord coord;                                 // non-incremental mode
     bool running = true;
-    while (running && !interrupted() && batch.NextLayer()) {
+    while (running && !frame.Interrupted() && batch.NextLayer()) {
       const double score = batch.layer_score();
       if (score > stop_score) break;
       if (discrete_layers && score != last_score && !close_layer(score)) {
@@ -333,15 +344,9 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
       if (options.use_incremental) {
         ACQ_RETURN_IF_ERROR(batch.ExecuteLayer());
       } else {
-        Stopwatch t_batch;
-        std::vector<std::vector<PScoreRange>> boxes;
-        boxes.reserve(batch.layer_size());
-        for (size_t q = 0; q < batch.layer_size(); ++q) {
-          coord.assign(batch.layer_key(q), batch.layer_key(q) + task.d());
-          boxes.push_back(space.QueryBox(coord));
-        }
-        ACQ_ASSIGN_OR_RETURN(layer_states, layer->EvaluateBoxes(boxes));
-        explore_ms += t_batch.ElapsedMillis();
+        ACQ_ASSIGN_OR_RETURN(layer_states, frame.EvaluateQueries(
+                                               batch.layer_key(0),
+                                               batch.layer_size()));
       }
 
       // Algorithm 3 per coordinate, in generation order: the Eq. 17 merges
@@ -363,21 +368,20 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
           break;
         }
       }
-      merge_ms += t_merge.ElapsedMillis();
+      frame.merge_ms += t_merge.ElapsedMillis();
       if (ctx != nullptr) {
         ctx->cell_queries.store(batch.explorer().cell_queries(),
                                 std::memory_order_relaxed);
       }
       // This equi-score layer is fully investigated: a drain point.
-      if (running) layer_drained();
+      if (running) frame.LayerDrained(fill_best);
     }
-    total_cell_queries = batch.explorer().cell_queries();
+    result.cell_queries = batch.explorer().cell_queries();
     result.store_replayed = batch.explorer().replayed();
-    expand_ms += batch.expand_ms();
-    explore_ms += batch.batch_ms();
+    frame.expand_ms += batch.expand_ms();
+    frame.explore_ms += batch.batch_ms();
   }
 
-  result.satisfied = !result.queries.empty();
   if (best_is_offgrid) {
     result.best = best_offgrid;
   } else if (!best_coord.empty() || result.queries_explored > 0) {
@@ -386,17 +390,7 @@ Result<AcquireResult> RunAcquire(const AcqTask& task, EvaluationLayer* layer,
                                                  : best_coord,
                        best_aggregate, best_error);
   }
-  std::sort(result.queries.begin(), result.queries.end(),
-            [](const RefinedQuery& a, const RefinedQuery& b) {
-              return a.qscore < b.qscore;
-            });
-  result.cell_queries = total_cell_queries;
-  result.exec_stats = layer->stats();
-  result.exec_stats.expand_ms = expand_ms;
-  result.exec_stats.explore_ms = explore_ms;
-  result.exec_stats.merge_ms = merge_ms;
-  result.elapsed_ms = sw.ElapsedMillis();
-  return result;
+  return frame.Finish();
 }
 
 }  // namespace acquire

@@ -16,7 +16,10 @@ namespace acquire {
 /// needed'(t) = 100 - slack(t) and p' = 100 - c this is needed'(t) <= p',
 /// the standard admission test, and the refined space over p' is bounded:
 /// p' = 100 is the original query Q, p' = 0 is Q'_min with every predicate
-/// collapsed onto its bound.
+/// collapsed onto its bound. The search over it is literally the
+/// expansion's: RunAcquireContract walks the BFS generator over grid
+/// contraction amounts c, evaluating p'_i = MaxLevel(i) - c_i, and shares
+/// RunAcquire's run frame and cell bisection.
 class ContractionDim final : public RefinementDim {
  public:
   /// `width` is the original predicate's interval width (the NumericDim's
@@ -53,7 +56,9 @@ Result<AcqTask> MakeContractionTask(const AcqTask& task);
 /// searches contractions of `task` (which must come from
 /// MakeContractionTask) in order of increasing contraction, i.e. from the
 /// original query Q toward Q'_min, and returns the minimum-contraction
-/// queries meeting the constraint within options.delta.
+/// queries meeting the constraint within options.delta. The walk takes
+/// BfsGenerator layers, so it polls options.run_ctx every 256 coordinates
+/// and charges its layer arenas to the run's budget, as expansion does.
 ///
 /// Reported RefinedQuery::pscores are *contraction* amounts c (distance
 /// from Q), and qscore is their norm, mirroring the expansion semantics.

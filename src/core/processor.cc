@@ -4,7 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/refined_space.h"
+#include "core/run_frame.h"
 #include "index/backend_factory.h"
 
 namespace acquire {
@@ -68,14 +68,9 @@ Result<AcqOutcome> ProcessAcq(const AcqTask& task, EvaluationLayer* layer,
 
   if (origin_error <= options.delta) {
     outcome.mode = AcqMode::kOriginalSatisfies;
-    RefinedSpace space(&task, options.gamma, options.norm);
-    RefinedQuery q;
-    q.coord = GridCoord(task.d(), 0);
-    q.pscores = origin;
-    q.qscore = 0.0;
-    q.aggregate = outcome.original_aggregate;
-    q.error = origin_error;
-    q.description = space.Describe(q.coord);
+    RefinedQuery q = MakeGridAnswer(
+        RefinedSpace(&task, options.gamma, options.norm),
+        GridCoord(task.d(), 0), outcome.original_aggregate, origin_error);
     outcome.result.satisfied = true;
     outcome.result.queries = {q};
     outcome.result.best = std::move(q);

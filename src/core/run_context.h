@@ -92,13 +92,19 @@ class RunContext {
     has_deadline_ = true;
   }
 
-  /// Convenience: deadline = now + `ms` (non-positive arms an
-  /// already-expired deadline, so the run stops at its first poll).
-  void SetTimeoutMillis(double ms) {
-    set_deadline(Clock::now() +
-                 std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double, std::milli>(ms)));
+  /// The steady-clock time `ms` milliseconds from now, saturated: `ms` not
+  /// above 0 (NaN included) gives now, and a time the clock cannot
+  /// represent gives Clock::time_point::max(), which never comes.
+  static Clock::time_point DeadlineAfterMillis(double ms) {
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double, std::milli> wait(ms > 0.0 ? ms : 0.0);
+    if (wait >= Clock::time_point::max() - now) return Clock::time_point::max();
+    return now + std::chrono::duration_cast<Clock::duration>(wait);
   }
+
+  /// Convenience: deadline = DeadlineAfterMillis(ms), so a non-positive
+  /// `ms` stops the run at its first poll.
+  void SetTimeoutMillis(double ms) { set_deadline(DeadlineAfterMillis(ms)); }
 
   bool has_deadline() const { return has_deadline_; }
 

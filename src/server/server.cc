@@ -138,7 +138,7 @@ JsonValue ProgressFrameJson(const Session& session,
   ResourceGovernor::TenantUsage usage;
   if (governor->Usage(manager, &usage)) {
     gov.Set("active_slots", num(usage.active_slots));
-    gov.Set("slot_limit", num(usage.slot_limit));
+    gov.Set("slot_limit", num(governor->total_slots()));
     gov.Set("memory_share_bytes", num(usage.memory_share_bytes));
   }
   gov.Set("running", num(manager->num_running()));
@@ -199,7 +199,6 @@ ResourceGovernor::Options GovernorOptions(const ServerOptions& options) {
 
 SessionManagerOptions BaseManagerOptions(const ServerOptions& options) {
   SessionManagerOptions manager;
-  manager.max_running = options.max_running;
   manager.max_queued = options.max_queued;
   manager.cache_bytes = options.cache_bytes;
   return manager;
@@ -307,8 +306,7 @@ void AcqServer::Drain(double timeout_ms) {
     }
     if (accept_thread_.joinable()) accept_thread_.join();
   }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double, std::milli>(timeout_ms);
+  const auto deadline = RunContext::DeadlineAfterMillis(timeout_ms);
   for (;;) {
     size_t in_flight = 0;
     for (const TenantPtr& tenant : registry_.List()) {
@@ -580,6 +578,10 @@ JsonValue AcqServer::HandleSubmit(const JsonValue& request,
   }
   const double timeout_ms =
       request.GetNumber("timeout_ms", options_.default_timeout_ms);
+  if (!std::isfinite(timeout_ms)) {
+    return ErrorResponse(Status::InvalidArgument,
+                         "'timeout_ms' must be finite");
+  }
 
   // Streaming opt-in: "progress":{"interval_ms":N} (integral ms >= 0; 0 =
   // one frame per drained layer) or the shorthand "progress":true. The
@@ -1099,8 +1101,8 @@ JsonValue AcqServer::HandleTenants() {
     if (governor_.Usage(&manager, &usage)) {
       entry.Set("active_slots", JsonValue::Number(
                                     static_cast<double>(usage.active_slots)));
-      entry.Set("slot_limit", JsonValue::Number(
-                                  static_cast<double>(usage.slot_limit)));
+      entry.Set("slot_limit", JsonValue::Number(static_cast<double>(
+                                  governor_.total_slots())));
       entry.Set("memory_share_bytes",
                 JsonValue::Number(
                     static_cast<double>(usage.memory_share_bytes)));

@@ -21,7 +21,9 @@ struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (read it back with
   /// port() after Start).
   int port = 0;
-  /// Admission control (see SessionManagerOptions).
+  /// Admission control: concurrent runs across every tenant (0 sizes to
+  /// half the shared thread pool, at least 1; see ResourceGovernor) and the
+  /// per-tenant queue bound (see SessionManagerOptions).
   size_t max_running = 0;
   size_t max_queued = 64;
   /// Deadline applied to SUBMITs that carry no timeout_ms of their own;
@@ -76,7 +78,12 @@ struct ServerOptions {
 ///           response is the terminal STATUS report instead. The count
 ///           fields max_explored, stall_limit, memory_budget_bytes (at
 ///           most 2^53) and repartition_iters, divergence_patience (at most
-///           INT32_MAX) must be non-negative integral numbers. With the
+///           INT32_MAX) must be non-negative integral numbers.
+///           "timeout_ms" is the run's deadline in milliseconds from
+///           admission, queue wait included; it must be finite, a value
+///           <= 0 runs without one (as does an absent field when
+///           default_timeout_ms is 0), and one past the steady clock's
+///           range arms a deadline that never comes. With the
 ///           result cache enabled (cache_bytes > 0), a SUBMIT matching a
 ///           completed run is answered from the cache (no slot consumed,
 ///           report byte-identical to the seeding reply); every other
@@ -97,7 +104,9 @@ struct ServerOptions {
 ///           retired ones.
 ///   STATUS  {"cmd":"STATUS","id":"s-1"} -> state, live progress counters
 ///           and, once terminal, the run report (mode, termination,
-///           satisfied, answers as runnable SQL, timings).
+///           satisfied, answers as runnable SQL, timings). A tenant keeps
+///           its last SessionManager::kKeptFinishedSessions finished
+///           sessions; an older id answers NotFound.
 ///   CANCEL  {"cmd":"CANCEL","id":"s-1"} -> requests cooperative
 ///           cancellation; the run stops at its next poll with a partial
 ///           report.

@@ -1,6 +1,5 @@
 #include "server/session.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -100,10 +99,6 @@ SessionManager::SessionManager(const Catalog* catalog,
                                SessionManagerOptions options)
     : catalog_(catalog),
       options_(options),
-      max_running_(options.max_running != 0
-                       ? options.max_running
-                       : std::max<size_t>(
-                             1, ThreadPool::Shared().num_threads() / 2)),
       governor_(governor),
       cache_(options.cache_bytes) {}
 
@@ -119,6 +114,16 @@ SessionManager::~SessionManager() { Shutdown(); }
 std::string SessionManager::NextIdLocked() {
   return StringFormat("%s%llu", options_.session_prefix.c_str(),
                       static_cast<unsigned long long>(next_id_++));
+}
+
+SessionPtr SessionManager::RecordFinishLocked(const std::string& id) {
+  finished_.push_back(id);
+  if (finished_.size() <= kKeptFinishedSessions) return nullptr;
+  auto it = sessions_.find(finished_.front());
+  finished_.pop_front();
+  SessionPtr forgotten = std::move(it->second);
+  sessions_.erase(it);
+  return forgotten;
 }
 
 Status SessionManager::AppendRows(
@@ -201,6 +206,7 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
   if (has_fp) {
     if (CachedResultPtr cached = cache_.Lookup(fp)) {
       SessionPtr session;
+      SessionPtr forgotten;  // dropped after mu_ (RecordFinishLocked)
       {
         std::lock_guard<std::mutex> lock(mu_);
         if (shutdown_) return Status::Unavailable("session manager shut down");
@@ -211,6 +217,7 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
         session->has_fp_ = true;
         session->fp_generation_ = fp_generation;
         sessions_.emplace(session->id(), session);
+        forgotten = RecordFinishLocked(session->id());
       }
       {
         std::lock_guard<std::mutex> clock(counters_mu_);
@@ -229,10 +236,8 @@ Result<SessionPtr> SessionManager::Submit(std::string sql,
 
   // Slot acquisition happens before mu_ (the governor lock is taken while
   // holding no manager lock, never the other way around) and strictly after
-  // the cache-hit path above, so cache hits keep consuming no slot. A slot
-  // granted here implies running_ < max_running_: the governor caps this
-  // manager's outstanding grants at max_running_ and only slot-holding
-  // paths increment running_.
+  // the cache-hit path above, so cache hits keep consuming no slot. Only
+  // slot-holding paths increment running_.
   const bool slot = governor_->TryAcquireRunSlot(this);
 
   SessionPtr session;
@@ -362,15 +367,17 @@ void SessionManager::PublishFromCache(const SessionPtr& session,
   session->cv_.notify_all();
 }
 
-void SessionManager::FinishSlot() {
+void SessionManager::FinishSlot(const std::string& id) {
   // Hand the slot back first — the governor's dispatch may deal it to any
   // tenant's queue (including this one) — and only then decrement
   // running_. Shutdown (and therefore manager destruction) waits on
   // running_ == 0, so the governor call lands strictly before teardown can
   // begin; after the decrement only sessions may be touched.
   governor_->ReleaseRunSlot(this);
+  SessionPtr forgotten;  // dropped after mu_ (RecordFinishLocked)
   std::lock_guard<std::mutex> lock(mu_);
   --running_;
+  forgotten = RecordFinishLocked(id);
   idle_cv_.notify_all();
 }
 
@@ -451,7 +458,7 @@ void SessionManager::Launch(SessionPtr session) {
     }
     // After releasing the slot, Shutdown may destroy the manager: only the
     // session may be touched past this point.
-    FinishSlot();
+    FinishSlot(session->id());
     std::lock_guard<std::mutex> lock(session->mu_);
     session->state_ = SessionState::kFailed;
     session->error_ = Status::Unavailable(
@@ -703,7 +710,7 @@ void SessionManager::RunSession(const SessionPtr& session) {
   // num_running()/num_queued(). The idle_cv_ notify inside FinishSlot can
   // let Shutdown (and the manager destructor) proceed, so from here on only
   // sessions themselves may be touched.
-  FinishSlot();
+  FinishSlot(session->id());
 
   {
     std::lock_guard<std::mutex> lock(session->mu_);

@@ -194,11 +194,6 @@ struct SessionProgress {
 };
 
 struct SessionManagerOptions {
-  /// Runs executing concurrently on the shared thread pool. 0 sizes to
-  /// half the pool (at least 1): a run's index build fills its needed
-  /// matrix across the same pool, so saturating it with run bodies would
-  /// leave no workers for that fill.
-  size_t max_running = 0;
   /// Admitted-but-not-yet-running bound; beyond it SUBMIT is rejected
   /// with kUnavailable (backpressure instead of unbounded memory).
   size_t max_queued = 64;
@@ -218,11 +213,15 @@ struct SessionManagerOptions {
 /// Binds sessions against a shared Catalog and schedules them
 /// onto the process-wide persistent ThreadPool with bounded admission:
 /// run slots are granted by the ResourceGovernor (global fair-share across
-/// every manager registered with it, at most `max_running` for this one),
-/// queued sessions are dispatched by its weighted schedule, and per-run
-/// memory budgets are clamped to the tenant's carved share. At most
-/// `max_queued` admitted requests wait for a slot, and everything beyond
-/// that is rejected immediately.
+/// every manager registered with it), queued sessions are dispatched by its
+/// weighted schedule, and per-run memory budgets are clamped to the
+/// tenant's carved share. At most `max_queued` admitted requests wait for a
+/// slot, and everything beyond that is rejected immediately.
+///
+/// Finished sessions stay findable (STATUS) until kKeptFinishedSessions
+/// more have finished after them; then they are forgotten, oldest first,
+/// and their ids answer NotFound. Queued and running sessions are never
+/// forgotten.
 ///
 /// Catalog mutation: with the const-catalog constructor the catalog must
 /// not be mutated while a manager serves from it. The mutable-catalog
@@ -269,7 +268,10 @@ class SessionManager {
                             EvalBackend backend = EvalBackend::kAuto,
                             SessionProgress progress = {});
 
-  /// NotFound for unknown ids.
+  /// How many finished sessions a manager keeps findable.
+  static constexpr size_t kKeptFinishedSessions = 1024;
+
+  /// NotFound for unknown and forgotten ids.
   Result<SessionPtr> Find(const std::string& id) const;
 
   /// Cancels a session by id: a queued session finishes as kCancelled
@@ -290,10 +292,6 @@ class SessionManager {
   ServerCounters counters() const;
   size_t num_running() const;
   size_t num_queued() const;
-  /// The resolved concurrent-run bound (options.max_running with 0
-  /// expanded to half the pool): the cap on this tenant's share of the
-  /// governor's slots.
-  size_t max_running() const { return max_running_; }
 
   /// Governed dispatch (called by the ResourceGovernor only, never with
   /// the governor lock held): launches the oldest queued session on the
@@ -322,6 +320,12 @@ class SessionManager {
   /// Requires mu_. Mints the next session id under options_.session_prefix.
   std::string NextIdLocked();
 
+  /// Requires mu_. Records session `id` as finished; once more than
+  /// kKeptFinishedSessions are kept, erases the oldest from sessions_ and
+  /// returns it (else null). The caller drops it after releasing mu_: its
+  /// progress sink may hold the last reference to this manager's tenant.
+  SessionPtr RecordFinishLocked(const std::string& id);
+
   /// Parses/binds `sql` and fingerprints the task. False (leaving *fp
   /// untouched) when the SQL does not parse/bind or the task is
   /// uncacheable — the submission then takes the plain uncached path.
@@ -341,13 +345,13 @@ class SessionManager {
   /// observes it already accounted for in num_running()/num_queued().
   void RunSession(const SessionPtr& session);
 
-  /// Releases the run slot of a finishing (or enqueue-failed) session: it
-  /// goes back to the governor — which re-dispatches across every tenant —
-  /// and then running_ is decremented. Takes mu_ and calls the governor, so
-  /// mu_ must not be held on entry. After it returns the manager may be
-  /// destroyed by Shutdown: callers may touch only sessions past that
-  /// point.
-  void FinishSlot();
+  /// Releases the run slot of a finishing (or enqueue-failed) session `id`:
+  /// it goes back to the governor — which re-dispatches across every
+  /// tenant — and then running_ is decremented and the finish recorded.
+  /// Takes mu_ and calls the governor, so mu_ must not be held on entry.
+  /// After it returns the manager may be destroyed by Shutdown: callers may
+  /// touch only sessions past that point.
+  void FinishSlot(const std::string& id);
 
   /// Requires data_mu_ (shared). True, with the layout key, when a run of
   /// `task` may use a kept prepared layer: its relation is the catalog's
@@ -370,7 +374,6 @@ class SessionManager {
   /// Non-null only via the mutable-catalog constructor; aliases catalog_.
   Catalog* mutable_catalog_ = nullptr;
   const SessionManagerOptions options_;
-  const size_t max_running_;
   ResourceGovernor* const governor_;
 
   /// Reader/writer gate between catalog readers and AppendRows. Shared:
@@ -389,6 +392,7 @@ class SessionManager {
   bool shutdown_ = false;
   std::deque<SessionPtr> queue_;
   std::map<std::string, SessionPtr> sessions_;
+  std::deque<std::string> finished_;  // kept finished ids, in finish order
 
   mutable std::mutex counters_mu_;
   ServerCounters counters_;

@@ -45,14 +45,12 @@ const ResourceGovernor::Entry* ResourceGovernor::FindEntryLocked(
   return nullptr;
 }
 
-void ResourceGovernor::Register(SessionManager* manager, double weight,
-                                size_t slot_limit) {
+void ResourceGovernor::Register(SessionManager* manager, double weight) {
   std::unique_lock<std::mutex> lock(mu_);
   if (FindEntryLocked(manager) != nullptr) return;
   Entry entry;
   entry.manager = manager;
   entry.weight = std::max(weight, kMinWeight);
-  entry.slot_limit = std::max<size_t>(1, slot_limit);
   // Join at the current minimum pass: next in line, but owed nothing for
   // the time before it existed (a fresh pass of 0 would let a re-attached
   // tenant monopolize slots until it caught up with the incumbents).
@@ -80,9 +78,7 @@ bool ResourceGovernor::TryAcquireRunSlot(SessionManager* manager) {
   std::lock_guard<std::mutex> lock(mu_);
   Entry* entry = FindEntryLocked(manager);
   if (entry == nullptr) return false;
-  if (used_slots_ >= total_slots_ || entry->active >= entry->slot_limit) {
-    return false;
-  }
+  if (used_slots_ >= total_slots_) return false;
   ++used_slots_;
   ++entry->active;
   entry->pass += 1.0 / entry->weight;
@@ -113,7 +109,7 @@ void ResourceGovernor::DispatchLocked(std::unique_lock<std::mutex>& lock) {
   while (used_slots_ < total_slots_) {
     Entry* pick = nullptr;
     for (Entry& entry : entries_) {
-      if (entry.busy || entry.active >= entry.slot_limit) continue;
+      if (entry.busy) continue;
       if (std::find(dry.begin(), dry.end(), entry.manager) != dry.end()) {
         continue;
       }
@@ -182,7 +178,6 @@ bool ResourceGovernor::Usage(const SessionManager* manager,
   if (entry == nullptr) return false;
   out->weight = entry->weight;
   out->active_slots = entry->active;
-  out->slot_limit = entry->slot_limit;
   if (global_memory_ != 0) {
     double total_weight = 0.0;
     for (const Entry& e : entries_) total_weight += e.weight;
@@ -254,8 +249,7 @@ TenantPtr TenantRegistry::MakeTenantLocked(
   }
   // Register before publishing: once the tenant is findable, every Submit
   // expects the governor to know its manager.
-  governor_->Register(tenant->manager_.get(), weight,
-                      tenant->manager_->max_running());
+  governor_->Register(tenant->manager_.get(), weight);
   tenants_.emplace(tenant->id_, tenant);
   return tenant;
 }

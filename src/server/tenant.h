@@ -24,13 +24,12 @@ class TenantDurability;
 ///
 ///   Run slots. The governor owns `total_run_slots` (the old process-wide
 ///   max_running) and grants them across tenants. A Submit that finds a
-///   free slot (and its tenant under its own per-tenant limit) runs
-///   immediately — the governor is work-conserving. When slots are
-///   contended, admitted requests wait in their tenant's own bounded queue
-///   and freed slots are dealt out by stride scheduling (each dispatch
-///   advances the tenant's pass by 1/weight; the lowest pass goes next), so
-///   a tenant flooding its queue gets exactly its weighted share and can
-///   never starve the others.
+///   free slot runs immediately — the governor is work-conserving. When
+///   slots are contended, admitted requests wait in their tenant's own
+///   bounded queue and freed slots are dealt out by stride scheduling (each
+///   dispatch advances the tenant's pass by 1/weight; the lowest pass goes
+///   next), so a tenant flooding its queue gets exactly its weighted share
+///   and can never starve the others.
 ///
 ///   Memory. A single global byte budget is carved into per-tenant soft
 ///   shares proportional to weight. A run's cap is its tenant's share —
@@ -55,8 +54,9 @@ class ResourceGovernor {
  public:
   struct Options {
     /// Process-wide concurrent run bound shared by all tenants. 0 sizes to
-    /// half the shared ThreadPool (at least 1), matching the historical
-    /// single-tenant SessionManager default.
+    /// half the shared ThreadPool (at least 1): a run's index build fills
+    /// its needed matrix across the same pool, so saturating it with run
+    /// bodies would leave no workers for that fill.
     size_t total_run_slots = 0;
     /// Global memory budget carved into per-tenant shares; 0 leaves every
     /// run's budget exactly as requested (no memory governance).
@@ -69,18 +69,17 @@ class ResourceGovernor {
   ResourceGovernor& operator=(const ResourceGovernor&) = delete;
 
   /// Adds `manager` to the schedule with the given weight (> 0; clamped to
-  /// a small positive minimum). `slot_limit` caps the manager's concurrent
-  /// slots (its own max_running). The new tenant starts at the current
+  /// a small positive minimum). The new tenant starts at the current
   /// minimum pass so it is next in line but owes no retroactive service.
-  void Register(SessionManager* manager, double weight, size_t slot_limit);
+  void Register(SessionManager* manager, double weight);
 
   /// Removes `manager` from the schedule. Blocks until no dispatch is in
   /// flight against it; the caller must have drained the manager first
   /// (Shutdown), so no slots are outstanding.
   void Deregister(SessionManager* manager);
 
-  /// Grants a run slot to `manager` when one is free globally and the
-  /// manager is under its per-tenant limit. False = the caller must queue
+  /// Grants a run slot to `manager` when one is free. False = the caller
+  /// must queue
   /// (or reject when its queue is full). Advances the stride pass, so
   /// uncontended traffic still accrues fair-share history.
   bool TryAcquireRunSlot(SessionManager* manager);
@@ -106,7 +105,6 @@ class ResourceGovernor {
   struct TenantUsage {
     double weight = 1.0;
     size_t active_slots = 0;
-    size_t slot_limit = 0;
     /// This tenant's weighted share of the global budget (0 when memory
     /// governance is off).
     uint64_t memory_share_bytes = 0;
@@ -122,7 +120,6 @@ class ResourceGovernor {
   struct Entry {
     SessionManager* manager = nullptr;
     double weight = 1.0;
-    size_t slot_limit = 0;
     size_t active = 0;  // slots currently granted
     /// Stride-scheduling pass: advanced by 1/weight per granted slot; the
     /// runnable entry with the lowest pass is dispatched next.
@@ -223,8 +220,8 @@ class TenantRegistry {
   static constexpr const char* kDefaultId = "default";
 
   /// `governor` must outlive the registry and every TenantPtr handed out.
-  /// `base_options` seeds per-tenant SessionManagerOptions (max_running,
-  /// max_queued, cache_bytes); every tenant's manager is governed by
+  /// `base_options` seeds per-tenant SessionManagerOptions (max_queued,
+  /// cache_bytes); every tenant's manager is governed by
   /// `governor`. `durability` (optional; must outlive
   /// the registry) adds write-ahead logging: each mutable-catalog tenant
   /// gets its own recovered TenantDurability and ATTACH/DETACH hit the

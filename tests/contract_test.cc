@@ -1,9 +1,12 @@
 #include "core/contract.h"
 
 #include <gtest/gtest.h>
+#include <algorithm>
 #include <cmath>
 
+#include "common/failpoint.h"
 #include "core/processor.h"
+#include "core/refined_space.h"
 #include "index/cell_sorted.h"
 #include "test_util.h"
 
@@ -156,6 +159,176 @@ TEST(RunAcquireContractTest, RejectsNonEqualityConstraints) {
   contract->constraint.op = ConstraintOp::kGe;
   CellSortedEvaluationLayer layer(&*contract, GridStepFor(*contract, {}));
   EXPECT_TRUE(RunAcquireContract(*contract, &layer, {}).status().IsUnsupported());
+}
+
+// Records every box evaluated through it, in order, over another layer.
+class RecordingLayer final : public EvaluationLayer {
+ public:
+  explicit RecordingLayer(EvaluationLayer* inner)
+      : EvaluationLayer(&inner->task()), inner_(inner) {}
+
+  Result<AggregateOps::State> EvaluateBox(
+      const std::vector<PScoreRange>& box) override {
+    boxes.push_back(box);
+    return inner_->EvaluateBox(box);
+  }
+
+  std::vector<std::vector<PScoreRange>> boxes;
+
+ private:
+  EvaluationLayer* inner_;
+};
+
+// A reference contraction walk that shares no code with the generators:
+// appends every p' coordinate with the given component sum under per-axis
+// caps to `out`, in lexicographic order.
+void EnumerateLayer(const std::vector<int32_t>& caps,
+                    const std::vector<int64_t>& suffix_caps, int64_t sum,
+                    size_t dim, GridCoord* coord,
+                    std::vector<GridCoord>* out) {
+  if (dim == caps.size()) {
+    if (sum == 0) out->push_back(*coord);
+    return;
+  }
+  int64_t lo = std::max<int64_t>(0, sum - suffix_caps[dim + 1]);
+  int64_t hi = std::min<int64_t>(caps[dim], sum);
+  for (int64_t v = lo; v <= hi; ++v) {
+    (*coord)[dim] = static_cast<int32_t>(v);
+    EnumerateLayer(caps, suffix_caps, sum - v, dim + 1, coord, out);
+  }
+}
+
+// The reference walk's layers, from the largest p' sum (the original
+// query) down to 0.
+std::vector<std::vector<GridCoord>> ReferenceWalk(const RefinedSpace& space) {
+  const size_t d = space.d();
+  std::vector<int64_t> suffix_caps(d + 1, 0);
+  for (size_t i = d; i-- > 0;) {
+    suffix_caps[i] = suffix_caps[i + 1] + space.MaxLevel(i);
+  }
+  std::vector<std::vector<GridCoord>> layers;
+  GridCoord coord(d);
+  for (int64_t sum = suffix_caps[0]; sum >= 0; --sum) {
+    layers.emplace_back();
+    EnumerateLayer(space.max_levels(), suffix_caps, sum, 0, &coord,
+                   &layers.back());
+  }
+  return layers;
+}
+
+// Without repartitioning and with a target no coordinate meets, the walk
+// evaluates exactly the reference walk's full-query boxes, in order, for
+// every layer up to the one max_explored cuts.
+TEST(RunAcquireContractTest, WalkVisitsTheReferenceOrder) {
+  struct Case {
+    size_t d;
+    double gamma;
+    uint64_t max_explored;
+  };
+  const Case cases[] = {{1, 10.0, 1000}, {1, 16.0, 1000}, {2, 16.0, 1000},
+                        {2, 40.0, 1000}, {3, 16.0, 400},  {3, 40.0, 1000},
+                        {4, 16.0, 300},  {4, 40.0, 300}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "d=" << c.d << " gamma=" << c.gamma);
+    auto fixture = OvershootFixture(c.d, 0.5);
+    ASSERT_NE(fixture, nullptr);
+    auto contract = MakeContractionTask(fixture->task);
+    ASSERT_TRUE(contract.ok());
+    DirectEvaluationLayer probe(&*contract);
+    const double base =
+        probe.EvaluateQueryValue(std::vector<double>(c.d, 100.0)).value();
+    // COUNT is integral, so a half-integral target is never met at delta 0.
+    contract->constraint.target = std::floor(base / 2.0) + 0.5;
+    AcquireOptions options;
+    options.gamma = c.gamma;
+    options.delta = 0.0;
+    options.repartition_iters = 0;
+    options.max_explored = c.max_explored;
+    DirectEvaluationLayer direct(&*contract);
+    RecordingLayer layer(&direct);
+    auto result = RunAcquireContract(*contract, &layer, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(result->satisfied);
+
+    const RefinedSpace space(&*contract, options.gamma, options.norm);
+    std::vector<std::vector<PScoreRange>> expected;
+    size_t coords = 0;
+    for (const std::vector<GridCoord>& walked : ReferenceWalk(space)) {
+      if (coords >= c.max_explored) break;
+      coords += walked.size();
+      for (const GridCoord& coord : walked) {
+        expected.push_back(space.QueryBox(coord));
+      }
+    }
+    EXPECT_EQ(result->queries_explored, std::min<uint64_t>(coords,
+                                                           c.max_explored));
+    EXPECT_EQ(result->termination, coords >= c.max_explored
+                                       ? RunTermination::kTruncated
+                                       : RunTermination::kCompleted);
+    ASSERT_EQ(layer.boxes.size(), expected.size());
+    for (size_t q = 0; q < expected.size(); ++q) {
+      for (size_t i = 0; i < c.d; ++i) {
+        ASSERT_EQ(layer.boxes[q][i].lo, expected[q][i].lo) << "box " << q;
+        ASSERT_EQ(layer.boxes[q][i].hi, expected[q][i].hi) << "box " << q;
+      }
+    }
+  }
+}
+
+// max_explored ending inside a layer still evaluates that whole layer (one
+// batch) but visits only up to the cap.
+TEST(RunAcquireContractTest, MaxExploredCutsTheWalkMidLayer) {
+  auto fixture = OvershootFixture(3, 0.5);
+  ASSERT_NE(fixture, nullptr);
+  auto contract = MakeContractionTask(fixture->task);
+  ASSERT_TRUE(contract.ok());
+  contract->constraint.target = 0.5;  // below every nonempty COUNT
+  AcquireOptions options;
+  options.gamma = 40.0;
+  options.delta = 0.0;
+  options.repartition_iters = 0;
+  const RefinedSpace space(&*contract, options.gamma, options.norm);
+  const std::vector<std::vector<GridCoord>> layers = ReferenceWalk(space);
+  ASSERT_GE(layers[3].size(), 2u);
+  const size_t through_layer_2 =
+      layers[0].size() + layers[1].size() + layers[2].size();
+  options.max_explored = through_layer_2 + layers[3].size() / 2;
+  DirectEvaluationLayer direct(&*contract);
+  RecordingLayer layer(&direct);
+  auto result = RunAcquireContract(*contract, &layer, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->termination, RunTermination::kTruncated);
+  EXPECT_EQ(result->queries_explored, options.max_explored);
+  ASSERT_EQ(layer.boxes.size(), through_layer_2 + layers[3].size());
+  for (size_t q = 0; q < layers[3].size(); ++q) {
+    const std::vector<PScoreRange> want = space.QueryBox(layers[3][q]);
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(layer.boxes[through_layer_2 + q][i].hi, want[i].hi);
+    }
+  }
+}
+
+// The walk's layers come from the BFS generator, so their arenas are
+// charged to the run: an injected layer-allocation failure ends a
+// contracted run resource_exhausted.
+TEST(RunAcquireContractTest, LayerAllocFailureExhaustsTheRun) {
+  if (!FailpointRegistry::compiled_in()) {
+    GTEST_SKIP() << "failpoints compiled out";
+  }
+  auto fixture = OvershootFixture(2, 0.5);
+  ASSERT_NE(fixture, nullptr);
+  AcquireOptions options;
+  options.gamma = 16.0;
+  options.delta = 0.1;
+  RunContext ctx;
+  options.run_ctx = &ctx;
+  auto& registry = FailpointRegistry::Global();
+  ASSERT_TRUE(registry.Configure("expand.layer_alloc", "p:1").ok());
+  auto outcome = ProcessAcq(fixture->task, options);
+  registry.DisarmAll();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->mode, AcqMode::kContracted);
+  EXPECT_EQ(outcome->result.termination, RunTermination::kResourceExhausted);
 }
 
 TEST(MakeContractionTaskTest, RejectsJoinDims) {

@@ -81,6 +81,16 @@ TEST(RunContextTest, ExpiredDeadlineStops) {
   EXPECT_EQ(ctx.Interruption(), RunTermination::kDeadlineExceeded);
 }
 
+// A timeout the steady clock cannot represent saturates to a deadline that
+// never comes, instead of overflowing into one already past.
+TEST(RunContextTest, UnrepresentableTimeoutNeverExpires) {
+  RunContext ctx;
+  ctx.SetTimeoutMillis(1e300);
+  EXPECT_TRUE(ctx.has_deadline());
+  EXPECT_FALSE(ctx.ShouldStop());
+  EXPECT_EQ(ctx.Interruption(), RunTermination::kCompleted);
+}
+
 // A Direct layer whose `sleeping_batch`-th EvaluateCells call sleeps until
 // `wake`. The driver executes one cell batch per layer, so the batch count
 // tells how many layers ran.

@@ -139,6 +139,9 @@ TEST(ServerProtocolTest, RejectsMalformedRequests) {
       {"{\"cmd\":\"SUBMIT\",\"sql\":\"SELECT * FROM users CONSTRAINT "
        "COUNT(*) >= 1 WHERE age <= 30\",\"delta\":1e999}",
        "InvalidArgument"},
+      {"{\"cmd\":\"SUBMIT\",\"sql\":\"SELECT * FROM users CONSTRAINT "
+       "COUNT(*) >= 1 WHERE age <= 30\",\"timeout_ms\":1e999}",
+       "InvalidArgument"},
       {"{\"cmd\":\"SUBMIT\",\"sql\":\"x\",\"order\":\"sideways\"}",
        "InvalidArgument"},
       {"{\"cmd\":\"SUBMIT\",\"sql\":\"x\",\"backend\":\"abacus\"}",
@@ -383,6 +386,67 @@ TEST(ServerTest, DeadlineOverServerReturnsPartialDone) {
   ASSERT_NE(report, nullptr);
   EXPECT_EQ(report->GetString("termination"), "deadline_exceeded");
   EXPECT_FALSE(report->GetBool("satisfied", true));
+}
+
+// A finite timeout past the steady clock's range arms a deadline that
+// never comes: the run completes instead of stopping at its first poll.
+TEST(ServerTest, HugeTimeoutNeverExpires) {
+  AcqServer server(SharedCatalog());
+  JsonValue request = JsonValue::Object();
+  request.Set("cmd", JsonValue::Str("SUBMIT"));
+  request.Set("sql", JsonValue::Str(
+                         "SELECT * FROM users CONSTRAINT COUNT(*) >= 1500 "
+                         "WHERE age <= 30 AND income <= 40000"));
+  request.Set("timeout_ms", JsonValue::Number(1e300));
+  request.Set("wait", JsonValue::Bool(true));
+  JsonValue response = MustParse(server.HandleRequestLine(request.Dump()));
+  ASSERT_TRUE(response.GetBool("ok", false)) << response.Dump();
+  EXPECT_EQ(response.GetString("state"), "done");
+  const JsonValue* report = response.Get("report");
+  ASSERT_NE(report, nullptr) << response.Dump();
+  EXPECT_EQ(report->GetString("termination"), "completed");
+  EXPECT_GT(report->GetNumber("queries_explored", 0.0), 0.0);
+}
+
+// A manager keeps its last kKeptFinishedSessions finished sessions. Cache
+// hits finish at admission, so repeat SUBMITs push the first runs out: their
+// ids answer NotFound, while the latest still serves the first reply's
+// report bytes.
+TEST(ServerTest, OldestFinishedSessionsAreForgotten) {
+  ServerOptions options;
+  options.cache_bytes = 16ull << 20;
+  AcqServer server(SharedCatalog(), options);
+  JsonValue request = JsonValue::Object();
+  request.Set("cmd", JsonValue::Str("SUBMIT"));
+  request.Set("sql", JsonValue::Str(
+                         "SELECT * FROM users CONSTRAINT COUNT(*) >= 1500 "
+                         "WHERE age <= 30 AND income <= 40000"));
+  request.Set("wait", JsonValue::Bool(true));
+  const size_t submits = SessionManager::kKeptFinishedSessions + 2;
+  std::vector<std::string> ids;
+  std::string first_report;
+  for (size_t i = 0; i < submits; ++i) {
+    const JsonValue reply =
+        MustParse(server.HandleRequestLine(request.Dump()));
+    ASSERT_EQ(reply.GetString("state"), "done") << reply.Dump();
+    ASSERT_NE(reply.Get("report"), nullptr) << reply.Dump();
+    if (i == 0) first_report = reply.Get("report")->Dump();
+    ids.push_back(reply.GetString("id"));
+  }
+  auto status = [&](const std::string& id) {
+    JsonValue line = JsonValue::Object();
+    line.Set("cmd", JsonValue::Str("STATUS"));
+    line.Set("id", JsonValue::Str(id));
+    return MustParse(server.HandleRequestLine(line.Dump()));
+  };
+  const JsonValue forgotten = status(ids.front());
+  EXPECT_FALSE(forgotten.GetBool("ok", true)) << forgotten.Dump();
+  EXPECT_EQ(forgotten.GetString("code"), "NotFound") << forgotten.Dump();
+  const JsonValue kept = status(ids.back());
+  ASSERT_TRUE(kept.GetBool("ok", false)) << kept.Dump();
+  EXPECT_EQ(kept.GetString("state"), "done");
+  ASSERT_NE(kept.Get("report"), nullptr) << kept.Dump();
+  EXPECT_EQ(kept.Get("report")->Dump(), first_report);
 }
 
 TEST(ServerTest, StatsAggregateAcrossRuns) {
