@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -122,6 +123,14 @@ std::string StringFormat(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+void AppendG(double v, std::string* out) {
+  // General format at precision 6 is defined as printf's %.6g.
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 6);
+  out->append(buf, r.ptr);
 }
 
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {

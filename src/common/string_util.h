@@ -35,6 +35,10 @@ Result<double> ParseDouble(std::string_view s);
 std::string StringFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// Appends `v` as printf's "%g" (six significant digits, C locale) writes
+/// it, inf and nan included, with one std::to_chars call.
+void AppendG(double v, std::string* out);
+
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 

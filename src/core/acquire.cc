@@ -137,10 +137,10 @@ RefinedQuery MakeGridAnswer(const RefinedSpace& space, const GridCoord& coord,
   RefinedQuery q;
   q.coord = coord;
   q.pscores = space.CoordPScores(coord);
-  q.qscore = space.QScoreOf(coord);
+  q.qscore = space.QScoreOfPScores(q.pscores);
   q.aggregate = aggregate;
   q.error = error;
-  q.description = space.Describe(coord);
+  q.description = space.DescribePScores(q.pscores);
   return q;
 }
 

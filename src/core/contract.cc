@@ -45,8 +45,10 @@ double ContractionDim::ContractedBound(double pscore) const {
 }
 
 std::string ContractionDim::DescribeAt(double pscore) const {
-  return StringFormat("%s %s %g", column_.c_str(), is_upper_ ? "<=" : ">=",
-                      ContractedBound(pscore));
+  std::string out = column_;
+  out += is_upper_ ? " <= " : " >= ";
+  AppendG(ContractedBound(pscore), &out);
+  return out;
 }
 
 std::string ContractionDim::label() const { return DescribeAt(100.0); }

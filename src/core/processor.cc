@@ -96,6 +96,24 @@ Result<AcqOutcome> ProcessAcq(const AcqTask& task, EvaluationLayer* layer,
         outcome.result,
         RunAcquireContract(*outcome.contraction_task,
                            contraction_layer.get(), options));
+    if (outcome.result.queries_explored == 0) {
+      // Stopped before its first coordinate: the best so far is the
+      // original query (c = 0), whose aggregate step 1 measured, as
+      // RunAcquire answers the origin.
+      const AcqTask& contracted = *outcome.contraction_task;
+      std::vector<double> original(contracted.d());
+      for (size_t i = 0; i < contracted.d(); ++i) {
+        original[i] = contracted.dims[i]->MaxPScore();
+      }
+      RefinedQuery& best = outcome.result.best;
+      best.pscores.assign(contracted.d(), 0.0);
+      best.qscore = 0.0;
+      best.aggregate = outcome.original_aggregate;
+      best.error = origin_error;
+      best.description =
+          RefinedSpace(&contracted, options.gamma, options.norm)
+              .DescribePScores(original);
+    }
     AddBuildStats(*layer, &outcome.result.exec_stats);
     return outcome;
   }

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/string_util.h"
 
 namespace acquire {
 
@@ -50,12 +49,12 @@ double RefinedSpace::QScoreOfPScores(const std::vector<double>& pscores) const {
 
 std::string RefinedSpace::DescribePScores(
     const std::vector<double>& pscores) const {
-  std::vector<std::string> parts;
-  parts.reserve(pscores.size());
+  std::string out;
   for (size_t i = 0; i < pscores.size(); ++i) {
-    parts.push_back(task_->dims[i]->DescribeAt(pscores[i]));
+    if (i > 0) out += " AND ";
+    out += task_->dims[i]->DescribeAt(pscores[i]);
   }
-  return Join(parts, " AND ");
+  return out;
 }
 
 std::vector<PScoreRange> RefinedSpace::CellBox(const GridCoord& coord) const {
@@ -75,13 +74,7 @@ std::vector<PScoreRange> RefinedSpace::QueryBox(const GridCoord& coord) const {
 }
 
 std::string RefinedSpace::Describe(const GridCoord& coord) const {
-  std::vector<double> pscores = CoordPScores(coord);
-  std::vector<std::string> parts;
-  parts.reserve(coord.size());
-  for (size_t i = 0; i < coord.size(); ++i) {
-    parts.push_back(task_->dims[i]->DescribeAt(pscores[i]));
-  }
-  return Join(parts, " AND ");
+  return DescribePScores(CoordPScores(coord));
 }
 
 }  // namespace acquire

@@ -42,7 +42,8 @@ class RefinedSpace {
   /// QScore of an off-grid refinement vector (repartitioned answers).
   double QScoreOfPScores(const std::vector<double>& pscores) const;
 
-  /// Renders the refined predicates of an off-grid refinement vector.
+  /// Renders the refined predicates of a refinement vector, on the grid or
+  /// off it, as a SQL conjunction.
   std::string DescribePScores(const std::vector<double>& pscores) const;
 
   /// The cell sub-query box O_1 of `coord` (Eq. 5): tuples whose needed

@@ -126,13 +126,17 @@ double NumericDim::RefinedBound(double pscore) const {
 std::string NumericDim::DescribeAt(double pscore) const {
   if (pscore <= 0.0) return label();
   // Refined intervals are closed on the refined side.
-  return StringFormat("%s %s %g", column_.c_str(), is_upper_ ? "<=" : ">=",
-                      RefinedBound(pscore));
+  std::string out = column_;
+  out += is_upper_ ? " <= " : " >= ";
+  AppendG(RefinedBound(pscore), &out);
+  return out;
 }
 
 std::string NumericDim::label() const {
-  const char* op = is_upper_ ? (strict_ ? "<" : "<=") : (strict_ ? ">" : ">=");
-  return StringFormat("%s %s %g", column_.c_str(), op, bound_);
+  std::string out = column_;
+  out += is_upper_ ? (strict_ ? " < " : " <= ") : (strict_ ? " > " : " >= ");
+  AppendG(bound_, &out);
+  return out;
 }
 
 std::optional<std::string> NumericDim::CanonicalForm() const {
@@ -174,8 +178,9 @@ double JoinDim::NeededPScore(const Table& table, size_t row) const {
 
 std::string JoinDim::DescribeAt(double pscore) const {
   if (pscore <= 0.0) return label();
-  return StringFormat("ABS(%s - %s) <= %g", left_column_.c_str(),
-                      right_column_.c_str(), pscore);
+  std::string out = "ABS(" + left_column_ + " - " + right_column_ + ") <= ";
+  AppendG(pscore, &out);
+  return out;
 }
 
 std::string JoinDim::label() const {
@@ -239,13 +244,17 @@ double ExprDim::RefinedBound(double pscore) const {
 
 std::string ExprDim::DescribeAt(double pscore) const {
   if (pscore <= 0.0) return label();
-  return StringFormat("%s %s %g", function_->ToString().c_str(),
-                      is_upper_ ? "<=" : ">=", RefinedBound(pscore));
+  std::string out = function_->ToString();
+  out += is_upper_ ? " <= " : " >= ";
+  AppendG(RefinedBound(pscore), &out);
+  return out;
 }
 
 std::string ExprDim::label() const {
-  const char* op = is_upper_ ? (strict_ ? "<" : "<=") : (strict_ ? ">" : ">=");
-  return StringFormat("%s %s %g", function_->ToString().c_str(), op, bound_);
+  std::string out = function_->ToString();
+  out += is_upper_ ? (strict_ ? " < " : " <= ") : (strict_ ? " > " : " >= ");
+  AppendG(bound_, &out);
+  return out;
 }
 
 }  // namespace acquire

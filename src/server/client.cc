@@ -165,13 +165,15 @@ Status LineClient::SendLineRaw(const std::string& line) {
 
 Result<std::string> LineClient::ReadLine() {
   if (fd_ < 0) return Status::IOError("client is not connected");
+  size_t scanned = 0;  // bytes of buffer_ already searched for the newline
   for (;;) {
-    size_t pos = buffer_.find('\n');
+    size_t pos = buffer_.find('\n', scanned);
     if (pos != std::string::npos) {
       std::string response = buffer_.substr(0, pos);
       buffer_.erase(0, pos + 1);
       return response;
     }
+    scanned = buffer_.size();
     char chunk[4096];
     ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;

@@ -1,9 +1,10 @@
 #include "server/json.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 #include "common/string_util.h"
 
@@ -90,44 +91,54 @@ bool JsonValue::GetBool(const std::string& key, bool fallback) const {
 
 namespace {
 
+// The escape a byte needs inside a JSON string, or nullptr for none.
+// Other control bytes are written \u00XX.
+const char* ShortEscape(unsigned char c) {
+  switch (c) {
+    case '"':
+      return "\\\"";
+    case '\\':
+      return "\\\\";
+    case '\n':
+      return "\\n";
+    case '\r':
+      return "\\r";
+    case '\t':
+      return "\\t";
+    case '\b':
+      return "\\b";
+    case '\f':
+      return "\\f";
+    default:
+      return nullptr;
+  }
+}
+
 void AppendEscaped(const std::string& s, std::string* out) {
   out->push_back('"');
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\b':
-        *out += "\\b";
-        break;
-      case '\f':
-        *out += "\\f";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
+  const char* run = s.data();  // start of the bytes not yet appended
+  const char* const end = run + s.size();
+  for (const char* p = run; p != end; ++p) {
+    const unsigned char c = static_cast<unsigned char>(*p);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(run, p);
+    run = p + 1;
+    if (const char* escape = ShortEscape(c)) {
+      *out += escape;
+    } else {
+      static constexpr char kHex[] = "0123456789abcdef";
+      const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+      out->append(code, sizeof(code));
     }
   }
+  out->append(run, end);
   out->push_back('"');
 }
 
+// Writes `d` as %.0f when it is integral with |d| < 1e15, otherwise as the
+// first of %.15g, %.16g and %.17g that reads back exactly. std::to_chars
+// with a precision is defined as printf with that precision, so each form
+// is one call.
 void AppendNumber(double d, std::string* out) {
   if (!std::isfinite(d)) {
     // JSON has no infinity/NaN; the engine's unreachable sentinels reach
@@ -135,26 +146,24 @@ void AppendNumber(double d, std::string* out) {
     *out += "null";
     return;
   }
+  using std::chars_format;
+  char buf[32];
+  char* const end = buf + sizeof(buf);
   double integral;
   if (std::modf(d, &integral) == 0.0 && std::fabs(d) < 1e15) {
-    *out += StringFormat("%.0f", d);
+    out->append(buf, std::to_chars(buf, end, d, chars_format::fixed, 0).ptr);
     return;
   }
-  // Shortest representation that round-trips a double.
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  double parsed = std::strtod(buf, nullptr);
-  if (parsed == d) {
-    char shorter[32];
-    for (int prec = 15; prec <= 16; ++prec) {
-      std::snprintf(shorter, sizeof(shorter), "%.*g", prec, d);
-      if (std::strtod(shorter, nullptr) == d) {
-        *out += shorter;
-        return;
-      }
+  for (int precision = 15; precision <= 16; ++precision) {
+    char* const last =
+        std::to_chars(buf, end, d, chars_format::general, precision).ptr;
+    double parsed = 0.0;
+    if (std::from_chars(buf, last, parsed).ec == std::errc() && parsed == d) {
+      out->append(buf, last);
+      return;
     }
   }
-  *out += buf;
+  out->append(buf, std::to_chars(buf, end, d, chars_format::general, 17).ptr);
 }
 
 }  // namespace
@@ -370,17 +379,23 @@ class Parser {
     ++pos_;  // opening quote
     out->clear();
     while (pos_ < text_.size()) {
+      // Append the run of plain bytes up to the next quote, backslash or
+      // control byte in one call.
+      size_t run_end = pos_;
+      while (run_end < text_.size()) {
+        const unsigned char b = static_cast<unsigned char>(text_[run_end]);
+        if (b == '"' || b == '\\' || b < 0x20) break;
+        ++run_end;
+      }
+      out->append(text_, pos_, run_end - pos_);
+      pos_ = run_end;
+      if (pos_ == text_.size()) break;
       unsigned char c = static_cast<unsigned char>(text_[pos_]);
       if (c == '"') {
         ++pos_;
         return Status::OK();
       }
       if (c < 0x20) return Error("raw control character in string");
-      if (c != '\\') {
-        out->push_back(static_cast<char>(c));
-        ++pos_;
-        continue;
-      }
       ++pos_;  // backslash
       if (pos_ >= text_.size()) return Error("truncated escape");
       char e = text_[pos_++];
@@ -477,8 +492,18 @@ class Parser {
         ++pos_;
       }
     }
-    *out = JsonValue::Number(
-        std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr));
+    // The token is validated JSON, so from_chars reads all of it. Out of
+    // range it leaves the value unset, and strtod gives +-inf on overflow
+    // (1e999, which the SUBMIT gamma and timeout_ms checks refuse) and a
+    // signed 0 on underflow (1e-400).
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    double value = 0.0;
+    const std::from_chars_result read = std::from_chars(first, last, value);
+    if (read.ec == std::errc::result_out_of_range) {
+      value = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
+    *out = JsonValue::Number(value);
     return Status::OK();
   }
 

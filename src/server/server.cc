@@ -389,13 +389,14 @@ void AcqServer::AcceptLoop() {
   }
 }
 
-bool AcqServer::SendLine(int fd, const std::string& line) {
+bool AcqServer::SendLine(int fd, std::string line) {
   if (ACQ_FAILPOINT("server.send")) {
     io_errors_.fetch_add(1, std::memory_order_relaxed);
     return false;  // simulated transport failure: drop the connection
   }
+  line.push_back('\n');
   int err = 0;
-  if (SendAll(fd, line + "\n", &err)) return true;
+  if (SendAll(fd, line, &err)) return true;
   // EPIPE / ECONNRESET is the peer hanging up mid-reply — a clean teardown
   // of this connection, not a server fault.
   if (err != EPIPE && err != ECONNRESET) {
@@ -427,11 +428,14 @@ void AcqServer::ServeConnection(size_t slot, int fd) {
     }
     if (n <= 0) break;
     if (ACQ_FAILPOINT("server.recv")) break;  // simulated read failure
+    // Only the bytes this recv added can hold the next newline.
+    size_t scanned = buffer.size();
     buffer.append(chunk, static_cast<size_t>(n));
     size_t pos;
-    while (open && (pos = buffer.find('\n')) != std::string::npos) {
+    while (open && (pos = buffer.find('\n', scanned)) != std::string::npos) {
       std::string line = buffer.substr(0, pos);
       buffer.erase(0, pos + 1);
+      scanned = 0;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (Trim(line).empty()) continue;
       if (max_line != 0 && line.size() > max_line) {

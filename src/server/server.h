@@ -229,7 +229,7 @@ class AcqServer {
   /// fallback): false closes the connection. A peer that vanished mid-reply
   /// (EPIPE/ECONNRESET) is a clean teardown; other errors count as
   /// io_errors in STATS.
-  bool SendLine(int fd, const std::string& line);
+  bool SendLine(int fd, std::string line);
 
   /// Routes a request to its tenant: the "tenant" field when present, the
   /// default tenant otherwise. NotFound for unknown / detached tenants.

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/failpoint.h"
+#include "core/error_fn.h"
 #include "core/processor.h"
 #include "core/refined_space.h"
 #include "index/cell_sorted.h"
@@ -329,6 +330,16 @@ TEST(RunAcquireContractTest, LayerAllocFailureExhaustsTheRun) {
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->mode, AcqMode::kContracted);
   EXPECT_EQ(outcome->result.termination, RunTermination::kResourceExhausted);
+  // It stopped before its first coordinate, so its best is the original
+  // query: c = 0, at the aggregate and error ProcessAcq measured first.
+  EXPECT_EQ(outcome->result.queries_explored, 0u);
+  const RefinedQuery& best = outcome->result.best;
+  EXPECT_EQ(best.aggregate, outcome->original_aggregate);
+  EXPECT_EQ(best.error, DefaultAggregateError(fixture->task.constraint,
+                                              outcome->original_aggregate));
+  EXPECT_EQ(best.qscore, 0.0);
+  EXPECT_EQ(best.pscores, std::vector<double>(2, 0.0));
+  EXPECT_EQ(best.description, "c0 <= 70 AND c1 <= 70");
 }
 
 TEST(MakeContractionTaskTest, RejectsJoinDims) {

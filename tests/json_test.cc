@@ -5,11 +5,15 @@
 #include "server/json.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace acquire {
 namespace {
@@ -76,6 +80,74 @@ TEST(JsonTest, DoublesRoundTripExactly) {
     JsonValue back = MustParse(wrapped.Dump());
     EXPECT_EQ(back.AsDouble(), v) << wrapped.Dump();
   }
+}
+
+// The snprintf/strtod number printer that std::to_chars replaced: %.0f for
+// integral values below 1e15, else the first of %.15g and %.16g that reads
+// back exactly, else %.17g.
+std::string SnprintfNumber(double d) {
+  if (!std::isfinite(d)) return "null";
+  char buf[32];
+  double integral;
+  if (std::modf(d, &integral) == 0.0 && std::fabs(d) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%.0f", d);
+    return buf;
+  }
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  if (std::strtod(buf, nullptr) == d) {
+    char shorter[32];
+    for (int prec = 15; prec <= 16; ++prec) {
+      std::snprintf(shorter, sizeof(shorter), "%.*g", prec, d);
+      if (std::strtod(shorter, nullptr) == d) return shorter;
+    }
+  }
+  return buf;
+}
+
+// Dump of every probe from `seed` equals the snprintf printer's text. The
+// reference printer costs about 2 us a value, so the 1M probes are split
+// over two seeds to keep each case short.
+void ExpectPrintsAsSnprintf(uint64_t seed) {
+  const std::vector<double> values = test_util::NumberProbes(seed, 500000);
+  size_t mismatches = 0;
+  for (double v : values) {
+    const std::string got = JsonValue::Number(v).Dump();
+    const std::string want = SnprintfNumber(v);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "Dump wrote " << got << ", the old printer " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size();
+}
+
+TEST(JsonTest, NumbersPrintAsTheSnprintfPrinterDid) {
+  ExpectPrintsAsSnprintf(/*seed=*/26);
+}
+
+TEST(JsonTest, MoreNumbersPrintAsTheSnprintfPrinterDid) {
+  ExpectPrintsAsSnprintf(/*seed=*/28);
+}
+
+// Parse reads every number token to the bits strtod gives, out-of-range
+// tokens included: the gamma and timeout_ms checks rely on 1e999 -> inf.
+TEST(JsonTest, NumbersParseAsStrtodDoes) {
+  std::vector<std::string> tokens = {
+      "1e999", "-1e999", "1e-400", "-1e-400", "-0", "0", "4.9e-324",
+      "2.2250738585072011e-308", "123456789012345678901234567890",
+      "-123456789012345678901234567890.5e-3", "1E5", "0.1e+2"};
+  for (double v : test_util::NumberProbes(/*seed=*/27, 1000000)) {
+    if (std::isfinite(v)) tokens.push_back(JsonValue::Number(v).Dump());
+  }
+  size_t mismatches = 0;
+  for (const std::string& token : tokens) {
+    const Result<JsonValue> parsed = JsonValue::Parse(token);
+    const double want = std::strtod(token.c_str(), nullptr);
+    const double got = parsed.ok() ? parsed->AsDouble() : std::nan("");
+    if (std::memcmp(&got, &want, sizeof(double)) != 0 && ++mismatches <= 5) {
+      ADD_FAILURE() << token << " parsed to " << got << ", strtod " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << tokens.size();
 }
 
 TEST(JsonTest, IntegralDoublesPrintWithoutFraction) {

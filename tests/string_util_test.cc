@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
+
+#include "test_util.h"
+
 namespace acquire {
 namespace {
 
@@ -80,6 +85,36 @@ TEST(StringFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StringFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StringFormat("%.2f", 1.005), "1.00");
   EXPECT_EQ(StringFormat("plain"), "plain");
+}
+
+// AppendG writes the bytes snprintf("%g") writes, specials included.
+TEST(AppendGTest, MatchesPrintfG) {
+  std::vector<double> values = test_util::NumberProbes(/*seed=*/29, 1000000);
+  for (double special :
+       {std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(), 0.0, -0.0}) {
+    values.push_back(special);
+  }
+  size_t mismatches = 0;
+  std::string got;
+  char want[32];
+  for (double v : values) {
+    got.clear();
+    AppendG(v, &got);
+    std::snprintf(want, sizeof(want), "%g", v);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "AppendG(" << want << ") wrote " << got;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size();
+}
+
+TEST(AppendGTest, AppendsToExistingText) {
+  std::string out = "x <= ";
+  AppendG(12.25, &out);
+  EXPECT_EQ(out, "x <= 12.25");
 }
 
 TEST(JoinTest, Basic) {

@@ -4,9 +4,13 @@
 // Shared helpers for tests: small synthetic tasks with controllable
 // dimensionality, aggregate and constraint, a generator drain, the
 // reference Explore oracle, the reference cell grouping, a byte comparator
-// for flat arrays, and a comparator for server replies.
+// for flat arrays, a comparator for server replies and seeded doubles for
+// number-formatting checks.
 
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -187,6 +191,55 @@ inline JsonValue StripIdAndTiming(const JsonValue& value) {
     return out;
   }
   return value;
+}
+
+/// `count` seeded doubles for number-formatting identity checks: specials
+/// (signed zeros, infinities, NaN, the extremes, 999999999999999.9), every
+/// 0.125 step within 10 of +-1e15, 50 ulp neighbours of three values in
+/// each of 40 decades, then one part denormals, two parts short decimals
+/// (the shape of most aggregates and predicate bounds) and one part random
+/// bit patterns.
+inline std::vector<double> NumberProbes(uint64_t seed, size_t count) {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> out = {
+      0.0, -0.0, Limits::infinity(), -Limits::infinity(), Limits::quiet_NaN(),
+      -Limits::quiet_NaN(), Limits::denorm_min(), Limits::min(), Limits::max(),
+      Limits::lowest(), Limits::epsilon(), 999999999999999.9,
+      -999999999999999.9, 0.1, 1.0 / 3.0};
+  for (double center : {1e15, -1e15}) {
+    for (int k = -80; k <= 80; ++k) out.push_back(center + k * 0.125);
+  }
+  Rng rng(seed);
+  for (int e = -20; e < 20; ++e) {
+    const double decade = std::pow(10.0, e);
+    const double third = rng.NextDouble(1.0, 10.0) * decade;
+    for (double v : {decade, 1.5 * decade, third}) {
+      double up = v;
+      double down = v;
+      for (int k = 0; k < 50; ++k) {
+        out.push_back(up);
+        out.push_back(-down);
+        up = std::nextafter(up, Limits::infinity());
+        down = std::nextafter(down, 0.0);
+      }
+    }
+  }
+  while (out.size() < count) {
+    const uint64_t bits = rng.Next();
+    switch (rng.NextBounded(4)) {
+      case 0:  // zero exponent: a denormal
+        out.push_back(std::bit_cast<double>(bits & 0x800FFFFFFFFFFFFFULL));
+        break;
+      case 1:
+      case 2:
+        out.push_back(static_cast<double>(rng.NextInt(-10000000, 10000000)) /
+                      std::pow(10.0, static_cast<double>(rng.NextInt(0, 8))));
+        break;
+      default:
+        out.push_back(std::bit_cast<double>(bits));
+    }
+  }
+  return out;
 }
 
 }  // namespace test_util
